@@ -38,7 +38,7 @@ from .invariants import (
     porteous_class,
     porteous_degree,
 )
-from .schur import pieri_expand, s_from_c, schur
+from .schur import s_from_c, schur
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "intersection_numbers",
     "is_calabi_yau",
     "odp_report",
-    "pieri_expand",
     "porteous_class",
     "porteous_degree",
     "product_of_projective_spaces",

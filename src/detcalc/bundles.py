@@ -123,8 +123,9 @@ class VirtualPair:
 
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
-    the Schur determinants of the degeneracy-locus formulas.  Both caches
-    are write-once at construction.
+    the Schur determinants of the degeneracy-locus formulas.  Each is
+    computed on first use and cached; ``chern_diff`` is also the dual
+    sequence ``s_from_c(schur_seq)`` of the dual Jacobi-Trudi form.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from .bundles import VirtualPair
 from .chow import AmbientSpace, ChowClass, proj_bundle
-from .partitions import supersets_of, syt_count
-from .schur import schur
+from .partitions import conjugate, supersets_of, syt_count
+from .schur import hook_schur, schur
 
 
 class GuardError(ValueError):
@@ -155,9 +155,15 @@ def ih_milnor_number(inst: Instance) -> int:
     complementary Chern class of the tangent bundle.  The sum runs over
     partitions containing the 2x2 square with at most ``dim`` boxes; larger
     shapes pair against negative-degree tangent classes, which vanish.
+
+    Each class is evaluated on its short side: a shape with more rows than
+    columns goes through its conjugate on the dual sequence ``chern_diff``
+    (dual Jacobi-Trudi), since cofactor expansion costs about
+    ``2**rows``.  The choice depends on the shape alone.
     """
     d = inst.d
     seq = inst.pair.schur_seq
+    dual = inst.pair.chern_diff
     space = inst.ambient
     total = Fraction(0)
     for weight in range(4, d + 1):
@@ -166,7 +172,10 @@ def ih_milnor_number(inst: Instance) -> int:
             continue
         sign = 1 if (d + weight) % 2 == 0 else -1
         for lam in supersets_of((2, 2), weight):
-            cls = schur(lam, seq)
+            if len(lam) > lam[0]:
+                cls = schur(conjugate(lam), dual)
+            else:
+                cls = schur(lam, seq)
             if cls.is_zero():
                 continue
             integrand = cls * tangent_part
@@ -206,10 +215,13 @@ def euler_resolution(inst: Instance) -> int:
 
     Evaluated through the pushforward of the resolution's total Chern class:
     an alternating binomial sum of hook-shaped Schur classes paired against
-    the tangent class.
+    the tangent class.  Each hook comes from the closed form
+    ``s_(a+1, 1^b) = sum_j (-1)^j h_(a+1+j) e_(b-j)`` with ``h = schur_seq``
+    and ``e = chern_diff``, not from a determinant.
     """
     d = inst.d
     seq = inst.pair.schur_seq
+    dual = inst.pair.chern_diff
     space = inst.ambient
     total = Fraction(0)
     for level in range(d):
@@ -218,8 +230,7 @@ def euler_resolution(inst: Instance) -> int:
             continue
         sign = 1 if level % 2 == 0 else -1
         for arm in range(level + 1):
-            hook = (1 + arm,) + (1,) * (level - arm)
-            cls = schur(hook, seq)
+            cls = hook_schur(arm, level - arm, seq, dual)
             if cls.is_zero():
                 continue
             integrand = cls * tangent_part
@@ -235,15 +246,21 @@ def euler_ih(inst: Instance) -> int:
     Computed through the resolution and cross-checked against the smooth
     expectation plus the signed singular gap.
     """
-    value = euler_resolution(inst)
-    smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class())
-    gap = ih_milnor_number(inst)
-    expected = smooth + (-1) ** inst.d * gap
-    if value != expected:
+    return _checked_euler_ih(
+        inst.d,
+        euler_resolution(inst),
+        euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class()),
+        ih_milnor_number(inst),
+    )
+
+
+def _checked_euler_ih(d: int, resolution: int, smooth: int, gap: int) -> int:
+    expected = smooth + (-1) ** d * gap
+    if resolution != expected:
         raise ConsistencyError(
-            f"resolution route gives {value}, smooth + gap gives {expected}"
+            f"resolution route gives {resolution}, smooth + gap gives {expected}"
         )
-    return value
+    return resolution
 
 
 # -- intersection numbers on the resolution ---------------------------------
@@ -428,7 +445,7 @@ def build_report(
     """
     gap = ih_milnor_number(inst)
     smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class())
-    ih = euler_ih(inst)
+    ih = _checked_euler_ih(inst.d, euler_resolution(inst), smooth, gap)
     cy = is_calabi_yau(inst)
     report = InvariantReport(
         dim=inst.d,
@@ -448,7 +465,7 @@ def build_report(
             raise ConsistencyError("tableau sum disagrees with the shortcut formula")
     if inst.d == 4:
         count, warnings = odp_report(inst)
-        report.singular_degree = porteous_degree(inst)
+        report.singular_degree = count
         report.odp_count = count
         report.warnings.extend(warnings)
     else:

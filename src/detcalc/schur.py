@@ -8,7 +8,7 @@ indices outside the list are zero by convention.
 from __future__ import annotations
 
 from .chow import ChowClass
-from .partitions import PartitionLike, covers_above, partition
+from .partitions import PartitionLike, partition
 
 
 def s_from_c(cseq: list[ChowClass]) -> list[ChowClass]:
@@ -43,8 +43,11 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
     """Determinant ``det(s[lam_i - i + j])`` over the given sequence.
 
     Padding ``lam`` with zeros does not change the result.  Expanded by
-    cofactors with memoized minors; the matrices stay small (rows of the
-    partition), so no elimination is needed.
+    cofactors along the rows of ``lam``, with minors memoized by their
+    column set: the work grows like ``2**len(lam)``, so a tall shape is
+    cheaper through its conjugate on the dual sequence (the dual
+    Jacobi-Trudi form ``s_lam(h) = s_lam'(e)`` with ``e = s_from_c(h)``).
+    Callers choose the side; this routine is the reference for both.
     """
     lam = partition(lam)
     if not seq:
@@ -77,6 +80,17 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
     return minor(0, tuple(range(k)))
 
 
-def pieri_expand(lam: PartitionLike) -> list[tuple[int, ...]]:
-    """Index set of the degree-one Pieri product: add one box in every valid spot."""
-    return covers_above(lam)
+def hook_schur(arm: int, leg: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
+    """Hook class ``s_(arm+1, 1^leg)`` without a determinant.
+
+    Closed form ``sum_{j=0..leg} (-1)^j h[arm+1+j] e[leg-j]``, where ``e`` is
+    the dual sequence ``s_from_c(h)``; terms past the end of ``h`` vanish.
+    """
+    space = h[0].ambient
+    acc = space.zero()
+    for j in range(leg + 1):
+        if arm + 1 + j >= len(h):
+            break
+        term = h[arm + 1 + j] * _entry(e, leg - j, space)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc

@@ -1,10 +1,13 @@
 import random
+from math import comb
 
 import pytest
 
+from detcalc import invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import proj_bundle, projective_space
 from detcalc.invariants import (
+    ConsistencyError,
     GuardError,
     Instance,
     build_report,
@@ -346,6 +349,60 @@ def test_build_report_equal_bundles(p4):
     assert report.odp_count == 0
     assert report.ih_milnor == 0
     assert report.euler_ih == 0
+
+
+def calabi_yau_fivefold():
+    return make_instance(projective_space(5), [0, 0, 0], [2, 2, 2])
+
+
+def count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(invariants, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, name, counted)
+    return counts
+
+
+def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
+    names = (
+        "ih_milnor_number",
+        "euler_smooth_hypersurface",
+        "euler_resolution",
+        "porteous_degree",
+    )
+    counts = count_calls(monkeypatch, names)
+    build_report(quintic)
+    assert counts == dict.fromkeys(names, 1)
+    counts.update(dict.fromkeys(names, 0))
+    inst = calabi_yau_fivefold()
+    assert is_calabi_yau(inst)
+    build_report(inst)
+    assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
+
+
+@pytest.mark.parametrize("name", ["euler_resolution", "ih_milnor_number_small_dim"])
+@pytest.mark.parametrize("dim", [4, 5])
+def test_build_report_still_cross_checks(monkeypatch, quintic, name, dim):
+    original = getattr(invariants, name)
+    monkeypatch.setattr(invariants, name, lambda inst: original(inst) + 1)
+    inst = quintic if dim == 4 else calabi_yau_fivefold()
+    with pytest.raises(ConsistencyError):
+        build_report(inst)
+
+
+@pytest.mark.parametrize("d", range(6, 17))
+def test_dense_rank_three_ladder(d):
+    # E = O(0)^3, F = O(1)^3: the Schur sequence 1/(1-h)^3 has no zero entry
+    space = projective_space(d)
+    inst = make_instance(space, [0, 0, 0], [1, 1, 1])
+    report = build_report(inst)
+    assert report.intersection_numbers == [comb(d - k + 2, 2) for k in range(d)]
+    assert report.euler_smooth == euler_series_oracle(d, 3)
 
 
 def test_instance_guards(p4):

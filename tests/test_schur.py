@@ -5,8 +5,8 @@ import pytest
 
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import ChowClass, product_of_projective_spaces, projective_space
-from detcalc.partitions import partitions_of, syt_count
-from detcalc.schur import pieri_expand, s_from_c, schur
+from detcalc.partitions import conjugate, covers_above, partitions_of, syt_count
+from detcalc.schur import hook_schur, s_from_c, schur
 
 
 def random_sequence(rng, space):
@@ -100,9 +100,9 @@ def test_schur_known_hook_expansion():
 
 
 def test_pieri_expand_known_values():
-    assert pieri_expand(()) == [(1,)]
-    assert pieri_expand((1,)) == [(2,), (1, 1)]
-    assert pieri_expand((2, 2)) == [(3, 2), (2, 2, 1)]
+    assert covers_above(()) == [(1,)]
+    assert covers_above((1,)) == [(2,), (1, 1)]
+    assert covers_above((2, 2)) == [(3, 2), (2, 2, 1)]
 
 
 def test_pieri_identity_on_split_bundle_over_p8():
@@ -113,7 +113,7 @@ def test_pieri_identity_on_split_bundle_over_p8():
     for weight in range(7):
         for lam in partitions_of(weight):
             expected = space.zero()
-            for mu in pieri_expand(lam):
+            for mu in covers_above(lam):
                 expected = expected + schur(mu, seq)
             assert s1 * schur(lam, seq) == expected
 
@@ -129,7 +129,7 @@ def test_pieri_identity_on_a_product_space():
     for weight in range(5):
         for lam in partitions_of(weight):
             expected = space.zero()
-            for mu in pieri_expand(lam):
+            for mu in covers_above(lam):
                 expected = expected + schur(mu, seq)
             assert s1 * schur(lam, seq) == expected
 
@@ -157,3 +157,50 @@ def test_square_schur_class_swap_symmetry():
             [rng.randint(-2, 2) for _ in range(3)],
         )
         assert schur((2, 2), pair.schur_seq) == schur((2, 2), pair.chern_diff)
+
+
+def split_sequences(space, e_rows, f_rows):
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, e_rows),
+        BundleSpec.sum_of_line_bundles(space, f_rows),
+    )
+    return pair.schur_seq, pair.chern_diff
+
+
+def random_sequences(space):
+    seq = random_sequence(random.Random(9), space)
+    return seq, s_from_c(seq)
+
+
+# (h, e) pairs: a split pair's cached sequences, or a random unit-headed
+# sequence and its transform; the products carry multi-monomial classes.
+DUAL_CASES = {
+    "p9-dense": lambda: split_sequences(projective_space(9), [[0]] * 3, [[1]] * 3),
+    "p9-mixed": lambda: split_sequences(
+        projective_space(9), [[-1], [0], [2], [0]], [[1], [3], [0], [2]]
+    ),
+    "p9-random": lambda: random_sequences(projective_space(9)),
+    "p2xp3-split": lambda: split_sequences(
+        product_of_projective_spaces([2, 3]),
+        [[0, 0], [-1, 0], [0, -1]],
+        [[1, 2], [2, 1], [1, 1]],
+    ),
+    "p2xp3-random": lambda: random_sequences(product_of_projective_spaces([2, 3])),
+    "p1^5-split": lambda: split_sequences(
+        product_of_projective_spaces([1] * 5),
+        [[0] * 5] * 3,
+        [[1] * 5, [1, 0, 1, 0, 1], [0, 1, 1, 1, 0]],
+    ),
+    "p1^5-random": lambda: random_sequences(product_of_projective_spaces([1] * 5)),
+}
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_dual_jacobi_trudi_and_hook_closed_form(case):
+    h, e = DUAL_CASES[case]()
+    for weight in range(10):
+        for lam in partitions_of(weight):
+            expected = schur(lam, h)
+            assert schur(conjugate(lam), e) == expected, lam
+            if lam and lam[1:] == (1,) * (len(lam) - 1):
+                assert hook_schur(lam[0] - 1, len(lam) - 1, h, e) == expected, lam
