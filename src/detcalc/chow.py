@@ -5,7 +5,16 @@ generator: a hyperplane class truncates (``h^(d+1) = 0``) while the extra
 generator of a projective bundle reduces through its defining relation.
 Products are normalized eagerly, so every class is a coefficient map on
 normal-form monomials and equality is coefficient equality.  Coefficients
-are exact rationals throughout; floating point never appears.
+are exact integers throughout; floating point never appears.
+
+A monomial is stored as one packed ``int`` with a fixed-width exponent
+field per generator, the first generator in the lowest bits.  A field has
+one bit more than its cap needs, so the exponents of two normal-form
+monomials add without carry and a product of monomials is ``a + b``.
+Adding the space's bias lifts exactly the fields above their cap into
+their top bit, so one mask test finds the monomials that leave the normal
+form.  A projective bundle lays out its base's fields first, unchanged,
+so pulling a class back copies its codes.
 """
 
 from __future__ import annotations
@@ -15,37 +24,53 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-_SCALARS = (int, Fraction)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value) -> int | None:
+    """``value`` as an exact integer, or None when it is not a number."""
     if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {value!r}")
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise ValueError(f"coefficients must be integers, got {value}")
+        return value.numerator
+    return None
+
+
+def _make(ambient: "AmbientSpace", terms: dict[int, int]) -> "ChowClass":
+    """A class from packed codes and nonzero coefficients, taken as given."""
+    x = object.__new__(ChowClass)
+    x.ambient = ambient
+    x.terms = terms
+    return x
 
 
 class ChowClass:
-    """A ring element: exact rational coefficients on normal-form monomials."""
+    """A ring element: exact integer coefficients on normal-form monomials.
+
+    ``terms`` maps the packed code of each monomial to its nonzero
+    coefficient; the constructor takes exponent tuples instead.
+    """
 
     __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: "AmbientSpace", terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ambient: "AmbientSpace", terms: dict[tuple[int, ...], int]):
+        out = {}
+        for e, c in terms.items():
+            q = _scalar(c)
+            if q is None:
+                raise TypeError(f"expected an integer coefficient, got {c!r}")
+            if q:
+                out[ambient._pack(e)] = q
         self.ambient = ambient
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = out
 
     def _coerce(self, other) -> "ChowClass | None":
         if isinstance(other, ChowClass):
             if other.ambient is not self.ambient:
                 raise ValueError("classes live on different ambient spaces")
             return other
-        if isinstance(other, _SCALARS):
-            return self.ambient.scalar(other)
-        return None
+        q = _scalar(other)
+        return None if q is None else self.ambient.scalar(q)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -53,13 +78,17 @@ class ChowClass:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return ChowClass(self.ambient, terms)
+            total = terms.get(e, 0) + c
+            if total:
+                terms[e] = total
+            else:
+                del terms[e]
+        return _make(self.ambient, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowClass(self.ambient, {e: -c for e, c in self.terms.items()})
+        return _make(self.ambient, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -74,21 +103,32 @@ class ChowClass:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            q = _as_fraction(other)
-            return ChowClass(self.ambient, {e: c * q for e, c in self.terms.items()})
+        space = self.ambient
         if not isinstance(other, ChowClass):
-            return NotImplemented
-        other = self._coerce(other)
-        normal = self.ambient._normal_form
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                coeff = ca * cb
-                raw = tuple(x + y for x, y in zip(ea, eb))
-                for en, k in normal(raw).items():
-                    out[en] = out.get(en, _ZERO) + coeff * k
-        return ChowClass(self.ambient, out)
+            q = _scalar(other)
+            if q is None:
+                return NotImplemented
+            return _make(space, {e: c * q for e, c in self.terms.items()} if q else {})
+        if other.ambient is not space:
+            raise ValueError("classes live on different ambient spaces")
+        bias, over, trunc = space._bias, space._over, space._trunc
+        # keyed by biased codes: the sum is the flag test and the key at once
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(other.terms.items())
+        for a, ca in self.terms.items():
+            a += bias
+            for b, cb in right:
+                raw = a + b
+                flags = raw & over
+                if not flags:
+                    out[raw] = get(raw, 0) + ca * cb
+                elif not flags & trunc:
+                    coeff = ca * cb
+                    for e, k in space._reduce(raw - bias):
+                        e += bias
+                        out[e] = get(e, 0) + coeff * k
+        return _make(space, {e - bias: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -116,54 +156,59 @@ class ChowClass:
 
     def part(self, degree: int) -> "ChowClass":
         """Homogeneous component of the given degree."""
-        return ChowClass(
-            self.ambient, {e: c for e, c in self.terms.items() if sum(e) == degree}
+        deg = self.ambient._degree
+        return _make(
+            self.ambient, {e: c for e, c in self.terms.items() if deg(e) == degree}
         )
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True when every monomial has the same degree (``degree`` if given)."""
-        degrees = {sum(e) for e in self.terms}
+        degrees = {self.ambient._degree(e) for e in self.terms}
         if not degrees:
             return True
         if degree is None:
             return len(degrees) == 1
         return degrees == {degree}
 
-    def constant(self) -> Fraction:
+    def constant(self) -> int:
         """Degree-zero coefficient."""
-        return self.terms.get(self.ambient._zero_exp, _ZERO)
+        return self.terms.get(0, 0)
 
     def inverse(self) -> "ChowClass":
         """Multiplicative inverse in the truncated ring.
 
-        Requires a nonzero constant term; computed degree by degree.
+        Requires a constant term of 1 or -1, the units of the integers;
+        computed degree by degree.
         """
         c0 = self.constant()
-        if c0 == 0:
-            raise ValueError("class with zero constant term is not invertible")
+        if c0 not in (1, -1):
+            raise ValueError(
+                f"class with constant term {c0} is not invertible over the integers"
+            )
         space = self.ambient
         parts = [self.part(k) for k in range(space.dim + 1)]
-        inv = [space.scalar(1 / c0)]
+        inv = [space.scalar(c0)]
         for k in range(1, space.dim + 1):
             acc = space.zero()
             for i in range(1, k + 1):
                 acc = acc + parts[i] * inv[k - i]
-            inv.append(acc * (-1 / c0))
+            inv.append(acc * -c0)
         total = space.zero()
         for piece in inv:
             total = total + piece
         return total
 
-    def integral(self) -> Fraction:
+    def integral(self) -> int:
         return self.ambient.integrate(self)
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        space = self.ambient
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
-            mono = self.ambient._monomial_str(e)
+        for e in sorted(map(space._unpack, self.terms), key=lambda e: (sum(e), e)):
+            c = self.terms[space._pack(e)]
+            mono = space._monomial_str(e)
             if mono == "1":
                 bits.append(str(c))
             elif c == 1:
@@ -179,8 +224,9 @@ class AmbientSpace:
     """A Chow-ring model: generators, reduction rules, dimension, tangent class.
 
     ``kind`` is one of ``projective_space``, ``product``, ``proj_bundle``.
-    Instances are immutable once built by the module constructors and may be
-    shared freely across threads.
+    The module constructors build an instance completely, but a bundle
+    space then fills its reduction cache lazily, without a lock; give each
+    thread its own spaces.
     """
 
     def __init__(
@@ -201,45 +247,85 @@ class AmbientSpace:
         self.fiber_rank = fiber_rank
         self.factor_dims = factor_dims
         self.tangent_chern: ChowClass | None = None
-        self._zero_exp = (0,) * len(gens)
-        self._subs: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        self._norm_cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        # A field is one bit wider than caps[i] needs, so the sum of two
+        # normal-form exponents fits.  After the bias is added, its top bit
+        # (in tops[i]) is set exactly when the exponent exceeds caps[i].
+        fields, tops, self._bias, shift = [], [], 0, 0
+        for cap in caps:
+            width = cap.bit_length() + 1
+            fields.append((shift, (1 << width) - 1))
+            tops.append(1 << (shift + width - 1))
+            self._bias += ((1 << (width - 1)) - 1 - cap) << shift
+            shift += width
+        self._fields = tuple(fields)  # (shift, mask) per generator
+        self._shifts = tuple(shift for shift, _ in fields)
+        self._tops = tuple(tops)
+        self._over = sum(tops)
+        self._trunc = self._over  # flag bits of the generators that truncate
+        self._top = self._pack(caps)
+        self._relation: tuple[tuple[int, int], ...] = ()
+        self._step = 0
+        self._reduced: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    # -- normal form -------------------------------------------------------
+    # -- packed monomials ----------------------------------------------------
 
-    def _normal_form(self, exp: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        cached = self._norm_cache.get(exp)
+    def _pack(self, exp: tuple[int, ...]) -> int:
+        if len(exp) != len(self.caps):
+            raise ValueError(f"expected {len(self.caps)} exponents, got {exp!r}")
+        code = 0
+        for e, cap, shift in zip(exp, self.caps, self._shifts):
+            if not 0 <= e <= cap:
+                raise ValueError(f"{exp!r} is not a normal-form monomial")
+            code += e << shift
+        return code
+
+    def _unpack(self, code: int) -> tuple[int, ...]:
+        return tuple((code >> shift) & mask for shift, mask in self._fields)
+
+    def _degree(self, code: int) -> int:
+        degree = 0
+        for shift, mask in self._fields:
+            degree += (code >> shift) & mask
+        return degree
+
+    def _set_relation(self, relation: dict[int, int]) -> None:
+        """Rewrite ``g^(cap+1)`` of the last generator ``g`` as ``relation``."""
+        self._relation = tuple(relation.items())
+        self._step = (self.caps[-1] + 1) << self._shifts[-1]
+        self._trunc = self._over - self._tops[-1]
+
+    def _reduce(self, raw: int) -> tuple[tuple[int, int], ...]:
+        """Normal form of a raw code whose only field above its cap is the
+        last generator's, with that generator's relation substituted
+        recursively; cached by code."""
+        cached = self._reduced.get(raw)
         if cached is not None:
             return cached
-        result = None
-        for i, cap in enumerate(self.caps):
-            if exp[i] > cap:
-                sub = self._subs.get(i)
-                if sub is None:
-                    result = {}
-                else:
-                    lowered = list(exp)
-                    lowered[i] -= cap + 1
-                    acc: dict[tuple[int, ...], Fraction] = {}
-                    for se, sc in sub.items():
-                        raw = tuple(a + b for a, b in zip(lowered, se))
-                        for ne, nc in self._normal_form(raw).items():
-                            acc[ne] = acc.get(ne, _ZERO) + sc * nc
-                    result = {e: c for e, c in acc.items() if c}
-                break
-        if result is None:
-            result = {exp: _ONE}
-        self._norm_cache[exp] = result
+        bias, over, trunc = self._bias, self._over, self._trunc
+        lowered = raw - self._step
+        acc: dict[int, int] = {}
+        for code, k in self._relation:
+            e = lowered + code
+            flags = (e + bias) & over
+            if not flags:
+                acc[e] = acc.get(e, 0) + k
+            elif not flags & trunc:
+                for ne, nc in self._reduce(e):
+                    acc[ne] = acc.get(ne, 0) + k * nc
+        result = tuple((e, c) for e, c in acc.items() if c)
+        self._reduced[raw] = result
         return result
 
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, {})
+        return _make(self, {})
 
     def scalar(self, q) -> ChowClass:
-        q = _as_fraction(q)
-        return ChowClass(self, {self._zero_exp: q} if q else {})
+        value = _scalar(q)
+        if value is None:
+            raise TypeError(f"expected an integer, got {q!r}")
+        return _make(self, {0: value} if value else {})
 
     def one(self) -> ChowClass:
         return self.scalar(1)
@@ -247,14 +333,19 @@ class AmbientSpace:
     def generator(self, i: int) -> ChowClass:
         """The i-th degree-one generator, already reduced to normal form."""
         i = range(len(self.gens))[i]
-        exp = tuple(1 if j == i else 0 for j in range(len(self.gens)))
-        return ChowClass(self, dict(self._normal_form(exp)))
+        code = 1 << self._shifts[i]
+        flags = (code + self._bias) & self._over
+        if not flags:
+            return _make(self, {code: 1})
+        if flags & self._trunc:
+            return self.zero()
+        return _make(self, dict(self._reduce(code)))
 
     def generators(self) -> tuple[ChowClass, ...]:
         return tuple(self.generator(i) for i in range(len(self.gens)))
 
     def degree_one(self, coeffs) -> ChowClass:
-        """Integer/rational combination of the generators."""
+        """Integer combination of the generators."""
         coeffs = list(coeffs)
         if len(coeffs) != len(self.gens):
             raise ValueError(
@@ -272,15 +363,15 @@ class AmbientSpace:
                 yield exp
 
     def monomial_basis(self, degree: int) -> list[ChowClass]:
-        return [ChowClass(self, {e: _ONE}) for e in self.monomials_of_degree(degree)]
+        return [_make(self, {self._pack(e): 1}) for e in self.monomials_of_degree(degree)]
 
     # -- functionals ---------------------------------------------------------
 
-    def integrate(self, x: ChowClass) -> Fraction:
+    def integrate(self, x: ChowClass) -> int:
         """Coefficient of the fundamental top-degree monomial."""
         if x.ambient is not self:
             raise ValueError("class does not live on this space")
-        return x.terms.get(self.caps, _ZERO)
+        return x.terms.get(self._top, 0)
 
     def pullback(self, x: ChowClass) -> ChowClass:
         """Pull a class on the base up to this projective bundle."""
@@ -288,7 +379,7 @@ class AmbientSpace:
             raise ValueError("pullback is defined on projective bundles only")
         if x.ambient is not self.base:
             raise ValueError("class does not live on the base of this bundle")
-        return ChowClass(self, {e + (0,): c for e, c in x.terms.items()})
+        return _make(self, dict(x.terms))
 
     def pushforward(self, x: ChowClass) -> ChowClass:
         """Push a class down the bundle map; kills fiber powers below r - 1.
@@ -300,9 +391,11 @@ class AmbientSpace:
             raise ValueError("pushforward is defined on projective bundles only")
         if x.ambient is not self:
             raise ValueError("class does not live on this space")
+        shift = self._shifts[-1]
         top = self.fiber_rank - 1
-        return ChowClass(
-            self.base, {e[:-1]: c for e, c in x.terms.items() if e[-1] == top}
+        return _make(
+            self.base,
+            {e - (top << shift): c for e, c in x.terms.items() if e >> shift == top},
         )
 
     def fiber_class(self) -> ChowClass:
@@ -388,11 +481,12 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
         fiber_rank=rank,
     )
     dual_chern = dual_total_chern(fiber.total_chern())
-    relation: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, rank + 1):
-        for e, c in dual_chern.part(i).terms.items():
-            relation[e + (rank - i,)] = relation.get(e + (rank - i,), _ZERO) - c
-    space._subs[len(space.gens) - 1] = {e: c for e, c in relation.items() if c}
+    shift = space._shifts[-1]
+    space._set_relation({
+        e + ((rank - i) << shift): -c
+        for i in range(1, rank + 1)
+        for e, c in dual_chern.part(i).terms.items()
+    })
     xi = space.fiber_class()
     relative = twisted_total_chern(rank, space.pullback(dual_chern), xi)
     space.tangent_chern = space.pullback(base.tangent_chern) * relative

@@ -17,7 +17,6 @@ compared; a mismatch aborts, since it can only mean a convention bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import NamedTuple
@@ -36,7 +35,8 @@ class ConsistencyError(RuntimeError):
     """Two routes that must agree did not; the ring conventions are broken."""
 
 
-def _integer(value: Fraction, what: str) -> int:
+def _integer(value: int, what: str) -> int:
+    """Guard at an integration boundary: a non-integral rational is a bug."""
     if value.denominator != 1:
         raise ConsistencyError(f"{what} evaluated to the non-integer {value}")
     return int(value)
@@ -165,7 +165,7 @@ def ih_milnor_number(inst: Instance) -> int:
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
     space = inst.ambient
-    total = Fraction(0)
+    total = 0
     for weight in range(4, d + 1):
         tangent_part = space.tangent_chern.part(d - weight)
         if tangent_part.is_zero():
@@ -223,7 +223,7 @@ def euler_resolution(inst: Instance) -> int:
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
     space = inst.ambient
-    total = Fraction(0)
+    total = 0
     for level in range(d):
         tangent_part = space.tangent_chern.part(d - 1 - level)
         if tangent_part.is_zero():
@@ -285,11 +285,17 @@ def intersection_numbers(inst: Instance) -> list[int]:
     locus = inst.resolution_fundamental_class
     tautological = bundle_space.fiber_class()
 
+    hyper_pows = [space.one()]
+    taut_pows = [bundle_space.one()]
+    for _ in range(d - 1):
+        hyper_pows.append(hyper_pows[-1] * hyper)
+        taut_pows.append(taut_pows[-1] * tautological)
+
     values = []
     for k in range(d):
-        closed = space.integrate((hyper**k) * seq[d - k])
+        closed = space.integrate(hyper_pows[k] * seq[d - k])
         direct = bundle_space.integrate(
-            tautological ** (d - 1 - k) * bundle_space.pullback(hyper**k) * locus
+            taut_pows[d - 1 - k] * bundle_space.pullback(hyper_pows[k]) * locus
         )
         if closed != direct:
             raise ConsistencyError(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
+from math import factorial
 from typing import Iterable, Iterator
 
 PartitionLike = Iterable[int]
@@ -59,15 +59,12 @@ def hook_product(lam: PartitionLike) -> int:
 def syt_count(lam: PartitionLike) -> int:
     """Number of standard fillings of ``lam``: |lam|! divided by the hook product.
 
-    Evaluated as a telescoping product of exact fractions, so intermediate
-    values stay near the final count instead of near |lam|!.
+    The division is exact; a remainder raises :class:`ArithmeticError`.
     """
-    hooks = sorted(h for row in hook_lengths(lam) for h in row)
-    count = Fraction(1)
-    for k, h in enumerate(hooks, start=1):
-        count *= Fraction(k, h)
-    assert count.denominator == 1, "hook product must divide the factorial"
-    return int(count)
+    count, remainder = divmod(factorial(sum(partition(lam))), hook_product(lam))
+    if remainder:
+        raise ArithmeticError(f"hook product of {lam!r} does not divide the factorial")
+    return count
 
 
 def covers_below(lam: PartitionLike) -> list[tuple[int, ...]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bundles import BundleSpec, VirtualPair
 from .chow import AmbientSpace, projective_space
@@ -84,7 +83,7 @@ def _random_sequence(rng: random.Random, space: AmbientSpace) -> list:
     for k in range(1, space.dim + 1):
         entry = space.zero()
         for mono in space.monomial_basis(k):
-            entry = entry + mono * Fraction(rng.randint(-4, 4))
+            entry = entry + mono * rng.randint(-4, 4)
         seq.append(entry)
     return seq
 

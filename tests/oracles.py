@@ -82,3 +82,38 @@ def hooks_by_scanning(shape: tuple[int, ...]) -> list[int]:
             down = sum(1 for k in range(i + 1, len(shape)) if shape[k] > j)
             out.append(right + down + 1)
     return out
+
+
+# -- naive truncated polynomial rings on exponent tuples ----------------------
+
+
+def naive_normal_form(exp, caps, relations) -> dict:
+    """Reduce one exponent tuple: the first exponent above its cap either
+    truncates the monomial or, for a generator with an entry in
+    ``relations``, is rewritten by it (``x_i^(cap_i + 1) = relations[i]``)
+    and the result reduced again."""
+    for i, cap in enumerate(caps):
+        if exp[i] > cap:
+            if i not in relations:
+                return {}
+            lowered = list(exp)
+            lowered[i] -= cap + 1
+            out = {}
+            for sub, coeff in relations[i].items():
+                raw = tuple(a + b for a, b in zip(lowered, sub))
+                for e, c in naive_normal_form(raw, caps, relations).items():
+                    out[e] = out.get(e, 0) + coeff * c
+            return {e: c for e, c in out.items() if c}
+    return {tuple(exp): 1}
+
+
+def naive_multiply(a: dict, b: dict, caps, relations=None) -> dict:
+    """Product of two coefficient maps on exponent tuples, term by term."""
+    relations = relations or {}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            raw = tuple(x + y for x, y in zip(ea, eb))
+            for e, c in naive_normal_form(raw, caps, relations).items():
+                out[e] = out.get(e, 0) + ca * cb * c
+    return {e: c for e, c in out.items() if c}

@@ -12,7 +12,7 @@ from detcalc.chow import (
     projective_space,
     twisted_total_chern,
 )
-from oracles import series, series_inv, series_mul
+from oracles import naive_multiply, series, series_inv, series_mul
 
 
 def random_class(rng, space, max_degree=None):
@@ -210,3 +210,115 @@ def test_integrate_rejects_foreign_classes():
     p3 = projective_space(3)
     with pytest.raises(ValueError):
         p4.integrate(p3.one())
+
+
+# -- integer core against the naive reference ----------------------------------
+
+
+def random_terms(rng, space):
+    terms = {}
+    for degree in range(space.dim + 1):
+        for exp in space.monomials_of_degree(degree):
+            if rng.random() < 0.5:
+                terms[exp] = rng.randint(-5, 5)
+    return terms
+
+
+def split_dual_relation(base_caps, degree_rows):
+    """The rewrite of ``xi^r`` on the bundle of quotients of a split bundle,
+    built from the docstring convention ``sum_i c_i(F dual) xi^(r-i) = 0``."""
+    n, r = len(base_caps), len(degree_rows)
+    dual = {(0,) * n: 1}
+    for row in degree_rows:
+        factor = {(0,) * n: 1}
+        for i, a in enumerate(row):
+            if a:
+                factor[tuple(int(j == i) for j in range(n))] = -a
+        dual = naive_multiply(dual, factor, base_caps)
+    return {e + (r - sum(e),): -c for e, c in dual.items() if sum(e) >= 1}
+
+
+def test_multiply_matches_naive_reference():
+    rng = random.Random(13)
+    rows = [[1, 0], [0, 1], [1, 1]]
+    p2p2 = product_of_projective_spaces([2, 2])
+    bundle = proj_bundle(p2p2, BundleSpec.sum_of_line_bundles(p2p2, rows))
+    cases = [
+        (projective_space(5), {}),
+        (product_of_projective_spaces([2, 3]), {}),
+        (product_of_projective_spaces([1, 1, 1, 1]), {}),
+        (bundle, {2: split_dual_relation((2, 2), rows)}),
+    ]
+    for space, relations in cases:
+        for _ in range(12):
+            a, b = random_terms(rng, space), random_terms(rng, space)
+            expected = naive_multiply(a, b, space.caps, relations)
+            product = ChowClass(space, a) * ChowClass(space, b)
+            assert product == ChowClass(space, expected)
+            assert len(product.terms) == len(expected)
+
+
+def test_non_integral_coefficients_are_refused():
+    p4 = projective_space(4)
+    h = p4.generator(0)
+    with pytest.raises(ValueError):
+        ChowClass(p4, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        h * Fraction(3, 2)
+    with pytest.raises(ValueError):
+        Fraction(1, 3) * h
+    with pytest.raises(ValueError):
+        h + Fraction(1, 2)
+    assert Fraction(6, 2) * h == 3 * h
+    assert ChowClass(p4, {(1,): Fraction(4, 2)}) == 2 * h
+
+
+def test_inverse_needs_unit_constant_term():
+    p4 = projective_space(4)
+    h = p4.generator(0)
+    with pytest.raises(ValueError):
+        (2 + h).inverse()
+    with pytest.raises(ValueError):
+        h.inverse()
+    x = -1 + 3 * h - h**3
+    assert x * x.inverse() == p4.one()
+
+
+def test_constructor_refuses_monomials_outside_normal_form():
+    p4 = projective_space(4)
+    with pytest.raises(ValueError):
+        ChowClass(p4, {(5,): 1})
+    with pytest.raises(ValueError):
+        ChowClass(p4, {(1, 0): 1})
+
+
+def test_large_caps():
+    p40 = projective_space(40)
+    h = p40.generator(0)
+    assert p40.integrate(h**40) == 1
+    assert (h**41).is_zero()
+    assert (h**20 * h**21).is_zero()
+    assert p40.integrate(p40.tangent_chern) == 41
+
+    p12 = projective_space(12)
+    h = p12.generator(0)
+    trivial = proj_bundle(p12, BundleSpec.sum_of_line_bundles(p12, [[0]] * 5))
+    xi = trivial.fiber_class()
+    pulled = trivial.pullback(h)
+    assert (xi**5).is_zero()
+    assert not (xi**4).is_zero()
+    assert trivial.integrate(pulled**12 * xi**4) == 1
+    assert trivial.tangent_chern == (1 + pulled) ** 13 * (1 + xi) ** 5
+    for a in (-3, 0, 2):
+        line = proj_bundle(p12, BundleSpec.sum_of_line_bundles(p12, [[a]]))
+        assert line.fiber_class() == line.pullback(a * h)
+
+    degrees = [[2], [-1], [1], [0], [3]]
+    bundle = proj_bundle(p12, BundleSpec.sum_of_line_bundles(p12, degrees))
+    xi = bundle.fiber_class()
+    dual = series([1], 12)
+    for (a,) in degrees:
+        dual = series_mul(dual, series([1, -a], 12), 12)
+    segre = series_inv(dual, 12)
+    for m in range(13):
+        assert bundle.pushforward(xi ** (4 + m)) == segre[m] * h**m

@@ -413,3 +413,11 @@ def test_instance_guards(p4):
         make_instance(p4, [0], [1])
     with pytest.raises(ValueError):
         Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [1, 1])), p4.one())
+
+
+def test_intersection_numbers_compare_routes(quintic):
+    # doubling the resolution's class changes only the direct route
+    inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
+    inst.resolution_fundamental_class = 2 * inst.resolution_fundamental_class
+    with pytest.raises(ConsistencyError):
+        intersection_numbers(inst)

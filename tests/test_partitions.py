@@ -153,3 +153,12 @@ def test_covers_are_adjacent_in_containment(shape):
 def test_inductive_recursion_matches_cover_sum(shape):
     if shape:
         assert syt_count(shape) == sum(syt_count(mu) for mu in covers_below(shape))
+
+
+def test_syt_count_refuses_inexact_division(monkeypatch):
+    # a hook product that does not divide |lam|! must raise, even under -O
+    import detcalc.partitions as partitions
+
+    monkeypatch.setattr(partitions, "hook_product", lambda lam: 7)
+    with pytest.raises(ArithmeticError):
+        partitions.syt_count((3, 2))
