@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcalc.cli import (
     ConfigError,
+    InstanceConfig,
     instance_from_config,
     load_config,
     main,
@@ -58,29 +61,132 @@ def test_parse_config_defaults():
     assert config.allow_non_cy_c2 is False
 
 
+def _field_path(value):
+    """Name a case by the field path its message starts with."""
+    return value.partition(":")[0] if isinstance(value, str) else None
+
+
 @pytest.mark.parametrize(
-    "mutate, path_fragment",
+    "edit, message",
     [
-        (lambda d: d.update(bogus=1), "bogus"),
-        (lambda d: d.pop("E"), "E"),
-        (lambda d: d["ambient"].update(kind="grassmannian"), "ambient.kind"),
-        (lambda d: d["ambient"].update(dims=[4, 3]), "ambient.dims"),
-        (lambda d: d["ambient"].update(dims=[3]), "ambient.dims"),
-        (lambda d: d.update(E=[[1, 2]] * 4), "E[0]"),
-        (lambda d: d.update(F=[[0]] * 3), "F"),
-        (lambda d: d.update(E=[["x"]] * 4), "E[0][0]"),
-        (lambda d: d.update(polarization=[1, 1]), "polarization"),
-        (lambda d: d.update(flags={"assume_general": "yes"}), "flags.assume_general"),
-        (lambda d: d.update(flags={"unknown": True}), "flags.unknown"),
-        (lambda d: d.update(E=[[0]]), "E"),
+        (lambda d: {**d, "bogus": 1}, "bogus: unknown field"),
+        (
+            lambda d: {k: v for k, v in d.items() if k != "E"},
+            "E: missing required field",
+        ),
+        (
+            lambda d: {**d, "ambient": {**d["ambient"], "kind": "grassmannian"}},
+            "ambient.kind: expected one of ('projective_space', 'product')",
+        ),
+        (
+            lambda d: {**d, "ambient": {**d["ambient"], "dims": [4, 3]}},
+            "ambient.dims: projective_space takes one dimension",
+        ),
+        (
+            lambda d: {**d, "ambient": {**d["ambient"], "dims": [3]}},
+            "ambient.dims: total dimension must be at least 4",
+        ),
+        (
+            lambda d: {**d, "E": [[1, 2]] * 4},
+            "E[0]: expected 1 entries, one per projective factor",
+        ),
+        (lambda d: {**d, "F": [[0]] * 3}, "F: expected 4 rows to match E"),
+        (lambda d: {**d, "E": [["x"]] * 4}, "E[0][0]: expected an integer"),
+        (
+            lambda d: {**d, "polarization": [1, 1]},
+            "polarization: expected 1 entries, one per projective factor",
+        ),
+        (
+            lambda d: {**d, "flags": {"assume_general": "yes"}},
+            "flags.assume_general: expected a boolean",
+        ),
+        (
+            lambda d: {**d, "flags": {"unknown": True}},
+            "flags.unknown: unknown field",
+        ),
+        (
+            lambda d: {**d, "E": [[0]], "F": [[0]]},
+            "E: the morphism matrix must be at least 2 x 2",
+        ),
+        (lambda d: [d], "<root>: expected an object"),
+        (lambda d: {**d, "ambient": "P^4"}, "ambient: expected an object"),
+        (lambda d: {**d, "flags": []}, "flags: expected an object"),
+        pytest.param(
+            lambda d: {**d, "ambient": {"dims": [4]}},
+            "ambient.kind: missing required field",
+            id="missing-ambient.kind",
+        ),
+        (
+            lambda d: {**d, "ambient": {**d["ambient"], "dims": [0]}},
+            "ambient.dims: factor dimensions must be >= 1",
+        ),
+        pytest.param(
+            lambda d: {**d, "flags": {"assume_general": 1, "allow_non_cy_c2": 0}},
+            "flags.assume_general: expected a boolean",
+            id="both-flags-invalid",
+        ),
     ],
+    ids=_field_path,
 )
-def test_parse_config_rejects_bad_documents(mutate, path_fragment):
-    doc = json.loads(json.dumps(QUINTIC_DOC))
-    mutate(doc)
+def test_parse_config_rejects_bad_documents(edit, message):
     with pytest.raises(ConfigError) as err:
-        parse_config(doc)
-    assert path_fragment in str(err.value)
+        parse_config(edit(QUINTIC_DOC))
+    assert str(err.value) == message
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_ROWS = st.lists(
+    st.lists(st.integers(-2, 3), min_size=1, max_size=3), min_size=1, max_size=4
+)
+# Documents near the schema, so that most draws get past the first checks.
+_CONFIG_DOCS = _JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "ambient": _JSON_VALUES
+        | st.fixed_dictionaries(
+            {},
+            optional={
+                "kind": st.sampled_from(["projective_space", "product", "cone"])
+                | _JSON_VALUES,
+                "dims": st.lists(st.integers(0, 5), max_size=3) | _JSON_VALUES,
+                "extra": _JSON_VALUES,
+            },
+        ),
+        "E": _ROWS | _JSON_VALUES,
+        "F": _ROWS | _JSON_VALUES,
+        "polarization": st.lists(st.integers(-1, 2), max_size=3) | _JSON_VALUES,
+        "flags": _JSON_VALUES
+        | st.fixed_dictionaries(
+            {},
+            optional={
+                "assume_general": st.booleans() | _JSON_VALUES,
+                "allow_non_cy_c2": st.booleans() | _JSON_VALUES,
+                "extra": _JSON_VALUES,
+            },
+        ),
+        "extra": _JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_DOCS)
+def test_parse_config_accepts_or_raises_config_error(doc):
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, InstanceConfig)
+    assert parse_config(config.to_dict()) == config
 
 
 def test_instance_from_config_builds_the_right_ring():
