@@ -1,32 +1,24 @@
-"""Chern-class calculus for concrete and virtual bundles.
+"""Chern-class calculus for split and virtual bundles.
 
-A bundle is either split (one first Chern class per line-bundle summand) or
-formal (a rank plus a total Chern class).  A :class:`VirtualPair` holds two
-bundles of equal rank and caches the two Chern-class sequences every
-downstream formula consumes.
+A bundle is a direct sum of line bundles, given by one first Chern class
+per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
+caches the two Chern-class sequences every downstream formula consumes.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 
-from .chow import (
-    AmbientSpace,
-    ChowClass,
-    dual_total_chern,
-    twisted_total_chern,
-)
+from .chow import AmbientSpace, ChowClass
 
 
 class BundleSpec:
-    """A vector bundle on an ambient space, split or formal."""
+    """A direct sum of line bundles on an ambient space."""
 
-    def __init__(self, ambient, roots=None, rank=None, total=None):
+    def __init__(self, ambient, roots):
         self.ambient = ambient
-        self._roots = roots
-        self._rank = rank
-        self._total = total
+        self.roots = roots
+        self._total = None
 
     @classmethod
     def split(cls, ambient: AmbientSpace, roots) -> "BundleSpec":
@@ -37,18 +29,7 @@ class BundleSpec:
                 raise ValueError("summand class lives on a different space")
             if not root.is_homogeneous(1):
                 raise ValueError("summand classes must be homogeneous of degree one")
-        return cls(ambient, roots=roots)
-
-    @classmethod
-    def formal(cls, ambient: AmbientSpace, rank: int, total: ChowClass) -> "BundleSpec":
-        """Bundle known only through its rank and total Chern class."""
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        if total.ambient is not ambient:
-            raise ValueError("total Chern class lives on a different space")
-        if total.constant() != 1:
-            raise ValueError("total Chern class must have constant term 1")
-        return cls(ambient, rank=rank, total=total)
+        return cls(ambient, roots)
 
     @classmethod
     def sum_of_line_bundles(cls, ambient: AmbientSpace, degree_rows) -> "BundleSpec":
@@ -58,24 +39,14 @@ class BundleSpec:
         )
 
     @property
-    def is_split(self) -> bool:
-        return self._roots is not None
-
-    @property
     def rank(self) -> int:
-        return len(self._roots) if self._roots is not None else self._rank
-
-    @property
-    def roots(self) -> tuple[ChowClass, ...]:
-        if self._roots is None:
-            raise ValueError("formal bundle has no line-bundle summands")
-        return self._roots
+        return len(self.roots)
 
     def total_chern(self) -> ChowClass:
         if self._total is not None:
             return self._total
         out = self.ambient.one()
-        for root in self._roots:
+        for root in self.roots:
             out = out * (self.ambient.one() + root)
         self._total = out
         return out
@@ -87,35 +58,22 @@ class BundleSpec:
         return self.chern(1)
 
     def dual(self) -> "BundleSpec":
-        if self.is_split:
-            return BundleSpec.split(self.ambient, (-r for r in self._roots))
-        return BundleSpec.formal(
-            self.ambient, self.rank, dual_total_chern(self.total_chern())
-        )
+        return BundleSpec.split(self.ambient, (-r for r in self.roots))
 
     def twist(self, ell: ChowClass) -> "BundleSpec":
         """Tensor with a line bundle of first Chern class ``ell``."""
         if not ell.is_homogeneous(1):
             raise ValueError("twisting class must be homogeneous of degree one")
-        if self.is_split:
-            return BundleSpec.split(self.ambient, (r + ell for r in self._roots))
-        return BundleSpec.formal(
-            self.ambient,
-            self.rank,
-            twisted_total_chern(self.rank, self.total_chern(), ell),
-        )
+        return BundleSpec.split(self.ambient, (r + ell for r in self.roots))
 
     def pullback_to(self, space: AmbientSpace) -> "BundleSpec":
         """Pull the bundle up to a projective bundle over its ambient space."""
         if space.base is not self.ambient:
             raise ValueError("target space is not a bundle over this ambient")
-        if self.is_split:
-            return BundleSpec.split(space, (space.pullback(r) for r in self._roots))
-        return BundleSpec.formal(space, self.rank, space.pullback(self.total_chern()))
+        return BundleSpec.split(space, (space.pullback(r) for r in self.roots))
 
     def __repr__(self):
-        kind = "split" if self.is_split else "formal"
-        return f"{kind} rank-{self.rank} bundle on {self.ambient!r}"
+        return f"split rank-{self.rank} bundle on {self.ambient!r}"
 
 
 class VirtualPair:
@@ -150,34 +108,6 @@ class VirtualPair:
     def schur_seq(self) -> list[ChowClass]:
         quotient = self.E.dual().total_chern() * self.F.dual().total_chern().inverse()
         return [quotient.part(k) for k in range(self.ambient.dim + 1)]
-
-    def virtual_chern(self, k: int) -> ChowClass:
-        """Degree-k part of ``c(F)/c(E)``; zero beyond the ambient dimension."""
-        if k < 0:
-            raise ValueError("index must be nonnegative")
-        if k > self.ambient.dim:
-            return self.ambient.zero()
-        return self.chern_diff[k]
-
-    def twisted_virtual_chern(self, ell: ChowClass, k: int) -> ChowClass:
-        """Degree-k virtual Chern class after twisting both bundles by ``ell``.
-
-        Closed form: an alternating binomial combination of the untwisted
-        virtual classes with powers of ``ell``.  Must agree with twisting
-        both bundles and expanding the quotient directly.
-        """
-        if k < 1:
-            raise ValueError("index must be at least one")
-        out = self.ambient.zero()
-        ell_pow = self.ambient.one()
-        for i in range(k, 0, -1):
-            term = comb(k - 1, i - 1) * (self.virtual_chern(i) * ell_pow)
-            out = out + (term if (k - i) % 2 == 0 else -term)
-            ell_pow = ell_pow * ell
-        return out
-
-    def twisted(self, ell: ChowClass) -> "VirtualPair":
-        return VirtualPair(self.E.twist(ell), self.F.twist(ell))
 
     def hypersurface_class(self) -> ChowClass:
         """First Chern class of det(E dual) tensor det(F): the divisor class

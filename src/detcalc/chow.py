@@ -198,9 +198,6 @@ class ChowClass:
             total = total + piece
         return total
 
-    def integral(self) -> int:
-        return self.ambient.integrate(self)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -466,12 +463,17 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
     xi^(r - i) = 0``.  With this convention the rank-one case collapses to
     the base with ``xi = c1(fiber)``, and pushing forward ``xi^(r-1+m)``
     yields the m-th coefficient of ``1 / c(fiber dual)``.
+
+    The base must not itself be a projective bundle: the new space would
+    drop the base's relation, and ``pullback`` would not be multiplicative.
     """
     rank = fiber.rank
     if rank < 1:
         raise ValueError("fiber bundle must have positive rank")
     if fiber.ambient is not base:
         raise ValueError("fiber bundle does not live on the given base")
+    if base.base is not None:
+        raise ValueError("the base must not itself be a projective bundle")
     space = AmbientSpace(
         "proj_bundle",
         base.dim + rank - 1,

@@ -24,6 +24,8 @@ from .invariants import (
 from .verify import run_all
 
 _AMBIENT_KINDS = ("projective_space", "product")
+# Flag names and defaults, in the order they are checked.
+_FLAGS = {"assume_general": True, "allow_non_cy_c2": False}
 
 
 class ConfigError(ValueError):
@@ -52,10 +54,7 @@ class InstanceConfig:
             "ambient": {"kind": self.ambient_kind, "dims": list(self.dims)},
             "E": [list(r) for r in self.e_rows],
             "F": [list(r) for r in self.f_rows],
-            "flags": {
-                "assume_general": self.assume_general,
-                "allow_non_cy_c2": self.allow_non_cy_c2,
-            },
+            "flags": {name: getattr(self, name) for name in _FLAGS},
         }
         if self.polarization is not None:
             doc["polarization"] = list(self.polarization)
@@ -94,24 +93,25 @@ def _rows(value, path: str, width: int) -> list[list[int]]:
     return rows
 
 
+def _object(value, path: str, required, optional=()) -> dict:
+    """Check that ``value`` is an object with exactly the allowed fields.
+
+    Unknown fields are reported before missing ones, each by its full path.
+    """
+    _expect(isinstance(value, dict), path, "expected an object")
+    prefix = "" if path == "<root>" else f"{path}."
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    for name in required:
+        _expect(name in value, f"{prefix}{name}", "missing required field")
+    return value
+
+
 def parse_config(doc) -> InstanceConfig:
     """Validate a decoded JSON document against the config schema."""
-    _expect(isinstance(doc, dict), "<root>", "expected an object")
-    unknown = set(doc) - {"ambient", "E", "F", "polarization", "flags"}
-    _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
-    for required in ("ambient", "E", "F"):
-        _expect(required in doc, required, "missing required field")
-
-    ambient = doc["ambient"]
-    _expect(isinstance(ambient, dict), "ambient", "expected an object")
-    unknown = set(ambient) - {"kind", "dims"}
-    _expect(
-        not unknown,
-        f"ambient.{sorted(unknown)[0]}" if unknown else "",
-        "unknown field",
-    )
-    _expect("kind" in ambient, "ambient.kind", "missing required field")
-    _expect("dims" in ambient, "ambient.dims", "missing required field")
+    _object(doc, "<root>", ("ambient", "E", "F"), ("polarization", "flags"))
+    ambient = _object(doc["ambient"], "ambient", ("kind", "dims"))
     kind = ambient["kind"]
     _expect(
         kind in _AMBIENT_KINDS,
@@ -144,31 +144,9 @@ def parse_config(doc) -> InstanceConfig:
             f"expected {len(dims)} entries, one per projective factor",
         )
 
-    assume_general = True
-    allow_non_cy_c2 = False
-    if "flags" in doc:
-        flags = doc["flags"]
-        _expect(isinstance(flags, dict), "flags", "expected an object")
-        unknown = set(flags) - {"assume_general", "allow_non_cy_c2"}
-        _expect(
-            not unknown,
-            f"flags.{sorted(unknown)[0]}" if unknown else "",
-            "unknown field",
-        )
-        if "assume_general" in flags:
-            _expect(
-                isinstance(flags["assume_general"], bool),
-                "flags.assume_general",
-                "expected a boolean",
-            )
-            assume_general = flags["assume_general"]
-        if "allow_non_cy_c2" in flags:
-            _expect(
-                isinstance(flags["allow_non_cy_c2"], bool),
-                "flags.allow_non_cy_c2",
-                "expected a boolean",
-            )
-            allow_non_cy_c2 = flags["allow_non_cy_c2"]
+    flags = {**_FLAGS, **_object(doc.get("flags", {}), "flags", (), _FLAGS)}
+    for name, value in flags.items():
+        _expect(isinstance(value, bool), f"flags.{name}", "expected a boolean")
 
     return InstanceConfig(
         ambient_kind=kind,
@@ -176,8 +154,7 @@ def parse_config(doc) -> InstanceConfig:
         e_rows=e_rows,
         f_rows=f_rows,
         polarization=polarization,
-        assume_general=assume_general,
-        allow_non_cy_c2=allow_non_cy_c2,
+        **flags,
     )
 
 
@@ -448,6 +425,17 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _depth(text: str) -> int:
+    """Argparse type of ``verify --depth``: an integer of at least 1."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {depth}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detcalc",
@@ -479,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the cross-module property suites")
     p_verify.add_argument(
         "--depth",
-        type=int,
+        type=_depth,
         default=4,
         help="bound on partition weights and bundle ranks (default 4)",
     )

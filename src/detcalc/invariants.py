@@ -107,20 +107,14 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
     return _integer(space.integrate(integrand), "smooth-hypersurface Euler number")
 
 
-def porteous_class(inst: Instance, i: int | None = None) -> ChowClass:
-    """Class of the locus where the morphism has rank at most ``i``.
+def porteous_class(inst: Instance) -> ChowClass:
+    """Class of the singular locus of the determinantal hypersurface.
 
-    The square shape with side ``rank - i`` evaluated on the pair's Schur
-    sequence.  ``i = n - 1`` (the default) is the singular locus of the
-    determinantal hypersurface; other values extrapolate the same
-    determinantal shape beyond what the reports use.
+    By Thom-Porteous, the locus where the morphism has rank at most
+    ``n - 1``: the square shape of side ``rank - (n - 1) = 2`` evaluated on
+    the pair's Schur sequence.
     """
-    if i is None:
-        i = inst.n - 1
-    if not 0 <= i <= inst.n:
-        raise GuardError("rank bound must satisfy 0 <= i <= n")
-    side = inst.pair.rank - i
-    return schur((side,) * side, inst.pair.schur_seq)
+    return schur((2, 2), inst.pair.schur_seq)
 
 
 def porteous_degree(inst: Instance) -> int:

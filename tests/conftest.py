@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from detcalc import BundleSpec, Instance, VirtualPair
 from detcalc.chow import projective_space
+from detcalc.cli import TABLE2
 
 
 @pytest.fixture(scope="session")
@@ -30,22 +31,14 @@ def quartic(p4):
     return Instance(p4, VirtualPair(E, F), p4.generator(0))
 
 
-QUARTIC_TABLE_ROWS = [
-    ([[0], [0]], [[1], [3]], 9),
-    ([[-1], [0]], [[1], [2]], 12),
-    ([[0], [0], [0]], [[1], [1], [2]], 17),
-    ([[0], [0]], [[2], [2]], 16),
-    ([[0], [0], [0], [0]], [[1], [1], [1], [1]], 20),
-]
-
-
 @pytest.fixture()
 def quartic_table(p4):
+    """The Table 2 instances of ``detcalc table table2``, with their ODP counts."""
     out = []
-    for e_rows, f_rows, odps in QUARTIC_TABLE_ROWS:
+    for row in TABLE2["rows"]:
         pair = VirtualPair(
-            BundleSpec.sum_of_line_bundles(p4, e_rows),
-            BundleSpec.sum_of_line_bundles(p4, f_rows),
+            BundleSpec.sum_of_line_bundles(p4, row["e"]),
+            BundleSpec.sum_of_line_bundles(p4, row["f"]),
         )
-        out.append((Instance(p4, pair), odps))
+        out.append((Instance(p4, pair), row["odps"]))
     return out

@@ -182,6 +182,14 @@ def test_proj_bundle_rejects_bad_input():
         proj_bundle(other, BundleSpec.sum_of_line_bundles(p4, [[1]]))
     with pytest.raises(ValueError):
         p4.pushforward(p4.generator(0))
+    # P(O + O(1)) over P^1 carries xi^2 = h*xi, which a bundle over it
+    # would drop: the pullback of xi squares to 0, not to h*xi
+    p1 = projective_space(1)
+    surface = proj_bundle(p1, BundleSpec.sum_of_line_bundles(p1, [[0], [1]]))
+    xi, h = surface.fiber_class(), surface.pullback(p1.generator(0))
+    assert xi**2 == h * xi
+    with pytest.raises(ValueError, match="projective bundle"):
+        proj_bundle(surface, BundleSpec.sum_of_line_bundles(surface, [[0, 0]] * 2))
 
 
 # -- class-level helpers -------------------------------------------------------

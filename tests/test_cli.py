@@ -327,6 +327,14 @@ def test_table_unknown_name_exits_two(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_verify_nonpositive_depth_exits_two(depth, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--depth", depth])
+    assert err.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_table_check_exits_one_on_mismatch(monkeypatch, capsys):
     from detcalc import cli
 

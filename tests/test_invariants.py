@@ -104,12 +104,6 @@ def test_porteous_degree_of_quintic(quintic):
 
 def test_porteous_class_defaults_to_square_shape(quintic):
     assert porteous_class(quintic) == schur((2, 2), quintic.pair.schur_seq)
-    # smaller rank bounds use larger squares
-    assert porteous_class(quintic, quintic.n - 2) == schur(
-        (3, 3, 3), quintic.pair.schur_seq
-    )
-    with pytest.raises(GuardError):
-        porteous_class(quintic, quintic.n + 1)
 
 
 def test_porteous_degree_guard_outside_fourfolds():
