@@ -13,11 +13,9 @@ from .bundles import BundleSpec, VirtualPair
 from .chow import (
     AmbientSpace,
     ChowClass,
-    dual_total_chern,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
-    twisted_total_chern,
 )
 from .invariants import (
     C2Pairings,
@@ -54,7 +52,6 @@ __all__ = [
     "VirtualPair",
     "build_report",
     "c2_numbers",
-    "dual_total_chern",
     "euler_ih",
     "euler_resolution",
     "euler_smooth_hypersurface",
@@ -70,5 +67,4 @@ __all__ = [
     "projective_space",
     "s_from_c",
     "schur",
-    "twisted_total_chern",
 ]

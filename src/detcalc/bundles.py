@@ -18,7 +18,6 @@ class BundleSpec:
     def __init__(self, ambient, roots):
         self.ambient = ambient
         self.roots = roots
-        self._total = None
 
     @classmethod
     def split(cls, ambient: AmbientSpace, roots) -> "BundleSpec":
@@ -43,19 +42,16 @@ class BundleSpec:
         return len(self.roots)
 
     def total_chern(self) -> ChowClass:
-        if self._total is not None:
-            return self._total
         out = self.ambient.one()
         for root in self.roots:
             out = out * (self.ambient.one() + root)
-        self._total = out
         return out
 
     def chern(self, k: int) -> ChowClass:
         return self.total_chern().part(k)
 
     def c1(self) -> ChowClass:
-        return self.chern(1)
+        return sum(self.roots, self.ambient.zero())
 
     def dual(self) -> "BundleSpec":
         return BundleSpec.split(self.ambient, (-r for r in self.roots))

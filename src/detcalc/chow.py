@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 from typing import Iterator
 
 
@@ -220,29 +219,23 @@ class ChowClass:
 class AmbientSpace:
     """A Chow-ring model: generators, reduction rules, dimension, tangent class.
 
-    ``kind`` is one of ``projective_space``, ``product``, ``proj_bundle``.
-    The module constructors build an instance completely, but a bundle
-    space then fills its reduction cache lazily, without a lock; give each
-    thread its own spaces.
+    ``caps[i]`` is the highest normal-form power of generator ``i``, so the
+    dimension is ``sum(caps)``; a space with a ``base`` is a projective
+    bundle whose last generator is the fiber class.  The module
+    constructors build an instance completely, but a bundle space then
+    fills its reduction cache lazily, without a lock.
     """
 
     def __init__(
         self,
-        kind: str,
-        dim: int,
         gens: tuple[str, ...],
         caps: tuple[int, ...],
         base: "AmbientSpace | None" = None,
-        fiber_rank: int | None = None,
-        factor_dims: tuple[int, ...] | None = None,
     ):
-        self.kind = kind
-        self.dim = dim
+        self.dim = sum(caps)
         self.gens = gens
         self.caps = caps
         self.base = base
-        self.fiber_rank = fiber_rank
-        self.factor_dims = factor_dims
         self.tangent_chern: ChowClass | None = None
         # A field is one bit wider than caps[i] needs, so the sum of two
         # normal-form exponents fits.  After the bias is added, its top bit
@@ -384,12 +377,12 @@ class AmbientSpace:
         In normal form the fiber exponent never exceeds r - 1, so only the
         terms carrying exactly that power survive, with the power stripped.
         """
-        if self.base is None or self.fiber_rank is None:
+        if self.base is None:
             raise ValueError("pushforward is defined on projective bundles only")
         if x.ambient is not self:
             raise ValueError("class does not live on this space")
         shift = self._shifts[-1]
-        top = self.fiber_rank - 1
+        top = self.caps[-1]
         return _make(
             self.base,
             {e - (top << shift): c for e, c in x.terms.items() if e >> shift == top},
@@ -413,11 +406,9 @@ class AmbientSpace:
         return "*".join(bits) if bits else "1"
 
     def __repr__(self):
-        if self.kind == "projective_space":
-            return f"P^{self.dim}"
-        if self.kind == "product":
-            return " x ".join(f"P^{d}" for d in self.factor_dims)
-        return f"P(rank-{self.fiber_rank} bundle) over {self.base!r}"
+        if self.base is None:
+            return " x ".join(f"P^{c}" for c in self.caps)
+        return f"P(rank-{self.caps[-1] + 1} bundle) over {self.base!r}"
 
 
 # -- space constructors --------------------------------------------------
@@ -427,27 +418,22 @@ def projective_space(d: int) -> AmbientSpace:
     """Projective d-space: one hyperplane class h with h^(d+1) = 0."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    space = AmbientSpace(
-        "projective_space", d, ("h",), (d,), factor_dims=(d,)
-    )
-    h = space.generator(0)
-    space.tangent_chern = (space.one() + h) ** (d + 1)
-    return space
+    return product_of_projective_spaces((d,))
 
 
 def product_of_projective_spaces(dims) -> AmbientSpace:
-    """Product of projective spaces: one truncating hyperplane class per factor."""
+    """Product of projective spaces: one truncating hyperplane class per
+    factor, named ``h`` for a single factor and ``h1..hn`` otherwise."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("at least one factor is required")
     if any(d < 0 for d in dims):
         raise ValueError("dimensions must be nonnegative")
     if len(dims) == 1:
-        return projective_space(dims[0])
-    gens = tuple(f"h{i + 1}" for i in range(len(dims)))
-    space = AmbientSpace(
-        "product", sum(dims), gens, dims, factor_dims=dims
-    )
+        gens = ("h",)
+    else:
+        gens = tuple(f"h{i + 1}" for i in range(len(dims)))
+    space = AmbientSpace(gens, dims)
     tangent = space.one()
     for i, d in enumerate(dims):
         tangent = tangent * (space.one() + space.generator(i)) ** (d + 1)
@@ -462,7 +448,8 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
     quotient line bundle) with the relation ``sum_i c_i(fiber dual) *
     xi^(r - i) = 0``.  With this convention the rank-one case collapses to
     the base with ``xi = c1(fiber)``, and pushing forward ``xi^(r-1+m)``
-    yields the m-th coefficient of ``1 / c(fiber dual)``.
+    yields the m-th coefficient of ``1 / c(fiber dual)``.  The relative
+    tangent class is ``c`` of ``fiber dual`` pulled back and twisted by ``xi``.
 
     The base must not itself be a projective bundle: the new space would
     drop the base's relation, and ``pullback`` would not be multiplicative.
@@ -474,49 +461,15 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
         raise ValueError("fiber bundle does not live on the given base")
     if base.base is not None:
         raise ValueError("the base must not itself be a projective bundle")
-    space = AmbientSpace(
-        "proj_bundle",
-        base.dim + rank - 1,
-        base.gens + ("xi",),
-        base.caps + (rank - 1,),
-        base=base,
-        fiber_rank=rank,
-    )
-    dual_chern = dual_total_chern(fiber.total_chern())
+    space = AmbientSpace(base.gens + ("xi",), base.caps + (rank - 1,), base=base)
+    dual = fiber.dual()
+    dual_chern = dual.total_chern()
     shift = space._shifts[-1]
     space._set_relation({
         e + ((rank - i) << shift): -c
         for i in range(1, rank + 1)
         for e, c in dual_chern.part(i).terms.items()
     })
-    xi = space.fiber_class()
-    relative = twisted_total_chern(rank, space.pullback(dual_chern), xi)
+    relative = dual.pullback_to(space).twist(space.fiber_class()).total_chern()
     space.tangent_chern = space.pullback(base.tangent_chern) * relative
     return space
-
-
-# -- class-level bundle algebra -------------------------------------------
-
-
-def dual_total_chern(total: ChowClass) -> ChowClass:
-    """Total Chern class of the dual: flip the sign of every odd degree."""
-    out = total.ambient.zero()
-    for k in range(total.ambient.dim + 1):
-        piece = total.part(k)
-        out = out + (piece if k % 2 == 0 else -piece)
-    return out
-
-
-def twisted_total_chern(rank: int, total: ChowClass, ell: ChowClass) -> ChowClass:
-    """Total Chern class of V tensor L from rank(V), c(V) and c1(L)."""
-    space = total.ambient
-    ell_pows = [space.one()]
-    for _ in range(space.dim):
-        ell_pows.append(ell_pows[-1] * ell)
-    out = space.zero()
-    for k in range(space.dim + 1):
-        for i in range(min(k, rank) + 1):
-            m = comb(rank - i, k - i)
-            if m:
-                out = out + m * (total.part(i) * ell_pows[k - i])
-    return out

@@ -143,6 +143,8 @@ def parse_config(doc) -> InstanceConfig:
             "polarization",
             f"expected {len(dims)} entries, one per projective factor",
         )
+        for i, degree in enumerate(polarization):
+            _expect(degree >= 1, f"polarization[{i}]", "must be >= 1 so that the class is ample")
 
     flags = {**_FLAGS, **_object(doc.get("flags", {}), "flags", (), _FLAGS)}
     for name, value in flags.items():
@@ -166,6 +168,8 @@ def load_config(path: str) -> InstanceConfig:
         raise ConfigError(f"<file>: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"<file>: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"<file>: not UTF-8 text ({exc})") from exc
     return parse_config(doc)
 
 

@@ -333,9 +333,10 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     tangent = space.tangent_chern
 
     # Degree-two head of c(T_Z) pulled down: A + s1 * (tautological class),
-    # where A comes from the normal exact sequence of the resolution.
-    dual_diff = VirtualPair(inst.pair.E.dual(), inst.pair.F.dual()).chern_diff
-    head = tangent.part(2) + dual_diff[1] * tangent.part(1) + dual_diff[2]
+    # where A comes from the normal exact sequence of the resolution.  The
+    # degree-k part of c(F dual)/c(E dual) is (-1)^k chern_diff[k].
+    diff = inst.pair.chern_diff
+    head = tangent.part(2) - diff[1] * tangent.part(1) + diff[2]
     if cy:
         simplified = tangent.part(2) - seq[2]
         if head != simplified:

@@ -1,7 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detcalc.cli import (
@@ -120,6 +122,10 @@ def _field_path(value):
             lambda d: {**d, "ambient": {**d["ambient"], "dims": [0]}},
             "ambient.dims: factor dimensions must be >= 1",
         ),
+        (
+            lambda d: {**d, "polarization": [0]},
+            "polarization[0]: must be >= 1 so that the class is ample",
+        ),
         pytest.param(
             lambda d: {**d, "flags": {"assume_general": 1, "allow_non_cy_c2": 0}},
             "flags.assume_general: expected a boolean",
@@ -189,6 +195,70 @@ def test_parse_config_accepts_or_raises_config_error(doc):
     assert parse_config(config.to_dict()) == config
 
 
+def _small(doc) -> bool:
+    """False for a document whose ambient has total dimension above 8."""
+    try:
+        return sum(doc["ambient"]["dims"]) <= 8
+    except (KeyError, TypeError):
+        return True
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
+@st.composite
+def _reportable_docs(draw):
+    """Schema-valid documents of total dimension 4..8 and rank 2..4, with
+    polarization entries that may be 0, so that most draws reach a report."""
+    dims = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(
+            lambda dims: 4 <= sum(dims) <= 8
+        )
+    )
+    rank = draw(st.integers(2, 4))
+    rows = st.lists(
+        st.lists(st.integers(-2, 3), min_size=len(dims), max_size=len(dims)),
+        min_size=rank,
+        max_size=rank,
+    )
+    doc = {
+        "ambient": {
+            "kind": "projective_space" if len(dims) == 1 else "product",
+            "dims": dims,
+        },
+        "E": draw(rows),
+        "F": draw(rows),
+        "flags": {"allow_non_cy_c2": draw(st.booleans())},
+    }
+    if draw(st.booleans()):
+        doc["polarization"] = draw(
+            st.lists(st.integers(0, 3), min_size=len(dims), max_size=len(dims))
+        )
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reportable_docs() | _CONFIG_DOCS)
+def test_main_report_exits_cleanly(tmp_path_factory, doc):
+    # rows are at most 4 long, so with the dimension bound a report stays cheap
+    assume(_small(doc))
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", str(path), "--json"])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert all(type(x) in (int, bool) for x in _numbers(json.loads(out.getvalue())))
+
+
 def test_instance_from_config_builds_the_right_ring():
     inst = instance_from_config(parse_config(QUINTIC_DOC))
     assert inst.d == 4
@@ -199,6 +269,13 @@ def test_instance_from_config_builds_the_right_ring():
 def test_load_config_reports_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+
+
+def test_load_config_reports_non_utf8_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="^<file>: not UTF-8 text"):
+        load_config(str(path))
 
 
 def test_load_config_reports_bad_json(tmp_path):

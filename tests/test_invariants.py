@@ -1,11 +1,14 @@
 import random
+import sys
+import threading
+from dataclasses import asdict
 from math import comb
 
 import pytest
 
 from detcalc import invariants
 from detcalc.bundles import BundleSpec, VirtualPair
-from detcalc.chow import proj_bundle, projective_space
+from detcalc.chow import product_of_projective_spaces, proj_bundle, projective_space
 from detcalc.invariants import (
     ConsistencyError,
     GuardError,
@@ -415,3 +418,54 @@ def test_intersection_numbers_compare_routes(quintic):
     inst.resolution_fundamental_class = 2 * inst.resolution_fundamental_class
     with pytest.raises(ConsistencyError):
         intersection_numbers(inst)
+
+
+def threaded_cases():
+    """Fresh P^6, (P^1)^5 and polarized-quintic instances, caches unfilled."""
+    p1s = product_of_projective_spaces([1] * 5)
+    p1_pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(p1s, [[0] * 5] * 3),
+        BundleSpec.sum_of_line_bundles(
+            p1s, [[1] * 5, [1, 0, 1, 0, 1], [0, 1, 1, 1, 0]]
+        ),
+    )
+    return [
+        make_instance(projective_space(6), [0, 0, 0], [1, 1, 1]),
+        Instance(p1s, p1_pair, p1s.degree_one([1] * 5)),
+        make_instance(projective_space(4), [-1, -1, -1, -2], [0, 0, 0, 0]),
+    ]
+
+
+def test_build_report_agrees_across_threads():
+    # four threads share one set of spaces and instances and run them in the
+    # same order, so the lazy caches (_reduced, chern_diff/schur_seq,
+    # resolution_*) fill concurrently; a few rounds, each on fresh instances
+    serial = [asdict(build_report(inst)) for inst in threaded_cases()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-computation
+    try:
+        for _ in range(20):
+            shared = threaded_cases()
+            start = threading.Barrier(4, timeout=60)
+            results, errors = {}, []
+
+            def run(t):
+                try:
+                    start.wait()
+                    for i, inst in enumerate(shared):
+                        results[t, i] = asdict(build_report(inst))
+                except Exception as exc:  # reported below, with the thread
+                    errors.append((t, exc))
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(results) == 4 * len(shared)
+            for (t, i), report in results.items():
+                assert report == serial[i], f"thread {t}, instance {i}"
+    finally:
+        sys.setswitchinterval(interval)
