@@ -144,7 +144,11 @@ def parse_config(doc) -> InstanceConfig:
             f"expected {len(dims)} entries, one per projective factor",
         )
         for i, degree in enumerate(polarization):
-            _expect(degree >= 1, f"polarization[{i}]", "must be >= 1 so that the class is ample")
+            _expect(
+                degree >= 1,
+                f"polarization[{i}]",
+                "must be >= 1 so that the class is ample",
+            )
 
     flags = {**_FLAGS, **_object(doc.get("flags", {}), "flags", (), _FLAGS)}
     for name, value in flags.items():

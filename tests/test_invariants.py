@@ -436,33 +436,40 @@ def threaded_cases():
     ]
 
 
+def reports_in_threads(shared, count=4):
+    """Run build_report on every instance of ``shared``, in order, in
+    ``count`` threads released together; return results and errors."""
+    start = threading.Barrier(count, timeout=60)
+    results, errors = {}, []
+
+    def run(t):
+        try:
+            start.wait()
+            for i, inst in enumerate(shared):
+                results[t, i] = asdict(build_report(inst))
+        except Exception as exc:  # reported by the caller, with the thread
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    return results, errors
+
+
 def test_build_report_agrees_across_threads():
-    # four threads share one set of spaces and instances and run them in the
+    # the threads share one set of spaces and instances and run them in the
     # same order, so the lazy caches (_reduced, chern_diff/schur_seq,
-    # resolution_*) fill concurrently; a few rounds, each on fresh instances
+    # resolution_*) fill concurrently; twenty rounds, each on fresh instances
     serial = [asdict(build_report(inst)) for inst in threaded_cases()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-computation
     try:
         for _ in range(20):
             shared = threaded_cases()
-            start = threading.Barrier(4, timeout=60)
-            results, errors = {}, []
-
-            def run(t):
-                try:
-                    start.wait()
-                    for i, inst in enumerate(shared):
-                        results[t, i] = asdict(build_report(inst))
-                except Exception as exc:  # reported below, with the thread
-                    errors.append((t, exc))
-
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
+            results, errors = reports_in_threads(shared)
             assert errors == []
             assert len(results) == 4 * len(shared)
             for (t, i), report in results.items():
