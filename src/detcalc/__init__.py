@@ -25,7 +25,6 @@ from .invariants import (
     InvariantReport,
     build_report,
     c2_numbers,
-    euler_ih,
     euler_resolution,
     euler_smooth_hypersurface,
     ih_milnor_number,
@@ -52,7 +51,6 @@ __all__ = [
     "VirtualPair",
     "build_report",
     "c2_numbers",
-    "euler_ih",
     "euler_resolution",
     "euler_smooth_hypersurface",
     "ih_milnor_number",

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .bundles import BundleSpec, VirtualPair
-from .chow import product_of_projective_spaces, projective_space
+from .chow import product_of_projective_spaces
 from .invariants import (
     GuardError,
     Instance,
@@ -174,14 +174,15 @@ def load_config(path: str) -> InstanceConfig:
         raise ConfigError(f"<file>: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"<file>: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ConfigError(f"<file>: unsupported JSON value ({exc})") from exc
+    except RecursionError as exc:
+        raise ConfigError("<file>: JSON nested too deeply") from exc
     return parse_config(doc)
 
 
 def instance_from_config(config: InstanceConfig) -> Instance:
-    if config.ambient_kind == "projective_space":
-        space = projective_space(config.dims[0])
-    else:
-        space = product_of_projective_spaces(config.dims)
+    space = product_of_projective_spaces(config.dims)
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, config.e_rows),
         BundleSpec.sum_of_line_bundles(space, config.f_rows),

@@ -42,6 +42,16 @@ def _integer(value: int, what: str) -> int:
     return int(value)
 
 
+class Resolution(NamedTuple):
+    """The small resolution as a zero locus in the quotient bundle ``space``:
+    ``normal`` is the total Chern class of its normal bundle and ``locus``
+    its fundamental class, the top part of ``normal``."""
+
+    space: AmbientSpace
+    normal: ChowClass
+    locus: ChowClass
+
+
 class Instance:
     """One evaluation problem: ambient space, bundle pair, optional polarization."""
 
@@ -75,17 +85,14 @@ class Instance:
         return self.pair.rank - 1
 
     @cached_property
-    def resolution_space(self) -> AmbientSpace:
-        """The rank-one-quotient bundle of F that carries the small resolution."""
-        return proj_bundle(self.ambient, self.pair.F)
-
-    @cached_property
-    def resolution_fundamental_class(self) -> ChowClass:
-        """Class of the resolution inside the quotient bundle: the top Chern
-        class of the pulled-back dual of E twisted by the tautological class."""
-        space = self.resolution_space
+    def resolution(self) -> Resolution:
+        """The small resolution inside the rank-one-quotient bundle of F: the
+        zero locus of the pulled-back dual of E twisted by the tautological
+        class, built in one step so that its classes share one space."""
+        space = proj_bundle(self.ambient, self.pair.F)
         twisted = self.pair.E.dual().pullback_to(space).twist(space.fiber_class())
-        return twisted.chern(self.pair.rank)
+        normal = twisted.total_chern()
+        return Resolution(space, normal, normal.part(self.pair.rank))
 
     def __repr__(self):
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
@@ -234,29 +241,6 @@ def euler_resolution(inst: Instance) -> int:
     return _integer(total, "resolution Euler number")
 
 
-def euler_ih(inst: Instance) -> int:
-    """Intersection-homology Euler characteristic of the hypersurface.
-
-    Computed through the resolution and cross-checked against the smooth
-    expectation plus the signed singular gap.
-    """
-    return _checked_euler_ih(
-        inst.d,
-        euler_resolution(inst),
-        euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class()),
-        ih_milnor_number(inst),
-    )
-
-
-def _checked_euler_ih(d: int, resolution: int, smooth: int, gap: int) -> int:
-    expected = smooth + (-1) ** d * gap
-    if resolution != expected:
-        raise ConsistencyError(
-            f"resolution route gives {resolution}, smooth + gap gives {expected}"
-        )
-    return resolution
-
-
 # -- intersection numbers on the resolution ---------------------------------
 
 
@@ -275,8 +259,7 @@ def intersection_numbers(inst: Instance) -> list[int]:
     seq = inst.pair.schur_seq
     hyper = inst.polarization
 
-    bundle_space = inst.resolution_space
-    locus = inst.resolution_fundamental_class
+    bundle_space, _, locus = inst.resolution
     tautological = bundle_space.fiber_class()
 
     hyper_pows = [space.one()]
@@ -354,21 +337,10 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
         if (closed_h, closed_l) != (reduced_h, reduced_l):
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 
-    bundle_space = inst.resolution_space
-    locus = inst.resolution_fundamental_class
+    bundle_space, normal, locus = inst.resolution
     tautological = bundle_space.fiber_class()
-    twisted_f_dual = (
-        inst.pair.F.dual().pullback_to(bundle_space).twist(tautological)
-    )
-    twisted_e_dual = (
-        inst.pair.E.dual().pullback_to(bundle_space).twist(tautological)
-    )
-    resolution_tangent = (
-        twisted_f_dual.total_chern()
-        * twisted_e_dual.total_chern().inverse()
-        * bundle_space.pullback(tangent)
-    )
-    c2_part = resolution_tangent.part(2)
+    # c(T_Z) = c(T_P(F)) / c(N_Z), by the normal exact sequence
+    c2_part = (bundle_space.tangent_chern * normal.inverse()).part(2)
     direct_h = bundle_space.integrate(c2_part * bundle_space.pullback(hyper) * locus)
     direct_l = bundle_space.integrate(c2_part * tautological * locus)
     if (closed_h, closed_l) != (direct_h, direct_l):
@@ -446,7 +418,12 @@ def build_report(
     """
     gap = ih_milnor_number(inst)
     smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class())
-    ih = _checked_euler_ih(inst.d, euler_resolution(inst), smooth, gap)
+    ih = euler_resolution(inst)
+    expected = smooth + (-1) ** inst.d * gap
+    if ih != expected:
+        raise ConsistencyError(
+            f"resolution route gives {ih}, smooth + gap gives {expected}"
+        )
     cy = is_calabi_yau(inst)
     report = InvariantReport(
         dim=inst.d,

@@ -184,17 +184,6 @@ _CONFIG_DOCS = _JSON_VALUES | st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_CONFIG_DOCS)
-def test_parse_config_accepts_or_raises_config_error(doc):
-    try:
-        config = parse_config(doc)
-    except ConfigError:
-        return
-    assert isinstance(config, InstanceConfig)
-    assert parse_config(config.to_dict()) == config
-
-
 def _small(doc) -> bool:
     """False for a document whose ambient has total dimension above 8."""
     try:
@@ -246,6 +235,17 @@ def _reportable_docs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_reportable_docs() | _CONFIG_DOCS)
+def test_parse_config_accepts_or_raises_config_error(doc):
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, InstanceConfig)
+    assert parse_config(config.to_dict()) == config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reportable_docs() | _CONFIG_DOCS)
 def test_main_report_exits_cleanly(tmp_path_factory, doc):
     # rows are at most 4 long, so with the dimension bound a report stays cheap
     assume(_small(doc))
@@ -257,6 +257,15 @@ def test_main_report_exits_cleanly(tmp_path_factory, doc):
     assert code in (0, 2, 3)
     if code == 0:
         assert all(type(x) in (int, bool) for x in _numbers(json.loads(out.getvalue())))
+
+
+def test_single_factor_product_reports_like_projective_space(tmp_path, capsys):
+    product = {**QUINTIC_DOC, "ambient": {"kind": "product", "dims": [4]}}
+    outputs = []
+    for name, doc in (("p4.json", QUINTIC_DOC), ("product.json", product)):
+        assert main(["report", write_config(tmp_path, doc, name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_instance_from_config_builds_the_right_ring():
@@ -282,6 +291,21 @@ def test_load_config_reports_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 5000 + "]" * 5000, "^<file>: JSON nested too deeply$"),
+        ('{"ambient": ' + "9" * 5000 + "}", "^<file>: unsupported JSON value"),
+    ],
+    ids=["deeply-nested", "overlong-integer"],
+)
+def test_load_config_refuses_unreadable_json(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_config(str(path))
 
 

@@ -15,7 +15,6 @@ from detcalc.invariants import (
     Instance,
     build_report,
     c2_numbers,
-    euler_ih,
     euler_resolution,
     euler_smooth_hypersurface,
     ih_milnor_number,
@@ -181,12 +180,12 @@ def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
 
 def test_euler_resolution_of_quartic(quartic):
     assert euler_resolution(quartic) == -24
-    assert euler_ih(quartic) == -24
+    assert build_report(quartic, allow_non_cy_c2=True).euler_ih == -24
 
 
 def test_euler_resolution_of_quintic(quintic):
     assert euler_resolution(quintic) == -108
-    assert euler_ih(quintic) == -108
+    assert build_report(quintic).euler_ih == -108
 
 
 def test_euler_identity_on_random_instances():
@@ -412,12 +411,24 @@ def test_instance_guards(p4):
         Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [1, 1])), p4.one())
 
 
+def doubled_locus(inst):
+    """A copy of ``inst`` whose resolution has twice its fundamental class,
+    which changes only the direct routes."""
+    copy = Instance(inst.ambient, inst.pair, inst.polarization)
+    copy.resolution = inst.resolution._replace(locus=2 * inst.resolution.locus)
+    return copy
+
+
 def test_intersection_numbers_compare_routes(quintic):
-    # doubling the resolution's class changes only the direct route
-    inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
-    inst.resolution_fundamental_class = 2 * inst.resolution_fundamental_class
     with pytest.raises(ConsistencyError):
-        intersection_numbers(inst)
+        intersection_numbers(doubled_locus(quintic))
+
+
+def test_c2_numbers_compare_routes(quintic, quartic):
+    with pytest.raises(ConsistencyError):
+        c2_numbers(doubled_locus(quintic))
+    with pytest.raises(ConsistencyError):
+        c2_numbers(doubled_locus(quartic), allow_non_cy=True)
 
 
 def threaded_cases():
@@ -462,7 +473,7 @@ def reports_in_threads(shared, count=4):
 def test_build_report_agrees_across_threads():
     # the threads share one set of spaces and instances and run them in the
     # same order, so the lazy caches (_reduced, chern_diff/schur_seq,
-    # resolution_*) fill concurrently; twenty rounds, each on fresh instances
+    # resolution) fill concurrently; twenty rounds, each on fresh instances
     serial = [asdict(build_report(inst)) for inst in threaded_cases()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-computation
