@@ -20,14 +20,14 @@ from .chow import (
 from .invariants import (
     C2Pairings,
     ConsistencyError,
+    EulerNumbers,
     GuardError,
     Instance,
     InvariantReport,
     build_report,
     c2_numbers,
-    euler_resolution,
+    euler_numbers,
     euler_smooth_hypersurface,
-    ih_milnor_number,
     ih_milnor_number_small_dim,
     intersection_numbers,
     is_calabi_yau,
@@ -45,15 +45,15 @@ __all__ = [
     "C2Pairings",
     "ChowClass",
     "ConsistencyError",
+    "EulerNumbers",
     "GuardError",
     "Instance",
     "InvariantReport",
     "VirtualPair",
     "build_report",
     "c2_numbers",
-    "euler_resolution",
+    "euler_numbers",
     "euler_smooth_hypersurface",
-    "ih_milnor_number",
     "ih_milnor_number_small_dim",
     "intersection_numbers",
     "is_calabi_yau",

@@ -8,10 +8,11 @@ degeneracy stratum.  All results assume the morphism is generic in the
 transversality sense (each stratum smooth of expected codimension); that
 assumption is surfaced in report warnings, never verified.
 
-Wherever two independent evaluation routes exist (a closed form on the
-ambient space and a direct computation on the rank-one-quotient bundle
-carrying the small resolution of the hypersurface), both are evaluated and
-compared; a mismatch aborts, since it can only mean a convention bug.
+Each reported number is compared across two routes; a mismatch aborts,
+since it can only mean a convention bug.  Intersection numbers and ``c2``
+pairings: a closed form on the ambient space against a direct integral on
+the rank-one-quotient bundle carrying the small resolution.  Euler numbers:
+the power identity that :func:`euler_numbers` checks in every weight.
 """
 
 from __future__ import annotations
@@ -147,43 +148,72 @@ def is_calabi_yau(inst: Instance) -> bool:
     return tangent_c1 == inst.pair.hypersurface_class()
 
 
-def ih_milnor_number(inst: Instance) -> int:
-    """Global measure of the singularities of the determinantal hypersurface:
-    the signed gap between its intersection-homology Euler characteristic and
-    the smooth expectation.
+class EulerNumbers(NamedTuple):
+    """Euler numbers of the hypersurface: a smooth one in the same class, the
+    signed singular gap, and the small resolution, whose Euler number is the
+    intersection-homology one: ``resolution = smooth + (-1)^d ih_milnor``."""
 
-    Computed as a tableau-weighted sum of Schur classes paired against the
-    complementary Chern class of the tangent bundle.  The sum runs over
-    partitions containing the 2x2 square with at most ``dim`` boxes; larger
-    shapes pair against negative-degree tangent classes, which vanish.
+    smooth: int
+    ih_milnor: int
+    resolution: int
 
-    Each class is evaluated on its short side: a shape with more rows than
-    columns goes through its conjugate on the dual sequence ``chern_diff``
-    (dual Jacobi-Trudi), since cofactor expansion costs about
-    ``2**rows``.  The choice depends on the shape alone.
+
+def euler_numbers(inst: Instance) -> EulerNumbers:
+    """The three Euler numbers from one loop over the weights ``w = 1 .. d``.
+
+    In weight w the three integrands are the parts of the identity
+    ``D^w = s_1^w = sum_{|lam| = w} f^lam s_lam`` (Macdonald, Ch. I), where
+    ``f^lam`` counts standard tableaux and the hypersurface class ``D`` is
+    taken from the bundles' roots.  ``D^w`` gives the smooth number.  The
+    hooks, the shapes that do not contain the 2x2 square, give the
+    resolution through the closed form ``hook_schur``, with ``f = C(w-1, b)``.
+    The other shapes give the gap, each by a cofactor ``schur`` on its short
+    side: a shape with more rows than columns goes through its conjugate on
+    the dual sequence ``chern_diff`` (dual Jacobi-Trudi), since cofactor
+    expansion costs about ``2**rows``.
+
+    The identity is checked as classes in every weight; a mismatch raises
+    :class:`ConsistencyError`.  Each sum is then paired once with
+    ``c_(d-w)(T)``, with sign ``(-1)^(w-1)`` for the smooth and resolution
+    numbers and ``(-1)^(d+w)`` for the gap.
     """
     d = inst.d
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
     space = inst.ambient
-    total = 0
-    for weight in range(4, d + 1):
-        tangent_part = space.tangent_chern.part(d - weight)
-        if tangent_part.is_zero():
-            continue
-        sign = 1 if (d + weight) % 2 == 0 else -1
+    divisor = inst.pair.hypersurface_class()
+    power = space.one()
+    smooth = gap = resolution = 0
+    for weight in range(1, d + 1):
+        power = power * divisor
+        if not power.is_homogeneous(weight):
+            raise ConsistencyError(f"inhomogeneous power of D in weight {weight}")
+        hooks = space.zero()
+        for leg in range(weight):
+            hook = hook_schur(weight - 1 - leg, leg, seq, dual)
+            hooks = hooks + comb(weight - 1, leg) * hook
+        rest = space.zero()
         for lam in supersets_of((2, 2), weight):
             if len(lam) > lam[0]:
                 cls = schur(conjugate(lam), dual)
             else:
                 cls = schur(lam, seq)
-            if cls.is_zero():
-                continue
-            integrand = cls * tangent_part
-            if not integrand.is_homogeneous(d):
-                raise ConsistencyError("inhomogeneous integrand in tableau sum")
-            total += sign * syt_count(lam) * space.integrate(integrand)
-    return _integer(total, "singular Euler gap")
+            if not cls.is_zero():
+                rest = rest + syt_count(lam) * cls
+        if power != hooks + rest:
+            raise ConsistencyError(
+                f"weight {weight}: D^{weight} != hooks + shapes containing (2,2)"
+            )
+        tangent_part = space.tangent_chern.part(d - weight)
+        sign = (-1) ** (weight - 1)
+        smooth += sign * space.integrate(power * tangent_part)
+        resolution += sign * space.integrate(hooks * tangent_part)
+        gap += (-1) ** (d + weight) * space.integrate(rest * tangent_part)
+    return EulerNumbers(
+        _integer(smooth, "smooth-hypersurface Euler number"),
+        _integer(gap, "singular Euler gap"),
+        _integer(resolution, "resolution Euler number"),
+    )
 
 
 def ih_milnor_number_small_dim(inst: Instance) -> int:
@@ -202,43 +232,12 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     if d not in (4, 5):
         raise GuardError(
             "the shortcut formula is only available for dim M = 4, or dim M = 5 "
-            "with the Calabi-Yau condition; use ih_milnor_number instead"
+            "with the Calabi-Yau condition; use euler_numbers instead"
         )
     integrand = (inst.ambient.tangent_chern * porteous_class(inst)).part(d)
     return _integer(
         (d - 2) * inst.ambient.integrate(integrand), "singular Euler gap shortcut"
     )
-
-
-def euler_resolution(inst: Instance) -> int:
-    """Euler characteristic of the small resolution, which equals the
-    intersection-homology Euler characteristic of the hypersurface.
-
-    Evaluated through the pushforward of the resolution's total Chern class:
-    an alternating binomial sum of hook-shaped Schur classes paired against
-    the tangent class.  Each hook comes from the closed form
-    ``s_(a+1, 1^b) = sum_j (-1)^j h_(a+1+j) e_(b-j)`` with ``h = schur_seq``
-    and ``e = chern_diff``, not from a determinant.
-    """
-    d = inst.d
-    seq = inst.pair.schur_seq
-    dual = inst.pair.chern_diff
-    space = inst.ambient
-    total = 0
-    for level in range(d):
-        tangent_part = space.tangent_chern.part(d - 1 - level)
-        if tangent_part.is_zero():
-            continue
-        sign = 1 if level % 2 == 0 else -1
-        for arm in range(level + 1):
-            cls = hook_schur(arm, level - arm, seq, dual)
-            if cls.is_zero():
-                continue
-            integrand = cls * tangent_part
-            if not integrand.is_homogeneous(d):
-                raise ConsistencyError("inhomogeneous integrand in hook sum")
-            total += sign * comb(level, arm) * space.integrate(integrand)
-    return _integer(total, "resolution Euler number")
 
 
 # -- intersection numbers on the resolution ---------------------------------
@@ -416,30 +415,23 @@ def build_report(
     need a fourfold and either the Calabi-Yau condition or the explicit
     opt-in, and raise :class:`GuardError` otherwise.
     """
-    gap = ih_milnor_number(inst)
-    smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class())
-    ih = euler_resolution(inst)
-    expected = smooth + (-1) ** inst.d * gap
-    if ih != expected:
-        raise ConsistencyError(
-            f"resolution route gives {ih}, smooth + gap gives {expected}"
-        )
+    euler = euler_numbers(inst)
     cy = is_calabi_yau(inst)
     report = InvariantReport(
         dim=inst.d,
         rank=inst.pair.rank,
         calabi_yau=cy,
-        ih_milnor=gap,
-        euler_smooth=smooth,
-        euler_ih=ih,
-        euler_resolution=ih,
+        ih_milnor=euler.ih_milnor,
+        euler_smooth=euler.smooth,
+        euler_ih=euler.resolution,
+        euler_resolution=euler.resolution,
     )
     if not assume_general:
         report.warnings.append(
             "assume_general is off: every output below is conditional on genericity"
         )
     if inst.d == 4 or (inst.d == 5 and cy):
-        if gap != ih_milnor_number_small_dim(inst):
+        if euler.ih_milnor != ih_milnor_number_small_dim(inst):
             raise ConsistencyError("tableau sum disagrees with the shortcut formula")
     if inst.d == 4:
         count, warnings = odp_report(inst)

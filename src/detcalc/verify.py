@@ -14,11 +14,11 @@ from math import comb
 from .bundles import BundleSpec, VirtualPair
 from .chow import AmbientSpace, projective_space
 from .invariants import (
+    ConsistencyError,
     Instance,
     c2_numbers,
-    euler_resolution,
+    euler_numbers,
     euler_smooth_hypersurface,
-    ih_milnor_number,
     ih_milnor_number_small_dim,
     intersection_numbers,
     is_calabi_yau,
@@ -203,7 +203,8 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
 
 
 def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
-    """Tableau sum vs shortcut formula, and the Euler-characteristic identity."""
+    """Euler numbers against the shortcut and the smooth-divisor formula; a
+    :class:`ConsistencyError` from :func:`euler_numbers` is a failure."""
     result = SuiteResult("euler-consistency")
     rng = random.Random(seed)
     rank_cap = max(2, min(4, depth))
@@ -218,19 +219,24 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
             calabi_yau=(dim == 5),
             with_polarization=False,
         )
-        gap = ih_milnor_number(inst)
+        try:
+            euler = euler_numbers(inst)
+        except ConsistencyError as exc:
+            result.check(False, f"Euler numbers raised (trial {trial}): {exc}")
+            continue
         shortcut = ih_milnor_number_small_dim(inst)
         result.check(
-            gap == shortcut,
-            f"tableau sum {gap} != shortcut {shortcut} (trial {trial}, dim {dim})",
+            euler.ih_milnor == shortcut,
+            f"tableau sum {euler.ih_milnor} != shortcut {shortcut} "
+            f"(trial {trial}, dim {dim})",
         )
         smooth = euler_smooth_hypersurface(
             inst.ambient, inst.pair.hypersurface_class()
         )
-        resolution = euler_resolution(inst)
         result.check(
-            resolution == smooth + (-1) ** dim * gap,
-            f"Euler identity fails (trial {trial}, dim {dim})",
+            euler.smooth == smooth,
+            f"smooth Euler number {euler.smooth} != divisor formula {smooth} "
+            f"(trial {trial}, dim {dim})",
         )
     return result
 

@@ -16,9 +16,8 @@ from detcalc.invariants import (
     Instance,
     build_report,
     c2_numbers,
-    euler_resolution,
+    euler_numbers,
     euler_smooth_hypersurface,
-    ih_milnor_number,
     ih_milnor_number_small_dim,
     porteous_degree,
 )
@@ -77,11 +76,12 @@ def test_table2_reproduction(quartic_table):
 def test_quartic_chain(p4):
     inst = Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [2, 2])))
     assert porteous_degree(inst) == 16
-    gap = ih_milnor_number(inst)
+    euler = euler_numbers(inst)
+    gap = euler.ih_milnor
     assert gap == 32
     smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class())
-    assert smooth == -56
-    by_pushforward = euler_resolution(inst)
+    assert smooth == euler.smooth == -56
+    by_pushforward = euler.resolution
     by_identity = smooth + (-1) ** 4 * gap
     assert by_pushforward == by_identity == -24
 
@@ -92,9 +92,11 @@ def test_quintic_chain(p4):
         p4, VirtualPair(split(p4, [-1, -1, -1, -2]), split(p4, [0, 0, 0, 0]))
     )
     smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class())
-    assert smooth == -200
-    gap = ih_milnor_number(inst)
-    by_pushforward = euler_resolution(inst)
+    euler = euler_numbers(inst)
+    assert smooth == euler.smooth == -200
+    gap = euler.ih_milnor
+    assert gap == 92
+    by_pushforward = euler.resolution
     by_identity = smooth + (-1) ** 4 * gap
     assert by_pushforward == by_identity == -108
 

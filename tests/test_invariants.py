@@ -15,9 +15,8 @@ from detcalc.invariants import (
     Instance,
     build_report,
     c2_numbers,
-    euler_resolution,
+    euler_numbers,
     euler_smooth_hypersurface,
-    ih_milnor_number,
     ih_milnor_number_small_dim,
     intersection_numbers,
     is_calabi_yau,
@@ -126,21 +125,22 @@ def test_porteous_degree_vanishes_for_equal_bundles(p4):
 
 
 def test_milnor_number_of_quartic(quartic):
-    assert ih_milnor_number(quartic) == 32
+    assert euler_numbers(quartic).ih_milnor == 32
     assert ih_milnor_number_small_dim(quartic) == 32
 
 
 def test_milnor_number_of_quintic(quintic):
-    assert ih_milnor_number(quintic) == 92
+    gap = euler_numbers(quintic).ih_milnor
+    assert gap == 92
     assert ih_milnor_number_small_dim(quintic) == 92
-    assert ih_milnor_number(quintic) == 2 * porteous_degree(quintic)
+    assert gap == 2 * porteous_degree(quintic)
 
 
 def test_fourfold_milnor_number_is_twice_the_degree(p4):
     rng = random.Random(21)
     for _ in range(10):
         inst = random_instance(rng, p4, polarized=False)
-        assert ih_milnor_number(inst) == 2 * porteous_degree(inst)
+        assert euler_numbers(inst).ih_milnor == 2 * porteous_degree(inst)
 
 
 def test_fivefold_shortcut_requires_calabi_yau():
@@ -150,7 +150,7 @@ def test_fivefold_shortcut_requires_calabi_yau():
     with pytest.raises(GuardError):
         ih_milnor_number_small_dim(inst)
     # the tableau sum itself has no such restriction
-    ih_milnor_number(inst)
+    euler_numbers(inst)
 
 
 def test_shortcut_refused_in_higher_dimension():
@@ -166,7 +166,7 @@ def test_fivefold_calabi_yau_shortcut_agrees_with_tableau_sum():
     for _ in range(10):
         inst = random_instance(rng, p5, calabi_yau=True, polarized=False)
         assert is_calabi_yau(inst)
-        assert ih_milnor_number(inst) == ih_milnor_number_small_dim(inst)
+        assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst)
 
 
 def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
@@ -179,12 +179,12 @@ def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
 
 
 def test_euler_resolution_of_quartic(quartic):
-    assert euler_resolution(quartic) == -24
+    assert euler_numbers(quartic).resolution == -24
     assert build_report(quartic, allow_non_cy_c2=True).euler_ih == -24
 
 
 def test_euler_resolution_of_quintic(quintic):
-    assert euler_resolution(quintic) == -108
+    assert euler_numbers(quintic).resolution == -108
     assert build_report(quintic).euler_ih == -108
 
 
@@ -197,8 +197,9 @@ def test_euler_identity_on_random_instances():
             smooth = euler_smooth_hypersurface(
                 space, inst.pair.hypersurface_class()
             )
-            gap = ih_milnor_number(inst)
-            assert euler_resolution(inst) == smooth + (-1) ** dim * gap
+            euler = euler_numbers(inst)
+            assert euler.smooth == smooth
+            assert euler.resolution == smooth + (-1) ** dim * euler.ih_milnor
 
 
 # -- intersection numbers and c2 pairings ---------------------------------------
@@ -365,12 +366,7 @@ def count_calls(monkeypatch, names):
 
 
 def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
-    names = (
-        "ih_milnor_number",
-        "euler_smooth_hypersurface",
-        "euler_resolution",
-        "porteous_degree",
-    )
+    names = ("euler_numbers", "porteous_degree")
     counts = count_calls(monkeypatch, names)
     build_report(quintic)
     assert counts == dict.fromkeys(names, 1)
@@ -381,13 +377,30 @@ def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
     assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
 
 
-@pytest.mark.parametrize("name", ["euler_resolution", "ih_milnor_number_small_dim"])
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [
+        ("hook_schur", lambda value: 2 * value, "^weight 1:"),
+        ("schur", lambda value: 2 * value, "^weight 4:"),
+        ("syt_count", lambda value: value + 1, "^weight 4:"),
+        ("ih_milnor_number_small_dim", lambda value: value + 1, "shortcut"),
+    ],
+    ids=[
+        "hook_schur_doubled",
+        "schur_doubled",
+        "syt_count_plus_one",
+        "ih_milnor_number_small_dim",
+    ],
+)
 @pytest.mark.parametrize("dim", [4, 5])
-def test_build_report_still_cross_checks(monkeypatch, quintic, name, dim):
+def test_build_report_still_cross_checks(
+    monkeypatch, quintic, name, mutate, message, dim
+):
+    # hooks enter the power identity in weight 1, shapes containing (2,2) in 4
     original = getattr(invariants, name)
-    monkeypatch.setattr(invariants, name, lambda inst: original(inst) + 1)
+    monkeypatch.setattr(invariants, name, lambda *args: mutate(original(*args)))
     inst = quintic if dim == 4 else calabi_yau_fivefold()
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=message):
         build_report(inst)
 
 

@@ -27,3 +27,13 @@ def test_runs_are_deterministic():
     assert [(r.name, r.cases, r.failures) for r in first] == [
         (r.name, r.cases, r.failures) for r in second
     ]
+
+
+def test_euler_suite_records_a_broken_identity_as_failures(monkeypatch):
+    from detcalc import invariants, verify
+
+    original = invariants.hook_schur
+    monkeypatch.setattr(invariants, "hook_schur", lambda *a: 2 * original(*a))
+    result = verify.suite_euler_consistency(depth=4, seed=1)
+    assert not result.passed
+    assert all("Euler numbers raised" in f for f in result.failures)
