@@ -98,12 +98,12 @@ class VirtualPair:
     @cached_property
     def chern_diff(self) -> list[ChowClass]:
         quotient = self.F.total_chern() * self.E.total_chern().inverse()
-        return [quotient.part(k) for k in range(self.ambient.dim + 1)]
+        return quotient.parts()
 
     @cached_property
     def schur_seq(self) -> list[ChowClass]:
         quotient = self.E.dual().total_chern() * self.F.dual().total_chern().inverse()
-        return [quotient.part(k) for k in range(self.ambient.dim + 1)]
+        return quotient.parts()
 
     def hypersurface_class(self) -> ChowClass:
         """First Chern class of det(E dual) tensor det(F): the divisor class

@@ -160,6 +160,19 @@ class ChowClass:
             self.ambient, {e: c for e, c in self.terms.items() if deg(e) == degree}
         )
 
+    def parts(self, top: int | None = None) -> list["ChowClass"]:
+        """Homogeneous components of degrees ``0 .. top`` (default: the
+        dimension), split off in one pass over the terms."""
+        space = self.ambient
+        top = space.dim if top is None else top
+        split: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        deg = space._degree
+        for e, c in self.terms.items():
+            k = deg(e)
+            if k <= top:
+                split[k][e] = c
+        return [_make(space, terms) for terms in split]
+
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True when every monomial has the same degree (``degree`` if given)."""
         degrees = {self.ambient._degree(e) for e in self.terms}
@@ -185,7 +198,7 @@ class ChowClass:
                 f"class with constant term {c0} is not invertible over the integers"
             )
         space = self.ambient
-        parts = [self.part(k) for k in range(space.dim + 1)]
+        parts = self.parts()
         inv = [space.scalar(c0)]
         for k in range(1, space.dim + 1):
             acc = space.zero()
@@ -214,6 +227,23 @@ class ChowClass:
             else:
                 bits.append(f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def _pair(x: ChowClass, y: ChowClass) -> int:
+    """``integrate(x * y)`` on a space with no relation, without the product.
+
+    There every product of normal-form monomials either truncates or stays
+    in normal form, so only the pairs ``m * (top / m)`` reach the top
+    monomial, and the complement of a packed code is ``top - m``.  The cost
+    is linear in the term count of ``x``.
+    """
+    space = x.ambient
+    if y.ambient is not space:
+        raise ValueError("classes live on different ambient spaces")
+    if space.base is not None:
+        raise ValueError("the pairing kernel needs a space with no relation")
+    top, get = space._top, y.terms.get
+    return sum(c * get(top - e, 0) for e, c in x.terms.items())
 
 
 class AmbientSpace:

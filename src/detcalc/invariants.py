@@ -12,19 +12,21 @@ Each reported number is compared across two routes; a mismatch aborts,
 since it can only mean a convention bug.  Intersection numbers and ``c2``
 pairings: a closed form on the ambient space against a direct integral on
 the rank-one-quotient bundle carrying the small resolution.  Euler numbers:
-the power identity that :func:`euler_numbers` checks in every weight.
+the hook sum of :func:`euler_numbers` against ``chi(Z)`` integrated on that
+bundle, with the power identity checked as classes where every shape is a
+hook.  The report path runs one cofactor Schur determinant, the 2x2 class
+of :func:`porteous_class`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .bundles import VirtualPair
-from .chow import AmbientSpace, ChowClass, proj_bundle
-from .partitions import conjugate, supersets_of, syt_count
+from .chow import AmbientSpace, ChowClass, _pair, proj_bundle
 from .schur import hook_schur, schur
 
 
@@ -45,11 +47,11 @@ def _integer(value: int, what: str) -> int:
 
 class Resolution(NamedTuple):
     """The small resolution as a zero locus in the quotient bundle ``space``:
-    ``normal`` is the total Chern class of its normal bundle and ``locus``
-    its fundamental class, the top part of ``normal``."""
+    ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
+    of its normal bundle and ``locus`` its fundamental class, their product."""
 
     space: AmbientSpace
-    normal: ChowClass
+    normal_roots: tuple[ChowClass, ...]
     locus: ChowClass
 
 
@@ -92,11 +94,25 @@ class Instance:
         class, built in one step so that its classes share one space."""
         space = proj_bundle(self.ambient, self.pair.F)
         twisted = self.pair.E.dual().pullback_to(space).twist(space.fiber_class())
-        normal = twisted.total_chern()
-        return Resolution(space, normal, normal.part(self.pair.rank))
+        roots = twisted.roots
+        return Resolution(space, roots, prod(roots, start=space.one()))
 
     def __repr__(self):
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
+
+
+def _resolution_tangent_parts(res: Resolution, top: int) -> list[ChowClass]:
+    """Parts ``0 .. top`` of ``c(T_Z)`` on the quotient bundle, by the normal
+    exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``.
+
+    Divides by one normal root ``m`` at a time through the graded recurrence
+    ``Z_k = Y_k - m Z_(k-1)``, so every product has a degree-one factor.
+    """
+    parts = res.space.tangent_chern.parts(top)
+    for root in res.normal_roots:
+        for k in range(1, top + 1):
+            parts[k] = parts[k] - root * parts[k - 1]
+    return parts
 
 
 # -- scalar invariants -----------------------------------------------------
@@ -161,29 +177,32 @@ class EulerNumbers(NamedTuple):
 def euler_numbers(inst: Instance) -> EulerNumbers:
     """The three Euler numbers from one loop over the weights ``w = 1 .. d``.
 
-    In weight w the three integrands are the parts of the identity
+    In weight w the integrands are parts of the identity
     ``D^w = s_1^w = sum_{|lam| = w} f^lam s_lam`` (Macdonald, Ch. I), where
     ``f^lam`` counts standard tableaux and the hypersurface class ``D`` is
     taken from the bundles' roots.  ``D^w`` gives the smooth number.  The
     hooks, the shapes that do not contain the 2x2 square, give the
     resolution through the closed form ``hook_schur``, with ``f = C(w-1, b)``.
-    The other shapes give the gap, each by a cofactor ``schur`` on its short
-    side: a shape with more rows than columns goes through its conjugate on
-    the dual sequence ``chern_diff`` (dual Jacobi-Trudi), since cofactor
-    expansion costs about ``2**rows``.
+    Each of ``D^w`` and the hooks is paired once with ``c_(d-w)(T)``, with
+    sign ``(-1)^(w-1)``.  The other shapes give the gap, paired with sign
+    ``(-1)^(d+w)``; as they are ``D^w - hooks``, the gap is
+    ``(-1)^d (resolution - smooth)`` and no determinant runs.
 
-    The identity is checked as classes in every weight; a mismatch raises
-    :class:`ConsistencyError`.  Each sum is then paired once with
-    ``c_(d-w)(T)``, with sign ``(-1)^(w-1)`` for the smooth and resolution
-    numbers and ``(-1)^(d+w)`` for the gap.
+    The resolution number is compared with ``chi(Z)``, integrated directly
+    on the quotient bundle: ``c_(d-1)(T_Z)`` against the fundamental class.
+    In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
+    checked as classes; that ties the roots to the pair's sequences.  A
+    mismatch raises :class:`ConsistencyError`.
     """
     d = inst.d
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
     space = inst.ambient
     divisor = inst.pair.hypersurface_class()
+    tangent = space.tangent_chern.parts()
     power = space.one()
-    smooth = gap = resolution = 0
+    smooth = resolution = 0
+    low_weights = []  # (w, D^w, hooks) for w <= 3, where every shape is a hook
     for weight in range(1, d + 1):
         power = power * divisor
         if not power.is_homogeneous(weight):
@@ -192,26 +211,26 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         for leg in range(weight):
             hook = hook_schur(weight - 1 - leg, leg, seq, dual)
             hooks = hooks + comb(weight - 1, leg) * hook
-        rest = space.zero()
-        for lam in supersets_of((2, 2), weight):
-            if len(lam) > lam[0]:
-                cls = schur(conjugate(lam), dual)
-            else:
-                cls = schur(lam, seq)
-            if not cls.is_zero():
-                rest = rest + syt_count(lam) * cls
-        if power != hooks + rest:
-            raise ConsistencyError(
-                f"weight {weight}: D^{weight} != hooks + shapes containing (2,2)"
-            )
-        tangent_part = space.tangent_chern.part(d - weight)
+        if weight <= 3:
+            low_weights.append((weight, power, hooks))
         sign = (-1) ** (weight - 1)
-        smooth += sign * space.integrate(power * tangent_part)
-        resolution += sign * space.integrate(hooks * tangent_part)
-        gap += (-1) ** (d + weight) * space.integrate(rest * tangent_part)
+        smooth += sign * _pair(power, tangent[d - weight])
+        resolution += sign * _pair(hooks, tangent[d - weight])
+    res = inst.resolution
+    integrand = _resolution_tangent_parts(res, d - 1)[d - 1]
+    for root in res.normal_roots:
+        integrand = integrand * root
+    direct = res.space.integrate(integrand)
+    if resolution != direct:
+        raise ConsistencyError(
+            f"resolution Euler number: hook sum {resolution} != direct {direct}"
+        )
+    for weight, power, hooks in low_weights:
+        if power != hooks:
+            raise ConsistencyError(f"weight {weight}: D^{weight} != hooks")
     return EulerNumbers(
         _integer(smooth, "smooth-hypersurface Euler number"),
-        _integer(gap, "singular Euler gap"),
+        _integer((-1) ** d * (resolution - smooth), "singular Euler gap"),
         _integer(resolution, "resolution Euler number"),
     )
 
@@ -269,7 +288,7 @@ def intersection_numbers(inst: Instance) -> list[int]:
 
     values = []
     for k in range(d):
-        closed = space.integrate(hyper_pows[k] * seq[d - k])
+        closed = _pair(hyper_pows[k], seq[d - k])
         direct = bundle_space.integrate(
             taut_pows[d - 1 - k] * bundle_space.pullback(hyper_pows[k]) * locus
         )
@@ -336,10 +355,10 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
         if (closed_h, closed_l) != (reduced_h, reduced_l):
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 
-    bundle_space, normal, locus = inst.resolution
+    res = inst.resolution
+    bundle_space, locus = res.space, res.locus
     tautological = bundle_space.fiber_class()
-    # c(T_Z) = c(T_P(F)) / c(N_Z), by the normal exact sequence
-    c2_part = (bundle_space.tangent_chern * normal.inverse()).part(2)
+    c2_part = _resolution_tangent_parts(res, 2)[2]
     direct_h = bundle_space.integrate(c2_part * bundle_space.pullback(hyper) * locus)
     direct_l = bundle_space.integrate(c2_part * tautological * locus)
     if (closed_h, closed_l) != (direct_h, direct_l):
@@ -432,7 +451,9 @@ def build_report(
         )
     if inst.d == 4 or (inst.d == 5 and cy):
         if euler.ih_milnor != ih_milnor_number_small_dim(inst):
-            raise ConsistencyError("tableau sum disagrees with the shortcut formula")
+            raise ConsistencyError(
+                "singular Euler gap disagrees with the shortcut formula"
+            )
     if inst.d == 4:
         count, warnings = odp_report(inst)
         report.singular_degree = count

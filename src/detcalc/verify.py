@@ -227,7 +227,7 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
         shortcut = ih_milnor_number_small_dim(inst)
         result.check(
             euler.ih_milnor == shortcut,
-            f"tableau sum {euler.ih_milnor} != shortcut {shortcut} "
+            f"singular Euler gap {euler.ih_milnor} != shortcut {shortcut} "
             f"(trial {trial}, dim {dim})",
         )
         smooth = euler_smooth_hypersurface(

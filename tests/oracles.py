@@ -1,13 +1,18 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately written against plain lists and tuples,
-with no imports from the package, so the expected values it produces are
-computed along a genuinely different path.
+Everything here but :func:`tableau_gap` is deliberately written against
+plain lists and tuples, with no imports from the package, so the expected
+values it produces are computed along a genuinely different path.
+:func:`tableau_gap` sums cofactor Schur determinants, a route the package's
+reports no longer take.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from detcalc.partitions import conjugate, supersets_of, syt_count
+from detcalc.schur import schur
 
 
 # -- truncated one-variable power series over exact rationals ---------------
@@ -117,3 +122,30 @@ def naive_multiply(a: dict, b: dict, caps, relations=None) -> dict:
             for e, c in naive_normal_form(raw, caps, relations).items():
                 out[e] = out.get(e, 0) + ca * cb * c
     return {e: c for e, c in out.items() if c}
+
+
+# -- the singular Euler gap as a tableau sum -----------------------------------
+
+
+def tableau_gap(inst) -> int:
+    """Singular Euler gap of ``inst`` from the shapes containing (2,2).
+
+    ``sum_w (-1)^(d+w) * int(rest_w * c_(d-w)(T))``, where ``rest_w`` is
+    ``sum f^lam s_lam`` over the partitions of w that contain (2,2), with
+    ``f^lam`` the standard-tableau count.  Each ``s_lam`` is a cofactor
+    determinant on its short side: through the conjugate shape on the dual
+    sequence when it has more rows than columns.
+    """
+    d, space = inst.d, inst.ambient
+    seq, dual = inst.pair.schur_seq, inst.pair.chern_diff
+    gap = 0
+    for weight in range(4, d + 1):
+        rest = space.zero()
+        for lam in supersets_of((2, 2), weight):
+            if len(lam) > lam[0]:
+                rest = rest + syt_count(lam) * schur(conjugate(lam), dual)
+            else:
+                rest = rest + syt_count(lam) * schur(lam, seq)
+        tangent_part = space.tangent_chern.part(d - weight)
+        gap += (-1) ** (d + weight) * space.integrate(rest * tangent_part)
+    return gap

@@ -6,6 +6,7 @@ import pytest
 from detcalc.bundles import BundleSpec
 from detcalc.chow import (
     ChowClass,
+    _pair,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
@@ -87,6 +88,37 @@ def test_part_and_homogeneity():
     assert not x.is_homogeneous()
     assert (h**2).is_homogeneous(2)
     assert p4.zero().is_homogeneous(3)
+
+
+def test_parts_split_every_degree_in_one_pass():
+    rng = random.Random(8)
+    space = product_of_projective_spaces([2, 3])
+    x = random_class(rng, space)
+    assert x.parts() == [x.part(k) for k in range(space.dim + 1)]
+    assert x.parts(2) == [x.part(k) for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "dims", [[1], [5], [2, 3], [1, 1, 2], [1] * 5], ids=lambda dims: repr(dims)
+)
+def test_pairing_kernel_is_integral_of_product(dims):
+    rng = random.Random(sum(dims))
+    space = product_of_projective_spaces(dims)
+    for _ in range(10):
+        x, y = random_class(rng, space), random_class(rng, space)
+        assert _pair(x, y) == space.integrate(x * y)
+    tangent = space.tangent_chern
+    assert _pair(tangent, space.one()) == space.integrate(tangent)
+
+
+def test_pairing_kernel_refuses_bundles_and_foreign_classes():
+    p2 = projective_space(2)
+    bundle = proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [1]]))
+    xi = bundle.fiber_class()
+    with pytest.raises(ValueError):
+        _pair(xi, xi)
+    with pytest.raises(ValueError):
+        _pair(p2.one(), projective_space(2).one())
 
 
 def test_classes_on_different_spaces_do_not_mix():

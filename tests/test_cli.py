@@ -362,6 +362,16 @@ def test_report_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_report_on_a_large_projective_space(tmp_path, capsys):
+    # P^30 ran for over a minute while the singular gap was a tableau sum
+    doc = {**QUINTIC_DOC, "ambient": {"kind": "projective_space", "dims": [30]}}
+    code = main(["report", write_config(tmp_path, doc), "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(type(x) in (int, bool) for x in _numbers(doc))
+    assert doc["intersection_numbers"]["H^29"] == 5
+
+
 def test_report_exit_two_on_schema_violation(tmp_path, capsys):
     doc = json.loads(json.dumps(QUINTIC_DOC))
     doc["bogus"] = True

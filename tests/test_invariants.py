@@ -25,7 +25,8 @@ from detcalc.invariants import (
     porteous_degree,
 )
 from detcalc.schur import schur
-from oracles import series, series_inv, series_mul, series_pow
+import oracles
+from oracles import series, series_inv, series_mul, series_pow, tableau_gap
 
 
 def split(space, degrees):
@@ -377,41 +378,100 @@ def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
     assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
 
 
-@pytest.mark.parametrize(
-    "name, mutate, message",
-    [
-        ("hook_schur", lambda value: 2 * value, "^weight 1:"),
-        ("schur", lambda value: 2 * value, "^weight 4:"),
-        ("syt_count", lambda value: value + 1, "^weight 4:"),
-        ("ih_milnor_number_small_dim", lambda value: value + 1, "shortcut"),
-    ],
-    ids=[
-        "hook_schur_doubled",
-        "schur_doubled",
-        "syt_count_plus_one",
+def dense_instance(d):
+    # E = O(0)^3, F = O(1)^3: the Schur sequence 1/(1-h)^3 has no zero entry
+    return make_instance(projective_space(d), [0, 0, 0], [1, 1, 1])
+
+
+CROSS_CHECKS = {
+    # hooks give the resolution number, which the direct integral checks
+    "hook_schur_doubled": ("hook_schur", lambda x: 2 * x, "^resolution Euler number:"),
+    # the 2x2 class enters the shortcut on fourfolds and Calabi-Yau fivefolds
+    "schur_doubled": ("schur", lambda x: 2 * x, "shortcut"),
+    "ih_milnor_number_small_dim": (
         "ih_milnor_number_small_dim",
-    ],
+        lambda x: x + 1,
+        "shortcut",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "dim, case",
+    [(dim, case) for dim in (4, 5) for case in CROSS_CHECKS]
+    + [(8, "hook_schur_doubled")],
+    ids=lambda value: str(value),
 )
-@pytest.mark.parametrize("dim", [4, 5])
-def test_build_report_still_cross_checks(
-    monkeypatch, quintic, name, mutate, message, dim
-):
-    # hooks enter the power identity in weight 1, shapes containing (2,2) in 4
+def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
+    name, mutate, message = CROSS_CHECKS[case]
     original = getattr(invariants, name)
     monkeypatch.setattr(invariants, name, lambda *args: mutate(original(*args)))
-    inst = quintic if dim == 4 else calabi_yau_fivefold()
+    if dim == 4:
+        inst = quintic
+    elif dim == 5:
+        inst = calabi_yau_fivefold()
+    else:  # no shortcut runs: only the direct route can see the hooks
+        inst = dense_instance(dim)
     with pytest.raises(ConsistencyError, match=message):
         build_report(inst)
 
 
-@pytest.mark.parametrize("d", range(6, 17))
+@pytest.mark.parametrize("d", range(6, 25))
 def test_dense_rank_three_ladder(d):
-    # E = O(0)^3, F = O(1)^3: the Schur sequence 1/(1-h)^3 has no zero entry
-    space = projective_space(d)
-    inst = make_instance(space, [0, 0, 0], [1, 1, 1])
-    report = build_report(inst)
+    report = build_report(dense_instance(d))
     assert report.intersection_numbers == [comb(d - k + 2, 2) for k in range(d)]
     assert report.euler_smooth == euler_series_oracle(d, 3)
+
+
+def dense_product_instance(dims):
+    """Rank 3 on a product: E = O^3, F = O(1,...,1)^3, polarized."""
+    space = product_of_projective_spaces(dims)
+    ones = [1] * len(dims)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, [[0] * len(dims)] * 3),
+        BundleSpec.sum_of_line_bundles(space, [ones] * 3),
+    )
+    return Instance(space, pair, space.degree_one(ones))
+
+
+def seeded_instance(seed):
+    """Rank 2 to 5 on a seeded choice of ambient, degrees from the seed."""
+    rng = random.Random(seed)
+    dims = rng.choice([[6], [7], [2, 4], [1, 1, 4], [3, 3]])
+    space = product_of_projective_spaces(dims)
+    rank = 2 + seed % 4
+    rows_e = [[rng.randint(-2, 1) for _ in dims] for _ in range(rank)]
+    rows_f = [[rng.randint(0, 2) for _ in dims] for _ in range(rank)]
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, rows_e),
+        BundleSpec.sum_of_line_bundles(space, rows_f),
+    )
+    return Instance(space, pair)
+
+
+GAP_CASES = {
+    **{f"P^{d}": lambda d=d: dense_instance(d) for d in range(6, 15)},
+    "rank-5 P^9": lambda: make_instance(
+        projective_space(9), [-1, 0, 0, 0, 1], [0, 1, 1, 2, 2]
+    ),
+    **{f"(P^1)^{n}": lambda n=n: dense_product_instance([1] * n) for n in range(5, 8)},
+    "P^2xP^3": lambda: dense_product_instance([2, 3]),
+    **{f"seed {seed}": lambda seed=seed: seeded_instance(seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("case", GAP_CASES)
+def test_gap_matches_tableau_sum(case):
+    inst = GAP_CASES[case]()
+    assert euler_numbers(inst).ih_milnor == tableau_gap(inst)
+
+
+def test_tableau_gap_sees_a_wrong_tableau_count(monkeypatch, quintic):
+    # the mutation that no longer reaches build_report must break the oracle
+    original = oracles.syt_count
+    monkeypatch.setattr(oracles, "syt_count", lambda lam: original(lam) + 1)
+    for inst in (quintic, dense_instance(8)):
+        assert euler_numbers(inst).ih_milnor != tableau_gap(inst)
 
 
 def test_instance_guards(p4):
