@@ -363,7 +363,7 @@ def test_report_is_deterministic(tmp_path, capsys):
 
 
 def test_report_on_a_large_projective_space(tmp_path, capsys):
-    # P^30 ran for over a minute while the singular gap was a tableau sum
+    # no part of a report grows with the number of partitions of the dimension
     doc = {**QUINTIC_DOC, "ambient": {"kind": "projective_space", "dims": [30]}}
     code = main(["report", write_config(tmp_path, doc), "--json"])
     assert code == 0
