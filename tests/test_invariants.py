@@ -386,6 +386,8 @@ def dense_instance(d):
 CROSS_CHECKS = {
     # hooks give the resolution number, which the direct integral checks
     "hook_schur_doubled": ("hook_schur", lambda x: 2 * x, "^resolution Euler number:"),
+    # the report's tableau counts are those of the hooks, f = C(w-1, b)
+    "syt_count_plus_one": ("comb", lambda x: x + 1, "^resolution Euler number:"),
     # the 2x2 class enters the shortcut on fourfolds and Calabi-Yau fivefolds
     "schur_doubled": ("schur", lambda x: 2 * x, "shortcut"),
     "ih_milnor_number_small_dim": (
@@ -467,7 +469,7 @@ def test_gap_matches_tableau_sum(case):
 
 
 def test_tableau_gap_sees_a_wrong_tableau_count(monkeypatch, quintic):
-    # the mutation that no longer reaches build_report must break the oracle
+    # a wrong count on the shapes containing (2,2) must break the oracle
     original = oracles.syt_count
     monkeypatch.setattr(oracles, "syt_count", lambda lam: original(lam) + 1)
     for inst in (quintic, dense_instance(8)):
