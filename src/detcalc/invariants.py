@@ -12,7 +12,8 @@ Each reported number is compared across two routes; a mismatch aborts,
 since it can only mean a convention bug.  Intersection numbers and ``c2``
 pairings: a closed form on the ambient space against a direct integral on
 the rank-one-quotient bundle carrying the small resolution.  Euler numbers:
-the hook sum of :func:`euler_numbers` against ``chi(Z)`` integrated on that
+the hook sum of :func:`euler_numbers`, one binomial convolution of the
+pair's two sequences per weight, against ``chi(Z)`` integrated on that
 bundle, with the power identity checked as classes where every shape is a
 hook.  The report path runs one cofactor Schur determinant, the 2x2 class
 of :func:`porteous_class`.
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, prod
+from math import prod
 from typing import NamedTuple
 
 from .bundles import VirtualPair
 from .chow import AmbientSpace, ChowClass, _pair, proj_bundle
-from .schur import hook_schur, schur
+from .schur import hook_sum, schur
 
 
 class GuardError(ValueError):
@@ -182,7 +183,8 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     ``f^lam`` counts standard tableaux and the hypersurface class ``D`` is
     taken from the bundles' roots.  ``D^w`` gives the smooth number.  The
     hooks, the shapes that do not contain the 2x2 square, give the
-    resolution through the closed form ``hook_schur``, with ``f = C(w-1, b)``.
+    resolution; with ``f = C(w-1, b)`` their sum is the one convolution
+    ``sum_a C(w-2, a-1) h_a e_(w-a)`` of :func:`~detcalc.schur.hook_sum`.
     Each of ``D^w`` and the hooks is paired once with ``c_(d-w)(T)``, with
     sign ``(-1)^(w-1)``.  The other shapes give the gap, paired with sign
     ``(-1)^(d+w)``; as they are ``D^w - hooks``, the gap is
@@ -207,10 +209,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         power = power * divisor
         if not power.is_homogeneous(weight):
             raise ConsistencyError(f"inhomogeneous power of D in weight {weight}")
-        hooks = space.zero()
-        for leg in range(weight):
-            hook = hook_schur(weight - 1 - leg, leg, seq, dual)
-            hooks = hooks + comb(weight - 1, leg) * hook
+        hooks = hook_sum(weight, seq, dual)
         if weight <= 3:
             low_weights.append((weight, power, hooks))
         sign = (-1) ** (weight - 1)

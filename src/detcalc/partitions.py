@@ -29,14 +29,6 @@ def conjugate(lam: PartitionLike) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-def contains(lam: PartitionLike, mu: PartitionLike) -> bool:
-    """True iff the diagram of ``mu`` fits inside the diagram of ``lam``."""
-    lam, mu = partition(lam), partition(mu)
-    if len(mu) > len(lam):
-        return False
-    return all(m <= l for l, m in zip(lam, mu))
-
-
 def hook_lengths(lam: PartitionLike) -> list[list[int]]:
     """Hook length of every box: the box, the boxes to its right, the boxes below."""
     lam = partition(lam)
@@ -116,14 +108,3 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def supersets_of(mu: PartitionLike, n: int) -> list[tuple[int, ...]]:
-    """Partitions of ``n`` containing ``mu``, descending lexicographic.
-
-    Empty when ``n`` is smaller than the size of ``mu``.
-    """
-    mu = partition(mu)
-    if n < sum(mu):
-        return []
-    return [lam for lam in partitions_of(n) if contains(lam, mu)]

@@ -7,6 +7,8 @@ indices outside the list are zero by convention.
 
 from __future__ import annotations
 
+from math import comb
+
 from .chow import ChowClass
 from .partitions import PartitionLike, partition
 
@@ -80,17 +82,25 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
     return minor(0, tuple(range(k)))
 
 
-def hook_schur(arm: int, leg: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
-    """Hook class ``s_(arm+1, 1^leg)`` without a determinant.
+def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
+    """Hooks of weight ``w`` weighted by their tableau counts,
+    ``sum_b C(w-1, b) s_(w-b, 1^b)``, without a determinant.
 
-    Closed form ``sum_{j=0..leg} (-1)^j h[arm+1+j] e[leg-j]``, where ``e`` is
-    the dual sequence ``s_from_c(h)``; terms past the end of ``h`` vanish.
+    ``e`` is the dual sequence ``s_from_c(h)``, and each hook has the closed
+    form ``s_(w-b, 1^b) = sum_(j=0..b) (-1)^j h[w-b+j] e[b-j]``.  Grouped by
+    the product ``h[a] e[w-a]``, the weighted hooks give it the coefficient
+    ``sum_(b=w-a..w-1) (-1)^(a-w+b) C(w-1, b)``, which with ``m = w-1-b`` is
+    ``(-1)^(a-1) sum_(m=0..a-1) (-1)^m C(w-1, m)``.  The alternating partial
+    sum ``sum_(k<=m) (-1)^k C(n, k) = (-1)^m C(n-1, m)`` makes it
+    ``C(w-2, a-1)``, which vanishes at ``a = w``.  The sum is therefore the
+    one convolution ``sum_(a=1..w-1) C(w-2, a-1) h[a] e[w-a]``, or ``h[1]``
+    when w = 1.  Terms past the end of either sequence vanish.
     """
     space = h[0].ambient
+    if weight == 1:
+        return _entry(h, 1, space)
     acc = space.zero()
-    for j in range(leg + 1):
-        if arm + 1 + j >= len(h):
-            break
-        term = h[arm + 1 + j] * _entry(e, leg - j, space)
-        acc = acc + (term if j % 2 == 0 else -term)
+    for a in range(1, weight):
+        term = _entry(h, a, space) * _entry(e, weight - a, space)
+        acc = acc + comb(weight - 2, a - 1) * term
     return acc

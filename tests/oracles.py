@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from detcalc.partitions import conjugate, supersets_of, syt_count
+from detcalc.partitions import conjugate, partitions_of, syt_count
 from detcalc.schur import schur
 
 
@@ -141,7 +141,9 @@ def tableau_gap(inst) -> int:
     gap = 0
     for weight in range(4, d + 1):
         rest = space.zero()
-        for lam in supersets_of((2, 2), weight):
+        for lam in partitions_of(weight):
+            if not (len(lam) > 1 and lam[1] >= 2):  # a hook: no (2,2) inside
+                continue
             if len(lam) > lam[0]:
                 rest = rest + syt_count(lam) * schur(conjugate(lam), dual)
             else:

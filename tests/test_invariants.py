@@ -383,14 +383,28 @@ def dense_instance(d):
     return make_instance(projective_space(d), [0, 0, 0], [1, 1, 1])
 
 
-CROSS_CHECKS = {
+SCHUR_MODULE = sys.modules["detcalc.schur"]  # `detcalc.schur` is the function
+
+CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
     # hooks give the resolution number, which the direct integral checks
-    "hook_schur_doubled": ("hook_schur", lambda x: 2 * x, "^resolution Euler number:"),
-    # the report's tableau counts are those of the hooks, f = C(w-1, b)
-    "syt_count_plus_one": ("comb", lambda x: x + 1, "^resolution Euler number:"),
+    "hook_schur_doubled": (
+        invariants,
+        "hook_sum",
+        lambda x: 2 * x,
+        "^resolution Euler number:",
+    ),
+    # the report's tableau counts are those of the hooks, f = C(w-1, b), now
+    # folded into the binomials C(w-2, a-1) of hook_sum's one convolution
+    "syt_count_plus_one": (
+        SCHUR_MODULE,
+        "comb",
+        lambda x: x + 1,
+        "^resolution Euler number:",
+    ),
     # the 2x2 class enters the shortcut on fourfolds and Calabi-Yau fivefolds
-    "schur_doubled": ("schur", lambda x: 2 * x, "shortcut"),
+    "schur_doubled": (invariants, "schur", lambda x: 2 * x, "shortcut"),
     "ih_milnor_number_small_dim": (
+        invariants,
         "ih_milnor_number_small_dim",
         lambda x: x + 1,
         "shortcut",
@@ -405,9 +419,9 @@ CROSS_CHECKS = {
     ids=lambda value: str(value),
 )
 def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
-    name, mutate, message = CROSS_CHECKS[case]
-    original = getattr(invariants, name)
-    monkeypatch.setattr(invariants, name, lambda *args: mutate(original(*args)))
+    module, name, mutate, message = CROSS_CHECKS[case]
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: mutate(original(*args)))
     if dim == 4:
         inst = quintic
     elif dim == 5:
@@ -416,6 +430,17 @@ def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
         inst = dense_instance(dim)
     with pytest.raises(ConsistencyError, match=message):
         build_report(inst)
+
+
+def test_low_weight_class_check_sees_a_wrong_divisor(monkeypatch, quintic):
+    # the direct route never reads D; only D^w == hooks in weights 1 to 3 does
+    original = VirtualPair.hypersurface_class
+    monkeypatch.setattr(
+        VirtualPair, "hypersurface_class", lambda self: 2 * original(self)
+    )
+    for inst in (quintic, dense_instance(8)):
+        with pytest.raises(ConsistencyError, match="^weight 1:"):
+            euler_numbers(inst)
 
 
 @pytest.mark.parametrize("d", range(6, 25))

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import ChowClass, product_of_projective_spaces, projective_space
 from detcalc.partitions import conjugate, covers_above, partitions_of, syt_count
-from detcalc.schur import hook_schur, s_from_c, schur
+from detcalc.schur import hook_sum, s_from_c, schur
 
 
 def random_sequence(rng, space):
@@ -199,8 +200,11 @@ DUAL_CASES = {
 def test_dual_jacobi_trudi_and_hook_closed_form(case):
     h, e = DUAL_CASES[case]()
     for weight in range(10):
+        hooks = h[0].ambient.zero()  # sum_b C(w-1, b) s_(w-b, 1^b), cofactor side
         for lam in partitions_of(weight):
             expected = schur(lam, h)
             assert schur(conjugate(lam), e) == expected, lam
             if lam and lam[1:] == (1,) * (len(lam) - 1):
-                assert hook_schur(lam[0] - 1, len(lam) - 1, h, e) == expected, lam
+                hooks = hooks + comb(weight - 1, len(lam) - 1) * expected
+        if weight:
+            assert hook_sum(weight, h, e) == hooks, weight
