@@ -2,12 +2,11 @@
 
 A bundle is a direct sum of line bundles, given by one first Chern class
 per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
-caches the two Chern-class sequences every downstream formula consumes.
+the two Chern-class sequences every downstream formula consumes, computed
+at construction.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .chow import AmbientSpace, ChowClass
 
@@ -77,9 +76,9 @@ class VirtualPair:
 
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
-    the Schur determinants of the degeneracy-locus formulas.  Each is
-    computed on first use and cached; ``chern_diff`` is also the dual
-    sequence ``s_from_c(schur_seq)`` of the dual Jacobi-Trudi form.
+    the Schur determinants of the degeneracy-locus formulas.  Both are
+    computed at construction; ``chern_diff`` is also the dual sequence
+    ``s_from_c(schur_seq)`` of the dual Jacobi-Trudi form.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -90,20 +89,14 @@ class VirtualPair:
         self.E = E
         self.F = F
         self.ambient = E.ambient
+        self.chern_diff = (F.total_chern() * E.total_chern().inverse()).parts()
+        self.schur_seq = (
+            E.dual().total_chern() * F.dual().total_chern().inverse()
+        ).parts()
 
     @property
     def rank(self) -> int:
         return self.E.rank
-
-    @cached_property
-    def chern_diff(self) -> list[ChowClass]:
-        quotient = self.F.total_chern() * self.E.total_chern().inverse()
-        return quotient.parts()
-
-    @cached_property
-    def schur_seq(self) -> list[ChowClass]:
-        quotient = self.E.dual().total_chern() * self.F.dual().total_chern().inverse()
-        return quotient.parts()
 
     def hypersurface_class(self) -> ChowClass:
         """First Chern class of det(E dual) tensor det(F): the divisor class

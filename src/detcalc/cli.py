@@ -243,6 +243,29 @@ def report_to_dict(config: InstanceConfig, report: InvariantReport) -> dict:
     return doc
 
 
+def _check_printable(report: InvariantReport) -> None:
+    """Refuse a report holding an integer with more decimal digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits()``, where 0
+    means no limit), before any of it is rendered."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    for name, value in vars(report).items():
+        items = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, item in items:
+            # a digit takes more than 3 bits, so shorter ints skip the power
+            if (
+                isinstance(item, int)
+                and item.bit_length() > 3 * limit
+                and abs(item) >= 10**limit
+            ):
+                where = name if i is None else f"{name}[{i}]"
+                raise GuardError(
+                    f"report field {where} has more than {limit} digits, "
+                    "the interpreter's limit for printing an integer"
+                )
+
+
 def render_report(config: InstanceConfig, report: InvariantReport) -> str:
     lines = [
         f"ambient:            {_ambient_str(config)}  (dim {report.dim})",
@@ -364,6 +387,7 @@ def cmd_report(args) -> int:
         allow_non_cy_c2=config.allow_non_cy_c2,
         assume_general=config.assume_general,
     )
+    _check_printable(report)
     if args.json:
         print(json.dumps(report_to_dict(config, report), indent=2, sort_keys=True))
     else:

@@ -22,7 +22,6 @@ of :func:`porteous_class`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 from typing import NamedTuple
 
@@ -79,24 +78,16 @@ class Instance:
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
+        # The small resolution inside the rank-one-quotient bundle of F: the
+        # zero locus of the pulled-back dual of E twisted by the tautological
+        # class, built in one step so that its classes share one space.
+        space = proj_bundle(ambient, pair.F)
+        roots = pair.E.dual().pullback_to(space).twist(space.fiber_class()).roots
+        self.resolution = Resolution(space, roots, prod(roots, start=space.one()))
 
     @property
     def d(self) -> int:
         return self.ambient.dim
-
-    @property
-    def n(self) -> int:
-        return self.pair.rank - 1
-
-    @cached_property
-    def resolution(self) -> Resolution:
-        """The small resolution inside the rank-one-quotient bundle of F: the
-        zero locus of the pulled-back dual of E twisted by the tautological
-        class, built in one step so that its classes share one space."""
-        space = proj_bundle(self.ambient, self.pair.F)
-        twisted = self.pair.E.dual().pullback_to(space).twist(space.fiber_class())
-        roots = twisted.roots
-        return Resolution(space, roots, prod(roots, start=space.one()))
 
     def __repr__(self):
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
@@ -136,8 +127,8 @@ def porteous_class(inst: Instance) -> ChowClass:
     """Class of the singular locus of the determinantal hypersurface.
 
     By Thom-Porteous, the locus where the morphism has rank at most
-    ``n - 1``: the square shape of side ``rank - (n - 1) = 2`` evaluated on
-    the pair's Schur sequence.
+    ``rank - 2``: the square shape of side 2 evaluated on the pair's Schur
+    sequence.
     """
     return schur((2, 2), inst.pair.schur_seq)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -59,17 +58,6 @@ def syt_count(lam: PartitionLike) -> int:
     return count
 
 
-def covers_below(lam: PartitionLike) -> list[tuple[int, ...]]:
-    """Partitions reached by removing one corner box, top row first."""
-    lam = partition(lam)
-    out = []
-    for i, p in enumerate(lam):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if p > below:
-            out.append(partition(lam[:i] + (p - 1,) + lam[i + 1 :]))
-    return out
-
-
 def covers_above(lam: PartitionLike) -> list[tuple[int, ...]]:
     """Partitions reached by adding one box, top row first, new row last."""
     lam = partition(lam)
@@ -79,21 +67,6 @@ def covers_above(lam: PartitionLike) -> list[tuple[int, ...]]:
             out.append(lam[:i] + (lam[i] + 1,) + lam[i + 1 :])
     out.append(lam + (1,))
     return out
-
-
-def syt_count_inductive(lam: PartitionLike) -> int:
-    """Standard-filling count by the one-box-removal recursion.
-
-    Independent of :func:`syt_count`; the two must agree on every partition.
-    """
-    return _syt_recursive(partition(lam))
-
-
-@cache
-def _syt_recursive(lam: tuple[int, ...]) -> int:
-    if not lam:
-        return 1
-    return sum(_syt_recursive(mu) for mu in covers_below(lam))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -10,6 +10,7 @@ reports no longer take.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from detcalc.partitions import conjugate, partitions_of, syt_count
 from detcalc.schur import schur
@@ -76,6 +77,27 @@ def standard_fillings(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...
 
     place(1)
     return out
+
+
+def corners_removed(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes left by taking one corner box off ``shape``, top row first."""
+    out = []
+    for i, row_len in enumerate(shape):
+        below = shape[i + 1] if i + 1 < len(shape) else 0
+        if row_len > below:
+            rows = shape[:i] + (row_len - 1,) + shape[i + 1 :]
+            out.append(rows if rows[-1] else rows[:-1])
+    return out
+
+
+@cache
+def syt_count_by_removal(shape: tuple[int, ...]) -> int:
+    """Standard-filling count by the corner-removal recursion: the box that
+    holds the largest entry is a corner, and the rest is a standard filling
+    of the shape left without it."""
+    if not shape:
+        return 1
+    return sum(syt_count_by_removal(mu) for mu in corners_removed(shape))
 
 
 def hooks_by_scanning(shape: tuple[int, ...]) -> list[int]:

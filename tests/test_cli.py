@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -271,7 +272,7 @@ def test_single_factor_product_reports_like_projective_space(tmp_path, capsys):
 def test_instance_from_config_builds_the_right_ring():
     inst = instance_from_config(parse_config(QUINTIC_DOC))
     assert inst.d == 4
-    assert inst.n == 3
+    assert inst.pair.rank == 4
     assert inst.polarization == inst.ambient.generator(0)
 
 
@@ -390,6 +391,48 @@ def test_report_exit_three_on_guard_violation(tmp_path, capsys):
     code = main(["report", write_config(tmp_path, doc)])
     assert code == 3
     assert "guard violation" in capsys.readouterr().err
+
+
+def _long_degree_doc(digits):
+    """P^4 with E = O + O and F = O(1) + O(10^(digits - 1)), no polarization."""
+    return {
+        "ambient": {"kind": "projective_space", "dims": [4]},
+        "E": [[0], [0]],
+        "F": [[1], [10 ** (digits - 1)]],
+    }
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_report_refuses_numbers_past_the_digit_limit(tmp_path, capsys, as_json):
+    # the smooth Euler number has about four times the digits of the degree
+    path = write_config(tmp_path, _long_degree_doc(1201))
+    code = main(["report", path] + ["--json"] * as_json)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("guard violation: report field euler_smooth ")
+    assert f"{sys.get_int_max_str_digits()} digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_report_prints_numbers_under_the_digit_limit(tmp_path, capsys):
+    path = write_config(tmp_path, _long_degree_doc(1000))
+    assert main(["report", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(type(x) in (int, bool) for x in _numbers(doc))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(900, 1300), st.booleans())
+def test_report_with_a_long_degree_exits_cleanly(tmp_path_factory, digits, as_json):
+    path = tmp_path_factory.getbasetemp() / "long.json"
+    path.write_text(json.dumps(_long_degree_doc(digits)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", str(path)] + ["--json"] * as_json)
+    assert code in (0, 3)
+    if code == 3:
+        assert err.getvalue().startswith("guard violation: report field ")
 
 
 def test_report_honors_non_cy_opt_in(tmp_path, capsys):

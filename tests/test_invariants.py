@@ -511,6 +511,13 @@ def test_instance_guards(p4):
         Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [1, 1])), p4.one())
 
 
+def test_values_are_computed_at_construction(quintic):
+    inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
+    pair = VirtualPair(quintic.pair.E, quintic.pair.F)
+    assert {"chern_diff", "schur_seq"} <= vars(pair).keys()
+    assert "resolution" in vars(inst)
+
+
 def doubled_locus(inst):
     """A copy of ``inst`` whose resolution has twice its fundamental class,
     which changes only the direct routes."""
@@ -572,8 +579,8 @@ def reports_in_threads(shared, count=4):
 
 def test_build_report_agrees_across_threads():
     # the threads share one set of spaces and instances and run them in the
-    # same order, so the lazy caches (_reduced, chern_diff/schur_seq,
-    # resolution) fill concurrently; twenty rounds, each on fresh instances
+    # same order, so _reduced, the one cache filled lazily, fills
+    # concurrently; twenty rounds, each on fresh instances
     serial = [asdict(build_report(inst)) for inst in threaded_cases()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-computation

@@ -6,15 +6,18 @@ from hypothesis import given, strategies as st
 from detcalc.partitions import (
     conjugate,
     covers_above,
-    covers_below,
     hook_lengths,
     hook_product,
     partition,
     partitions_of,
     syt_count,
-    syt_count_inductive,
 )
-from oracles import hooks_by_scanning, standard_fillings
+from oracles import (
+    corners_removed,
+    hooks_by_scanning,
+    standard_fillings,
+    syt_count_by_removal,
+)
 
 
 @st.composite
@@ -55,22 +58,19 @@ def test_hook_lengths_match_scanning_oracle(shape):
 
 
 def test_syt_count_known_values():
-    assert syt_count((3, 2)) == 5
-    assert syt_count((2, 2)) == 2
-    assert syt_count((1,)) == 1
-    assert syt_count(()) == 1
+    for count in (syt_count, syt_count_by_removal):
+        assert count((3, 2)) == 5
+        assert count((2, 2)) == 2
+        assert count((2, 1)) == 2
+        assert count((1,)) == 1
+        assert count(()) == 1
+    # one-box-removal split of the 5 fillings of (3, 2)
+    assert syt_count_by_removal((3, 2)) == syt_count((3, 1)) + syt_count((2, 2))
 
 
 def test_syt_count_small_shapes_by_enumeration():
     for shape in [(2, 1), (3, 2), (2, 2), (3, 1, 1), (4, 2)]:
         assert syt_count(shape) == len(standard_fillings(shape))
-
-
-def test_syt_count_inductive_known_values():
-    assert syt_count_inductive(()) == 1
-    assert syt_count_inductive((2, 1)) == 2
-    # one-box-removal split of the 5 fillings of (3, 2)
-    assert syt_count_inductive((3, 2)) == syt_count((3, 1)) + syt_count((2, 2)) == 5
 
 
 def test_hook_closed_form_up_to_twelve_boxes():
@@ -83,7 +83,7 @@ def test_hook_closed_form_up_to_twelve_boxes():
 def test_counting_methods_agree_up_to_twelve_boxes():
     for n in range(0, 13):
         for lam in partitions_of(n):
-            assert syt_count(lam) == syt_count_inductive(lam)
+            assert syt_count(lam) == syt_count_by_removal(lam)
 
 
 def test_sum_of_squares_is_factorial():
@@ -118,20 +118,14 @@ def fits_inside(mu, lam):
 
 @given(partition_shapes(max_size=8))
 def test_covers_are_adjacent_in_containment(shape):
-    for below in covers_below(shape):
+    for below in corners_removed(shape):
         assert sum(below) == sum(shape) - 1
         assert fits_inside(below, shape)
     for above in covers_above(shape):
         assert sum(above) == sum(shape) + 1
         assert fits_inside(shape, above)
     # the two directions are mutually inverse as cover relations
-    assert all(shape in covers_above(below) for below in covers_below(shape))
-
-
-@given(partition_shapes(max_size=9))
-def test_inductive_recursion_matches_cover_sum(shape):
-    if shape:
-        assert syt_count(shape) == sum(syt_count(mu) for mu in covers_below(shape))
+    assert all(shape in covers_above(below) for below in corners_removed(shape))
 
 
 def test_syt_count_refuses_inexact_division(monkeypatch):

@@ -148,7 +148,7 @@ def test_power_identity_up_to_weight_six():
 
 
 def test_square_schur_class_swap_symmetry():
-    # the 2x2 determinant takes the same value on the two cached sequences
+    # the 2x2 determinant takes the same value on the pair's two sequences
     rng = random.Random(8)
     p5 = projective_space(5)
     for _ in range(10):
@@ -173,7 +173,7 @@ def random_sequences(space):
     return seq, s_from_c(seq)
 
 
-# (h, e) pairs: a split pair's cached sequences, or a random unit-headed
+# (h, e) pairs: a split pair's two sequences, or a random unit-headed
 # sequence and its transform; the products carry multi-monomial classes.
 DUAL_CASES = {
     "p9-dense": lambda: split_sequences(projective_space(9), [[0]] * 3, [[1]] * 3),
