@@ -3,12 +3,23 @@
 A bundle is a direct sum of line bundles, given by one first Chern class
 per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
 the two Chern-class sequences every downstream formula consumes, computed
-at construction.
+at construction by :func:`divide_by_roots`.
 """
 
 from __future__ import annotations
 
 from .chow import AmbientSpace, ChowClass
+
+
+def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
+    """A new list of the parts of a class divided by ``prod (1 + root)``,
+    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``:
+    every product has a degree-one factor and no inverse is formed."""
+    parts = list(parts)
+    for root in roots:
+        for k in range(1, len(parts)):
+            parts[k] = parts[k] - root * parts[k - 1]
+    return parts
 
 
 class BundleSpec:
@@ -77,8 +88,10 @@ class VirtualPair:
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
     the Schur determinants of the degeneracy-locus formulas.  Both are
-    computed at construction; ``chern_diff`` is also the dual sequence
-    ``s_from_c(schur_seq)`` of the dual Jacobi-Trudi form.
+    computed at construction, each by dividing a total Chern class by the
+    other bundle's roots one at a time (:func:`divide_by_roots`);
+    ``chern_diff`` is also the dual sequence ``s_from_c(schur_seq)`` of the
+    dual Jacobi-Trudi form.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -89,10 +102,10 @@ class VirtualPair:
         self.E = E
         self.F = F
         self.ambient = E.ambient
-        self.chern_diff = (F.total_chern() * E.total_chern().inverse()).parts()
-        self.schur_seq = (
-            E.dual().total_chern() * F.dual().total_chern().inverse()
-        ).parts()
+        self.chern_diff = divide_by_roots(F.total_chern().parts(), E.roots)
+        self.schur_seq = divide_by_roots(
+            E.dual().total_chern().parts(), F.dual().roots
+        )
 
     @property
     def rank(self) -> int:

@@ -190,7 +190,8 @@ class ChowClass:
         """Multiplicative inverse in the truncated ring.
 
         Requires a constant term of 1 or -1, the units of the integers;
-        computed degree by degree.
+        computed degree by degree.  No report path calls it; only
+        ``euler_smooth_hypersurface`` (so ``detcalc verify``) and tests do.
         """
         c0 = self.constant()
         if c0 not in (1, -1):
@@ -406,6 +407,9 @@ class AmbientSpace:
 
         In normal form the fiber exponent never exceeds r - 1, so only the
         terms carrying exactly that power survive, with the power stripped.
+        The direct routes of the intersection numbers and ``c2`` pairings
+        push their cycles on the resolution down with it and pair them on
+        the base, by the projection formula.
         """
         if self.base is None:
             raise ValueError("pushforward is defined on projective bundles only")

@@ -10,8 +10,10 @@ assumption is surfaced in report warnings, never verified.
 
 Each reported number is compared across two routes; a mismatch aborts,
 since it can only mean a convention bug.  Intersection numbers and ``c2``
-pairings: a closed form on the ambient space against a direct integral on
-the rank-one-quotient bundle carrying the small resolution.  Euler numbers:
+pairings: a closed form on the ambient space against a direct route
+through the rank-one-quotient bundle carrying the small resolution, where
+each cycle on the resolution is pushed down to the ambient space and
+paired there (the projection formula).  Euler numbers:
 the hook sum of :func:`euler_numbers`, one binomial convolution of the
 pair's two sequences per weight, against ``chi(Z)`` integrated on that
 bundle, with the power identity checked as classes where every shape is a
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
 
-from .bundles import VirtualPair
+from .bundles import VirtualPair, divide_by_roots
 from .chow import AmbientSpace, ChowClass, _pair, proj_bundle
 from .schur import hook_sum, schur
 
@@ -97,14 +99,10 @@ def _resolution_tangent_parts(res: Resolution, top: int) -> list[ChowClass]:
     """Parts ``0 .. top`` of ``c(T_Z)`` on the quotient bundle, by the normal
     exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``.
 
-    Divides by one normal root ``m`` at a time through the graded recurrence
-    ``Z_k = Y_k - m Z_(k-1)``, so every product has a degree-one factor.
+    Divides by one normal root at a time (:func:`divide_by_roots`), so
+    every product has a degree-one factor.
     """
-    parts = res.space.tangent_chern.parts(top)
-    for root in res.normal_roots:
-        for k in range(1, top + 1):
-            parts[k] = parts[k] - root * parts[k - 1]
-    return parts
+    return divide_by_roots(res.space.tangent_chern.parts(top), res.normal_roots)
 
 
 # -- scalar invariants -----------------------------------------------------
@@ -258,7 +256,10 @@ def intersection_numbers(inst: Instance) -> list[int]:
     ``H`` pulls back the polarization, ``L`` is the tautological class of
     the quotient bundle.  Each value is computed in closed form on the
     ambient space (``H^k`` against the complementary dual-difference Chern
-    class) and again directly on the quotient bundle; the routes must agree.
+    class) and again directly: ``L^j . [Z]`` is built on the quotient
+    bundle by one degree-one product per ``j``, pushed down, and paired
+    with ``H^k`` on the ambient space by the projection formula.  The
+    routes must agree.
     """
     if inst.polarization is None:
         raise GuardError("intersection numbers need a polarization class")
@@ -271,17 +272,16 @@ def intersection_numbers(inst: Instance) -> list[int]:
     tautological = bundle_space.fiber_class()
 
     hyper_pows = [space.one()]
-    taut_pows = [bundle_space.one()]
+    cycles = [locus]  # L^j . [Z] on the quotient bundle
     for _ in range(d - 1):
         hyper_pows.append(hyper_pows[-1] * hyper)
-        taut_pows.append(taut_pows[-1] * tautological)
+        cycles.append(cycles[-1] * tautological)
 
     values = []
     for k in range(d):
         closed = _pair(hyper_pows[k], seq[d - k])
-        direct = bundle_space.integrate(
-            taut_pows[d - 1 - k] * bundle_space.pullback(hyper_pows[k]) * locus
-        )
+        pushed = bundle_space.pushforward(cycles[d - 1 - k])
+        direct = _pair(hyper_pows[k], pushed)
         if closed != direct:
             raise ConsistencyError(
                 f"intersection number k={k}: closed form {closed} != direct {direct}"
@@ -305,7 +305,9 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     reduces to ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)`` on
     the ambient space; without it the general normal-sequence expansion is
     used, and callers must opt in since the simple forms no longer apply.
-    Every value is recomputed directly on the quotient bundle and compared.
+    Every value is recomputed directly and compared: ``c2 . [Z]`` is formed
+    once on the quotient bundle, and it and its product with the
+    tautological class are pushed down to the ambient space.
     """
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
@@ -346,11 +348,12 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 
     res = inst.resolution
-    bundle_space, locus = res.space, res.locus
-    tautological = bundle_space.fiber_class()
-    c2_part = _resolution_tangent_parts(res, 2)[2]
-    direct_h = bundle_space.integrate(c2_part * bundle_space.pullback(hyper) * locus)
-    direct_l = bundle_space.integrate(c2_part * tautological * locus)
+    bundle_space = res.space
+    cycle = _resolution_tangent_parts(res, 2)[2] * res.locus
+    direct_h = _pair(hyper, bundle_space.pushforward(cycle))
+    direct_l = space.integrate(
+        bundle_space.pushforward(cycle * bundle_space.fiber_class())
+    )
     if (closed_h, closed_l) != (direct_h, direct_l):
         raise ConsistencyError(
             f"c2 pairings: closed ({closed_h}, {closed_l}) != "

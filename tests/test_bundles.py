@@ -3,7 +3,7 @@ import random
 import pytest
 
 from detcalc.bundles import BundleSpec, VirtualPair
-from detcalc.chow import projective_space
+from detcalc.chow import product_of_projective_spaces, projective_space
 from detcalc.verify import _twisted_virtual_chern
 from oracles import series, series_inv, series_mul
 
@@ -104,6 +104,29 @@ def test_forward_and_backward_virtual_classes_invert():
             for i in range(k + 1):
                 product = product + forward[i] * backward[k - i]
         assert product == p5.one()
+
+
+@pytest.mark.parametrize("dims", [[1] * 5, [2] * 3], ids=["(P^1)^5", "(P^2)^3"])
+def test_sequences_on_products_against_the_inverse_route(dims):
+    # a truncated inverse followed by one full product is the oracle
+    rng = random.Random(16)
+    space = product_of_projective_spaces(dims)
+    for _ in range(6):
+        rank = rng.randint(2, 4)
+        rows_e, rows_f = (
+            [[rng.randint(-3, 3) for _ in dims] for _ in range(rank)]
+            for _ in range(2)
+        )
+        assert any(min(row) < 0 < max(row) for row in rows_e + rows_f)
+        E = BundleSpec.sum_of_line_bundles(space, rows_e)
+        F = BundleSpec.sum_of_line_bundles(space, rows_f)
+        pair = VirtualPair(E, F)
+        assert pair.chern_diff == (
+            F.total_chern() * E.total_chern().inverse()
+        ).parts()
+        assert pair.schur_seq == (
+            E.dual().total_chern() * F.dual().total_chern().inverse()
+        ).parts()
 
 
 def test_twisted_virtual_chern_closed_form_against_direct():

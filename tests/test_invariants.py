@@ -5,6 +5,8 @@ from dataclasses import asdict
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcalc import invariants
 from detcalc.bundles import BundleSpec, VirtualPair
@@ -527,8 +529,9 @@ def doubled_locus(inst):
 
 
 def test_intersection_numbers_compare_routes(quintic):
-    with pytest.raises(ConsistencyError):
-        intersection_numbers(doubled_locus(quintic))
+    for inst in (quintic, dense_product_instance([1] * 5)):
+        with pytest.raises(ConsistencyError):
+            intersection_numbers(doubled_locus(inst))
 
 
 def test_c2_numbers_compare_routes(quintic, quartic):
@@ -536,6 +539,44 @@ def test_c2_numbers_compare_routes(quintic, quartic):
         c2_numbers(doubled_locus(quintic))
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(quartic), allow_non_cy=True)
+    # c2 pairings need a fourfold
+    with pytest.raises(ConsistencyError):
+        c2_numbers(doubled_locus(dense_product_instance([1] * 4)), allow_non_cy=True)
+
+
+@st.composite
+def resolution_cases(draw):
+    """Ambient dims, rank and E, F multidegree rows: P^d for d = 4..8, or a
+    product of P^1 and P^2 factors of total dimension 4..7."""
+    if draw(st.booleans()):
+        dims = [draw(st.integers(4, 8))]
+    else:
+        twos = draw(st.integers(0, 3))
+        ones = draw(st.integers(max(0, 4 - 2 * twos), 7 - 2 * twos))
+        dims = draw(st.permutations([1] * ones + [2] * twos))
+    rank = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=len(dims), max_size=len(dims))
+    rows = st.lists(row, min_size=rank, max_size=rank)
+    return dims, draw(rows), draw(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(resolution_cases())
+def test_resolution_cycles_push_forward_to_the_schur_sequence(case):
+    # pi_*(L^j . [Z]) = s_(j+1) as classes, the identity behind the direct
+    # route of the intersection numbers
+    dims, rows_e, rows_f = case
+    space = product_of_projective_spaces(dims)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, rows_e),
+        BundleSpec.sum_of_line_bundles(space, rows_f),
+    )
+    res = Instance(space, pair).resolution
+    tautological = res.space.fiber_class()
+    cycle = res.locus
+    for j in range(space.dim):
+        assert res.space.pushforward(cycle) == pair.schur_seq[j + 1], j
+        cycle = cycle * tautological
 
 
 def threaded_cases():
