@@ -8,18 +8,23 @@ at construction by :func:`divide_by_roots`.
 
 from __future__ import annotations
 
-from .chow import AmbientSpace, ChowClass
+from .chow import AmbientSpace, ChowClass, _accumulate, _biased, _finish
 
 
 def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
     """A new list of the parts of a class divided by ``prod (1 + root)``,
-    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``:
-    every product has a degree-one factor and no inverse is formed."""
-    parts = list(parts)
-    for root in roots:
-        for k in range(1, len(parts)):
-            parts[k] = parts[k] - root * parts[k - 1]
-    return parts
+    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
+    each ``Z_k`` in one term map: no inverse, only degree-one factors."""
+    roots = tuple(roots)
+    out = list(parts[:1])
+    last = out * len(roots)  # Z_(k-1) after each root
+    for part in parts[1:]:
+        acc = _biased(part)
+        for j, root in enumerate(roots):
+            _accumulate(acc, root, last[j], -1)
+            last[j] = _finish(root.ambient, acc)
+        out.append(last[-1] if roots else part)
+    return out
 
 
 class BundleSpec:
@@ -61,7 +66,10 @@ class BundleSpec:
         return self.total_chern().part(k)
 
     def c1(self) -> ChowClass:
-        return sum(self.roots, self.ambient.zero())
+        out: dict[int, int] = {}
+        for root in self.roots:
+            _accumulate(out, root, self.ambient.one())
+        return _finish(self.ambient, out)
 
     def dual(self) -> "BundleSpec":
         return BundleSpec.split(self.ambient, (-r for r in self.roots))

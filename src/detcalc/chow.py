@@ -43,6 +43,52 @@ def _make(ambient: "AmbientSpace", terms: dict[int, int]) -> "ChowClass":
     return x
 
 
+def _accumulate(out: dict[int, int], x: "ChowClass", y: "ChowClass", scale: int = 1):
+    """Add ``scale * x * y`` into ``out``, a term map the caller owns, keyed
+    by biased codes (code plus bias) so that the sum of a biased and a plain
+    code is the flag test and the key at once.  Coefficients may cancel to
+    zero until :func:`_finish` drops them."""
+    space = x.ambient
+    if y.ambient is not space:
+        raise ValueError("classes live on different ambient spaces")
+    bias, over, trunc = space._bias, space._over, space._trunc
+    get = out.get
+    right = list(y.terms.items())
+    for a, ca in x.terms.items():
+        a += bias
+        ca *= scale
+        for b, cb in right:
+            raw = a + b
+            flags = raw & over
+            if not flags:
+                out[raw] = get(raw, 0) + ca * cb
+            elif not flags & trunc:
+                coeff = ca * cb
+                for e, k in space._reduce(raw - bias):
+                    e += bias
+                    out[e] = get(e, 0) + coeff * k
+
+
+def _biased(x: "ChowClass") -> dict[int, int]:
+    """A new accumulator for :func:`_accumulate` holding ``x``."""
+    bias = x.ambient._bias
+    return {e + bias: c for e, c in x.terms.items()}
+
+
+def _finish(space: "AmbientSpace", out: dict[int, int]) -> "ChowClass":
+    """The class of an accumulator: bias removed, zero coefficients dropped."""
+    bias = space._bias
+    return _make(space, {e - bias: c for e, c in out.items() if c})
+
+
+def _combine(x: "ChowClass", y: "ChowClass", sign: int) -> "ChowClass":
+    """``x + sign * y`` built in one term map."""
+    terms = dict(x.terms)
+    for e, c in y.terms.items():
+        terms[e] = terms.get(e, 0) + sign * c
+    return _make(x.ambient, {e: c for e, c in terms.items() if c})
+
+
 class ChowClass:
     """A ring element: exact integer coefficients on normal-form monomials.
 
@@ -73,16 +119,7 @@ class ChowClass:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            total = terms.get(e, 0) + c
-            if total:
-                terms[e] = total
-            else:
-                del terms[e]
-        return _make(self.ambient, terms)
+        return NotImplemented if other is None else _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -91,15 +128,11 @@ class ChowClass:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else _combine(other, self, -1)
 
     def __mul__(self, other):
         space = self.ambient
@@ -108,26 +141,9 @@ class ChowClass:
             if q is None:
                 return NotImplemented
             return _make(space, {e: c * q for e, c in self.terms.items()} if q else {})
-        if other.ambient is not space:
-            raise ValueError("classes live on different ambient spaces")
-        bias, over, trunc = space._bias, space._over, space._trunc
-        # keyed by biased codes: the sum is the flag test and the key at once
         out: dict[int, int] = {}
-        get = out.get
-        right = list(other.terms.items())
-        for a, ca in self.terms.items():
-            a += bias
-            for b, cb in right:
-                raw = a + b
-                flags = raw & over
-                if not flags:
-                    out[raw] = get(raw, 0) + ca * cb
-                elif not flags & trunc:
-                    coeff = ca * cb
-                    for e, k in space._reduce(raw - bias):
-                        e += bias
-                        out[e] = get(e, 0) + coeff * k
-        return _make(space, {e - bias: c for e, c in out.items() if c})
+        _accumulate(out, self, other)
+        return _finish(space, out)
 
     __rmul__ = __mul__
 
@@ -202,14 +218,11 @@ class ChowClass:
         parts = self.parts()
         inv = [space.scalar(c0)]
         for k in range(1, space.dim + 1):
-            acc = space.zero()
+            acc: dict[int, int] = {}
             for i in range(1, k + 1):
-                acc = acc + parts[i] * inv[k - i]
-            inv.append(acc * -c0)
-        total = space.zero()
-        for piece in inv:
-            total = total + piece
-        return total
+                _accumulate(acc, parts[i], inv[k - i], -c0)
+            inv.append(_finish(space, acc))
+        return sum(inv[1:], inv[0])
 
     def __repr__(self):
         if not self.terms:
@@ -372,19 +385,16 @@ class AmbientSpace:
             raise ValueError(
                 f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
             )
-        out = self.zero()
+        out: dict[int, int] = {}
         for c, g in zip(coeffs, self.generators()):
-            out = out + g * c
-        return out
+            _accumulate(out, g, self.scalar(c))
+        return _finish(self, out)
 
     def monomials_of_degree(self, degree: int) -> Iterator[tuple[int, ...]]:
         """Exponent tuples of the normal-form monomial basis in one degree."""
         for exp in itertools.product(*(range(cap + 1) for cap in self.caps)):
             if sum(exp) == degree:
                 yield exp
-
-    def monomial_basis(self, degree: int) -> list[ChowClass]:
-        return [_make(self, {self._pack(e): 1}) for e in self.monomials_of_degree(degree)]
 
     # -- functionals ---------------------------------------------------------
 

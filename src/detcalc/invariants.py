@@ -17,8 +17,8 @@ paired there (the projection formula).  Euler numbers:
 the hook sum of :func:`euler_numbers`, one binomial convolution of the
 pair's two sequences per weight, against ``chi(Z)`` integrated on that
 bundle, with the power identity checked as classes where every shape is a
-hook.  The report path runs one cofactor Schur determinant, the 2x2 class
-of :func:`porteous_class`.
+hook.  A report evaluates one cofactor Schur determinant, the 2x2 class of
+:func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else none.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     """Shortcut for the singular Euler gap: ``(dim - 2)`` times the degree of
     the tangent class against the singular locus.
 
-    Valid for fourfolds, and for fivefolds satisfying the Calabi-Yau
-    condition; refused elsewhere, where no such reduction holds.
+    Valid for fourfolds, where it is twice :func:`porteous_degree`, and for
+    Calabi-Yau fivefolds; refused elsewhere, where no such reduction holds.
     """
     d = inst.d
     if d == 5 and not is_calabi_yau(inst):
@@ -241,10 +241,9 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
             "the shortcut formula is only available for dim M = 4, or dim M = 5 "
             "with the Calabi-Yau condition; use euler_numbers instead"
         )
-    integrand = (inst.ambient.tangent_chern * porteous_class(inst)).part(d)
-    return _integer(
-        (d - 2) * inst.ambient.integrate(integrand), "singular Euler gap shortcut"
-    )
+    tangent = inst.ambient.tangent_chern
+    degree = porteous_degree(inst) if d == 4 else _pair(tangent, porteous_class(inst))
+    return _integer((d - 2) * degree, "singular Euler gap shortcut")
 
 
 # -- intersection numbers on the resolution ---------------------------------
@@ -309,6 +308,11 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     once on the quotient bundle, and it and its product with the
     tautological class are pushed down to the ambient space.
     """
+    return _c2_numbers(inst, allow_non_cy, None)
+
+
+def _c2_numbers(inst: Instance, allow_non_cy: bool, singular: int | None) -> C2Pairings:
+    """:func:`c2_numbers`, given the singular-point count or None for it."""
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
     if inst.polarization is None:
@@ -341,9 +345,9 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
 
     if cy:
         reduced_h = space.integrate((tangent.part(2) * seq[1] * hyper).part(4))
-        reduced_l = space.integrate(
-            (tangent.part(2) * seq[2]).part(4)
-        ) - inst.ambient.integrate(porteous_class(inst))
+        if singular is None:
+            singular = porteous_degree(inst)
+        reduced_l = space.integrate((tangent.part(2) * seq[2]).part(4)) - singular
         if (closed_h, closed_l) != (reduced_h, reduced_l):
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 
@@ -374,9 +378,11 @@ _CONNECTED_WARNING = (
     "nodality additionally assumes the hypersurface is irreducible "
     "(equivalently, the resolution is connected); not verified"
 )
-_DEEP_STRATUM_NOTE = (
+_ODP_WARNINGS = (
+    _GENERAL_WARNING,
+    _CONNECTED_WARNING,
     "deeper degeneracy strata are empty for dimension reasons "
-    "(expected codimension 9 exceeds 4)"
+    "(expected codimension 9 exceeds 4)",
 )
 
 
@@ -390,11 +396,7 @@ def odp_report(inst: Instance) -> tuple[int, list[str]]:
     """
     if inst.d != 4:
         raise GuardError("the node count is defined for dim M = 4 only")
-    return porteous_degree(inst), [
-        _GENERAL_WARNING,
-        _CONNECTED_WARNING,
-        _DEEP_STRATUM_NOTE,
-    ]
+    return porteous_degree(inst), list(_ODP_WARNINGS)
 
 
 @dataclass
@@ -443,21 +445,22 @@ def build_report(
             "assume_general is off: every output below is conditional on genericity"
         )
     if inst.d == 4 or (inst.d == 5 and cy):
-        if euler.ih_milnor != ih_milnor_number_small_dim(inst):
+        shortcut = ih_milnor_number_small_dim(inst)
+        if euler.ih_milnor != shortcut:
             raise ConsistencyError(
                 "singular Euler gap disagrees with the shortcut formula"
             )
     if inst.d == 4:
-        count, warnings = odp_report(inst)
+        count = shortcut // 2  # twice porteous_degree: one 2x2 class per report
         report.singular_degree = count
         report.odp_count = count
-        report.warnings.extend(warnings)
+        report.warnings.extend(_ODP_WARNINGS)
     else:
         report.warnings.append(_GENERAL_WARNING)
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
         if inst.d == 4:
-            pairings = c2_numbers(inst, allow_non_cy=allow_non_cy_c2)
+            pairings = _c2_numbers(inst, allow_non_cy_c2, count)
             report.c2_against_polarization = pairings.against_polarization
             report.c2_against_tautological = pairings.against_tautological
             if not cy:

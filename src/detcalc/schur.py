@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .chow import ChowClass
+from .chow import ChowClass, _accumulate, _finish
 from .partitions import PartitionLike, partition
 
 
@@ -24,12 +24,10 @@ def s_from_c(cseq: list[ChowClass]) -> list[ChowClass]:
     space = cseq[0].ambient
     out = [space.one()]
     for k in range(1, space.dim + 1):
-        acc = space.zero()
-        for j in range(k):
-            c = cseq[k - j] if k - j < len(cseq) else space.zero()
-            term = c * out[j]
-            acc = acc + (term if j % 2 == 0 else -term)
-        out.append(acc if (k + 1) % 2 == 0 else -acc)
+        acc: dict[int, int] = {}
+        for j in range(max(0, k - len(cseq) + 1), k):
+            _accumulate(acc, cseq[k - j], out[j], (-1) ** (j + k + 1))
+        out.append(_finish(space, acc))
     return out
 
 
@@ -68,16 +66,15 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
         found = minors.get(key)
         if found is not None:
             return found
-        acc = space.zero()
+        acc: dict[int, int] = {}
         for pos, col in enumerate(cols):
             entry = _entry(seq, lam[row] - row + col, space)
             if entry.is_zero():
                 continue
             rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * rest
-            acc = acc + (term if pos % 2 == 0 else -term)
-        minors[key] = acc
-        return acc
+            _accumulate(acc, entry, rest, (-1) ** pos)
+        minors[key] = found = _finish(space, acc)
+        return found
 
     return minor(0, tuple(range(k)))
 
@@ -99,8 +96,8 @@ def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
     space = h[0].ambient
     if weight == 1:
         return _entry(h, 1, space)
-    acc = space.zero()
+    acc: dict[int, int] = {}
     for a in range(1, weight):
-        term = _entry(h, a, space) * _entry(e, weight - a, space)
-        acc = acc + comb(weight - 2, a - 1) * term
-    return acc
+        scale = comb(weight - 2, a - 1)
+        _accumulate(acc, _entry(h, a, space), _entry(e, weight - a, space), scale)
+    return _finish(space, acc)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .bundles import BundleSpec, VirtualPair, divide_by_roots
-from .chow import AmbientSpace, projective_space
+from .chow import AmbientSpace, ChowClass, _accumulate, _finish, projective_space
 from .invariants import (
     ConsistencyError,
     Instance,
@@ -80,13 +80,10 @@ def _random_instance(
 
 def _random_sequence(rng: random.Random, space: AmbientSpace) -> list:
     """A valid class sequence: unit head, random homogeneous entries."""
-    seq = [space.one()]
-    for k in range(1, space.dim + 1):
-        entry = space.zero()
-        for mono in space.monomial_basis(k):
-            entry = entry + mono * rng.randint(-4, 4)
-        seq.append(entry)
-    return seq
+    return [space.one()] + [
+        ChowClass(space, {e: rng.randint(-4, 4) for e in space.monomials_of_degree(k)})
+        for k in range(1, space.dim + 1)
+    ]
 
 
 def suite_schur_identities(depth: int, seed: int) -> SuiteResult:
@@ -148,13 +145,13 @@ def _twisted_virtual_chern(pair: VirtualPair, ell, k: int):
     Closed form, for ``1 <= k <= dim``: an alternating binomial combination
     of the untwisted classes ``pair.chern_diff`` with powers of ``ell``.
     """
-    out = pair.ambient.zero()
+    out: dict[int, int] = {}
     ell_pow = pair.ambient.one()
     for i in range(k, 0, -1):
-        term = comb(k - 1, i - 1) * (pair.chern_diff[i] * ell_pow)
-        out = out + (term if (k - i) % 2 == 0 else -term)
+        scale = (-1) ** (k - i) * comb(k - 1, i - 1)
+        _accumulate(out, pair.chern_diff[i], ell_pow, scale)
         ell_pow = ell_pow * ell
-    return out
+    return _finish(pair.ambient, out)
 
 
 def _chern_diff(E: BundleSpec, F: BundleSpec) -> list:
@@ -185,11 +182,12 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
         bundle = pair.E
         top = bundle.twist(ell).chern(rank)
         total = bundle.total_chern()
-        expansion = space.zero()
+        expansion: dict[int, int] = {}
         for i in range(rank + 1):
-            expansion = expansion + total.part(i) * ell ** (rank - i)
+            _accumulate(expansion, total.part(i), ell ** (rank - i))
         result.check(
-            top == expansion, f"top twisted Chern class mismatch (trial {trial})"
+            top == _finish(space, expansion),
+            f"top twisted Chern class mismatch (trial {trial})",
         )
         product = _chern_diff(pair.E, pair.E)
         result.check(
@@ -198,12 +196,13 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
         )
         forward = pair.chern_diff
         backward = _chern_diff(pair.F, pair.E)
-        convolution = space.zero()
+        convolution: dict[int, int] = {}
         for k in range(space.dim + 1):
             for i in range(k + 1):
-                convolution = convolution + forward[i] * backward[k - i]
+                _accumulate(convolution, forward[i], backward[k - i])
         result.check(
-            convolution == 1, f"c(F-E).c(E-F) is not 1 (trial {trial})"
+            _finish(space, convolution) == 1,
+            f"c(F-E).c(E-F) is not 1 (trial {trial})",
         )
     return result
 

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from detcalc.bundles import BundleSpec, VirtualPair
-from detcalc.chow import product_of_projective_spaces, projective_space
+from detcalc.bundles import BundleSpec, VirtualPair, divide_by_roots
+from detcalc.chow import (
+    ChowClass,
+    product_of_projective_spaces,
+    proj_bundle,
+    projective_space,
+)
 from detcalc.verify import _twisted_virtual_chern
 from oracles import series, series_inv, series_mul
 
@@ -127,6 +132,35 @@ def test_sequences_on_products_against_the_inverse_route(dims):
         assert pair.schur_seq == (
             E.dual().total_chern() * F.dual().total_chern().inverse()
         ).parts()
+
+
+def random_parts(rng, space):
+    terms = {}
+    for degree in range(space.dim + 1):
+        for exp in space.monomials_of_degree(degree):
+            terms[exp] = rng.randint(-4, 4)
+    return ChowClass(space, terms).parts()
+
+
+@pytest.mark.parametrize("case", ["P(P^2xP^2)", "(P^1)^5"])
+def test_divide_by_roots_round_trip(case):
+    rng = random.Random(19)
+    if case == "(P^1)^5":
+        space = product_of_projective_spaces([1] * 5)
+        rows = [[1, -1, 2, 0, -3], [-2, 1, 0, 1, 1], [0, 3, -1, -1, 2]]
+    else:
+        base = product_of_projective_spaces([2, 2])
+        space = proj_bundle(
+            base, BundleSpec.sum_of_line_bundles(base, [[1, 0], [0, 1], [1, 1]])
+        )
+        rows = [[1, -2, 1], [-1, 0, 2], [2, 1, -1]]  # the last entry is xi
+    roots = [space.degree_one(row) for row in rows]
+    for _ in range(4):
+        parts = random_parts(rng, space)
+        quotient = sum(divide_by_roots(parts, roots), space.zero())
+        for root in roots:  # multiply back, one root at a time
+            quotient = quotient * (1 + root)
+        assert quotient.parts() == parts
 
 
 def test_twisted_virtual_chern_closed_form_against_direct():

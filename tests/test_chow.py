@@ -6,6 +6,9 @@ import pytest
 from detcalc.bundles import BundleSpec
 from detcalc.chow import (
     ChowClass,
+    _accumulate,
+    _biased,
+    _finish,
     _pair,
     product_of_projective_spaces,
     proj_bundle,
@@ -257,24 +260,58 @@ def split_dual_relation(base_caps, degree_rows):
     return {e + (r - sum(e),): -c for e, c in dual.items() if sum(e) >= 1}
 
 
-def test_multiply_matches_naive_reference():
-    rng = random.Random(13)
+def naive_reference_cases():
+    """Three spaces with no relation and the bundle P(P^2 x P^2), with the
+    relation the naive reference needs for each."""
     rows = [[1, 0], [0, 1], [1, 1]]
     p2p2 = product_of_projective_spaces([2, 2])
     bundle = proj_bundle(p2p2, BundleSpec.sum_of_line_bundles(p2p2, rows))
-    cases = [
+    return [
         (projective_space(5), {}),
         (product_of_projective_spaces([2, 3]), {}),
         (product_of_projective_spaces([1, 1, 1, 1]), {}),
         (bundle, {2: split_dual_relation((2, 2), rows)}),
     ]
-    for space, relations in cases:
+
+
+def test_multiply_matches_naive_reference():
+    rng = random.Random(13)
+    for space, relations in naive_reference_cases():
         for _ in range(12):
             a, b = random_terms(rng, space), random_terms(rng, space)
             expected = naive_multiply(a, b, space.caps, relations)
             product = ChowClass(space, a) * ChowClass(space, b)
             assert product == ChowClass(space, expected)
             assert len(product.terms) == len(expected)
+
+
+def test_accumulate_kernel_matches_naive_reference():
+    rng = random.Random(17)
+    for space, relations in naive_reference_cases():
+        for _ in range(8):
+            a, b, held = (random_terms(rng, space) for _ in range(3))
+            x, y = ChowClass(space, a), ChowClass(space, b)
+            scale = rng.choice([-3, -1, 2, 7])
+            product = naive_multiply(a, b, space.caps, relations)
+            # into an accumulator that already holds terms
+            out = _biased(ChowClass(space, held))
+            _accumulate(out, x, y, scale)
+            expected = dict(held)
+            for e, c in product.items():
+                expected[e] = expected.get(e, 0) + scale * c
+            expected = {e: c for e, c in expected.items() if c}
+            result = _finish(space, out)
+            assert result == ChowClass(space, expected)
+            assert len(result.terms) == len(expected)
+            # the same sum, cancelled exactly to zero by its negative
+            out = _biased(ChowClass(space, {e: -scale * c for e, c in product.items()}))
+            _accumulate(out, x, y, scale)
+            assert _finish(space, out).terms == {}
+            # a product and its negative leave the held terms alone
+            out = _biased(ChowClass(space, held))
+            _accumulate(out, x, y, scale)
+            _accumulate(out, y, x, -scale)
+            assert _finish(space, out).terms == ChowClass(space, held).terms
 
 
 def test_non_integral_coefficients_are_refused():
