@@ -14,8 +14,11 @@ from .chow import AmbientSpace, ChowClass, _accumulate, _biased, _finish
 def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
     """A new list of the parts of a class divided by ``prod (1 + root)``,
     one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
-    each ``Z_k`` in one term map: no inverse, only degree-one factors."""
-    roots = tuple(roots)
+    each ``Z_k`` in one term map: no inverse, only degree-one factors.
+    A zero root (a trivial summand) divides by 1 and is skipped."""
+    roots = [root for root in roots if not root.is_zero()]
+    if not roots:
+        return list(parts)
     out = list(parts[:1])
     last = out * len(roots)  # Z_(k-1) after each root
     for part in parts[1:]:
@@ -23,7 +26,7 @@ def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
         for j, root in enumerate(roots):
             _accumulate(acc, root, last[j], -1)
             last[j] = _finish(root.ambient, acc)
-        out.append(last[-1] if roots else part)
+        out.append(last[-1])
     return out
 
 
@@ -57,9 +60,14 @@ class BundleSpec:
         return len(self.roots)
 
     def total_chern(self) -> ChowClass:
+        """``prod (1 + root)``, adding ``root * out`` into a copy of ``out``
+        per root; a zero root (a trivial summand) is skipped."""
         out = self.ambient.one()
         for root in self.roots:
-            out = out * (self.ambient.one() + root)
+            if not root.is_zero():
+                acc = _biased(out)
+                _accumulate(acc, root, out)
+                out = _finish(self.ambient, acc)
         return out
 
     def chern(self, k: int) -> ChowClass:
@@ -72,19 +80,19 @@ class BundleSpec:
         return _finish(self.ambient, out)
 
     def dual(self) -> "BundleSpec":
-        return BundleSpec.split(self.ambient, (-r for r in self.roots))
+        return BundleSpec(self.ambient, tuple(-r for r in self.roots))
 
     def twist(self, ell: ChowClass) -> "BundleSpec":
         """Tensor with a line bundle of first Chern class ``ell``."""
         if not ell.is_homogeneous(1):
             raise ValueError("twisting class must be homogeneous of degree one")
-        return BundleSpec.split(self.ambient, (r + ell for r in self.roots))
+        return BundleSpec(self.ambient, tuple(r + ell for r in self.roots))
 
     def pullback_to(self, space: AmbientSpace) -> "BundleSpec":
         """Pull the bundle up to a projective bundle over its ambient space."""
         if space.base is not self.ambient:
             raise ValueError("target space is not a bundle over this ambient")
-        return BundleSpec.split(space, (space.pullback(r) for r in self.roots))
+        return BundleSpec(space, tuple(space.pullback(r) for r in self.roots))
 
     def __repr__(self):
         return f"split rank-{self.rank} bundle on {self.ambient!r}"

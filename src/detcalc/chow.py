@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 
@@ -467,7 +468,9 @@ def projective_space(d: int) -> AmbientSpace:
 
 def product_of_projective_spaces(dims) -> AmbientSpace:
     """Product of projective spaces: one truncating hyperplane class per
-    factor, named ``h`` for a single factor and ``h1..hn`` otherwise."""
+    factor, named ``h`` for a single factor and ``h1..hn`` otherwise.  The
+    tangent class ``prod_i (1 + h_i)^(d_i + 1)`` is built in closed form:
+    coefficient ``prod_i C(d_i + 1, e_i)`` on ``prod_i h_i^e_i``."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("at least one factor is required")
@@ -478,10 +481,14 @@ def product_of_projective_spaces(dims) -> AmbientSpace:
     else:
         gens = tuple(f"h{i + 1}" for i in range(len(dims)))
     space = AmbientSpace(gens, dims)
-    tangent = space.one()
-    for i, d in enumerate(dims):
-        tangent = tangent * (space.one() + space.generator(i)) ** (d + 1)
-    space.tangent_chern = tangent
+    terms = {0: 1}
+    for d, shift in zip(dims, space._shifts):
+        terms = {
+            code + (e << shift): c * comb(d + 1, e)
+            for code, c in terms.items()
+            for e in range(d + 1)
+        }
+    space.tangent_chern = _make(space, terms)
     return space
 
 

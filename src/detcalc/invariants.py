@@ -308,16 +308,16 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     once on the quotient bundle, and it and its product with the
     tautological class are pushed down to the ambient space.
     """
-    return _c2_numbers(inst, allow_non_cy, None)
+    return _c2_numbers(inst, allow_non_cy, is_calabi_yau(inst), None)
 
 
-def _c2_numbers(inst: Instance, allow_non_cy: bool, singular: int | None) -> C2Pairings:
-    """:func:`c2_numbers`, given the singular-point count or None for it."""
+def _c2_numbers(inst: Instance, allow_non_cy: bool, cy: bool, singular) -> C2Pairings:
+    """:func:`c2_numbers`, given :func:`is_calabi_yau` and the singular-point
+    count (an int, or None to compute it)."""
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
     if inst.polarization is None:
         raise GuardError("c2 pairings need a polarization class")
-    cy = is_calabi_yau(inst)
     if not cy and not allow_non_cy:
         raise GuardError(
             "the Calabi-Yau condition fails; opt in to the general "
@@ -460,7 +460,7 @@ def build_report(
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
         if inst.d == 4:
-            pairings = _c2_numbers(inst, allow_non_cy_c2, count)
+            pairings = _c2_numbers(inst, allow_non_cy_c2, cy, count)
             report.c2_against_polarization = pairings.against_polarization
             report.c2_against_tautological = pairings.against_tautological
             if not cy:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from detcalc import bundles
 from detcalc.bundles import BundleSpec, VirtualPair, divide_by_roots
 from detcalc.chow import (
     ChowClass,
@@ -15,6 +16,15 @@ from oracles import series, series_inv, series_mul
 
 def split(space, degrees):
     return BundleSpec.sum_of_line_bundles(space, [[d] for d in degrees])
+
+
+def naive_total_chern(space, roots, sign=1):
+    """``prod (1 + sign * root)`` with the ring operators, one full product
+    per root: an oracle independent of ``BundleSpec.total_chern``."""
+    out = space.one()
+    for root in roots:
+        out = out * (1 + sign * root)
+    return out
 
 
 def test_total_chern_examples():
@@ -113,25 +123,35 @@ def test_forward_and_backward_virtual_classes_invert():
 
 @pytest.mark.parametrize("dims", [[1] * 5, [2] * 3], ids=["(P^1)^5", "(P^2)^3"])
 def test_sequences_on_products_against_the_inverse_route(dims):
-    # a truncated inverse followed by one full product is the oracle
+    # a truncated inverse followed by one full product of explicit (1 + root)
+    # products is the oracle; E is trivial in trials 0 and 2 mod 4, F in
+    # trials 1 and 2 mod 4, and the other rows carry zero rows at random
     rng = random.Random(16)
     space = product_of_projective_spaces(dims)
-    for _ in range(6):
+    zero = [0] * len(dims)
+    for trial in range(8):
         rank = rng.randint(2, 4)
         rows_e, rows_f = (
-            [[rng.randint(-3, 3) for _ in dims] for _ in range(rank)]
+            [
+                zero if rng.random() < 0.25 else [rng.randint(-3, 3) for _ in dims]
+                for _ in range(rank)
+            ]
             for _ in range(2)
         )
-        assert any(min(row) < 0 < max(row) for row in rows_e + rows_f)
+        if trial % 4 in (0, 2):
+            rows_e = [zero] * rank
+        if trial % 4 in (1, 2):
+            rows_f = [zero] * rank
+        assert trial % 4 == 2 or any(
+            min(row) < 0 < max(row) for row in rows_e + rows_f
+        )
         E = BundleSpec.sum_of_line_bundles(space, rows_e)
         F = BundleSpec.sum_of_line_bundles(space, rows_f)
         pair = VirtualPair(E, F)
-        assert pair.chern_diff == (
-            F.total_chern() * E.total_chern().inverse()
-        ).parts()
-        assert pair.schur_seq == (
-            E.dual().total_chern() * F.dual().total_chern().inverse()
-        ).parts()
+        c_e, c_f = (naive_total_chern(space, B.roots) for B in (E, F))
+        assert pair.chern_diff == (c_f * c_e.inverse()).parts()
+        dual_e, dual_f = (naive_total_chern(space, B.roots, -1) for B in (E, F))
+        assert pair.schur_seq == (dual_e * dual_f.inverse()).parts()
 
 
 def random_parts(rng, space):
@@ -154,6 +174,9 @@ def test_divide_by_roots_round_trip(case):
             base, BundleSpec.sum_of_line_bundles(base, [[1, 0], [0, 1], [1, 1]])
         )
         rows = [[1, -2, 1], [-1, 0, 2], [2, 1, -1]]  # the last entry is xi
+    # zero roots (trivial summands) and a repeated root mixed in
+    zero = [0] * len(rows[0])
+    rows = [zero, rows[0], rows[1], zero, rows[0], rows[2], zero]
     roots = [space.degree_one(row) for row in rows]
     for _ in range(4):
         parts = random_parts(rng, space)
@@ -161,6 +184,99 @@ def test_divide_by_roots_round_trip(case):
         for root in roots:  # multiply back, one root at a time
             quotient = quotient * (1 + root)
         assert quotient.parts() == parts
+
+
+@pytest.mark.parametrize("case", ["P^1xP^2", "P(P^1xP^2)"])
+def test_total_chern_against_naive_product(case):
+    rng = random.Random(21)
+    base = product_of_projective_spaces([1, 2])
+    space = base
+    if case == "P(P^1xP^2)":
+        fiber = BundleSpec.sum_of_line_bundles(base, [[1, 0], [0, 0], [1, 2]])
+        space = proj_bundle(base, fiber)
+    zero = [0] * len(space.gens)
+    mixed = [1, -2] + [1] * (len(zero) - 2)
+    fixed = [zero, mixed, zero, mixed, [-1] + [2] * (len(zero) - 1)]
+    cases = [fixed] + [
+        [
+            zero if rng.random() < 0.3 else [rng.randint(-2, 2) for _ in zero]
+            for _ in range(rng.randint(1, 5))
+        ]
+        for _ in range(6)
+    ]
+    for rows in cases:
+        bundle = BundleSpec.sum_of_line_bundles(space, rows)
+        expected = naive_total_chern(space, bundle.roots)
+        assert bundle.total_chern() == expected
+        assert bundle.dual().total_chern() == naive_total_chern(space, bundle.roots, -1)
+        for k in range(space.dim + 1):
+            assert bundle.chern(k) == expected.part(k)
+
+
+def test_split_refuses_foreign_or_inhomogeneous_roots():
+    p4, p3 = projective_space(4), projective_space(3)
+    h = p4.generator(0)
+    with pytest.raises(ValueError, match="different space"):
+        BundleSpec.split(p4, [h, p3.generator(0)])
+    with pytest.raises(ValueError, match="degree one"):
+        BundleSpec.split(p4, [h, h * h])
+    with pytest.raises(ValueError, match="degree one"):
+        BundleSpec.split(p4, [1 + h])
+
+
+def test_derived_bundles_keep_degree_one_roots_on_their_space():
+    # dual, twist and pullback_to skip the checks of split: their roots
+    # must still be degree-one classes on the bundle's own space
+    base = product_of_projective_spaces([1, 2])
+    B = BundleSpec.sum_of_line_bundles(base, [[1, -1], [0, 0], [2, 1]])
+    space = proj_bundle(base, B)
+    ell = base.degree_one([1, -2])
+    pulled = B.pullback_to(space)
+    derived = [
+        (B.dual(), base),
+        (B.twist(ell), base),
+        (B.twist(base.zero()), base),
+        (pulled, space),
+        (pulled.dual().twist(space.fiber_class()), space),
+    ]
+    for bundle, where in derived:
+        assert bundle.ambient is where
+        assert bundle.rank == B.rank
+        for root in bundle.roots:
+            assert root.ambient is where
+            assert root.is_homogeneous(1)
+        assert BundleSpec.split(where, bundle.roots).roots == bundle.roots
+    with pytest.raises(ValueError, match="degree one"):
+        B.twist(ell * ell)
+    with pytest.raises(ValueError, match="degree one"):
+        B.twist(1 + ell)
+    with pytest.raises(ValueError):
+        B.twist(projective_space(3).generator(0))
+    with pytest.raises(ValueError):
+        B.twist(pulled.roots[0])
+
+
+def test_trivial_summands_make_no_kernel_calls(monkeypatch):
+    calls = []
+    kernel = bundles._accumulate
+
+    def counted(*args):
+        calls.append(args)
+        kernel(*args)
+
+    monkeypatch.setattr(bundles, "_accumulate", counted)
+    space = product_of_projective_spaces([2, 2])
+    parts = random_parts(random.Random(22), space)
+    zero = space.zero()
+    quotient = divide_by_roots(parts, [zero, zero])
+    assert quotient == parts and quotient is not parts
+    assert all(q is p for q, p in zip(quotient, parts))
+    trivial = BundleSpec.sum_of_line_bundles(space, [[0, 0]] * 3)
+    assert trivial.total_chern() == space.one()
+    assert calls == []
+    # the counter does see the kernel when a summand is not trivial
+    BundleSpec.sum_of_line_bundles(space, [[0, 0], [1, 0]]).total_chern()
+    assert len(calls) == 1
 
 
 def test_twisted_virtual_chern_closed_form_against_direct():

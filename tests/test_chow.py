@@ -37,6 +37,22 @@ def test_projective_space_tangent():
     assert p4.tangent_chern.part(2) == 10 * h**2
 
 
+@pytest.mark.parametrize(
+    "dims", [[1], [7], [1, 2, 1], [1] * 6, [3, 0]],
+    ids=["P^1", "P^7", "P^1xP^2xP^1", "(P^1)^6", "P^3xP^0"],
+)
+def test_closed_form_tangent_class_against_ring_products(dims):
+    space = product_of_projective_spaces(dims)
+    expected = space.one()
+    for d, h in zip(dims, space.generators()):
+        expected = expected * (1 + h) ** (d + 1)
+    assert space.tangent_chern == expected
+    euler = 1
+    for d in dims:
+        euler *= d + 1
+    assert space.integrate(space.tangent_chern) == euler
+
+
 def test_projective_space_truncation_and_integration():
     p4 = projective_space(4)
     h = p4.generator(0)
