@@ -30,8 +30,6 @@ from .invariants import (
     euler_smooth_hypersurface,
     ih_milnor_number_small_dim,
     intersection_numbers,
-    is_calabi_yau,
-    odp_report,
     porteous_class,
     porteous_degree,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "euler_smooth_hypersurface",
     "ih_milnor_number_small_dim",
     "intersection_numbers",
-    "is_calabi_yau",
-    "odp_report",
     "porteous_class",
     "porteous_degree",
     "product_of_projective_spaces",

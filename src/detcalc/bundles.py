@@ -8,7 +8,7 @@ at construction by :func:`divide_by_roots`.
 
 from __future__ import annotations
 
-from .chow import AmbientSpace, ChowClass, _accumulate, _biased, _finish
+from .chow import AmbientSpace, ChowClass, _accumulate, _biased, _finish, _make
 
 
 def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
@@ -74,10 +74,12 @@ class BundleSpec:
         return self.total_chern().part(k)
 
     def c1(self) -> ChowClass:
+        """The sum of the roots, in one term map."""
         out: dict[int, int] = {}
         for root in self.roots:
-            _accumulate(out, root, self.ambient.one())
-        return _finish(self.ambient, out)
+            for e, c in root.terms.items():
+                out[e] = out.get(e, 0) + c
+        return _make(self.ambient, {e: c for e, c in out.items() if c})
 
     def dual(self) -> "BundleSpec":
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))
@@ -107,7 +109,10 @@ class VirtualPair:
     computed at construction, each by dividing a total Chern class by the
     other bundle's roots one at a time (:func:`divide_by_roots`);
     ``chern_diff`` is also the dual sequence ``s_from_c(schur_seq)`` of the
-    dual Jacobi-Trudi form.
+    dual Jacobi-Trudi form.  ``hypersurface_class`` is ``c1(F) - c1(E)``,
+    the first Chern class of det(E dual) tensor det(F): the divisor class
+    cut out by the determinant of a morphism E -> F, taken from the roots
+    so that it is independent of the two sequences.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -122,15 +127,11 @@ class VirtualPair:
         self.schur_seq = divide_by_roots(
             E.dual().total_chern().parts(), F.dual().roots
         )
+        self.hypersurface_class = F.c1() - E.c1()
 
     @property
     def rank(self) -> int:
         return self.E.rank
-
-    def hypersurface_class(self) -> ChowClass:
-        """First Chern class of det(E dual) tensor det(F): the divisor class
-        cut out by the determinant of a morphism E -> F."""
-        return self.F.c1() - self.E.c1()
 
     def __repr__(self):
         return f"VirtualPair(rank {self.rank} on {self.ambient!r})"

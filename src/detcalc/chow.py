@@ -380,16 +380,20 @@ class AmbientSpace:
         return tuple(self.generator(i) for i in range(len(self.gens)))
 
     def degree_one(self, coeffs) -> ChowClass:
-        """Integer combination of the generators."""
+        """Integer combination of the generators, summed in one term map."""
         coeffs = list(coeffs)
         if len(coeffs) != len(self.gens):
             raise ValueError(
                 f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
             )
         out: dict[int, int] = {}
-        for c, g in zip(coeffs, self.generators()):
-            _accumulate(out, g, self.scalar(c))
-        return _finish(self, out)
+        for i, c in enumerate(coeffs):
+            q = _scalar(c)
+            if q is None:
+                raise TypeError(f"expected an integer, got {c!r}")
+            for e, k in self.generator(i).terms.items():
+                out[e] = out.get(e, 0) + q * k
+        return _make(self, {e: c for e, c in out.items() if c})
 
     def monomials_of_degree(self, degree: int) -> Iterator[tuple[int, ...]]:
         """Exponent tuples of the normal-form monomial basis in one degree."""

@@ -320,7 +320,6 @@ def _config(dims, e_rows, f_rows, polarization=None) -> InstanceConfig:
 _TABLE1_COLUMNS = ("L^3", "L^2.H", "L.H^2", "H^3", "L.c2", "H.c2", "ODPs")
 
 TABLE1 = {
-    "title": "Intersection numbers of the nodal quintic threefold",
     "config": _config(
         [4], [[-1], [-1], [-1], [-2]], [[0], [0], [0], [0]], polarization=[1]
     ),
@@ -328,7 +327,6 @@ TABLE1 = {
 }
 
 TABLE2 = {
-    "title": "Nodal quartic threefolds from square matrices",
     "rows": [
         {"e": [[0], [0]], "f": [[1], [3]], "odps": 9},
         {"e": [[-1], [0]], "f": [[1], [2]], "odps": 12},

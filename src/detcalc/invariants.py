@@ -4,9 +4,14 @@ Everything is computed on an :class:`Instance`: an ambient space of
 dimension at least four, an equal-rank bundle pair (E, F), and an optional
 degree-one polarization class.  The hypersurface is the divisor where a
 generic morphism E -> F drops rank; its singular locus is the next
-degeneracy stratum.  All results assume the morphism is generic in the
-transversality sense (each stratum smooth of expected codimension); that
-assumption is surfaced in report warnings, never verified.
+degeneracy stratum.  The quantities several invariants share are built
+once, by the constructors: the pair's two Chern-class sequences and its
+divisor class ``D = c1(F) - c1(E)``, and the instance's Calabi-Yau test
+``c1(T) == D`` and small resolution with its tangent class ``c(T_Z)``.
+The functions here only read them.  All results assume the morphism is
+generic in the transversality sense (each stratum smooth of expected
+codimension); that assumption is surfaced in report warnings, never
+verified.
 
 Each reported number is compared across two routes; a mismatch aborts,
 since it can only mean a convention bug.  Intersection numbers and ``c2``
@@ -40,25 +45,26 @@ class ConsistencyError(RuntimeError):
     """Two routes that must agree did not; the ring conventions are broken."""
 
 
-def _integer(value: int, what: str) -> int:
-    """Guard at an integration boundary: a non-integral rational is a bug."""
-    if value.denominator != 1:
-        raise ConsistencyError(f"{what} evaluated to the non-integer {value}")
-    return int(value)
-
-
 class Resolution(NamedTuple):
     """The small resolution as a zero locus in the quotient bundle ``space``:
     ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
-    of its normal bundle and ``locus`` its fundamental class, their product."""
+    of its normal bundle, ``locus`` its fundamental class, their product, and
+    ``tangent`` the parts ``0 .. d-1`` of ``c(T_Z)`` on ``space``, by the
+    normal exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
     locus: ChowClass
+    tangent: list[ChowClass]
 
 
 class Instance:
-    """One evaluation problem: ambient space, bundle pair, optional polarization."""
+    """One evaluation problem: ambient space, bundle pair, optional polarization.
+
+    ``calabi_yau`` is True when the hypersurface class equals the first
+    Chern class of the tangent bundle, so the hypersurface has trivial
+    canonical class.  It and the small resolution are computed here.
+    """
 
     def __init__(
         self,
@@ -80,12 +86,20 @@ class Instance:
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
+        self.calabi_yau = ambient.tangent_chern.part(1) == pair.hypersurface_class
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of the pulled-back dual of E twisted by the tautological
-        # class, built in one step so that its classes share one space.
+        # class, built in one step so that its classes share one space.  Its
+        # tangent class is divided by one normal root at a time, so every
+        # product has a degree-one factor.
         space = proj_bundle(ambient, pair.F)
         roots = pair.E.dual().pullback_to(space).twist(space.fiber_class()).roots
-        self.resolution = Resolution(space, roots, prod(roots, start=space.one()))
+        self.resolution = Resolution(
+            space,
+            roots,
+            prod(roots, start=space.one()),
+            divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots),
+        )
 
     @property
     def d(self) -> int:
@@ -93,16 +107,6 @@ class Instance:
 
     def __repr__(self):
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
-
-
-def _resolution_tangent_parts(res: Resolution, top: int) -> list[ChowClass]:
-    """Parts ``0 .. top`` of ``c(T_Z)`` on the quotient bundle, by the normal
-    exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``.
-
-    Divides by one normal root at a time (:func:`divide_by_roots`), so
-    every product has a degree-one factor.
-    """
-    return divide_by_roots(res.space.tangent_chern.parts(top), res.normal_roots)
 
 
 # -- scalar invariants -----------------------------------------------------
@@ -118,7 +122,7 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
     if not divisor.is_homogeneous(1):
         raise ValueError("divisor class must be homogeneous of degree one")
     integrand = divisor * (space.one() + divisor).inverse() * space.tangent_chern
-    return _integer(space.integrate(integrand), "smooth-hypersurface Euler number")
+    return space.integrate(integrand)
 
 
 def porteous_class(inst: Instance) -> ChowClass:
@@ -142,16 +146,7 @@ def porteous_degree(inst: Instance) -> int:
             "the singular locus is a zero-cycle only when dim M = 4; "
             "use porteous_class for the class itself"
         )
-    return _integer(
-        inst.ambient.integrate(porteous_class(inst)), "singular-point count"
-    )
-
-
-def is_calabi_yau(inst: Instance) -> bool:
-    """True when the hypersurface class equals the first Chern class of the
-    tangent bundle, so the hypersurface has trivial canonical class."""
-    tangent_c1 = inst.ambient.tangent_chern.part(1)
-    return tangent_c1 == inst.pair.hypersurface_class()
+    return inst.ambient.integrate(porteous_class(inst))
 
 
 class EulerNumbers(NamedTuple):
@@ -189,7 +184,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
     space = inst.ambient
-    divisor = inst.pair.hypersurface_class()
+    divisor = inst.pair.hypersurface_class
     tangent = space.tangent_chern.parts()
     power = space.one()
     smooth = resolution = 0
@@ -205,7 +200,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         smooth += sign * _pair(power, tangent[d - weight])
         resolution += sign * _pair(hooks, tangent[d - weight])
     res = inst.resolution
-    integrand = _resolution_tangent_parts(res, d - 1)[d - 1]
+    integrand = res.tangent[d - 1]
     for root in res.normal_roots:
         integrand = integrand * root
     direct = res.space.integrate(integrand)
@@ -216,11 +211,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     for weight, power, hooks in low_weights:
         if power != hooks:
             raise ConsistencyError(f"weight {weight}: D^{weight} != hooks")
-    return EulerNumbers(
-        _integer(smooth, "smooth-hypersurface Euler number"),
-        _integer((-1) ** d * (resolution - smooth), "singular Euler gap"),
-        _integer(resolution, "resolution Euler number"),
-    )
+    return EulerNumbers(smooth, (-1) ** d * (resolution - smooth), resolution)
 
 
 def ih_milnor_number_small_dim(inst: Instance) -> int:
@@ -231,7 +222,7 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     Calabi-Yau fivefolds; refused elsewhere, where no such reduction holds.
     """
     d = inst.d
-    if d == 5 and not is_calabi_yau(inst):
+    if d == 5 and not inst.calabi_yau:
         raise GuardError(
             "the dimension-5 shortcut needs the Calabi-Yau condition "
             "c1(T) = c1(F) - c1(E)"
@@ -243,7 +234,7 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
         )
     tangent = inst.ambient.tangent_chern
     degree = porteous_degree(inst) if d == 4 else _pair(tangent, porteous_class(inst))
-    return _integer((d - 2) * degree, "singular Euler gap shortcut")
+    return (d - 2) * degree
 
 
 # -- intersection numbers on the resolution ---------------------------------
@@ -267,11 +258,11 @@ def intersection_numbers(inst: Instance) -> list[int]:
     seq = inst.pair.schur_seq
     hyper = inst.polarization
 
-    bundle_space, _, locus = inst.resolution
+    bundle_space = inst.resolution.space
     tautological = bundle_space.fiber_class()
 
     hyper_pows = [space.one()]
-    cycles = [locus]  # L^j . [Z] on the quotient bundle
+    cycles = [inst.resolution.locus]  # L^j . [Z] on the quotient bundle
     for _ in range(d - 1):
         hyper_pows.append(hyper_pows[-1] * hyper)
         cycles.append(cycles[-1] * tautological)
@@ -285,7 +276,7 @@ def intersection_numbers(inst: Instance) -> list[int]:
             raise ConsistencyError(
                 f"intersection number k={k}: closed form {closed} != direct {direct}"
             )
-        values.append(_integer(closed, f"intersection number k={k}"))
+        values.append(closed)
     return values
 
 
@@ -308,16 +299,17 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     once on the quotient bundle, and it and its product with the
     tautological class are pushed down to the ambient space.
     """
-    return _c2_numbers(inst, allow_non_cy, is_calabi_yau(inst), None)
+    return _c2_numbers(inst, allow_non_cy, None)
 
 
-def _c2_numbers(inst: Instance, allow_non_cy: bool, cy: bool, singular) -> C2Pairings:
-    """:func:`c2_numbers`, given :func:`is_calabi_yau` and the singular-point
-    count (an int, or None to compute it)."""
+def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
+    """:func:`c2_numbers`, given the singular-point count (an int, or None
+    to compute it)."""
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
     if inst.polarization is None:
         raise GuardError("c2 pairings need a polarization class")
+    cy = inst.calabi_yau
     if not cy and not allow_non_cy:
         raise GuardError(
             "the Calabi-Yau condition fails; opt in to the general "
@@ -327,15 +319,15 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, cy: bool, singular) -> C2Pai
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
-    tangent = space.tangent_chern
+    _, t1, t2 = space.tangent_chern.parts(2)
 
     # Degree-two head of c(T_Z) pulled down: A + s1 * (tautological class),
     # where A comes from the normal exact sequence of the resolution.  The
     # degree-k part of c(F dual)/c(E dual) is (-1)^k chern_diff[k].
     diff = inst.pair.chern_diff
-    head = tangent.part(2) - diff[1] * tangent.part(1) + diff[2]
+    head = t2 - diff[1] * t1 + diff[2]
     if cy:
-        simplified = tangent.part(2) - seq[2]
+        simplified = t2 - seq[2]
         if head != simplified:
             raise ConsistencyError(
                 "Calabi-Yau simplification of the c2 head does not match"
@@ -344,16 +336,16 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, cy: bool, singular) -> C2Pai
     closed_l = space.integrate((head * seq[2] + seq[1] * seq[3]).part(4))
 
     if cy:
-        reduced_h = space.integrate((tangent.part(2) * seq[1] * hyper).part(4))
+        reduced_h = space.integrate((t2 * seq[1] * hyper).part(4))
         if singular is None:
             singular = porteous_degree(inst)
-        reduced_l = space.integrate((tangent.part(2) * seq[2]).part(4)) - singular
+        reduced_l = space.integrate((t2 * seq[2]).part(4)) - singular
         if (closed_h, closed_l) != (reduced_h, reduced_l):
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 
     res = inst.resolution
     bundle_space = res.space
-    cycle = _resolution_tangent_parts(res, 2)[2] * res.locus
+    cycle = res.tangent[2] * res.locus
     direct_h = _pair(hyper, bundle_space.pushforward(cycle))
     direct_l = space.integrate(
         bundle_space.pushforward(cycle * bundle_space.fiber_class())
@@ -363,10 +355,7 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, cy: bool, singular) -> C2Pai
             f"c2 pairings: closed ({closed_h}, {closed_l}) != "
             f"direct ({direct_h}, {direct_l})"
         )
-    return C2Pairings(
-        _integer(closed_h, "c2 against polarization"),
-        _integer(closed_l, "c2 against tautological class"),
-    )
+    return C2Pairings(closed_h, closed_l)
 
 
 # -- reports ----------------------------------------------------------------
@@ -384,19 +373,6 @@ _ODP_WARNINGS = (
     "deeper degeneracy strata are empty for dimension reasons "
     "(expected codimension 9 exceeds 4)",
 )
-
-
-def odp_report(inst: Instance) -> tuple[int, list[str]]:
-    """Count of ordinary double points of the hypersurface on a fourfold.
-
-    A generic square morphism on a fourfold yields a hypersurface whose only
-    singularities are nodes, one per point of the singular locus, so the
-    count is the singular-locus degree.  The accompanying warnings record
-    the hypotheses this conclusion rides on.
-    """
-    if inst.d != 4:
-        raise GuardError("the node count is defined for dim M = 4 only")
-    return porteous_degree(inst), list(_ODP_WARNINGS)
 
 
 @dataclass
@@ -430,11 +406,10 @@ def build_report(
     opt-in, and raise :class:`GuardError` otherwise.
     """
     euler = euler_numbers(inst)
-    cy = is_calabi_yau(inst)
     report = InvariantReport(
         dim=inst.d,
         rank=inst.pair.rank,
-        calabi_yau=cy,
+        calabi_yau=inst.calabi_yau,
         ih_milnor=euler.ih_milnor,
         euler_smooth=euler.smooth,
         euler_ih=euler.resolution,
@@ -444,7 +419,7 @@ def build_report(
         report.warnings.append(
             "assume_general is off: every output below is conditional on genericity"
         )
-    if inst.d == 4 or (inst.d == 5 and cy):
+    if inst.d == 4 or (inst.d == 5 and inst.calabi_yau):
         shortcut = ih_milnor_number_small_dim(inst)
         if euler.ih_milnor != shortcut:
             raise ConsistencyError(
@@ -460,10 +435,10 @@ def build_report(
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
         if inst.d == 4:
-            pairings = _c2_numbers(inst, allow_non_cy_c2, cy, count)
+            pairings = _c2_numbers(inst, allow_non_cy_c2, count)
             report.c2_against_polarization = pairings.against_polarization
             report.c2_against_tautological = pairings.against_tautological
-            if not cy:
+            if not inst.calabi_yau:
                 report.warnings.append(
                     "c2 pairings computed through the general normal-sequence "
                     "expansion (Calabi-Yau condition fails)"

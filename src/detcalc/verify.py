@@ -21,7 +21,6 @@ from .invariants import (
     euler_smooth_hypersurface,
     ih_milnor_number_small_dim,
     intersection_numbers,
-    is_calabi_yau,
 )
 from .partitions import covers_above, partitions_of, syt_count
 from .schur import s_from_c, schur
@@ -235,9 +234,7 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
             f"singular Euler gap {euler.ih_milnor} != shortcut {shortcut} "
             f"(trial {trial}, dim {dim})",
         )
-        smooth = euler_smooth_hypersurface(
-            inst.ambient, inst.pair.hypersurface_class()
-        )
+        smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class)
         result.check(
             euler.smooth == smooth,
             f"smooth Euler number {euler.smooth} != divisor formula {smooth} "
@@ -264,7 +261,7 @@ def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
         )
         try:
             intersection_numbers(inst)
-            c2_numbers(inst, allow_non_cy=not is_calabi_yau(inst))
+            c2_numbers(inst, allow_non_cy=not inst.calabi_yau)
         except Exception as exc:
             result.check(False, f"dual-route comparison raised (trial {trial}): {exc}")
         else:

@@ -75,7 +75,7 @@ def test_quartic_chain(p4):
     euler = euler_numbers(inst)
     gap = euler.ih_milnor
     assert gap == 32
-    smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class())
+    smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class)
     assert smooth == euler.smooth == -56
     by_pushforward = euler.resolution
     by_identity = smooth + (-1) ** 4 * gap
@@ -87,7 +87,7 @@ def test_quintic_chain(p4):
     inst = Instance(
         p4, VirtualPair(split(p4, [-1, -1, -1, -2]), split(p4, [0, 0, 0, 0]))
     )
-    smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class())
+    smooth = euler_smooth_hypersurface(p4, inst.pair.hypersurface_class)
     euler = euler_numbers(inst)
     assert smooth == euler.smooth == -200
     gap = euler.ih_milnor

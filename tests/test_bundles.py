@@ -308,7 +308,7 @@ def test_hypersurface_class():
     p4 = projective_space(4)
     h = p4.generator(0)
     pair = VirtualPair(split(p4, [-1, -1, -1, -2]), split(p4, [0, 0, 0, 0]))
-    assert pair.hypersurface_class() == 5 * h
+    assert pair.hypersurface_class == 5 * h
 
 
 def test_pair_requires_matching_ranks_and_space():

@@ -3,14 +3,16 @@ import sys
 import threading
 from dataclasses import asdict
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcalc import invariants
+from detcalc import bundles, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import product_of_projective_spaces, proj_bundle, projective_space
+from detcalc.cli import TABLE1, TABLE2, instance_from_config, load_config
 from detcalc.invariants import (
     ConsistencyError,
     GuardError,
@@ -21,14 +23,15 @@ from detcalc.invariants import (
     euler_smooth_hypersurface,
     ih_milnor_number_small_dim,
     intersection_numbers,
-    is_calabi_yau,
-    odp_report,
     porteous_class,
     porteous_degree,
 )
 from detcalc.schur import schur
 import oracles
 from oracles import series, series_inv, series_mul, series_pow, tableau_gap
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def split(space, degrees):
@@ -149,7 +152,7 @@ def test_fourfold_milnor_number_is_twice_the_degree(p4):
 def test_fivefold_shortcut_requires_calabi_yau():
     p5 = projective_space(5)
     inst = make_instance(p5, [0, 0], [2, 2], polarized=False)
-    assert not is_calabi_yau(inst)
+    assert not inst.calabi_yau
     with pytest.raises(GuardError):
         ih_milnor_number_small_dim(inst)
     # the tableau sum itself has no such restriction
@@ -168,14 +171,14 @@ def test_fivefold_calabi_yau_shortcut_agrees_with_tableau_sum():
     rng = random.Random(22)
     for _ in range(10):
         inst = random_instance(rng, p5, calabi_yau=True, polarized=False)
-        assert is_calabi_yau(inst)
+        assert inst.calabi_yau
         assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst)
 
 
 def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
-    assert is_calabi_yau(quintic)
-    assert not is_calabi_yau(quartic)
-    assert not any(is_calabi_yau(inst) for inst, _ in quartic_table)
+    assert quintic.calabi_yau
+    assert not quartic.calabi_yau
+    assert not any(inst.calabi_yau for inst, _ in quartic_table)
 
 
 # -- Euler characteristics through the resolution ------------------------------
@@ -197,9 +200,7 @@ def test_euler_identity_on_random_instances():
         space = projective_space(dim)
         for _ in range(8):
             inst = random_instance(rng, space, polarized=False)
-            smooth = euler_smooth_hypersurface(
-                space, inst.pair.hypersurface_class()
-            )
+            smooth = euler_smooth_hypersurface(space, inst.pair.hypersurface_class)
             euler = euler_numbers(inst)
             assert euler.smooth == smooth
             assert euler.resolution == smooth + (-1) ** dim * euler.ih_milnor
@@ -229,7 +230,7 @@ def test_intersection_numbers_top_entry_is_divisor_degree(p4):
     for _ in range(6):
         inst = random_instance(rng, p4)
         top = intersection_numbers(inst)[-1]
-        divisor = inst.pair.hypersurface_class()
+        divisor = inst.pair.hypersurface_class
         assert top == p4.integrate(h**3 * divisor)
 
 
@@ -277,7 +278,7 @@ def test_dual_routes_on_random_instances(p4):
     for trial in range(20):
         inst = random_instance(rng, p4, calabi_yau=trial % 2 == 0)
         intersection_numbers(inst)
-        c2_numbers(inst, allow_non_cy=not is_calabi_yau(inst))
+        c2_numbers(inst, allow_non_cy=not inst.calabi_yau)
 
 
 def test_flipped_bundle_convention_is_detected(p4):
@@ -302,19 +303,6 @@ def test_flipped_bundle_convention_is_detected(p4):
 # -- reports --------------------------------------------------------------------
 
 
-def test_odp_report_quintic(quintic):
-    count, warnings = odp_report(quintic)
-    assert count == 46
-    assert len(warnings) == 3
-
-
-def test_odp_report_guard():
-    p5 = projective_space(5)
-    inst = make_instance(p5, [0, 0], [2, 2], polarized=False)
-    with pytest.raises(GuardError):
-        odp_report(inst)
-
-
 def test_build_report_quintic(quintic):
     report = build_report(quintic)
     assert report.dim == 4
@@ -328,6 +316,7 @@ def test_build_report_quintic(quintic):
     assert report.intersection_numbers == [2, 7, 9, 5]
     assert report.c2_against_polarization == 50
     assert report.c2_against_tautological == 44
+    assert report.warnings == list(invariants._ODP_WARNINGS)
 
 
 def test_build_report_quartic_without_polarization(p4):
@@ -343,7 +332,7 @@ def test_build_report_quartic_without_polarization(p4):
 
 def test_build_report_equal_bundles(p4):
     inst = make_instance(p4, [1, 1], [1, 1], polarized=False)
-    assert not is_calabi_yau(inst)  # c1(T) is nonzero while the divisor class is 0
+    assert not inst.calabi_yau  # c1(T) is nonzero while the divisor class is 0
     report = build_report(inst)
     assert report.singular_degree == 0
     assert report.odp_count == 0
@@ -375,7 +364,7 @@ def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
     assert counts == dict.fromkeys(names, 1)
     counts.update(dict.fromkeys(names, 0))
     inst = calabi_yau_fivefold()
-    assert is_calabi_yau(inst)
+    assert inst.calabi_yau
     build_report(inst)
     assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
 
@@ -434,15 +423,13 @@ def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
         build_report(inst)
 
 
-def test_low_weight_class_check_sees_a_wrong_divisor(monkeypatch, quintic):
+def test_low_weight_class_check_sees_a_wrong_divisor(quintic):
     # the direct route never reads D; only D^w == hooks in weights 1 to 3 does
-    original = VirtualPair.hypersurface_class
-    monkeypatch.setattr(
-        VirtualPair, "hypersurface_class", lambda self: 2 * original(self)
-    )
     for inst in (quintic, dense_instance(8)):
+        pair = VirtualPair(inst.pair.E, inst.pair.F)
+        pair.hypersurface_class = 2 * pair.hypersurface_class
         with pytest.raises(ConsistencyError, match="^weight 1:"):
-            euler_numbers(inst)
+            euler_numbers(Instance(inst.ambient, pair, inst.polarization))
 
 
 @pytest.mark.parametrize("d", range(6, 25))
@@ -516,8 +503,78 @@ def test_instance_guards(p4):
 def test_values_are_computed_at_construction(quintic):
     inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
-    assert {"chern_diff", "schur_seq"} <= vars(pair).keys()
-    assert "resolution" in vars(inst)
+    assert {"chern_diff", "schur_seq", "hypersurface_class"} <= vars(pair).keys()
+    assert {"resolution", "calabi_yau"} <= vars(inst).keys()
+    assert len(inst.resolution.tangent) == inst.d  # parts 0 .. d-1 of c(T_Z)
+
+
+def test_build_report_builds_no_chern_class(monkeypatch, quintic):
+    # D, the Calabi-Yau test and c(T_Z) are built once, by the constructors;
+    # a report on a polarized fourfold or a Calabi-Yau fivefold only reads them
+    fivefold = calabi_yau_fivefold()
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (BundleSpec, "c1"),
+        (BundleSpec, "total_chern"),
+        (bundles, "divide_by_roots"),
+        (invariants, "divide_by_roots"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for inst in (quintic, fivefold):
+        build_report(inst)
+    assert calls == []
+
+
+def report_numbers(value):
+    """Every number in a report dict, booleans excluded."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from report_numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from report_numbers(item)
+    elif not isinstance(value, (bool, str, type(None))):
+        yield value
+
+
+INTEGER_CASES = {
+    "table1": lambda: instance_from_config(TABLE1["config"]),
+    **{
+        f"table2 row {i}": lambda row=row: make_instance(
+            projective_space(4),
+            [e for (e,) in row["e"]],
+            [f for (f,) in row["f"]],
+            polarized=False,
+        )
+        for i, row in enumerate(TABLE2["rows"])
+    },
+    **{
+        f"golden {name}": lambda name=name: instance_from_config(
+            load_config(str(GOLDEN / f"{name}.json"))
+        )
+        for name in ("quintic", "p1_5")
+    },
+    **{f"P^{d}": lambda d=d: dense_instance(d) for d in range(4, 15)},
+    **{f"(P^1)^{n}": lambda n=n: dense_product_instance([1] * n) for n in range(4, 9)},
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_report_numbers_are_ints(case):
+    # every ring coefficient is an int (the ring refuses a non-integral
+    # value), so every report number is one, with no conversion on the way
+    report = build_report(INTEGER_CASES[case](), allow_non_cy_c2=True)
+    numbers = list(report_numbers(asdict(report)))
+    assert numbers
+    assert all(type(x) is int for x in numbers), numbers
 
 
 def doubled_locus(inst):
