@@ -376,9 +376,6 @@ class AmbientSpace:
             return self.zero()
         return _make(self, dict(self._reduce(code)))
 
-    def generators(self) -> tuple[ChowClass, ...]:
-        return tuple(self.generator(i) for i in range(len(self.gens)))
-
     def degree_one(self, coeffs) -> ChowClass:
         """Integer combination of the generators, summed in one term map."""
         coeffs = list(coeffs)

@@ -507,8 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process and only read afterwards, so that ``main`` can be
+# called again and again in one process without rebuilding the tree.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

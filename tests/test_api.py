@@ -1,8 +1,10 @@
 """The public library API holds nothing that only the tests use: every name
-in ``detcalc.__all__`` is read by the package itself, outside its own
-definition and ``__init__.py``, or by the README's library example."""
+in ``detcalc.__all__``, and every public method of a public class, is read
+by the package itself, outside its own definition and ``__init__.py``, or by
+the README's library example."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -13,10 +15,12 @@ PACKAGE = ROOT / "src" / "detcalc"
 
 
 class _Uses(ast.NodeVisitor):
-    """Names read in a module, outside the function or class that defines them."""
+    """Names and attributes read in a module, outside the function or class
+    that defines them."""
 
     def __init__(self):
         self.used = set()
+        self.attributes = set()
         self.defining = []
 
     def _definition(self, node):
@@ -30,17 +34,57 @@ class _Uses(ast.NodeVisitor):
         if node.id not in self.defining:
             self.used.add(node.id)
 
+    def visit_Attribute(self, node):
+        if node.attr not in self.defining:
+            self.attributes.add(node.attr)
+        self.generic_visit(node)
 
-def test_every_public_name_has_a_user():
+
+def _package_uses() -> _Uses:
     uses = _Uses()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             uses.visit(ast.parse(path.read_text()))
+    return uses
+
+
+def _readme_example() -> str:
     readme = (ROOT / "README.md").read_text()
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    return example
+
+
+def test_every_public_name_has_a_user():
+    uses = _package_uses()
+    example = _readme_example()
     unused = [
         name
         for name in detcalc.__all__
         if name not in uses.used and not re.search(rf"\b{name}\b", example)
+    ]
+    assert unused == []
+
+
+def _public_methods(cls):
+    """Methods and properties defined on ``cls`` whose names do not start with
+    an underscore; dunder methods, which the interpreter calls, are exempt."""
+    for name, value in vars(cls).items():
+        if not name.startswith("_") and (
+            inspect.isfunction(value)
+            or isinstance(value, (property, staticmethod, classmethod))
+        ):
+            yield name
+
+
+def test_every_public_method_has_a_user():
+    uses = _package_uses()
+    example = _readme_example()
+    unused = [
+        f"{name}.{method}"
+        for name in detcalc.__all__
+        if inspect.isclass(getattr(detcalc, name))
+        for method in _public_methods(getattr(detcalc, name))
+        if method not in uses.attributes
+        and not re.search(rf"\.{method}\b", example)
     ]
     assert unused == []

@@ -44,8 +44,8 @@ def test_projective_space_tangent():
 def test_closed_form_tangent_class_against_ring_products(dims):
     space = product_of_projective_spaces(dims)
     expected = space.one()
-    for d, h in zip(dims, space.generators()):
-        expected = expected * (1 + h) ** (d + 1)
+    for i, d in enumerate(dims):
+        expected = expected * (1 + space.generator(i)) ** (d + 1)
     assert space.tangent_chern == expected
     euler = 1
     for d in dims:
@@ -64,7 +64,7 @@ def test_projective_space_truncation_and_integration():
 
 def test_product_integration():
     pp = product_of_projective_spaces([4, 3])
-    h1, h2 = pp.generators()
+    h1, h2 = pp.generator(0), pp.generator(1)
     assert pp.integrate(h1**4 * h2**3) == 1
     assert pp.integrate(h1**3 * h2**3) == 0
     assert (h2**4).is_zero()

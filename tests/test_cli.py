@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -516,3 +520,62 @@ def test_verify_exits_one_on_suite_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "verification failed" in captured.out
     assert "identity does not hold" in captured.err
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["table", "table1", "--check"]) == 0
+    assert main(["verify", "--depth", "1"]) == 0
+    assert main(["report", write_config(tmp_path, QUINTIC_DOC), "--json"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--depth", "0"])
+    assert err.value.code == 2
+    assert built == []
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
+    widths = {}
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        widths[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+    # argparse leaves two columns of margin
+    assert widths[40] <= 38
+    assert 100 < widths[200] <= 198
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden, stderr",
+    [
+        (["table", "table1", "--check"], 0, "table1-check.out", ""),
+        (["verify", "--depth", "0"], 2, None, "--depth: must be at least 1, got 0"),
+    ],
+    ids=["table1-check", "depth-0"],
+)
+def test_module_entry_point_in_a_fresh_process(argv, code, golden, stderr):
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    golden_dir = root / "tests" / "golden"
+    expected = "" if golden is None else (golden_dir / golden).read_text()
+    done = subprocess.run(
+        [sys.executable, "-m", "detcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == code
+    assert done.stdout == expected
+    assert stderr in done.stderr

@@ -2,9 +2,12 @@
 
 Each case runs ``main`` in process and compares its stdout byte for byte
 with ``tests/golden/<case>.out``.  The two report configs live beside
-them: the README quintic and a Calabi-Yau fivefold on (P^1)^5.
+them: the README quintic and a Calabi-Yau fivefold on (P^1)^5.  The cases
+also run one after another in one process, to show that a call leaves
+nothing behind that changes the next one.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,44 @@ def test_cli_output_matches_golden_file(case, capsys):
     code = main(CASES[case])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+
+
+def test_cases_repeat_in_one_process(capsys):
+    """``main`` keeps no state between calls: every case, run forward and then
+    in reverse order in one process, prints its golden file again."""
+    order = sorted(CASES)
+    for case in order + order[::-1]:
+        assert main(CASES[case]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+
+
+def test_no_option_carries_over_to_the_next_call(capsys):
+    assert main(["table", "table1", "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["table", "table1"]) == 0
+    check = (GOLDEN / "table1-check.out").read_text()
+    # the same table, without the closing "check passed" line
+    assert capsys.readouterr().out == check[: check.rindex("check passed")]
+
+    assert main(["verify", "--depth", "3", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(CASES["verify-depth-6"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-depth-6.out").read_text()
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        ["verify", "--depth", "0"],
+        ["report", str(GOLDEN / "quintic.json"), "--json", "-x"],
+    ],
+    ids=["bad-depth", "unknown-option"],
+)
+def test_a_refused_call_leaves_the_next_unaffected(refused, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(refused)
+    assert err.value.code == 2
+    capsys.readouterr()
+    for case in ("report-quintic", "table1-check"):
+        assert main(CASES[case]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
