@@ -8,25 +8,32 @@ at construction by :func:`divide_by_roots`.
 
 from __future__ import annotations
 
-from .chow import AmbientSpace, ChowClass, _accumulate, _biased, _finish, _make
+from .chow import AmbientSpace, ChowClass, _accumulate, _accumulate_terms, _finish
 
 
 def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
     """A new list of the parts of a class divided by ``prod (1 + root)``,
     one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
-    each ``Z_k`` in one term map: no inverse, only degree-one factors.
-    A zero root (a trivial summand) divides by 1 and is skipped."""
+    all roots of one degree in one term map: no inverse, only degree-one
+    factors.  Each root's running quotient ``Z_(k-1)`` stays a term map of
+    plain packed codes (a snapshot of the accumulator; the bias lives only
+    in the kernel's flag test), and only the returned parts become classes,
+    each one handed its accumulator by :func:`_finish`.  A zero root (a
+    trivial summand) divides by 1 and is skipped."""
     roots = [root for root in roots if not root.is_zero()]
-    if not roots:
+    if not roots or not parts:
         return list(parts)
-    out = list(parts[:1])
-    last = out * len(roots)  # Z_(k-1) after each root
+    space = parts[0].ambient
+    if any(root.ambient is not space for root in roots):
+        raise ValueError("classes live on different ambient spaces")
+    out = [parts[0]]
+    last = [parts[0].terms] * len(roots)  # Z_(k-1) after each root
     for part in parts[1:]:
-        acc = _biased(part)
+        acc = dict(part.terms)
         for j, root in enumerate(roots):
-            _accumulate(acc, root, last[j], -1)
-            last[j] = _finish(root.ambient, acc)
-        out.append(last[-1])
+            _accumulate_terms(space, acc, root.terms, last[j], -1)
+            last[j] = dict(acc)
+        out.append(_finish(space, acc))
     return out
 
 
@@ -65,7 +72,7 @@ class BundleSpec:
         out = self.ambient.one()
         for root in self.roots:
             if not root.is_zero():
-                acc = _biased(out)
+                acc = dict(out.terms)
                 _accumulate(acc, root, out)
                 out = _finish(self.ambient, acc)
         return out
@@ -79,7 +86,7 @@ class BundleSpec:
         for root in self.roots:
             for e, c in root.terms.items():
                 out[e] = out.get(e, 0) + c
-        return _make(self.ambient, {e: c for e, c in out.items() if c})
+        return _finish(self.ambient, out)
 
     def dual(self) -> "BundleSpec":
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))

@@ -13,8 +13,15 @@ one bit more than its cap needs, so the exponents of two normal-form
 monomials add without carry and a product of monomials is ``a + b``.
 Adding the space's bias lifts exactly the fields above their cap into
 their top bit, so one mask test finds the monomials that leave the normal
-form.  A projective bundle lays out its base's fields first, unchanged,
-so pulling a class back copies its codes.
+form.  The bias is used only in that flag test: every term map, a class's
+or an accumulator's, is keyed by plain codes.  A projective bundle lays
+out its base's fields first, unchanged, so pulling a class back copies
+its codes.
+
+A class owns its term map and never changes it.  The one hand-over is
+:func:`_finish`, which makes an accumulator the term map of a new class;
+the caller never touches that accumulator again, and a new accumulator
+that starts from a class is a copy, ``dict(x.terms)``.
 """
 
 from __future__ import annotations
@@ -46,40 +53,51 @@ def _make(ambient: "AmbientSpace", terms: dict[int, int]) -> "ChowClass":
 
 def _accumulate(out: dict[int, int], x: "ChowClass", y: "ChowClass", scale: int = 1):
     """Add ``scale * x * y`` into ``out``, a term map the caller owns, keyed
-    by biased codes (code plus bias) so that the sum of a biased and a plain
-    code is the flag test and the key at once.  Coefficients may cancel to
-    zero until :func:`_finish` drops them."""
+    by plain packed codes: the bias enters only the flag test.  Coefficients
+    may cancel to zero until :func:`_finish` drops them, when it hands
+    ``out`` over to a class."""
     space = x.ambient
     if y.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
+    _accumulate_terms(space, out, x.terms, y.terms, scale)
+
+
+def _accumulate_terms(
+    space: "AmbientSpace",
+    out: dict[int, int],
+    left: dict[int, int],
+    right: dict[int, int],
+    scale: int = 1,
+):
+    """The pair loop of :func:`_accumulate`, on two term maps of ``space``.
+
+    The bias enters only the flag test: ``a + b`` is the product's code,
+    and ``a + b + bias`` has a flag bit set exactly when a field left the
+    normal form.  A term map may hold zero coefficients; they add nothing.
+    """
     bias, over, trunc = space._bias, space._over, space._trunc
     get = out.get
-    right = list(y.terms.items())
-    for a, ca in x.terms.items():
-        a += bias
+    right = list(right.items())
+    for a, ca in left.items():
         ca *= scale
         for b, cb in right:
             raw = a + b
-            flags = raw & over
+            flags = (raw + bias) & over
             if not flags:
                 out[raw] = get(raw, 0) + ca * cb
             elif not flags & trunc:
                 coeff = ca * cb
-                for e, k in space._reduce(raw - bias):
-                    e += bias
+                for e, k in space._reduce(raw):
                     out[e] = get(e, 0) + coeff * k
 
 
-def _biased(x: "ChowClass") -> dict[int, int]:
-    """A new accumulator for :func:`_accumulate` holding ``x``."""
-    bias = x.ambient._bias
-    return {e + bias: c for e, c in x.terms.items()}
-
-
 def _finish(space: "AmbientSpace", out: dict[int, int]) -> "ChowClass":
-    """The class of an accumulator: bias removed, zero coefficients dropped."""
-    bias = space._bias
-    return _make(space, {e - bias: c for e, c in out.items() if c})
+    """The class of an accumulator, which it adopts as its term map: the
+    caller hands ``out`` over and never touches it again.  The map is
+    rebuilt only to drop zero coefficients, when it holds any."""
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return _make(space, out)
 
 
 def _combine(x: "ChowClass", y: "ChowClass", sign: int) -> "ChowClass":
@@ -87,7 +105,7 @@ def _combine(x: "ChowClass", y: "ChowClass", sign: int) -> "ChowClass":
     terms = dict(x.terms)
     for e, c in y.terms.items():
         terms[e] = terms.get(e, 0) + sign * c
-    return _make(x.ambient, {e: c for e, c in terms.items() if c})
+    return _finish(x.ambient, terms)
 
 
 class ChowClass:
@@ -390,7 +408,7 @@ class AmbientSpace:
                 raise TypeError(f"expected an integer, got {c!r}")
             for e, k in self.generator(i).terms.items():
                 out[e] = out.get(e, 0) + q * k
-        return _make(self, {e: c for e, c in out.items() if c})
+        return _finish(self, out)
 
     def monomials_of_degree(self, degree: int) -> Iterator[tuple[int, ...]]:
         """Exponent tuples of the normal-form monomial basis in one degree."""

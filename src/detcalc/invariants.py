@@ -302,20 +302,26 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     return _c2_numbers(inst, allow_non_cy, None)
 
 
-def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
-    """:func:`c2_numbers`, given the singular-point count (an int, or None
-    to compute it)."""
+def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
+    """Raise :class:`GuardError` unless the c2 pairings of ``inst`` are
+    defined and, off the Calabi-Yau condition, opted into."""
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
     if inst.polarization is None:
         raise GuardError("c2 pairings need a polarization class")
-    cy = inst.calabi_yau
-    if not cy and not allow_non_cy:
+    if not inst.calabi_yau and not allow_non_cy:
         raise GuardError(
             "the Calabi-Yau condition fails; opt in to the general "
             "normal-sequence expansion (allow_non_cy=True, or "
             "flags.allow_non_cy_c2 in a config) or drop the polarization"
         )
+
+
+def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
+    """:func:`c2_numbers`, given the singular-point count (an int, or None
+    to compute it)."""
+    _check_c2_guard(inst, allow_non_cy)
+    cy = inst.calabi_yau
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
@@ -403,8 +409,11 @@ def build_report(
 
     Intersection numbers need a polarization; the c2 pairings additionally
     need a fourfold and either the Calabi-Yau condition or the explicit
-    opt-in, and raise :class:`GuardError` otherwise.
+    opt-in, and raise :class:`GuardError` otherwise, before any invariant
+    is computed.
     """
+    if inst.d == 4 and inst.polarization is not None:
+        _check_c2_guard(inst, allow_non_cy_c2)
     euler = euler_numbers(inst)
     report = InvariantReport(
         dim=inst.d,

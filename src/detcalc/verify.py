@@ -42,16 +42,19 @@ class SuiteResult:
             self.failures.append(message)
 
 
+def _random_split(
+    rng: random.Random, space: AmbientSpace, rank: int, span=(-2, 2)
+) -> BundleSpec:
+    lo, hi = span
+    rows = [[rng.randint(lo, hi)] for _ in range(rank)]
+    return BundleSpec.sum_of_line_bundles(space, rows)
+
+
 def _random_split_pair(
     rng: random.Random, space: AmbientSpace, rank: int, span=(-2, 2)
 ) -> VirtualPair:
-    lo, hi = span
-    rows_e = [[rng.randint(lo, hi)] for _ in range(rank)]
-    rows_f = [[rng.randint(lo, hi)] for _ in range(rank)]
-    return VirtualPair(
-        BundleSpec.sum_of_line_bundles(space, rows_e),
-        BundleSpec.sum_of_line_bundles(space, rows_f),
-    )
+    E = _random_split(rng, space, rank, span)
+    return VirtualPair(E, _random_split(rng, space, rank, span))
 
 
 def _random_instance(
@@ -86,25 +89,39 @@ def _random_sequence(rng: random.Random, space: AmbientSpace) -> list:
 
 
 def suite_schur_identities(depth: int, seed: int) -> SuiteResult:
-    """Degree-one Pieri products and the power identity on a split-bundle sequence."""
+    """Degree-one Pieri products and the power identity on a split-bundle
+    sequence.  F is redrawn while it has the summands of E, since then the
+    sequence is 1 and every check compares 0 with 0."""
     result = SuiteResult("schur-identities")
     rng = random.Random(seed)
     space = projective_space(8)
-    pair = _random_split_pair(rng, space, rank=4, span=(1, 5))
-    seq = pair.schur_seq
+    E = _random_split(rng, space, 4, span=(1, 5))
+    while True:
+        seq = VirtualPair(E, _random_split(rng, space, 4, span=(1, 5))).schur_seq
+        if not all(c.is_zero() for c in seq[1:]):
+            break
     s1 = seq[1]
+    memo: dict[tuple[int, ...], ChowClass] = {}
+
+    def s(lam: tuple[int, ...]) -> ChowClass:
+        """``schur(lam, seq)``, evaluated once per shape."""
+        found = memo.get(lam)
+        if found is None:
+            memo[lam] = found = schur(lam, seq)
+        return found
+
     max_weight = min(depth, 6)
     for weight in range(max_weight + 1):
         for lam in partitions_of(weight):
-            left = s1 * schur(lam, seq)
+            left = s1 * s(lam)
             right = space.zero()
             for mu in covers_above(lam):
-                right = right + schur(mu, seq)
+                right = right + s(mu)
             result.check(left == right, f"Pieri product fails at {lam}")
     for power in range(max_weight + 1):
         expansion = space.zero()
         for lam in partitions_of(power):
-            expansion = expansion + syt_count(lam) * schur(lam, seq)
+            expansion = expansion + syt_count(lam) * s(lam)
         result.check(s1**power == expansion, f"power identity fails at {power}")
     return result
 

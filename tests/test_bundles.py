@@ -258,13 +258,16 @@ def test_derived_bundles_keep_degree_one_roots_on_their_space():
 
 def test_trivial_summands_make_no_kernel_calls(monkeypatch):
     calls = []
-    kernel = bundles._accumulate
 
-    def counted(*args):
-        calls.append(args)
-        kernel(*args)
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(args)
+            kernel(*args)
 
-    monkeypatch.setattr(bundles, "_accumulate", counted)
+        return wrapper
+
+    for name in ("_accumulate", "_accumulate_terms"):
+        monkeypatch.setattr(bundles, name, counted(getattr(bundles, name)))
     space = product_of_projective_spaces([2, 2])
     parts = random_parts(random.Random(22), space)
     zero = space.zero()
@@ -277,6 +280,9 @@ def test_trivial_summands_make_no_kernel_calls(monkeypatch):
     # the counter does see the kernel when a summand is not trivial
     BundleSpec.sum_of_line_bundles(space, [[0, 0], [1, 0]]).total_chern()
     assert len(calls) == 1
+    # and one call per division step by the one nontrivial root
+    divide_by_roots(parts, [zero, space.degree_one([1, 0]), zero])
+    assert len(calls) == 1 + len(parts) - 1
 
 
 def test_twisted_virtual_chern_closed_form_against_direct():

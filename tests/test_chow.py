@@ -7,7 +7,6 @@ from detcalc.bundles import BundleSpec
 from detcalc.chow import (
     ChowClass,
     _accumulate,
-    _biased,
     _finish,
     _pair,
     product_of_projective_spaces,
@@ -310,7 +309,7 @@ def test_accumulate_kernel_matches_naive_reference():
             scale = rng.choice([-3, -1, 2, 7])
             product = naive_multiply(a, b, space.caps, relations)
             # into an accumulator that already holds terms
-            out = _biased(ChowClass(space, held))
+            out = dict(ChowClass(space, held).terms)
             _accumulate(out, x, y, scale)
             expected = dict(held)
             for e, c in product.items():
@@ -320,14 +319,34 @@ def test_accumulate_kernel_matches_naive_reference():
             assert result == ChowClass(space, expected)
             assert len(result.terms) == len(expected)
             # the same sum, cancelled exactly to zero by its negative
-            out = _biased(ChowClass(space, {e: -scale * c for e, c in product.items()}))
+            negated = {e: -scale * c for e, c in product.items()}
+            out = dict(ChowClass(space, negated).terms)
             _accumulate(out, x, y, scale)
             assert _finish(space, out).terms == {}
             # a product and its negative leave the held terms alone
-            out = _biased(ChowClass(space, held))
+            out = dict(ChowClass(space, held).terms)
             _accumulate(out, x, y, scale)
             _accumulate(out, y, x, -scale)
             assert _finish(space, out).terms == ChowClass(space, held).terms
+
+
+def test_finish_adopts_the_accumulator():
+    # the kernel's term map becomes the class's own, without a copy, unless
+    # zero coefficients have to go
+    space = product_of_projective_spaces([1, 2])
+    h1, h2 = space.generator(0), space.generator(1)
+    out = dict((1 + h2).terms)
+    _accumulate(out, h1, 1 - h2)
+    assert 0 not in out.values()
+    result = _finish(space, out)
+    assert result.terms is out
+    assert result == 1 + h1 + h2 - h1 * h2
+    # 1 + h2 - h2 leaves a zero coefficient, which the finished class drops
+    out = dict((1 + h2).terms)
+    _accumulate(out, h2, space.one(), -1)
+    assert 0 in out.values()
+    result = _finish(space, out)
+    assert result.terms == {0: 1}
 
 
 def test_non_integral_coefficients_are_refused():

@@ -533,6 +533,40 @@ def test_build_report_builds_no_chern_class(monkeypatch, quintic):
     assert calls == []
 
 
+def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
+    # a polarized fourfold off the Calabi-Yau condition, without the opt-in,
+    # is refused before the Euler numbers, the shortcut or the intersection
+    # numbers are computed
+    assert quartic.polarization is not None and not quartic.calabi_yau
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "euler_numbers",
+        "ih_milnor_number_small_dim",
+        "intersection_numbers",
+        "_c2_numbers",
+    ):
+        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
+    with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
+        build_report(quartic)
+    assert calls == []
+    # the counters do see the work once the report is opted in
+    build_report(quartic, allow_non_cy_c2=True)
+    assert calls == [
+        "euler_numbers",
+        "ih_milnor_number_small_dim",
+        "intersection_numbers",
+        "_c2_numbers",
+    ]
+
+
 def report_numbers(value):
     """Every number in a report dict, booleans excluded."""
     if isinstance(value, dict):

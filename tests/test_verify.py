@@ -1,3 +1,4 @@
+from detcalc.schur import schur
 from detcalc.verify import run_all
 
 
@@ -37,3 +38,24 @@ def test_euler_suite_records_a_broken_identity_as_failures(monkeypatch):
     result = verify.suite_euler_consistency(depth=4, seed=1)
     assert not result.passed
     assert all("Euler numbers raised" in f for f in result.failures)
+
+
+def test_schur_suite_is_not_vacuous_at_the_default_seed(monkeypatch):
+    # at seed 2024 the first draw gives F the summands of E, whose sequence
+    # is 1; the suite redraws F, so some s_lam with |lam| > 0 is nonzero
+    from detcalc import verify
+
+    evaluated = []
+
+    def recorded(lam, seq):
+        value = schur(lam, seq)
+        evaluated.append((lam, value))
+        return value
+
+    monkeypatch.setattr(verify, "schur", recorded)
+    result = verify.suite_schur_identities(depth=6, seed=2024)
+    assert result.passed and result.cases == 37
+    assert any(sum(lam) > 0 and not value.is_zero() for lam, value in evaluated)
+    # each shape is evaluated once
+    shapes = [lam for lam, _ in evaluated]
+    assert len(shapes) == len(set(shapes))
