@@ -2,10 +2,16 @@
 
 A ring is presented by degree-one generators with one reduction rule per
 generator: a hyperplane class truncates (``h^(d+1) = 0``) while the extra
-generator of a projective bundle reduces through its defining relation.
-Products are normalized eagerly, so every class is a coefficient map on
-normal-form monomials and equality is coefficient equality.  Coefficients
-are exact integers throughout; floating point never appears.
+generator of a projective bundle reduces through its defining relation,
+or truncates too when that relation is zero.  Products are normalized
+eagerly, so every class is a coefficient map on normal-form monomials and
+equality is coefficient equality.  Coefficients are exact integers
+throughout; floating point never appears.
+
+A bundle caches the normal form of each monomial whose fiber exponent left
+the normal form.  Only the pure fiber powers ``xi^(r+m)`` read the
+relation; any other entry is a smaller entry shifted by one base monomial,
+so it costs as many terms as the entry it comes from.
 
 A monomial is stored as one packed ``int`` with a fixed-width exponent
 field per generator, the first generator in the lowest bits.  A field has
@@ -76,18 +82,20 @@ def _accumulate_terms(
     normal form.  A term map may hold zero coefficients; they add nothing.
     """
     bias, over, trunc = space._bias, space._over, space._trunc
+    reduced = space._reduced
     get = out.get
     right = list(right.items())
     for a, ca in left.items():
         ca *= scale
+        biased = a + bias
         for b, cb in right:
-            raw = a + b
-            flags = (raw + bias) & over
+            flags = (biased + b) & over
             if not flags:
+                raw = a + b
                 out[raw] = get(raw, 0) + ca * cb
             elif not flags & trunc:
-                coeff = ca * cb
-                for e, k in space._reduce(raw):
+                raw, coeff = a + b, ca * cb
+                for e, k in reduced.get(raw) or space._reduce(raw):
                     out[e] = get(e, 0) + coeff * k
 
 
@@ -286,7 +294,8 @@ class AmbientSpace:
     dimension is ``sum(caps)``; a space with a ``base`` is a projective
     bundle whose last generator is the fiber class.  The module
     constructors build an instance completely, but a bundle space then
-    fills its reduction cache lazily, without a lock.
+    fills its reduction cache lazily, without a lock: an entry is computed
+    from the inputs alone, so two threads that race store equal values.
     """
 
     def __init__(
@@ -318,6 +327,7 @@ class AmbientSpace:
         self._top = self._pack(caps)
         self._relation: tuple[tuple[int, int], ...] = ()
         self._step = 0
+        self._base_fields: tuple[int, ...] = ()  # a bundle's base field masks
         self._reduced: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- packed monomials ----------------------------------------------------
@@ -342,30 +352,56 @@ class AmbientSpace:
         return degree
 
     def _set_relation(self, relation: dict[int, int]) -> None:
-        """Rewrite ``g^(cap+1)`` of the last generator ``g`` as ``relation``."""
+        """Rewrite ``g^(cap+1)`` of the last generator ``g`` as ``relation``.
+
+        An empty relation (a bundle with ``c(fiber dual) = 1``) leaves ``g``
+        truncating, so ``g^(cap+1) = 0`` costs a flag test and no cache
+        entry."""
+        if not relation:
+            return
         self._relation = tuple(relation.items())
         self._step = (self.caps[-1] + 1) << self._shifts[-1]
         self._trunc = self._over - self._tops[-1]
+        self._base_fields = tuple(mask << shift for shift, mask in self._fields[:-1])
 
     def _reduce(self, raw: int) -> tuple[tuple[int, int], ...]:
         """Normal form of a raw code whose only field above its cap is the
-        last generator's, with that generator's relation substituted
-        recursively; cached by code."""
+        last generator's; cached by code.
+
+        Only a pure fiber power ``xi^(r+m)`` reads the relation.  Any other
+        code is ``g * rest``, where ``g`` is the whole lowest nonzero base
+        field: its normal form is the cached one of ``rest`` with every code
+        shifted by ``g``, less the codes that ``g`` pushes over a base cap,
+        which truncate because the base has no relation.  Removing a whole
+        field, not one power of it, keeps the recursion as deep as the base
+        has fields.  Every entry is computed from the inputs alone."""
         cached = self._reduced.get(raw)
         if cached is not None:
             return cached
-        bias, over, trunc = self._bias, self._over, self._trunc
-        lowered = raw - self._step
-        acc: dict[int, int] = {}
-        for code, k in self._relation:
-            e = lowered + code
-            flags = (e + bias) & over
-            if not flags:
-                acc[e] = acc.get(e, 0) + k
-            elif not flags & trunc:
-                for ne, nc in self._reduce(e):
-                    acc[ne] = acc.get(ne, 0) + k * nc
-        result = tuple((e, c) for e, c in acc.items() if c)
+        bias, over = self._bias, self._over
+        for field in self._base_fields:
+            g = raw & field
+            if g:
+                rest = raw - g
+                biased = g + bias
+                result = tuple([
+                    (e + g, c)
+                    for e, c in self._reduced.get(rest) or self._reduce(rest)
+                    if not (e + biased) & over
+                ])
+                break
+        else:
+            trunc, lowered = self._trunc, raw - self._step
+            acc: dict[int, int] = {}
+            for code, k in self._relation:
+                e = lowered + code
+                flags = (e + bias) & over
+                if not flags:
+                    acc[e] = acc.get(e, 0) + k
+                elif not flags & trunc:
+                    for ne, nc in self._reduce(e):
+                        acc[ne] = acc.get(ne, 0) + k * nc
+            result = tuple((e, c) for e, c in acc.items() if c)
         self._reduced[raw] = result
         return result
 
@@ -533,12 +569,12 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
         raise ValueError("the base must not itself be a projective bundle")
     space = AmbientSpace(base.gens + ("xi",), base.caps + (rank - 1,), base=base)
     dual = fiber.dual()
-    dual_chern = dual.total_chern()
+    parts = dual.total_chern().parts(rank)
     shift = space._shifts[-1]
     space._set_relation({
         e + ((rank - i) << shift): -c
         for i in range(1, rank + 1)
-        for e, c in dual_chern.part(i).terms.items()
+        for e, c in parts[i].terms.items()
     })
     relative = dual.pullback_to(space).twist(space.fiber_class()).total_chern()
     space.tangent_chern = space.pullback(base.tangent_chern) * relative

@@ -19,6 +19,8 @@ from .invariants import (
     GuardError,
     Instance,
     InvariantReport,
+    _check_c2_guard,
+    _is_calabi_yau,
     build_report,
 )
 from .verify import run_all
@@ -181,7 +183,8 @@ def load_config(path: str) -> InstanceConfig:
     return parse_config(doc)
 
 
-def instance_from_config(config: InstanceConfig) -> Instance:
+def _inputs(config: InstanceConfig):
+    """The ambient space, the bundle pair and the polarization (or None)."""
     space = product_of_projective_spaces(config.dims)
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, config.e_rows),
@@ -190,7 +193,11 @@ def instance_from_config(config: InstanceConfig) -> Instance:
     polarization = None
     if config.polarization is not None:
         polarization = space.degree_one(config.polarization)
-    return Instance(space, pair, polarization)
+    return space, pair, polarization
+
+
+def instance_from_config(config: InstanceConfig) -> Instance:
+    return Instance(*_inputs(config))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -380,8 +387,13 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def cmd_report(args) -> int:
     config = load_config(args.config)
+    space, pair, polarization = _inputs(config)
+    # the c2 guard reads only the inputs: refuse before P(F) is built
+    if space.dim == 4 and polarization is not None:
+        calabi_yau = _is_calabi_yau(space, pair)
+        _check_c2_guard(4, polarization, calabi_yau, config.allow_non_cy_c2)
     report = build_report(
-        instance_from_config(config),
+        Instance(space, pair, polarization),
         allow_non_cy_c2=config.allow_non_cy_c2,
         assume_general=config.assume_general,
     )

@@ -58,6 +58,12 @@ class Resolution(NamedTuple):
     tangent: list[ChowClass]
 
 
+def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
+    """The Calabi-Yau test ``c1(T) == D``: it needs only the ambient space
+    and the pair, so a guard can read it before the resolution is built."""
+    return ambient.tangent_chern.part(1) == pair.hypersurface_class
+
+
 class Instance:
     """One evaluation problem: ambient space, bundle pair, optional polarization.
 
@@ -86,7 +92,7 @@ class Instance:
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
-        self.calabi_yau = ambient.tangent_chern.part(1) == pair.hypersurface_class
+        self.calabi_yau = _is_calabi_yau(ambient, pair)
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of the pulled-back dual of E twisted by the tautological
         # class, built in one step so that its classes share one space.  Its
@@ -302,14 +308,17 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     return _c2_numbers(inst, allow_non_cy, None)
 
 
-def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
-    """Raise :class:`GuardError` unless the c2 pairings of ``inst`` are
-    defined and, off the Calabi-Yau condition, opted into."""
-    if inst.d != 4:
+def _check_c2_guard(
+    d: int, polarization: ChowClass | None, calabi_yau: bool, allow_non_cy: bool
+) -> None:
+    """Raise :class:`GuardError` unless the c2 pairings are defined and, off
+    the Calabi-Yau condition, opted into.  It reads only the inputs, so the
+    command line checks it before the :class:`Instance` is built."""
+    if d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
-    if inst.polarization is None:
+    if polarization is None:
         raise GuardError("c2 pairings need a polarization class")
-    if not inst.calabi_yau and not allow_non_cy:
+    if not calabi_yau and not allow_non_cy:
         raise GuardError(
             "the Calabi-Yau condition fails; opt in to the general "
             "normal-sequence expansion (allow_non_cy=True, or "
@@ -320,8 +329,8 @@ def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
 def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
     """:func:`c2_numbers`, given the singular-point count (an int, or None
     to compute it)."""
-    _check_c2_guard(inst, allow_non_cy)
     cy = inst.calabi_yau
+    _check_c2_guard(inst.d, inst.polarization, cy, allow_non_cy)
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
@@ -413,7 +422,7 @@ def build_report(
     is computed.
     """
     if inst.d == 4 and inst.polarization is not None:
-        _check_c2_guard(inst, allow_non_cy_c2)
+        _check_c2_guard(4, inst.polarization, inst.calabi_yau, allow_non_cy_c2)
     euler = euler_numbers(inst)
     report = InvariantReport(
         dim=inst.d,

@@ -91,13 +91,15 @@ def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
     sum ``sum_(k<=m) (-1)^k C(n, k) = (-1)^m C(n-1, m)`` makes it
     ``C(w-2, a-1)``, which vanishes at ``a = w``.  The sum is therefore the
     one convolution ``sum_(a=1..w-1) C(w-2, a-1) h[a] e[w-a]``, or ``h[1]``
-    when w = 1.  Terms past the end of either sequence vanish.
+    when w = 1.  Terms past the end of either sequence vanish, and so do
+    zero entries: neither costs a kernel call.
     """
     space = h[0].ambient
     if weight == 1:
         return _entry(h, 1, space)
     acc: dict[int, int] = {}
-    for a in range(1, weight):
-        scale = comb(weight - 2, a - 1)
-        _accumulate(acc, _entry(h, a, space), _entry(e, weight - a, space), scale)
+    for a in range(max(1, weight - len(e) + 1), min(weight, len(h))):
+        left, right = h[a], e[weight - a]
+        if left.terms and right.terms:
+            _accumulate(acc, left, right, comb(weight - 2, a - 1))
     return _finish(space, acc)

@@ -276,17 +276,26 @@ def split_dual_relation(base_caps, degree_rows):
 
 
 def naive_reference_cases():
-    """Three spaces with no relation and the bundle P(P^2 x P^2), with the
-    relation the naive reference needs for each."""
-    rows = [[1, 0], [0, 1], [1, 1]]
-    p2p2 = product_of_projective_spaces([2, 2])
-    bundle = proj_bundle(p2p2, BundleSpec.sum_of_line_bundles(p2p2, rows))
-    return [
+    """Three spaces with no relation and five projective bundles, with the
+    relation the naive reference needs for each.  The bundles cover mixed
+    and negative degree rows, a base of four fields, a fiber rank above the
+    base dimension, and a trivial bundle, whose relation is zero."""
+    cases = [
         (projective_space(5), {}),
         (product_of_projective_spaces([2, 3]), {}),
         (product_of_projective_spaces([1, 1, 1, 1]), {}),
-        (bundle, {2: split_dual_relation((2, 2), rows)}),
     ]
+    for dims, rows in [
+        ([2, 2], [[1, 0], [0, 1], [1, 1]]),
+        ([1, 1, 1, 1], [[1, 0, -1, 2], [0, 1, 1, 0], [-1, 2, 0, 1]]),
+        ([4], [[1], [2], [0], [-1]]),
+        ([2, 3], [[2, 1], [-1, -2]]),
+        ([3], [[0], [0], [0]]),
+    ]:
+        base = product_of_projective_spaces(dims)
+        bundle = proj_bundle(base, BundleSpec.sum_of_line_bundles(base, rows))
+        cases.append((bundle, {len(dims): split_dual_relation(base.caps, rows)}))
+    return cases
 
 
 def test_multiply_matches_naive_reference():
@@ -347,6 +356,84 @@ def test_finish_adopts_the_accumulator():
     assert 0 in out.values()
     result = _finish(space, out)
     assert result.terms == {0: 1}
+
+
+class _Scans(tuple):
+    """A relation that records, on each scan, the code being reduced."""
+
+    def __iter__(self):
+        self.log.append(self.stack[-1])
+        return super().__iter__()
+
+
+def _count_relation_scans(space):
+    """Empty the reduction cache of ``space`` and log, from now on, the code
+    whose reduction scans the relation."""
+    space._reduced.clear()
+    scans = _Scans(space._relation)
+    scans.log, scans.stack = [], []
+    reduce = space._reduce
+
+    def logged(raw):
+        scans.stack.append(raw)
+        try:
+            return reduce(raw)
+        finally:
+            scans.stack.pop()
+
+    space._relation, space._reduce = scans, logged
+    return scans.log
+
+
+def test_only_pure_fiber_powers_read_the_relation():
+    # every other cache entry is a cached one shifted by a base monomial
+    rng = random.Random(19)
+    for bundle, relations in naive_reference_cases():
+        if not bundle._relation:
+            continue
+        log = _count_relation_scans(bundle)
+        for _ in range(4):
+            a, b = random_terms(rng, bundle), random_terms(rng, bundle)
+            expected = ChowClass(bundle, naive_multiply(a, b, bundle.caps, relations))
+            assert ChowClass(bundle, a) * ChowClass(bundle, b) == expected
+        shift = bundle._shifts[-1]
+        pure = [raw for raw in bundle._reduced if raw == raw >> shift << shift]
+        assert len(bundle._reduced) > len(pure) > 0
+        assert sorted(log) == sorted(pure)  # each pure fiber power scans once
+
+
+def test_trivial_bundle_truncates_its_fiber_class():
+    # c(F dual) = 1 leaves xi^r = 0 a truncation: no reduction is cached
+    p4 = projective_space(4)
+    bundle = proj_bundle(p4, BundleSpec.sum_of_line_bundles(p4, [[0]] * 3))
+    xi, h = bundle.fiber_class(), bundle.pullback(p4.generator(0))
+    assert bundle.tangent_chern == (1 + h) ** 5 * (1 + xi) ** 3
+    assert (xi**3).is_zero() and (h * xi**2 * xi**2).is_zero()
+    assert bundle.integrate(h**4 * xi**2) == 1
+    assert bundle._reduced == {}
+
+
+def test_rank_thirty_bundle_reduces_every_fiber_power():
+    # pushing xi^(r-1+m) down gives the m-th part of 1/c(F dual), which is
+    # zero past the base dimension; the reduction recurses field by field
+    # and fiber power by fiber power, within the default recursion limit
+    base = product_of_projective_spaces([1, 1, 1, 1])
+    rng = random.Random(30)
+    rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(30)]
+    F = BundleSpec.sum_of_line_bundles(base, rows)
+    bundle = proj_bundle(base, F)
+    segre = F.dual().total_chern().inverse()
+    xi = bundle.fiber_class()
+    top = xi**29
+    assert bundle.pushforward(top) == base.one()
+    power = top
+    for m in range(1, 30):
+        power = power * xi
+        assert bundle.pushforward(power) == segre.part(m), m
+    # from an empty cache, xi^58 reduces through every lower fiber power
+    bundle._reduced.clear()
+    assert (top * top).is_zero()  # degree 58 exceeds the dimension, 33
+    assert bundle.pushforward(top * xi**4) == segre.part(4)
 
 
 def test_non_integral_coefficients_are_refused():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from detcalc import invariants
 from detcalc.cli import (
     ConfigError,
     InstanceConfig,
@@ -395,6 +396,29 @@ def test_report_exit_three_on_guard_violation(tmp_path, capsys):
     code = main(["report", write_config(tmp_path, doc)])
     assert code == 3
     assert "guard violation" in capsys.readouterr().err
+
+
+def test_report_refuses_c2_before_building_the_resolution(tmp_path, capsys, monkeypatch):
+    # the c2 guard reads only the inputs, so a refused report builds no P(F)
+    doc = {
+        "ambient": {"kind": "projective_space", "dims": [4]},
+        "E": [[0], [0], [0]],
+        "F": [[2], [2], [2]],
+        "polarization": [1],
+    }
+    calls = []
+    original = invariants.proj_bundle
+    monkeypatch.setattr(
+        invariants, "proj_bundle", lambda *a: calls.append(1) or original(*a)
+    )
+    code = main(["report", write_config(tmp_path, doc)])
+    assert code == 3
+    assert "Calabi-Yau condition fails" in capsys.readouterr().err
+    assert calls == []
+    # the opt-in report builds it once
+    doc["flags"] = {"allow_non_cy_c2": True}
+    assert main(["report", write_config(tmp_path, doc)]) == 0
+    assert calls == [1]
 
 
 def _long_degree_doc(digits):

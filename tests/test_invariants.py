@@ -533,6 +533,20 @@ def test_build_report_builds_no_chern_class(monkeypatch, quintic):
     assert calls == []
 
 
+def test_trivial_bundle_report_caches_no_reduction():
+    # with F trivial the fiber class truncates like a hyperplane class, so
+    # a whole report, resolution included, fills no reduction cache
+    for space in (projective_space(6), product_of_projective_spaces([1, 1, 2])):
+        n = len(space.caps)
+        pair = VirtualPair(
+            BundleSpec.sum_of_line_bundles(space, [[-1] * n, [0] * n, [-2] * n]),
+            BundleSpec.sum_of_line_bundles(space, [[0] * n] * 3),
+        )
+        inst = Instance(space, pair, space.degree_one([1] * n))
+        build_report(inst, allow_non_cy_c2=True)
+        assert inst.resolution.space._reduced == {}
+
+
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
     # a polarized fourfold off the Calabi-Yau condition, without the opt-in,
     # is refused before the Euler numbers, the shortcut or the intersection

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import comb
@@ -208,3 +209,30 @@ def test_dual_jacobi_trudi_and_hook_closed_form(case):
                 hooks = hooks + comb(weight - 1, len(lam) - 1) * expected
         if weight:
             assert hook_sum(weight, h, e) == hooks, weight
+
+
+def test_hook_sum_makes_no_kernel_call_for_a_zero_class(monkeypatch):
+    # on P^14 with E = O^3 the dual sequence c(F)/c(E) = (1+h)^3 ends in
+    # degree 3, so only the products h[a] e[w-a] with w-a <= 3 are made
+    space = projective_space(14)
+    pair = split_pair(space, [0, 0, 0], [1, 1, 1])
+    h, e = pair.schur_seq, pair.chern_diff
+    assert [k for k, x in enumerate(e) if not x.is_zero()] == [0, 1, 2, 3]
+    schur_module = importlib.import_module("detcalc.schur")  # not the function
+    calls = []
+    original = schur_module._accumulate
+
+    def counted(out, x, y, scale=1):
+        assert not x.is_zero() and not y.is_zero()
+        calls.append(1)
+        original(out, x, y, scale)
+
+    monkeypatch.setattr(schur_module, "_accumulate", counted)
+    for weight in range(2, 15):
+        before = len(calls)
+        expected = sum(
+            comb(weight - 2, a - 1) * h[a] * e[weight - a] for a in range(1, weight)
+        )
+        assert hook_sum(weight, h, e) == expected
+        assert len(calls) - before == min(weight - 1, 3)
+    assert len(calls) == 36  # of the 91 products over weights 2..14
