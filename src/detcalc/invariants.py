@@ -18,12 +18,14 @@ since it can only mean a convention bug.  Intersection numbers and ``c2``
 pairings: a closed form on the ambient space against a direct route
 through the rank-one-quotient bundle carrying the small resolution, where
 each cycle on the resolution is pushed down to the ambient space and
-paired there (the projection formula).  Euler numbers:
-the hook sum of :func:`euler_numbers`, one binomial convolution of the
-pair's two sequences per weight, against ``chi(Z)`` integrated on that
-bundle, with the power identity checked as classes where every shape is a
-hook.  A report evaluates one cofactor Schur determinant, the 2x2 class of
-:func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else none.
+paired there (the projection formula).  For ``F = L^r`` that bundle is
+``P(F (x) L^-1) = M x P^(r-1)``, which has no relation to reduce.  Euler
+numbers: the hook sum of :func:`euler_numbers`, one binomial convolution
+of the pair's two sequences per weight, against ``chi(Z)`` integrated on
+that bundle, with the power identity checked as classes where every shape
+is a hook.  A report evaluates one cofactor Schur determinant, the 2x2
+class of :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds,
+else none.
 """
 
 from __future__ import annotations
@@ -48,14 +50,17 @@ class ConsistencyError(RuntimeError):
 class Resolution(NamedTuple):
     """The small resolution as a zero locus in the quotient bundle ``space``:
     ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
-    of its normal bundle, ``locus`` its fundamental class, their product, and
+    of its normal bundle, ``locus`` its fundamental class, their product,
     ``tangent`` the parts ``0 .. d-1`` of ``c(T_Z)`` on ``space``, by the
-    normal exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``."""
+    normal exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``, and
+    ``tautological`` is ``xi``: the fiber class of ``space``, or
+    ``zeta + c1(L)`` when ``F = L^r`` and ``space`` is ``P(F (x) L^-1)``."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
     locus: ChowClass
     tangent: list[ChowClass]
+    tautological: ChowClass
 
 
 def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
@@ -97,14 +102,24 @@ class Instance:
         # zero locus of the pulled-back dual of E twisted by the tautological
         # class, built in one step so that its classes share one space.  Its
         # tangent class is divided by one normal root at a time, so every
-        # product has a degree-one factor.
-        space = proj_bundle(ambient, pair.F)
-        roots = pair.E.dual().pullback_to(space).twist(space.fiber_class()).roots
+        # product has a degree-one factor.  When F = L^r for one nontrivial
+        # L, P(F) is built as P(F (x) L^-1) = M x P^(r-1) from the pair
+        # twisted by L^-1: its relation is zero, so no fiber power is
+        # reduced, and xi = zeta + c1(L) (Hartshorne II.7.9).
+        E, F = pair.E, pair.F
+        f = F.roots[0]
+        uniform = not f.is_zero() and all(root == f for root in F.roots)
+        if uniform:
+            E, F = E.twist(-f), F.twist(-f)
+        space = proj_bundle(ambient, F)
+        fiber = space.fiber_class()
+        roots = E.dual().pullback_to(space).twist(fiber).roots
         self.resolution = Resolution(
             space,
             roots,
             prod(roots, start=space.one()),
             divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots),
+            fiber + space.pullback(f) if uniform else fiber,
         )
 
     @property
@@ -265,7 +280,7 @@ def intersection_numbers(inst: Instance) -> list[int]:
     hyper = inst.polarization
 
     bundle_space = inst.resolution.space
-    tautological = bundle_space.fiber_class()
+    tautological = inst.resolution.tautological
 
     hyper_pows = [space.one()]
     cycles = [inst.resolution.locus]  # L^j . [Z] on the quotient bundle
@@ -363,7 +378,7 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
     cycle = res.tangent[2] * res.locus
     direct_h = _pair(hyper, bundle_space.pushforward(cycle))
     direct_l = space.integrate(
-        bundle_space.pushforward(cycle * bundle_space.fiber_class())
+        bundle_space.pushforward(cycle * res.tautological)
     )
     if (closed_h, closed_l) != (direct_h, direct_l):
         raise ConsistencyError(

@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from dataclasses import asdict
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from detcalc import bundles, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
-from detcalc.chow import product_of_projective_spaces, proj_bundle, projective_space
+from detcalc.chow import (
+    _pair,
+    product_of_projective_spaces,
+    proj_bundle,
+    projective_space,
+)
 from detcalc.cli import TABLE1, TABLE2, instance_from_config, load_config
 from detcalc.invariants import (
     ConsistencyError,
@@ -547,6 +552,82 @@ def test_trivial_bundle_report_caches_no_reduction():
         assert inst.resolution.space._reduced == {}
 
 
+def test_uniform_bundle_report_caches_no_reduction():
+    # F = L^r is resolved in P(F (x) L^-1) = M x P^(r-1), whose relation is
+    # zero, so a whole report reduces no fiber power
+    p1s = product_of_projective_spaces([1] * 5)
+    mixed = VirtualPair(
+        BundleSpec.sum_of_line_bundles(
+            p1s, [[0] * 5, [1, 0, 1, 0, 0], [-1, 0, 0, 1, -1]]
+        ),
+        BundleSpec.sum_of_line_bundles(p1s, [[1] * 5] * 3),
+    )
+    row = TABLE2["rows"][3]  # F = O(2)^2 on P^4
+    for inst in (
+        make_instance(projective_space(6), [0, 0, 0], [1, 1, 1]),
+        Instance(p1s, mixed, p1s.degree_one([1] * 5)),
+        make_instance(
+            projective_space(4), [e for (e,) in row["e"]], [f for (f,) in row["f"]]
+        ),
+    ):
+        build_report(inst, allow_non_cy_c2=True)
+        assert inst.resolution.space._relation == ()
+        assert inst.resolution.space._reduced == {}
+
+
+@pytest.mark.parametrize("a, counts", [(1, [1, 6, 20, 50]), (2, [16, 96, 320, 800])])
+def test_odp_count_of_uniform_square_matrices(a, counts):
+    # an r x r matrix of forms of degree a on P^4 drops rank twice in
+    # a^4 r^2 (r^2 - 1) / 12 points, the degree of the corank-2 locus
+    # (Harris, Algebraic Geometry, Example 19.10)
+    for r, expected in zip(range(2, 6), counts):
+        assert expected == a**4 * r * r * (r * r - 1) // 12
+        inst = make_instance(projective_space(4), [0] * r, [a] * r)
+        assert build_report(inst, allow_non_cy_c2=True).odp_count == expected
+
+
+UNIFORM_CASES = {  # ambient dims, E rows, F row repeated rank times
+    "P^4": ([4], [[0], [-1]], [2]),
+    "P^5": ([5], [[0], [0], [0]], [1]),
+    "P^6": ([6], [[-1], [0], [0], [1]], [1]),
+    "P^7": ([7], [[0], [0], [-1]], [1]),
+    "(P^1)^4": ([1] * 4, [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, 0]], [1] * 4),
+    "(P^1)^5": ([1] * 5, [[0, 0, 0, 0, 0], [-1, 0, 0, 1, 0]], [1, 0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", UNIFORM_CASES)
+def test_uniform_bundle_matches_the_untwisted_resolution(case):
+    # the report resolves F = L^r in P(F (x) L^-1); building P(F) itself,
+    # with its relation, must give the same chi(Z) and pushed cycles
+    dims, rows_e, row_f = UNIFORM_CASES[case]
+    space = product_of_projective_spaces(dims)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, rows_e),
+        BundleSpec.sum_of_line_bundles(space, [row_f] * len(rows_e)),
+    )
+    hyper = space.degree_one([1] * len(dims))
+    inst = Instance(space, pair, hyper)
+    report = build_report(inst, allow_non_cy_c2=True)
+    d = space.dim
+
+    bundle = proj_bundle(space, pair.F)
+    assert bundle._relation != ()
+    xi = bundle.fiber_class()
+    roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
+    locus = prod(roots, start=bundle.one())
+    tangent = bundles.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
+    assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
+
+    res = inst.resolution
+    cycle, twisted = locus, res.locus
+    for j in range(d):
+        pushed, k = bundle.pushforward(cycle), d - 1 - j
+        assert pushed == res.space.pushforward(twisted), j
+        assert _pair(hyper**k, pushed) == report.intersection_numbers[k], j
+        cycle, twisted = cycle * xi, twisted * res.tautological
+
+
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
     # a polarized fourfold off the Calabi-Yau condition, without the opt-in,
     # is refused before the Euler numbers, the shortcut or the intersection
@@ -652,7 +733,8 @@ def test_c2_numbers_compare_routes(quintic, quartic):
 @st.composite
 def resolution_cases(draw):
     """Ambient dims, rank and E, F multidegree rows: P^d for d = 4..8, or a
-    product of P^1 and P^2 factors of total dimension 4..7."""
+    product of P^1 and P^2 factors of total dimension 4..7.  In about a
+    third of the draws F repeats one row, F = L^r."""
     if draw(st.booleans()):
         dims = [draw(st.integers(4, 8))]
     else:
@@ -662,7 +744,9 @@ def resolution_cases(draw):
     rank = draw(st.integers(2, 4))
     row = st.lists(st.integers(-3, 3), min_size=len(dims), max_size=len(dims))
     rows = st.lists(row, min_size=rank, max_size=rank)
-    return dims, draw(rows), draw(rows)
+    rows_e = draw(rows)
+    rows_f = [draw(row)] * rank if draw(st.integers(0, 2)) == 0 else draw(rows)
+    return dims, rows_e, rows_f
 
 
 @settings(max_examples=100, deadline=None)
@@ -677,11 +761,10 @@ def test_resolution_cycles_push_forward_to_the_schur_sequence(case):
         BundleSpec.sum_of_line_bundles(space, rows_f),
     )
     res = Instance(space, pair).resolution
-    tautological = res.space.fiber_class()
     cycle = res.locus
     for j in range(space.dim):
         assert res.space.pushforward(cycle) == pair.schur_seq[j + 1], j
-        cycle = cycle * tautological
+        cycle = cycle * res.tautological
 
 
 def threaded_cases():
