@@ -287,6 +287,40 @@ def _pair(x: ChowClass, y: ChowClass) -> int:
     return sum(c * get(top - e, 0) for e, c in x.terms.items())
 
 
+def _pair3(x: ChowClass, y: ChowClass, z: ChowClass) -> int:
+    """``integrate(x * y * z)`` on a space with no relation, without a product.
+
+    For each pair of terms ``m``, ``n`` of the two shorter classes the
+    complement ``top - m - n`` is looked up in the longest class.  When
+    ``m * n`` stays in normal form the complement is a normal-form code.
+    When it truncates, some field of ``m + n`` exceeds its cap, the
+    subtraction borrows there, and the borrowing field comes out above its
+    cap (a field is one bit wider than its cap needs) or the code negative:
+    no class holds such a key, so the lookup itself is the truncation test.
+    No class or accumulator is built, and the cost is the product of the
+    two shorter term counts.
+    """
+    space = x.ambient
+    if y.ambient is not space or z.ambient is not space:
+        raise ValueError("classes live on different ambient spaces")
+    if space.base is not None:
+        raise ValueError("the pairing kernel needs a space with no relation")
+    if len(x.terms) > len(z.terms):
+        x, z = z, x
+    if len(y.terms) > len(z.terms):
+        y, z = z, y
+    top, get = space._top, z.terms.get
+    right = list(y.terms.items())
+    total = 0
+    for a, ca in x.terms.items():
+        rest = top - a
+        for b, cb in right:
+            cz = get(rest - b)
+            if cz:
+                total += ca * cb * cz
+    return total
+
+
 class AmbientSpace:
     """A Chow-ring model: generators, reduction rules, dimension, tangent class.
 

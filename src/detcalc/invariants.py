@@ -35,8 +35,8 @@ from math import prod
 from typing import NamedTuple
 
 from .bundles import VirtualPair, divide_by_roots
-from .chow import AmbientSpace, ChowClass, _pair, proj_bundle
-from .schur import hook_sum, schur
+from .chow import AmbientSpace, ChowClass, _pair, _pair3, proj_bundle
+from .schur import hook_pairing, hook_sum, schur
 
 
 class GuardError(ValueError):
@@ -191,9 +191,12 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     resolution; with ``f = C(w-1, b)`` their sum is the one convolution
     ``sum_a C(w-2, a-1) h_a e_(w-a)`` of :func:`~detcalc.schur.hook_sum`.
     Each of ``D^w`` and the hooks is paired once with ``c_(d-w)(T)``, with
-    sign ``(-1)^(w-1)``.  The other shapes give the gap, paired with sign
-    ``(-1)^(d+w)``; as they are ``D^w - hooks``, the gap is
-    ``(-1)^d (resolution - smooth)`` and no determinant runs.
+    sign ``(-1)^(w-1)``; from weight 4 the hooks are not formed, and
+    :func:`~detcalc.schur.hook_pairing` integrates each product
+    ``h_a e_(w-a) c_(d-w)(T)`` with ``chow._pair3``.  The other shapes
+    give the gap, paired with sign ``(-1)^(d+w)``; as they are
+    ``D^w - hooks``, the gap is ``(-1)^d (resolution - smooth)`` and no
+    determinant runs.
 
     The resolution number is compared with ``chi(Z)``, integrated directly
     on the quotient bundle: ``c_(d-1)(T_Z)`` against the fundamental class.
@@ -214,12 +217,14 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         power = power * divisor
         if not power.is_homogeneous(weight):
             raise ConsistencyError(f"inhomogeneous power of D in weight {weight}")
-        hooks = hook_sum(weight, seq, dual)
+        sign, t = (-1) ** (weight - 1), tangent[d - weight]
+        smooth += sign * _pair(power, t)
         if weight <= 3:
+            hooks = hook_sum(weight, seq, dual)
             low_weights.append((weight, power, hooks))
-        sign = (-1) ** (weight - 1)
-        smooth += sign * _pair(power, tangent[d - weight])
-        resolution += sign * _pair(hooks, tangent[d - weight])
+            resolution += sign * _pair(hooks, t)
+        else:
+            resolution += sign * hook_pairing(weight, seq, dual, t)
     res = inst.resolution
     integrand = res.tangent[d - 1]
     for root in res.normal_roots:
@@ -343,7 +348,9 @@ def _check_c2_guard(
 
 def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
     """:func:`c2_numbers`, given the singular-point count (an int, or None
-    to compute it)."""
+    to compute it).  The closed and reduced forms integrate products of
+    two or three ambient classes with ``_pair`` and ``_pair3``, which form
+    no product."""
     cy = inst.calabi_yau
     _check_c2_guard(inst.d, inst.polarization, cy, allow_non_cy)
     space = inst.ambient
@@ -362,14 +369,14 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
             raise ConsistencyError(
                 "Calabi-Yau simplification of the c2 head does not match"
             )
-    closed_h = space.integrate(((head * seq[1] + seq[1] * seq[2]) * hyper).part(4))
-    closed_l = space.integrate((head * seq[2] + seq[1] * seq[3]).part(4))
+    closed_h = _pair3(head, seq[1], hyper) + _pair3(seq[1], seq[2], hyper)
+    closed_l = _pair(head, seq[2]) + _pair(seq[1], seq[3])
 
     if cy:
-        reduced_h = space.integrate((t2 * seq[1] * hyper).part(4))
+        reduced_h = _pair3(t2, seq[1], hyper)
         if singular is None:
             singular = porteous_degree(inst)
-        reduced_l = space.integrate((t2 * seq[2]).part(4)) - singular
+        reduced_l = _pair(t2, seq[2]) - singular
         if (closed_h, closed_l) != (reduced_h, reduced_l):
             raise ConsistencyError("c2 closed forms disagree with the reduced forms")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .chow import ChowClass, _accumulate, _finish
+from .chow import ChowClass, _accumulate, _finish, _pair3
 from .partitions import PartitionLike, partition
 
 
@@ -79,6 +79,16 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
     return minor(0, tuple(range(k)))
 
 
+def _hook_products(weight: int, h: list[ChowClass], e: list[ChowClass]):
+    """The terms ``(C(w-2, a-1), h[a], e[w-a])`` of the hook convolution of
+    weight ``w >= 2`` (see :func:`hook_sum`).  Terms past the end of either
+    sequence vanish, and so do zero entries: neither is yielded."""
+    for a in range(max(1, weight - len(e) + 1), min(weight, len(h))):
+        left, right = h[a], e[weight - a]
+        if left.terms and right.terms:
+            yield comb(weight - 2, a - 1), left, right
+
+
 def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
     """Hooks of weight ``w`` weighted by their tableau counts,
     ``sum_b C(w-1, b) s_(w-b, 1^b)``, without a determinant.
@@ -92,14 +102,27 @@ def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
     ``C(w-2, a-1)``, which vanishes at ``a = w``.  The sum is therefore the
     one convolution ``sum_(a=1..w-1) C(w-2, a-1) h[a] e[w-a]``, or ``h[1]``
     when w = 1.  Terms past the end of either sequence vanish, and so do
-    zero entries: neither costs a kernel call.
+    zero entries: neither costs a kernel call.  Where only the integral of
+    the hooks against one class is needed, :func:`hook_pairing` gives it
+    without forming this class.
     """
     space = h[0].ambient
     if weight == 1:
         return _entry(h, 1, space)
     acc: dict[int, int] = {}
-    for a in range(max(1, weight - len(e) + 1), min(weight, len(h))):
-        left, right = h[a], e[weight - a]
-        if left.terms and right.terms:
-            _accumulate(acc, left, right, comb(weight - 2, a - 1))
+    for binomial, left, right in _hook_products(weight, h, e):
+        _accumulate(acc, left, right, binomial)
     return _finish(space, acc)
+
+
+def hook_pairing(
+    weight: int, h: list[ChowClass], e: list[ChowClass], t: ChowClass
+) -> int:
+    """``integrate(hook_sum(weight, h, e) * t)`` for weight ``w >= 2`` on a
+    space with no relation, without the hook class: each product of the
+    convolution is integrated against ``t`` by ``chow._pair3``, which forms
+    none of them."""
+    return sum(
+        binomial * _pair3(left, right, t)
+        for binomial, left, right in _hook_products(weight, h, e)
+    )

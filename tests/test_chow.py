@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from detcalc.chow import (
     _accumulate,
     _finish,
     _pair,
+    _pair3,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
@@ -127,6 +129,34 @@ def test_pairing_kernel_is_integral_of_product(dims):
         assert _pair(x, y) == space.integrate(x * y)
     tangent = space.tangent_chern
     assert _pair(tangent, space.one()) == space.integrate(tangent)
+
+
+@pytest.mark.parametrize(
+    "dims", [[1], [5], [2, 3], [1, 1, 2], [1] * 5], ids=lambda dims: repr(dims)
+)
+def test_triple_pairing_kernel_is_integral_of_product(dims):
+    rng = random.Random(100 + sum(dims))
+    space = product_of_projective_spaces(dims)
+    for _ in range(10):
+        x, y, z = (random_class(rng, space) for _ in range(3))
+        expected = space.integrate(x * y * z)
+        for args in itertools.permutations((x, y, z)):
+            assert _pair3(*args) == expected
+    tangent, one = space.tangent_chern, space.one()
+    assert _pair3(tangent, one, one) == space.integrate(tangent)
+    assert _pair3(tangent, space.zero(), one) == 0
+
+
+def test_triple_pairing_kernel_refuses_bundles_and_foreign_classes():
+    p2 = projective_space(2)
+    bundle = proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [1]]))
+    xi = bundle.fiber_class()
+    with pytest.raises(ValueError):
+        _pair3(xi, xi, bundle.one())
+    other = projective_space(2).one()
+    for args in itertools.permutations((p2.one(), p2.one(), other)):
+        with pytest.raises(ValueError):
+            _pair3(*args)
 
 
 def test_pairing_kernel_refuses_bundles_and_foreign_classes():

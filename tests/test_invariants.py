@@ -382,15 +382,31 @@ def dense_instance(d):
 SCHUR_MODULE = sys.modules["detcalc.schur"]  # `detcalc.schur` is the function
 
 CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
-    # hooks give the resolution number, which the direct integral checks
+    # hooks give the resolution number, which the direct integral checks:
+    # as classes in weights 1 to 3, paired with c(T) unformed from weight 4
     "hook_schur_doubled": (
         invariants,
         "hook_sum",
         lambda x: 2 * x,
         "^resolution Euler number:",
     ),
+    "hook_pairing_doubled": (
+        invariants,
+        "hook_pairing",
+        lambda x: 2 * x,
+        "^resolution Euler number:",
+    ),
+    # an offset per weight would cancel between weights 4 and 5 on a
+    # fivefold, so offset each paired product instead
+    "hook_product_pairing_plus_one": (
+        SCHUR_MODULE,
+        "_pair3",
+        lambda x: x + 1,
+        "^resolution Euler number:",
+    ),
     # the report's tableau counts are those of the hooks, f = C(w-1, b), now
-    # folded into the binomials C(w-2, a-1) of hook_sum's one convolution
+    # folded into the binomials C(w-2, a-1) of the one hook convolution that
+    # hook_sum and hook_pairing share
     "syt_count_plus_one": (
         SCHUR_MODULE,
         "comb",
@@ -411,7 +427,14 @@ CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
 @pytest.mark.parametrize(
     "dim, case",
     [(dim, case) for dim in (4, 5) for case in CROSS_CHECKS]
-    + [(8, "hook_schur_doubled")],
+    + [
+        (8, case)
+        for case in (
+            "hook_schur_doubled",
+            "hook_pairing_doubled",
+            "hook_product_pairing_plus_one",
+        )
+    ],
     ids=lambda value: str(value),
 )
 def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
@@ -453,6 +476,40 @@ def dense_product_instance(dims):
         BundleSpec.sum_of_line_bundles(space, [ones] * 3),
     )
     return Instance(space, pair, space.degree_one(ones))
+
+
+def test_paired_weights_form_no_product(monkeypatch):
+    # weights 1 to 3 form their hook class for the D^w == hooks check; from
+    # weight 4 on the hooks are paired with c(T) and no ring product runs
+    inst = dense_product_instance([1] * 6)
+    chow = sys.modules["detcalc.chow"]
+    formed, paired, calls, inside = [], [], [], []
+    original_sum, original_pairing = invariants.hook_sum, invariants.hook_pairing
+    original_kernel = chow._accumulate_terms
+
+    def counted_sum(weight, *args):
+        formed.append(weight)
+        return original_sum(weight, *args)
+
+    def counted_pairing(weight, *args):
+        paired.append(weight)
+        inside.append(weight)
+        try:
+            return original_pairing(weight, *args)
+        finally:
+            inside.pop()
+
+    def counted_kernel(*args):
+        calls.append(bool(inside))
+        return original_kernel(*args)
+
+    monkeypatch.setattr(invariants, "hook_sum", counted_sum)
+    monkeypatch.setattr(invariants, "hook_pairing", counted_pairing)
+    monkeypatch.setattr(chow, "_accumulate_terms", counted_kernel)
+    euler_numbers(inst)
+    assert formed == [1, 2, 3]
+    assert paired == [4, 5, 6]
+    assert calls and not any(calls)  # the direct route still multiplies
 
 
 def seeded_instance(seed):

@@ -8,7 +8,7 @@ import pytest
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import ChowClass, product_of_projective_spaces, projective_space
 from detcalc.partitions import conjugate, covers_above, partitions_of, syt_count
-from detcalc.schur import hook_sum, s_from_c, schur
+from detcalc.schur import hook_pairing, hook_sum, s_from_c, schur
 
 
 def random_sequence(rng, space):
@@ -209,6 +209,11 @@ def test_dual_jacobi_trudi_and_hook_closed_form(case):
                 hooks = hooks + comb(weight - 1, len(lam) - 1) * expected
         if weight:
             assert hook_sum(weight, h, e) == hooks, weight
+        if weight >= 2:
+            space = hooks.ambient
+            for t in (space.tangent_chern, space.one()):
+                paired = space.integrate(hooks * t)
+                assert hook_pairing(weight, h, e, t) == paired, weight
 
 
 def test_hook_sum_makes_no_kernel_call_for_a_zero_class(monkeypatch):
