@@ -225,32 +225,6 @@ class ChowClass:
             return len(degrees) == 1
         return degrees == {degree}
 
-    def constant(self) -> int:
-        """Degree-zero coefficient."""
-        return self.terms.get(0, 0)
-
-    def inverse(self) -> "ChowClass":
-        """Multiplicative inverse in the truncated ring.
-
-        Requires a constant term of 1 or -1, the units of the integers;
-        computed degree by degree.  No report path calls it; only
-        ``euler_smooth_hypersurface`` (so ``detcalc verify``) and tests do.
-        """
-        c0 = self.constant()
-        if c0 not in (1, -1):
-            raise ValueError(
-                f"class with constant term {c0} is not invertible over the integers"
-            )
-        space = self.ambient
-        parts = self.parts()
-        inv = [space.scalar(c0)]
-        for k in range(1, space.dim + 1):
-            acc: dict[int, int] = {}
-            for i in range(1, k + 1):
-                _accumulate(acc, parts[i], inv[k - i], -c0)
-            inv.append(_finish(space, acc))
-        return sum(inv[1:], inv[0])
-
     def __repr__(self):
         if not self.terms:
             return "0"

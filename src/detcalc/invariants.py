@@ -136,14 +136,20 @@ class Instance:
 def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
     """Topological Euler characteristic of a smooth divisor in the given class.
 
-    Integrates ``divisor * (1 + divisor)^(-1) * c(T)`` over the space.
+    Integrates ``D * c(T) / (1 + D)`` over the space, on a base or a bundle
+    space alike: the parts of ``c(T)`` below the top degree are divided by
+    the one root ``D`` (:func:`divide_by_roots`), and only ``D`` times the
+    quotient's degree-``(d-1)`` part reaches the top.  On a point, where
+    no degree ``d - 1`` exists, the divisor is empty and the number is 0.
     """
     if divisor.ambient is not space:
         raise ValueError("divisor class lives on a different space")
     if not divisor.is_homogeneous(1):
         raise ValueError("divisor class must be homogeneous of degree one")
-    integrand = divisor * (space.one() + divisor).inverse() * space.tangent_chern
-    return space.integrate(integrand)
+    if space.dim == 0:
+        return 0
+    quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
+    return space.integrate(divisor * quotient[-1])
 
 
 def porteous_class(inst: Instance) -> ChowClass:

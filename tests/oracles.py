@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here but :func:`tableau_gap` is deliberately written against
-plain lists and tuples, with no imports from the package, so the expected
-values it produces are computed along a genuinely different path.
+Everything here but :func:`unit_inverse` and :func:`tableau_gap` is
+deliberately written against plain lists and tuples, with no imports from
+the package, so the expected values it produces are computed along a
+genuinely different path.  :func:`unit_inverse` uses only the public ring
+operations of a class, where the package divides by roots;
 :func:`tableau_gap` sums cofactor Schur determinants, a route the package's
 reports no longer take.
 """
@@ -144,6 +146,22 @@ def naive_multiply(a: dict, b: dict, caps, relations=None) -> dict:
             for e, c in naive_normal_form(raw, caps, relations).items():
                 out[e] = out.get(e, 0) + ca * cb * c
     return {e: c for e, c in out.items() if c}
+
+
+# -- inverses of unit classes ---------------------------------------------------
+
+
+def unit_inverse(x):
+    """``1 / x`` for a class with constant term 1: the geometric series
+    ``sum_k (-n)^k`` of its part ``n`` of positive degree, which vanishes
+    past the dimension, evaluated by Horner's rule with full products."""
+    space = x.ambient
+    assert x.part(0) == 1
+    minus_n = x.part(0) - x
+    out = space.one()
+    for _ in range(space.dim):
+        out = 1 + minus_n * out
+    return out
 
 
 # -- the singular Euler gap as a tableau sum -----------------------------------

@@ -1,7 +1,8 @@
-"""The public library API holds nothing that only the tests use: every name
-in ``detcalc.__all__``, and every public method of a public class, is read
-by the package itself, outside its own definition and ``__init__.py``, or by
-the README's library example."""
+"""The package holds nothing that only the tests use: every name in
+``detcalc.__all__``, and every public method of a public class, is read by
+the package itself, outside its own definition and ``__init__.py``, or by
+the README's library example; and every function and method the package
+defines, private ones included, is read by the package itself."""
 
 import ast
 import inspect
@@ -15,7 +16,7 @@ PACKAGE = ROOT / "src" / "detcalc"
 
 
 class _Uses(ast.NodeVisitor):
-    """Names and attributes read in a module, outside the function or class
+    """Names and attributes loaded in a module, outside the function or class
     that defines them."""
 
     def __init__(self):
@@ -31,11 +32,11 @@ class _Uses(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
     def visit_Name(self, node):
-        if node.id not in self.defining:
+        if isinstance(node.ctx, ast.Load) and node.id not in self.defining:
             self.used.add(node.id)
 
     def visit_Attribute(self, node):
-        if node.attr not in self.defining:
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.defining:
             self.attributes.add(node.attr)
         self.generic_visit(node)
 
@@ -86,5 +87,26 @@ def test_every_public_method_has_a_user():
         for method in _public_methods(getattr(detcalc, name))
         if method not in uses.attributes
         and not re.search(rf"\.{method}\b", example)
+    ]
+    assert unused == []
+
+
+def _defined_functions():
+    """``module.name`` of every function and method defined in the package;
+    dunder methods, which the interpreter calls, are exempt."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield path.stem, name
+
+
+def test_every_function_and_method_has_a_user_in_the_package():
+    uses = _package_uses()
+    unused = [
+        f"{module}.{name}"
+        for module, name in _defined_functions()
+        if name not in uses.used and name not in uses.attributes
     ]
     assert unused == []

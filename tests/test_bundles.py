@@ -11,7 +11,7 @@ from detcalc.chow import (
     projective_space,
 )
 from detcalc.verify import _twisted_virtual_chern
-from oracles import series, series_inv, series_mul
+from oracles import series, series_inv, series_mul, unit_inverse
 
 
 def split(space, degrees):
@@ -149,9 +149,9 @@ def test_sequences_on_products_against_the_inverse_route(dims):
         F = BundleSpec.sum_of_line_bundles(space, rows_f)
         pair = VirtualPair(E, F)
         c_e, c_f = (naive_total_chern(space, B.roots) for B in (E, F))
-        assert pair.chern_diff == (c_f * c_e.inverse()).parts()
+        assert pair.chern_diff == (c_f * unit_inverse(c_e)).parts()
         dual_e, dual_f = (naive_total_chern(space, B.roots, -1) for B in (E, F))
-        assert pair.schur_seq == (dual_e * dual_f.inverse()).parts()
+        assert pair.schur_seq == (dual_e * unit_inverse(dual_f)).parts()
 
 
 def random_parts(rng, space):

@@ -72,6 +72,17 @@ def euler_series_oracle(d, degree):
     return product[d]
 
 
+def euler_power_sum(space, divisor):
+    # D / (1 + D) = sum_w (-1)^(w-1) D^w, so chi is the alternating sum of
+    # the integrals of D^w * c_(d-w)(T), each one a full ring product
+    d, total, power = space.dim, 0, space.one()
+    for w in range(1, d + 1):
+        power = power * divisor
+        term = space.integrate(power * space.tangent_chern.part(d - w))
+        total += (-1) ** (w - 1) * term
+    return total
+
+
 def test_euler_smooth_quartic_and_quintic():
     p4 = projective_space(4)
     h = p4.generator(0)
@@ -82,7 +93,8 @@ def test_euler_smooth_quartic_and_quintic():
 
 def test_euler_smooth_on_the_line():
     line = projective_space(1)
-    assert euler_smooth_hypersurface(line, line.generator(0)) == 1
+    h = line.generator(0)
+    assert euler_smooth_hypersurface(line, h) == 1 == euler_power_sum(line, h)
 
 
 def test_euler_smooth_matches_series_oracle_for_many_degrees():
@@ -100,6 +112,44 @@ def test_euler_smooth_rejects_inhomogeneous_class():
     h = p4.generator(0)
     with pytest.raises(ValueError):
         euler_smooth_hypersurface(p4, 1 + h)
+
+
+@pytest.mark.parametrize(
+    "dims", [[1] * 5, [2, 3], [1] * 10], ids=["(P^1)^5", "P^2xP^3", "(P^1)^10"]
+)
+def test_euler_smooth_on_products_against_the_power_sum(dims):
+    rng = random.Random(22)
+    space = product_of_projective_spaces(dims)
+    for _ in range(4):
+        coeffs = [rng.randint(-3, 3) for _ in dims]
+        coeffs[rng.randrange(len(dims))] = -rng.randint(1, 3)
+        divisor = space.degree_one(coeffs)
+        assert euler_smooth_hypersurface(space, divisor) == euler_power_sum(
+            space, divisor
+        )
+
+
+def test_euler_smooth_on_a_bundle_space_against_the_power_sum():
+    # the space carries a relation: xi^3 reduces through c(F dual)
+    base = product_of_projective_spaces([2, 2])
+    space = proj_bundle(
+        base, BundleSpec.sum_of_line_bundles(base, [[0, 1], [1, 0], [2, 1]])
+    )
+    assert space._relation
+    rng = random.Random(23)
+    for _ in range(6):
+        coeffs = [rng.randint(-3, 3) for _ in space.gens]
+        coeffs[rng.randrange(len(coeffs))] = -rng.randint(1, 3)
+        divisor = space.degree_one(coeffs)
+        assert euler_smooth_hypersurface(space, divisor) == euler_power_sum(
+            space, divisor
+        )
+
+
+def test_euler_smooth_on_a_point():
+    # no degree d - 1 exists on a point: the divisor is empty
+    point = projective_space(0)
+    assert euler_smooth_hypersurface(point, point.zero()) == 0
 
 
 # -- singular-locus degrees ---------------------------------------------------

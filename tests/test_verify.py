@@ -40,6 +40,20 @@ def test_euler_suite_records_a_broken_identity_as_failures(monkeypatch):
     assert all("Euler numbers raised" in f for f in result.failures)
 
 
+
+def test_euler_suite_compares_the_smooth_divisor_formula(monkeypatch):
+    from detcalc import verify
+
+    original = verify.euler_smooth_hypersurface
+    monkeypatch.setattr(
+        verify, "euler_smooth_hypersurface", lambda *a: original(*a) + 1
+    )
+    # as `detcalc verify --depth 6` runs it: each of the 50 instances fails
+    # its smooth comparison, and only that one
+    result = {r.name: r for r in verify.run_all(depth=6)}["euler-consistency"]
+    assert result.cases == 100 and len(result.failures) == 50
+    assert all("smooth Euler number" in f for f in result.failures)
+
 def test_schur_suite_is_not_vacuous_at_the_default_seed(monkeypatch):
     # at seed 2024 the first draw gives F the summands of E, whose sequence
     # is 1; the suite redraws F, so some s_lam with |lam| > 0 is nonzero
