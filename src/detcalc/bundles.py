@@ -92,9 +92,11 @@ class BundleSpec:
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))
 
     def twist(self, ell: ChowClass) -> "BundleSpec":
-        """Tensor with a line bundle of first Chern class ``ell``."""
+        """Tensor with a line bundle of first Chern class ``ell``; O is a no-op."""
         if not ell.is_homogeneous(1):
             raise ValueError("twisting class must be homogeneous of degree one")
+        if ell.is_zero():
+            return self
         return BundleSpec(self.ambient, tuple(r + ell for r in self.roots))
 
     def pullback_to(self, space: AmbientSpace) -> "BundleSpec":

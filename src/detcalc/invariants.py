@@ -18,8 +18,8 @@ since it can only mean a convention bug.  Intersection numbers and ``c2``
 pairings: a closed form on the ambient space against a direct route
 through the rank-one-quotient bundle carrying the small resolution, where
 each cycle on the resolution is pushed down to the ambient space and
-paired there (the projection formula).  For ``F = L^r`` that bundle is
-``P(F (x) L^-1) = M x P^(r-1)``, which has no relation to reduce.  Euler
+paired there (the projection formula).  The bundle is ``P(F (x) L^-1)``
+for the root ``L`` that F repeats most, which shortens its relation.  Euler
 numbers: the hook sum of :func:`euler_numbers`, one binomial convolution
 of the pair's two sequences per weight, against ``chi(Z)`` integrated on
 that bundle, with the power identity checked as classes where every shape
@@ -53,8 +53,8 @@ class Resolution(NamedTuple):
     of its normal bundle, ``locus`` its fundamental class, their product,
     ``tangent`` the parts ``0 .. d-1`` of ``c(T_Z)`` on ``space``, by the
     normal exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``, and
-    ``tautological`` is ``xi``: the fiber class of ``space``, or
-    ``zeta + c1(L)`` when ``F = L^r`` and ``space`` is ``P(F (x) L^-1)``."""
+    ``tautological`` is ``xi = zeta + c1(L)`` on ``space = P(F (x) L^-1)``
+    with fiber class ``zeta`` (:class:`Instance` picks ``L``)."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
@@ -99,27 +99,26 @@ class Instance:
         self.polarization = polarization
         self.calabi_yau = _is_calabi_yau(ambient, pair)
         # The small resolution inside the rank-one-quotient bundle of F: the
-        # zero locus of the pulled-back dual of E twisted by the tautological
-        # class, built in one step so that its classes share one space.  Its
-        # tangent class is divided by one normal root at a time, so every
-        # product has a degree-one factor.  When F = L^r for one nontrivial
-        # L, P(F) is built as P(F (x) L^-1) = M x P^(r-1) from the pair
-        # twisted by L^-1: its relation is zero, so no fiber power is
-        # reduced, and xi = zeta + c1(L) (Hartshorne II.7.9).
-        E, F = pair.E, pair.F
-        f = F.roots[0]
-        uniform = not f.is_zero() and all(root == f for root in F.roots)
-        if uniform:
-            E, F = E.twist(-f), F.twist(-f)
-        space = proj_bundle(ambient, F)
-        fiber = space.fiber_class()
-        roots = E.dual().pullback_to(space).twist(fiber).roots
+        # zero locus of E dual pulled back and twisted by the tautological
+        # class xi, built in one step so that its classes share one space,
+        # with its tangent class divided by one normal root at a time.
+        # P(F) = P(F (x) L^-1) with xi = zeta + c1(L) (Hartshorne II.7.9), and
+        # each copy of L in F drops a factor from the relation, so L is the
+        # root F repeats most, and O when no root repeats or O ties it.
+        F, zero = pair.F, ambient.zero()
+        terms = [root.terms for root in F.roots]
+        f = max((zero, *F.roots), key=lambda root: terms.count(root.terms))
+        if terms.count(f.terms) < 2:
+            f = zero
+        space = proj_bundle(ambient, F.twist(-f))
+        xi = space.fiber_class() + space.pullback(f)
+        roots = pair.E.dual().pullback_to(space).twist(xi).roots
         self.resolution = Resolution(
             space,
             roots,
             prod(roots, start=space.one()),
             divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots),
-            fiber + space.pullback(f) if uniform else fiber,
+            xi,
         )
 
     @property
@@ -264,9 +263,7 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
             "the shortcut formula is only available for dim M = 4, or dim M = 5 "
             "with the Calabi-Yau condition; use euler_numbers instead"
         )
-    tangent = inst.ambient.tangent_chern
-    degree = porteous_degree(inst) if d == 4 else _pair(tangent, porteous_class(inst))
-    return (d - 2) * degree
+    return (d - 2) * _pair(inst.ambient.tangent_chern, porteous_class(inst))
 
 
 # -- intersection numbers on the resolution ---------------------------------

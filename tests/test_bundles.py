@@ -49,6 +49,7 @@ def test_twist_examples():
     h = p4.generator(0)
     B = split(p4, [1, -1])
     assert B.twist(p4.zero()).total_chern() == B.total_chern()
+    assert B.twist(p4.zero()) is B  # O changes nothing
     line = split(p4, [2])
     assert line.twist(3 * h).c1() == 5 * h
 

@@ -413,15 +413,14 @@ def count_calls(monkeypatch, names):
 
 
 def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
-    names = ("euler_numbers", "porteous_degree")
+    # the shortcut pairs the 2x2 class with c(T) on fourfolds and Calabi-Yau
+    # fivefolds alike, and the c2 pairings reuse its count
+    names = ("euler_numbers", "porteous_class", "porteous_degree")
     counts = count_calls(monkeypatch, names)
-    build_report(quintic)
-    assert counts == dict.fromkeys(names, 1)
-    counts.update(dict.fromkeys(names, 0))
-    inst = calabi_yau_fivefold()
-    assert inst.calabi_yau
-    build_report(inst)
-    assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
+    for inst in (quintic, calabi_yau_fivefold()):
+        counts.update(dict.fromkeys(names, 0))
+        build_report(inst)
+        assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
 
 
 def dense_instance(d):
@@ -693,46 +692,114 @@ def test_odp_count_of_uniform_square_matrices(a, counts):
         assert build_report(inst, allow_non_cy_c2=True).odp_count == expected
 
 
-UNIFORM_CASES = {  # ambient dims, E rows, F row repeated rank times
-    "P^4": ([4], [[0], [-1]], [2]),
-    "P^5": ([5], [[0], [0], [0]], [1]),
-    "P^6": ([6], [[-1], [0], [0], [1]], [1]),
-    "P^7": ([7], [[0], [0], [-1]], [1]),
-    "(P^1)^4": ([1] * 4, [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, 0]], [1] * 4),
-    "(P^1)^5": ([1] * 5, [[0, 0, 0, 0, 0], [-1, 0, 0, 1, 0]], [1, 0, 1, 0, 1]),
+TWIST_CASES = {  # ambient dims, E rows, F rows
+    "P^4": ([4], [[0], [-1]], [[2]] * 2),
+    "P^5": ([5], [[0], [0], [0]], [[1]] * 3),
+    "P^6": ([6], [[-1], [0], [0], [1]], [[1]] * 4),
+    "P^7": ([7], [[0], [0], [-1]], [[1]] * 3),
+    "(P^1)^4": ([1] * 4, [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, 0]], [[1] * 4] * 3),
+    "(P^1)^5": ([1] * 5, [[0, 0, 0, 0, 0], [-1, 0, 0, 1, 0]], [[1, 0, 1, 0, 1]] * 2),
+    # F repeats one root: Table 2's (1, 1, 2), and a partly uniform product
+    "P^4 repeated": ([4], [[0], [0], [0]], [[1], [1], [2]]),
+    "(P^1)^4 repeated": (
+        [1] * 4,
+        [[0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+        [[1] * 4, [1] * 4, [1, 0, 1, 0]],
+    ),
+    "P^5 two pairs": ([5], [[0], [0], [-1], [0]], [[2], [1], [2], [1]]),
+    "P^1xP^1xP^2 trivial": ([1, 1, 2], [[-1, 0, 0], [0, -1, -1]], [[0, 0, 0]] * 2),
+    "P^5 distinct": ([5], [[0], [0], [0]], [[1], [2], [3]]),
 }
 
 
-@pytest.mark.parametrize("case", UNIFORM_CASES)
+@pytest.mark.parametrize("case", TWIST_CASES)
 def test_uniform_bundle_matches_the_untwisted_resolution(case):
-    # the report resolves F = L^r in P(F (x) L^-1); building P(F) itself,
-    # with its relation, must give the same chi(Z) and pushed cycles
-    dims, rows_e, row_f = UNIFORM_CASES[case]
+    # the report resolves F in P(F (x) L^-1), L the root F repeats most (O
+    # when none repeats); building P(F) itself, with its whole relation,
+    # must give the same chi(Z) and pushed cycles
+    dims, rows_e, rows_f = TWIST_CASES[case]
     space = product_of_projective_spaces(dims)
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, rows_e),
-        BundleSpec.sum_of_line_bundles(space, [row_f] * len(rows_e)),
+        BundleSpec.sum_of_line_bundles(space, rows_f),
     )
-    hyper = space.degree_one([1] * len(dims))
-    inst = Instance(space, pair, hyper)
-    report = build_report(inst, allow_non_cy_c2=True)
-    d = space.dim
+    inst = Instance(space, pair, space.degree_one([1] * len(dims)))
+    assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
 
-    bundle = proj_bundle(space, pair.F)
-    assert bundle._relation != ()
+    # the relation prod (zeta - root) over the roots of F (x) L^-1 has one
+    # factor per nonzero root, so its lowest power of zeta is r - factors
+    rank, bundle = len(rows_f), inst.resolution.space
+    repeats = max(rows_f.count(row) for row in rows_f)
+    copies_of_l = max(repeats if repeats > 1 else 0, rows_f.count([0] * len(dims)))
+    lowest = min((bundle._unpack(e)[-1] for e, _ in bundle._relation), default=rank)
+    assert rank - lowest == rank - copies_of_l
+
+
+def assert_untwisted_resolution_agrees(inst, report):
+    """Build P(F) itself, with its whole relation and xi its fiber class, and
+    check the report's chi(Z), the pushed cycles L^j . [Z] with their
+    intersection numbers and, on fourfolds, the c2 direct cycle."""
+    pair, hyper, res, d = inst.pair, inst.polarization, inst.resolution, inst.d
+    bundle = proj_bundle(inst.ambient, pair.F)
     xi = bundle.fiber_class()
     roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
     locus = prod(roots, start=bundle.one())
     tangent = bundles.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
     assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
 
-    res = inst.resolution
     cycle, twisted = locus, res.locus
     for j in range(d):
         pushed, k = bundle.pushforward(cycle), d - 1 - j
         assert pushed == res.space.pushforward(twisted), j
         assert _pair(hyper**k, pushed) == report.intersection_numbers[k], j
         cycle, twisted = cycle * xi, twisted * res.tautological
+    if d == 4:
+        cycle = tangent[2] * locus
+        assert _pair(hyper, bundle.pushforward(cycle)) == report.c2_against_polarization
+        assert (
+            inst.ambient.integrate(bundle.pushforward(cycle * xi))
+            == report.c2_against_tautological
+        )
+
+
+@st.composite
+def twist_cases(draw):
+    """Ambient dims, E rows and F rows: P^4..P^6, or a product of P^1 and
+    P^2 factors of dimension 4..6, at rank 2..4, with F uniform, partly
+    repeated, of distinct rows, or trivial, each on purpose."""
+    if draw(st.booleans()):
+        dims = [draw(st.integers(4, 6))]
+    else:
+        twos = draw(st.integers(0, 3))
+        ones = draw(st.integers(max(0, 4 - 2 * twos), 6 - 2 * twos))
+        dims = draw(st.permutations([1] * ones + [2] * twos))
+    rank = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 3), min_size=len(dims), max_size=len(dims))
+    rows_e = draw(st.lists(row, min_size=rank, max_size=rank))
+    shape = draw(st.sampled_from(["uniform", "repeated", "distinct", "trivial"]))
+    if shape == "trivial":
+        rows_f = [[0] * len(dims)] * rank
+    elif shape == "distinct":
+        rows_f = draw(st.lists(row, min_size=rank, max_size=rank, unique_by=tuple))
+    else:
+        copies = rank if shape == "uniform" else draw(st.integers(2, rank))
+        rest = draw(st.lists(row, min_size=rank - copies, max_size=rank - copies))
+        rows_f = draw(st.permutations([draw(row)] * copies + rest))
+    return dims, rows_e, rows_f
+
+
+@settings(max_examples=200, deadline=None)
+@given(twist_cases())
+def test_report_matches_the_untwisted_resolution(case):
+    # differential: the report's resolution in P(F (x) L^-1) against P(F)
+    dims, rows_e, rows_f = case
+    space = product_of_projective_spaces(dims)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, rows_e),
+        BundleSpec.sum_of_line_bundles(space, rows_f),
+    )
+    inst = Instance(space, pair, space.degree_one([1] * len(dims)))
+    assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
 
 
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
