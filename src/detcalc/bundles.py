@@ -3,38 +3,12 @@
 A bundle is a direct sum of line bundles, given by one first Chern class
 per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
 the two Chern-class sequences every downstream formula consumes, computed
-at construction by :func:`divide_by_roots`.
+at construction by ``chow.divide_by_roots``.  No term map is read here.
 """
 
 from __future__ import annotations
 
-from .chow import AmbientSpace, ChowClass, _accumulate, _accumulate_terms, _finish
-
-
-def divide_by_roots(parts: list[ChowClass], roots) -> list[ChowClass]:
-    """A new list of the parts of a class divided by ``prod (1 + root)``,
-    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
-    all roots of one degree in one term map: no inverse, only degree-one
-    factors.  Each root's running quotient ``Z_(k-1)`` stays a term map of
-    plain packed codes (a snapshot of the accumulator; the bias lives only
-    in the kernel's flag test), and only the returned parts become classes,
-    each one handed its accumulator by :func:`_finish`.  A zero root (a
-    trivial summand) divides by 1 and is skipped."""
-    roots = [root for root in roots if not root.is_zero()]
-    if not roots or not parts:
-        return list(parts)
-    space = parts[0].ambient
-    if any(root.ambient is not space for root in roots):
-        raise ValueError("classes live on different ambient spaces")
-    out = [parts[0]]
-    last = [parts[0].terms] * len(roots)  # Z_(k-1) after each root
-    for part in parts[1:]:
-        acc = dict(part.terms)
-        for j, root in enumerate(roots):
-            _accumulate_terms(space, acc, root.terms, last[j], -1)
-            last[j] = dict(acc)
-        out.append(_finish(space, acc))
-    return out
+from .chow import AmbientSpace, ChowClass, divide_by_roots, sum_of_products
 
 
 class BundleSpec:
@@ -67,32 +41,30 @@ class BundleSpec:
         return len(self.roots)
 
     def total_chern(self) -> ChowClass:
-        """``prod (1 + root)``, adding ``root * out`` into a copy of ``out``
-        per root; a zero root (a trivial summand) is skipped."""
-        out = self.ambient.one()
+        """``prod (1 + root)``: one ``sum_of_products`` per nonzero root, short
+        factor first, since the kernel's outer loop runs over it."""
+        one = out = self.ambient.one()
         for root in self.roots:
             if not root.is_zero():
-                acc = dict(out.terms)
-                _accumulate(acc, root, out)
-                out = _finish(self.ambient, acc)
+                out = sum_of_products(self.ambient, [(1, one + root, out)])
         return out
 
     def chern(self, k: int) -> ChowClass:
         return self.total_chern().part(k)
 
     def c1(self) -> ChowClass:
-        """The sum of the roots, in one term map."""
-        out: dict[int, int] = {}
-        for root in self.roots:
-            for e, c in root.terms.items():
-                out[e] = out.get(e, 0) + c
-        return _finish(self.ambient, out)
+        """The sum of the roots, in one term map; zero roots are skipped."""
+        one = self.ambient.one()
+        products = [(1, one, root) for root in self.roots if not root.is_zero()]
+        return sum_of_products(self.ambient, products)
 
     def dual(self) -> "BundleSpec":
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))
 
     def twist(self, ell: ChowClass) -> "BundleSpec":
         """Tensor with a line bundle of first Chern class ``ell``; O is a no-op."""
+        if ell.ambient is not self.ambient:
+            raise ValueError("twisting class lives on a different space")
         if not ell.is_homogeneous(1):
             raise ValueError("twisting class must be homogeneous of degree one")
         if ell.is_zero():
@@ -116,7 +88,7 @@ class VirtualPair:
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
     the Schur determinants of the degeneracy-locus formulas.  Both are
     computed at construction, each by dividing a total Chern class by the
-    other bundle's roots one at a time (:func:`divide_by_roots`);
+    other bundle's roots one at a time (``chow.divide_by_roots``);
     ``chern_diff`` is also the dual sequence ``s_from_c(schur_seq)`` of the
     dual Jacobi-Trudi form.  ``hypersurface_class`` is ``c1(F) - c1(E)``,
     the first Chern class of det(E dual) tensor det(F): the divisor class

@@ -24,10 +24,11 @@ or an accumulator's, is keyed by plain codes.  A projective bundle lays
 out its base's fields first, unchanged, so pulling a class back copies
 its codes.
 
-A class owns its term map and never changes it.  The one hand-over is
-:func:`_finish`, which makes an accumulator the term map of a new class;
-the caller never touches that accumulator again, and a new accumulator
-that starts from a class is a copy, ``dict(x.terms)``.
+Term maps belong to this module: other modules build classes through the
+ring operations, :func:`sum_of_products` and :func:`divide_by_roots`.  A
+class never changes its term map.  Each accumulator is made by the
+function that fills it and adopted by one new class (:func:`_finish`), and
+one that starts from a class is a copy, ``dict(x.terms)``.
 """
 
 from __future__ import annotations
@@ -57,17 +58,6 @@ def _make(ambient: "AmbientSpace", terms: dict[int, int]) -> "ChowClass":
     return x
 
 
-def _accumulate(out: dict[int, int], x: "ChowClass", y: "ChowClass", scale: int = 1):
-    """Add ``scale * x * y`` into ``out``, a term map the caller owns, keyed
-    by plain packed codes: the bias enters only the flag test.  Coefficients
-    may cancel to zero until :func:`_finish` drops them, when it hands
-    ``out`` over to a class."""
-    space = x.ambient
-    if y.ambient is not space:
-        raise ValueError("classes live on different ambient spaces")
-    _accumulate_terms(space, out, x.terms, y.terms, scale)
-
-
 def _accumulate_terms(
     space: "AmbientSpace",
     out: dict[int, int],
@@ -75,11 +65,12 @@ def _accumulate_terms(
     right: dict[int, int],
     scale: int = 1,
 ):
-    """The pair loop of :func:`_accumulate`, on two term maps of ``space``.
+    """Add ``scale * left * right``, term maps of ``space``, into ``out``.
 
     The bias enters only the flag test: ``a + b`` is the product's code,
     and ``a + b + bias`` has a flag bit set exactly when a field left the
-    normal form.  A term map may hold zero coefficients; they add nothing.
+    normal form.  A term map may hold zero coefficients; they add nothing,
+    and those that cancel in ``out`` are dropped by :func:`_finish`.
     """
     bias, over, trunc = space._bias, space._over, space._trunc
     reduced = space._reduced
@@ -106,6 +97,43 @@ def _finish(space: "AmbientSpace", out: dict[int, int]) -> "ChowClass":
     if 0 in out.values():
         out = {e: c for e, c in out.items() if c}
     return _make(space, out)
+
+
+def sum_of_products(space: "AmbientSpace", products) -> "ChowClass":
+    """``sum scale * x * y`` over the ``(scale, x, y)`` triples of
+    ``products``, classes on ``space``, built in one term map."""
+    out: dict[int, int] = {}
+    for scale, x, y in products:
+        if x.ambient is not space or y.ambient is not space:
+            raise ValueError("classes live on different ambient spaces")
+        _accumulate_terms(space, out, x.terms, y.terms, scale)
+    return _finish(space, out)
+
+
+def divide_by_roots(parts: list["ChowClass"], roots) -> list["ChowClass"]:
+    """A new list of the parts of a class divided by ``prod (1 + root)``,
+    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
+    all roots of one degree in one term map: no inverse, only degree-one
+    factors.  Each root's running quotient ``Z_(k-1)`` is a snapshot of the
+    accumulator, and only the returned parts become classes.  Every root
+    must live on the space of the parts; a zero one is then skipped."""
+    if not parts:
+        return []
+    space = parts[0].ambient
+    if any(root.ambient is not space for root in roots):
+        raise ValueError("classes live on different ambient spaces")
+    roots = [root.terms for root in roots if root.terms]
+    if not roots:
+        return list(parts)
+    out = [parts[0]]
+    last = [parts[0].terms] * len(roots)  # Z_(k-1) after each root
+    for part in parts[1:]:
+        acc = dict(part.terms)
+        for j, root in enumerate(roots):
+            _accumulate_terms(space, acc, root, last[j], -1)
+            last[j] = dict(acc)
+        out.append(_finish(space, acc))
+    return out
 
 
 def _combine(x: "ChowClass", y: "ChowClass", sign: int) -> "ChowClass":
@@ -168,8 +196,10 @@ class ChowClass:
             if q is None:
                 return NotImplemented
             return _make(space, {e: c * q for e, c in self.terms.items()} if q else {})
+        if other.ambient is not space:
+            raise ValueError("classes live on different ambient spaces")
         out: dict[int, int] = {}
-        _accumulate(out, self, other)
+        _accumulate_terms(space, out, self.terms, other.terms)
         return _finish(space, out)
 
     __rmul__ = __mul__
@@ -183,13 +213,12 @@ class ChowClass:
         return out
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is None:
+        if isinstance(other, ChowClass):
+            return other.ambient is self.ambient and self.terms == other.terms
+        q = _scalar(other)
+        if q is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == self.ambient.scalar(q).terms
 
     __hash__ = None
 

@@ -13,19 +13,19 @@ generic in the transversality sense (each stratum smooth of expected
 codimension); that assumption is surfaced in report warnings, never
 verified.
 
-Each reported number is compared across two routes; a mismatch aborts,
-since it can only mean a convention bug.  Intersection numbers and ``c2``
-pairings: a closed form on the ambient space against a direct route
-through the rank-one-quotient bundle carrying the small resolution, where
-each cycle on the resolution is pushed down to the ambient space and
-paired there (the projection formula).  The bundle is ``P(F (x) L^-1)``
-for the root ``L`` that F repeats most, which shortens its relation.  Euler
-numbers: the hook sum of :func:`euler_numbers`, one binomial convolution
-of the pair's two sequences per weight, against ``chi(Z)`` integrated on
-that bundle, with the power identity checked as classes where every shape
-is a hook.  A report evaluates one cofactor Schur determinant, the 2x2
-class of :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds,
-else none.
+A mismatch of two routes aborts, since it can only mean a convention bug.
+Intersection numbers and ``c2`` pairings: a closed form on the ambient
+space against a direct route through the rank-one-quotient bundle
+carrying the small resolution, where each cycle is pushed down to the
+ambient space and paired there (the projection formula).  The bundle is
+``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
+its relation.  The resolution's Euler number: the hook sum of
+:func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
+smooth number and the singular gap have a second route, the shortcut of
+:func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
+only.  A report evaluates one cofactor Schur determinant, the 2x2 class
+of :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else
+none.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
 
-from .bundles import VirtualPair, divide_by_roots
-from .chow import AmbientSpace, ChowClass, _pair, _pair3, proj_bundle
+from .bundles import VirtualPair
+from .chow import AmbientSpace, ChowClass, _pair, _pair3, divide_by_roots, proj_bundle
 from .schur import hook_pairing, hook_sum, schur
 
 
@@ -94,6 +94,14 @@ class Instance:
                 raise ValueError("polarization lives on a different ambient space")
             if not polarization.is_homogeneous(1):
                 raise ValueError("polarization must be homogeneous of degree one")
+            # O(a_1, ..., a_n) is ample exactly when every a_i >= 1; a_i is its
+            # degree on a line of factor i, the top monomial lowered by one h_i
+            caps = ambient.caps
+            for i, c in enumerate(caps):
+                line = {caps[:i] + (c - 1,) + caps[i + 1 :]: 1}
+                if c and _pair(polarization, ChowClass(ambient, line)) < 1:
+                    msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
+                    raise ValueError(msg)
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
@@ -106,10 +114,8 @@ class Instance:
         # each copy of L in F drops a factor from the relation, so L is the
         # root F repeats most, and O when no root repeats or O ties it.
         F, zero = pair.F, ambient.zero()
-        terms = [root.terms for root in F.roots]
-        f = max((zero, *F.roots), key=lambda root: terms.count(root.terms))
-        if terms.count(f.terms) < 2:
-            f = zero
+        f = max((zero, *F.roots), key=F.roots.count)
+        f = f if F.roots.count(f) > 1 else zero
         space = proj_bundle(ambient, F.twist(-f))
         xi = space.fiber_class() + space.pullback(f)
         roots = pair.E.dual().pullback_to(space).twist(xi).roots

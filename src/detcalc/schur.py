@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .chow import ChowClass, _accumulate, _finish, _pair3
+from .chow import ChowClass, _pair3, sum_of_products
 from .partitions import PartitionLike, partition
 
 
@@ -24,10 +24,9 @@ def s_from_c(cseq: list[ChowClass]) -> list[ChowClass]:
     space = cseq[0].ambient
     out = [space.one()]
     for k in range(1, space.dim + 1):
-        acc: dict[int, int] = {}
-        for j in range(max(0, k - len(cseq) + 1), k):
-            _accumulate(acc, cseq[k - j], out[j], (-1) ** (j + k + 1))
-        out.append(_finish(space, acc))
+        low = max(0, k - len(cseq) + 1)
+        products = [((-1) ** (j + k + 1), cseq[k - j], out[j]) for j in range(low, k)]
+        out.append(sum_of_products(space, products))
     return out
 
 
@@ -66,14 +65,13 @@ def schur(lam: PartitionLike, seq: list[ChowClass]) -> ChowClass:
         found = minors.get(key)
         if found is not None:
             return found
-        acc: dict[int, int] = {}
+        products = []
         for pos, col in enumerate(cols):
             entry = _entry(seq, lam[row] - row + col, space)
-            if entry.is_zero():
-                continue
-            rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            _accumulate(acc, entry, rest, (-1) ** pos)
-        minors[key] = found = _finish(space, acc)
+            if not entry.is_zero():
+                rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
+                products.append(((-1) ** pos, entry, rest))
+        minors[key] = found = sum_of_products(space, products)
         return found
 
     return minor(0, tuple(range(k)))
@@ -85,7 +83,7 @@ def _hook_products(weight: int, h: list[ChowClass], e: list[ChowClass]):
     sequence vanish, and so do zero entries: neither is yielded."""
     for a in range(max(1, weight - len(e) + 1), min(weight, len(h))):
         left, right = h[a], e[weight - a]
-        if left.terms and right.terms:
+        if not (left.is_zero() or right.is_zero()):
             yield comb(weight - 2, a - 1), left, right
 
 
@@ -109,10 +107,7 @@ def hook_sum(weight: int, h: list[ChowClass], e: list[ChowClass]) -> ChowClass:
     space = h[0].ambient
     if weight == 1:
         return _entry(h, 1, space)
-    acc: dict[int, int] = {}
-    for binomial, left, right in _hook_products(weight, h, e):
-        _accumulate(acc, left, right, binomial)
-    return _finish(space, acc)
+    return sum_of_products(space, _hook_products(weight, h, e))
 
 
 def hook_pairing(

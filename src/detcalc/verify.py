@@ -11,8 +11,10 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .bundles import BundleSpec, VirtualPair, divide_by_roots
-from .chow import AmbientSpace, ChowClass, _accumulate, _finish, projective_space
+from .bundles import BundleSpec, VirtualPair
+from .chow import (
+    AmbientSpace, ChowClass, divide_by_roots, projective_space, sum_of_products
+)
 from .invariants import (
     ConsistencyError,
     Instance,
@@ -161,13 +163,13 @@ def _twisted_virtual_chern(pair: VirtualPair, ell, k: int):
     Closed form, for ``1 <= k <= dim``: an alternating binomial combination
     of the untwisted classes ``pair.chern_diff`` with powers of ``ell``.
     """
-    out: dict[int, int] = {}
+    products = []
     ell_pow = pair.ambient.one()
     for i in range(k, 0, -1):
         scale = (-1) ** (k - i) * comb(k - 1, i - 1)
-        _accumulate(out, pair.chern_diff[i], ell_pow, scale)
+        products.append((scale, pair.chern_diff[i], ell_pow))
         ell_pow = ell_pow * ell
-    return _finish(pair.ambient, out)
+    return sum_of_products(pair.ambient, products)
 
 
 def _chern_diff(E: BundleSpec, F: BundleSpec) -> list:
@@ -198,11 +200,9 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
         bundle = pair.E
         top = bundle.twist(ell).chern(rank)
         total = bundle.total_chern()
-        expansion: dict[int, int] = {}
-        for i in range(rank + 1):
-            _accumulate(expansion, total.part(i), ell ** (rank - i))
+        expansion = [(1, total.part(i), ell ** (rank - i)) for i in range(rank + 1)]
         result.check(
-            top == _finish(space, expansion),
+            top == sum_of_products(space, expansion),
             f"top twisted Chern class mismatch (trial {trial})",
         )
         product = _chern_diff(pair.E, pair.E)
@@ -212,12 +212,10 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
         )
         forward = pair.chern_diff
         backward = _chern_diff(pair.F, pair.E)
-        convolution: dict[int, int] = {}
-        for k in range(space.dim + 1):
-            for i in range(k + 1):
-                _accumulate(convolution, forward[i], backward[k - i])
+        steps = [(i, k - i) for k in range(space.dim + 1) for i in range(k + 1)]
+        convolution = [(1, forward[i], backward[j]) for i, j in steps]
         result.check(
-            _finish(space, convolution) == 1,
+            sum_of_products(space, convolution) == 1,
             f"c(F-E).c(E-F) is not 1 (trial {trial})",
         )
     return result

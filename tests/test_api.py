@@ -2,7 +2,9 @@
 ``detcalc.__all__``, and every public method of a public class, is read by
 the package itself, outside its own definition and ``__init__.py``, or by
 the README's library example; and every function and method the package
-defines, private ones included, is read by the package itself."""
+defines, private ones included, is read by the package itself.  Term maps
+have one owner: no module but ``chow`` reads ``.terms`` or the kernel's
+private names."""
 
 import ast
 import inspect
@@ -47,6 +49,37 @@ def _package_uses() -> _Uses:
         if path.name != "__init__.py":
             uses.visit(ast.parse(path.read_text()))
     return uses
+
+
+def _term_map_users() -> dict[str, list[str]]:
+    """Per module of the package other than ``chow``, the term-map names it
+    imports or loads: the attribute ``terms`` and the kernel's private
+    ``_accumulate_terms``, ``_finish`` and ``_make``."""
+    kernel = {"_accumulate_terms", "_finish", "_make"}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "chow.py":
+            continue
+        tree = ast.parse(path.read_text())
+        uses = _Uses()
+        uses.visit(tree)
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        loaded = uses.used | imported | uses.attributes
+        names = (loaded & kernel) | (uses.attributes & {"terms"})
+        if names:
+            found[path.name] = sorted(names)
+    return found
+
+
+def test_only_chow_touches_term_maps():
+    # a class's term map is read, filled and handed over in chow alone, so
+    # the rule that keeps classes immutable is one module's business
+    assert _term_map_users() == {}
 
 
 def _readme_example() -> str:

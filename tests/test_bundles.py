@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from detcalc import bundles
-from detcalc.bundles import BundleSpec, VirtualPair, divide_by_roots
+from detcalc import chow
+from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     ChowClass,
+    divide_by_roots,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
@@ -255,6 +256,20 @@ def test_derived_bundles_keep_degree_one_roots_on_their_space():
         B.twist(projective_space(3).generator(0))
     with pytest.raises(ValueError):
         B.twist(pulled.roots[0])
+    # a zero class is O, but only on the bundle's own space
+    for foreign in (projective_space(3).zero(), space.zero()):
+        with pytest.raises(ValueError, match="different space"):
+            B.twist(foreign)
+
+
+def test_divide_by_roots_refuses_a_foreign_class():
+    # the space is checked before zero roots are dropped, so a zero class
+    # from another space is refused too
+    p4, p5 = projective_space(4), projective_space(5)
+    parts = (1 + p4.generator(0)).parts()
+    for roots in ([p5.zero()], [p4.zero(), p5.zero()], [p5.generator(0)]):
+        with pytest.raises(ValueError, match="different ambient spaces"):
+            divide_by_roots(parts, roots)
 
 
 def test_trivial_summands_make_no_kernel_calls(monkeypatch):
@@ -267,8 +282,7 @@ def test_trivial_summands_make_no_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("_accumulate", "_accumulate_terms"):
-        monkeypatch.setattr(bundles, name, counted(getattr(bundles, name)))
+    monkeypatch.setattr(chow, "_accumulate_terms", counted(chow._accumulate_terms))
     space = product_of_projective_spaces([2, 2])
     parts = random_parts(random.Random(22), space)
     zero = space.zero()

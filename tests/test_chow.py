@@ -7,13 +7,14 @@ import pytest
 from detcalc.bundles import BundleSpec
 from detcalc.chow import (
     ChowClass,
-    _accumulate,
+    _accumulate_terms,
     _finish,
     _pair,
     _pair3,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
+    sum_of_products,
 )
 from oracles import naive_multiply, series, series_inv, series_mul, unit_inverse
 
@@ -333,31 +334,35 @@ def test_multiply_matches_naive_reference():
 def test_accumulate_kernel_matches_naive_reference():
     rng = random.Random(17)
     for space, relations in naive_reference_cases():
+        one = space.one()
         for _ in range(8):
             a, b, held = (random_terms(rng, space) for _ in range(3))
             x, y = ChowClass(space, a), ChowClass(space, b)
             scale = rng.choice([-3, -1, 2, 7])
             product = naive_multiply(a, b, space.caps, relations)
-            # into an accumulator that already holds terms
-            out = dict(ChowClass(space, held).terms)
-            _accumulate(out, x, y, scale)
+            # after a product that already put terms in the accumulator
+            held_x1 = (1, ChowClass(space, held), one)
+            result = sum_of_products(space, [held_x1, (scale, x, y)])
             expected = dict(held)
             for e, c in product.items():
                 expected[e] = expected.get(e, 0) + scale * c
             expected = {e: c for e, c in expected.items() if c}
-            result = _finish(space, out)
             assert result == ChowClass(space, expected)
             assert len(result.terms) == len(expected)
             # the same sum, cancelled exactly to zero by its negative
-            negated = {e: -scale * c for e, c in product.items()}
-            out = dict(ChowClass(space, negated).terms)
-            _accumulate(out, x, y, scale)
-            assert _finish(space, out).terms == {}
+            negated = ChowClass(space, {e: -scale * c for e, c in product.items()})
+            cancelled = sum_of_products(space, [(1, negated, one), (scale, x, y)])
+            assert cancelled.terms == {}
             # a product and its negative leave the held terms alone
-            out = dict(ChowClass(space, held).terms)
-            _accumulate(out, x, y, scale)
-            _accumulate(out, y, x, -scale)
-            assert _finish(space, out).terms == ChowClass(space, held).terms
+            result = sum_of_products(space, [held_x1, (scale, x, y), (-scale, y, x)])
+            assert result.terms == ChowClass(space, held).terms
+        # the empty sum is the zero class, and a class from another space
+        # is refused wherever it stands
+        assert sum_of_products(space, []) == space.zero()
+        foreign = projective_space(space.dim + 1).one()
+        for bad in [(1, foreign, one), (1, one, foreign), (1, foreign, foreign)]:
+            with pytest.raises(ValueError, match="different ambient spaces"):
+                sum_of_products(space, [(1, one, one), bad])
 
 
 def test_finish_adopts_the_accumulator():
@@ -366,14 +371,14 @@ def test_finish_adopts_the_accumulator():
     space = product_of_projective_spaces([1, 2])
     h1, h2 = space.generator(0), space.generator(1)
     out = dict((1 + h2).terms)
-    _accumulate(out, h1, 1 - h2)
+    _accumulate_terms(space, out, h1.terms, (1 - h2).terms)
     assert 0 not in out.values()
     result = _finish(space, out)
     assert result.terms is out
     assert result == 1 + h1 + h2 - h1 * h2
     # 1 + h2 - h2 leaves a zero coefficient, which the finished class drops
     out = dict((1 + h2).terms)
-    _accumulate(out, h2, space.one(), -1)
+    _accumulate_terms(space, out, h2.terms, space.one().terms, -1)
     assert 0 in out.values()
     result = _finish(space, out)
     assert result.terms == {0: 1}

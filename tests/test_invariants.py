@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcalc import bundles, invariants
+from detcalc import bundles, chow, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     _pair,
@@ -611,6 +611,24 @@ def test_instance_guards(p4):
         Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [1, 1])), p4.one())
 
 
+def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
+    # O(a_1, ..., a_n) is ample exactly when every a_i >= 1, the rule the
+    # command line applies to its configs; a factor of dimension 0 has no a_i
+    p4, pair, h = quintic.ambient, quintic.pair, quintic.polarization
+    for polarization in (p4.zero(), -h):
+        with pytest.raises(ValueError, match="not ample"):
+            Instance(p4, pair, polarization)
+    for dims, bad, good in [([1, 3], [1, 0], [2, 1]), ([0, 4], [3, 0], [0, 1])]:
+        space = product_of_projective_spaces(dims)
+        pair = VirtualPair(
+            BundleSpec.sum_of_line_bundles(space, [[0, 0], [0, 0]]),
+            BundleSpec.sum_of_line_bundles(space, [[1, 1], [1, 2]]),
+        )
+        with pytest.raises(ValueError, match="not ample"):
+            Instance(space, pair, space.degree_one(bad))
+        assert Instance(space, pair, space.degree_one(good)).polarization is not None
+
+
 def test_values_are_computed_at_construction(quintic):
     inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
@@ -635,6 +653,7 @@ def test_build_report_builds_no_chern_class(monkeypatch, quintic):
     for owner, name in [
         (BundleSpec, "c1"),
         (BundleSpec, "total_chern"),
+        (chow, "divide_by_roots"),
         (bundles, "divide_by_roots"),
         (invariants, "divide_by_roots"),
     ]:
@@ -744,7 +763,7 @@ def assert_untwisted_resolution_agrees(inst, report):
     xi = bundle.fiber_class()
     roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
     locus = prod(roots, start=bundle.one())
-    tangent = bundles.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
+    tangent = chow.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
     assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
 
     cycle, twisted = locus, res.locus

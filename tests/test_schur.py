@@ -225,14 +225,16 @@ def test_hook_sum_makes_no_kernel_call_for_a_zero_class(monkeypatch):
     assert [k for k, x in enumerate(e) if not x.is_zero()] == [0, 1, 2, 3]
     schur_module = importlib.import_module("detcalc.schur")  # not the function
     calls = []
-    original = schur_module._accumulate
+    original = schur_module.sum_of_products
 
-    def counted(out, x, y, scale=1):
-        assert not x.is_zero() and not y.is_zero()
-        calls.append(1)
-        original(out, x, y, scale)
+    def counted(space, products):
+        products = list(products)
+        for _, x, y in products:
+            assert not x.is_zero() and not y.is_zero()
+            calls.append(1)
+        return original(space, products)
 
-    monkeypatch.setattr(schur_module, "_accumulate", counted)
+    monkeypatch.setattr(schur_module, "sum_of_products", counted)
     for weight in range(2, 15):
         before = len(calls)
         expected = sum(
