@@ -274,7 +274,8 @@ class ChowClass:
 
 
 def _pair(x: ChowClass, y: ChowClass) -> int:
-    """``integrate(x * y)`` on a space with no relation, without the product.
+    """``integrate(x * y)`` on a space with no relation, without the product:
+    a base, or a bundle whose relation is zero.
 
     There every product of normal-form monomials either truncates or stays
     in normal form, so only the pairs ``m * (top / m)`` reach the top
@@ -284,7 +285,7 @@ def _pair(x: ChowClass, y: ChowClass) -> int:
     space = x.ambient
     if y.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
-    if space.base is not None:
+    if space._relation:
         raise ValueError("the pairing kernel needs a space with no relation")
     top, get = space._top, y.terms.get
     return sum(c * get(top - e, 0) for e, c in x.terms.items())
@@ -306,7 +307,7 @@ def _pair3(x: ChowClass, y: ChowClass, z: ChowClass) -> int:
     space = x.ambient
     if y.ambient is not space or z.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
-    if space.base is not None:
+    if space._relation:
         raise ValueError("the pairing kernel needs a space with no relation")
     if len(x.terms) > len(z.terms):
         x, z = z, x
@@ -524,6 +525,11 @@ class AmbientSpace:
             self.base,
             {e - (top << shift): c for e, c in x.terms.items() if e >> shift == top},
         )
+
+    @property
+    def has_relation(self) -> bool:
+        """True when the fiber class reduces through a nonzero relation."""
+        return bool(self._relation)
 
     def fiber_class(self) -> ChowClass:
         """First Chern class of the tautological quotient line bundle."""

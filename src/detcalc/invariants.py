@@ -21,6 +21,10 @@ ambient space and paired there (the projection formula).  The bundle is
 ``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
+input selects the form of the direct ``chi(Z)`` and ``c2`` cycle: where
+E = O^r and F = L^r they pair ``c(T_P(F))`` with the cycles ``[Z] xi^k``
+that the intersection numbers push down, and divide nothing; elsewhere
+they divide ``c(T_P(F))`` by the normal roots (:class:`Resolution`).  The
 smooth number and the singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
 only.  A report evaluates one cofactor Schur determinant, the 2x2 class
@@ -31,11 +35,12 @@ none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 from .bundles import VirtualPair
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, divide_by_roots, proj_bundle
+from .chow import sum_of_products
 from .schur import hook_pairing, hook_sum, schur
 
 
@@ -51,16 +56,20 @@ class Resolution(NamedTuple):
     """The small resolution as a zero locus in the quotient bundle ``space``:
     ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
     of its normal bundle, ``locus`` its fundamental class, their product,
-    ``tangent`` the parts ``0 .. d-1`` of ``c(T_Z)`` on ``space``, by the
-    normal exact sequence ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``, and
     ``tautological`` is ``xi = zeta + c1(L)`` on ``space = P(F (x) L^-1)``
-    with fiber class ``zeta`` (:class:`Instance` picks ``L``)."""
+    with fiber class ``zeta`` (:class:`Instance` picks ``L``), ``cycles``
+    are ``[Z] xi^j`` for ``j = 0 .. d-1`` (None when unused), and ``tangent``
+    the parts ``0 .. d-1`` of ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``, by
+    the normal exact sequence.  When every normal root is ``xi`` (E = O^r)
+    and ``space`` has no relation (F = L^r), ``tangent`` is None: there
+    ``c(T_Z) [Z] = c(T_P(F)) sum_k (-1)^k C(k+r-1, r-1) [Z] xi^k``."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
     locus: ChowClass
-    tangent: list[ChowClass]
+    tangent: list[ChowClass] | None
     tautological: ChowClass
+    cycles: list[ChowClass] | None
 
 
 def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
@@ -119,13 +128,18 @@ class Instance:
         space = proj_bundle(ambient, F.twist(-f))
         xi = space.fiber_class() + space.pullback(f)
         roots = pair.E.dual().pullback_to(space).twist(xi).roots
-        self.resolution = Resolution(
-            space,
-            roots,
-            prod(roots, start=space.one()),
-            divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots),
-            xi,
-        )
+        # The cycles [Z] xi^j stand in for c(T_Z) where every normal root is
+        # xi and there is no relation, and serve the intersection numbers.
+        locus = prod(roots, start=space.one())
+        tangent = cycles = None
+        paired = roots.count(xi) == len(roots) and not space.has_relation
+        if not paired:
+            tangent = divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots)
+        if paired or polarization is not None:
+            cycles = [locus]
+            for _ in range(ambient.dim - 1):
+                cycles.append(cycles[-1] * xi)
+        self.resolution = Resolution(space, roots, locus, tangent, xi, cycles)
 
     @property
     def d(self) -> int:
@@ -155,6 +169,12 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
         return 0
     quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
     return space.integrate(divisor * quotient[-1])
+
+
+def _normal_series(res: Resolution, n: int) -> list[int]:
+    """``(-1)^k C(k+r-1, r-1)`` for ``k < n``: ``1 / (1 + xi)^r`` in degree k."""
+    r = len(res.normal_roots)
+    return [(-1) ** k * comb(k + r - 1, r - 1) for k in range(n)]
 
 
 def porteous_class(inst: Instance) -> ChowClass:
@@ -210,7 +230,9 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     determinant runs.
 
     The resolution number is compared with ``chi(Z)``, integrated directly
-    on the quotient bundle: ``c_(d-1)(T_Z)`` against the fundamental class.
+    on the quotient bundle: ``c_(d-1)(T_Z)`` against the fundamental class,
+    or, where every normal root is ``xi`` (:class:`Resolution`), the sum over
+    ``k`` of ``(-1)^k C(k+r-1, r-1) c_(d-1-k)(T_P(F))`` against ``[Z] xi^k``.
     In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
@@ -237,10 +259,17 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         else:
             resolution += sign * hook_pairing(weight, seq, dual, t)
     res = inst.resolution
-    integrand = res.tangent[d - 1]
-    for root in res.normal_roots:
-        integrand = integrand * root
-    direct = res.space.integrate(integrand)
+    if res.tangent is None:
+        # a cycle of degree r + k meets only the part c_(d-1-k) of c(T_P)
+        series, whole = _normal_series(res, d), res.space.tangent_chern
+        direct = sum(a * _pair(c, whole) for a, c in zip(series, res.cycles))
+    elif not res.space.has_relation:
+        direct = _pair(res.tangent[d - 1], res.locus)
+    else:
+        integrand = res.tangent[d - 1]
+        for root in res.normal_roots:
+            integrand = integrand * root
+        direct = res.space.integrate(integrand)
     if resolution != direct:
         raise ConsistencyError(
             f"resolution Euler number: hook sum {resolution} != direct {direct}"
@@ -281,10 +310,9 @@ def intersection_numbers(inst: Instance) -> list[int]:
     ``H`` pulls back the polarization, ``L`` is the tautological class of
     the quotient bundle.  Each value is computed in closed form on the
     ambient space (``H^k`` against the complementary dual-difference Chern
-    class) and again directly: ``L^j . [Z]`` is built on the quotient
-    bundle by one degree-one product per ``j``, pushed down, and paired
-    with ``H^k`` on the ambient space by the projection formula.  The
-    routes must agree.
+    class) and again directly: the resolution's cycle ``L^j . [Z]`` on the
+    quotient bundle is pushed down and paired with ``H^k`` on the ambient
+    space by the projection formula.  The routes must agree.
     """
     if inst.polarization is None:
         raise GuardError("intersection numbers need a polarization class")
@@ -294,13 +322,11 @@ def intersection_numbers(inst: Instance) -> list[int]:
     hyper = inst.polarization
 
     bundle_space = inst.resolution.space
-    tautological = inst.resolution.tautological
+    cycles = inst.resolution.cycles  # L^j . [Z] on the quotient bundle
 
     hyper_pows = [space.one()]
-    cycles = [inst.resolution.locus]  # L^j . [Z] on the quotient bundle
     for _ in range(d - 1):
         hyper_pows.append(hyper_pows[-1] * hyper)
-        cycles.append(cycles[-1] * tautological)
 
     values = []
     for k in range(d):
@@ -331,8 +357,9 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     the ambient space; without it the general normal-sequence expansion is
     used, and callers must opt in since the simple forms no longer apply.
     Every value is recomputed directly and compared: ``c2 . [Z]`` is formed
-    once on the quotient bundle, and it and its product with the
-    tautological class are pushed down to the ambient space.
+    once on the quotient bundle, as ``c_2(T_Z)`` times ``[Z]`` or as one sum
+    over the cycles ``[Z] xi^k`` (:class:`Resolution`), and it and its
+    product with the tautological class are pushed down to the ambient space.
     """
     return _c2_numbers(inst, allow_non_cy, None)
 
@@ -391,7 +418,11 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
 
     res = inst.resolution
     bundle_space = res.space
-    cycle = res.tangent[2] * res.locus
+    if res.tangent is None:
+        series, tangent = _normal_series(res, 3), bundle_space.tangent_chern.parts(2)
+        cycle = sum_of_products(bundle_space, zip(series, tangent[::-1], res.cycles))
+    else:
+        cycle = res.tangent[2] * res.locus
     direct_h = _pair(hyper, bundle_space.pushforward(cycle))
     direct_l = space.integrate(
         bundle_space.pushforward(cycle * res.tautological)

@@ -110,12 +110,33 @@ def test_parts_split_every_degree_in_one_pass():
     assert x.parts(2) == [x.part(k) for k in range(3)]
 
 
-@pytest.mark.parametrize(
-    "dims", [[1], [5], [2, 3], [1, 1, 2], [1] * 5], ids=lambda dims: repr(dims)
-)
-def test_pairing_kernel_is_integral_of_product(dims):
-    rng = random.Random(sum(dims))
-    space = product_of_projective_spaces(dims)
+PAIRING_CASES = [[1], [5], [2, 3], [1, 1, 2], [1] * 5] + [
+    "P(O^3) over P^2xP^1",
+    "P(L^2 (x) L^-1) over (P^1)^3",
+]
+
+
+def pairing_space(case):
+    """A base from its dims, or a bundle space whose relation is zero:
+    P(O^3) over P^2 x P^1, or P(F (x) L^-1) over (P^1)^3 with F = L^2,
+    L = O(1, 2, 1)."""
+    if isinstance(case, list):
+        return product_of_projective_spaces(case)
+    if case == "P(O^3) over P^2xP^1":
+        base = product_of_projective_spaces([2, 1])
+        space = proj_bundle(base, BundleSpec.sum_of_line_bundles(base, [[0, 0]] * 3))
+    else:
+        base = product_of_projective_spaces([1, 1, 1])
+        uniform = BundleSpec.sum_of_line_bundles(base, [[1, 2, 1]] * 2)
+        space = proj_bundle(base, uniform.twist(-uniform.roots[0]))
+    assert not space.has_relation
+    return space
+
+
+@pytest.mark.parametrize("case", PAIRING_CASES, ids=str)
+def test_pairing_kernel_is_integral_of_product(case):
+    rng = random.Random(sum(case) if isinstance(case, list) else 0)
+    space = pairing_space(case)
     for _ in range(10):
         x, y = random_class(rng, space), random_class(rng, space)
         assert _pair(x, y) == space.integrate(x * y)
@@ -123,12 +144,10 @@ def test_pairing_kernel_is_integral_of_product(dims):
     assert _pair(tangent, space.one()) == space.integrate(tangent)
 
 
-@pytest.mark.parametrize(
-    "dims", [[1], [5], [2, 3], [1, 1, 2], [1] * 5], ids=lambda dims: repr(dims)
-)
-def test_triple_pairing_kernel_is_integral_of_product(dims):
-    rng = random.Random(100 + sum(dims))
-    space = product_of_projective_spaces(dims)
+@pytest.mark.parametrize("case", PAIRING_CASES, ids=str)
+def test_triple_pairing_kernel_is_integral_of_product(case):
+    rng = random.Random(100 + (sum(case) if isinstance(case, list) else 0))
+    space = pairing_space(case)
     for _ in range(10):
         x, y, z = (random_class(rng, space) for _ in range(3))
         expected = space.integrate(x * y * z)
@@ -140,6 +159,7 @@ def test_triple_pairing_kernel_is_integral_of_product(dims):
 
 
 def test_triple_pairing_kernel_refuses_bundles_and_foreign_classes():
+    # a bundle whose relation is not zero; a relation-free one is paired
     p2 = projective_space(2)
     bundle = proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [1]]))
     xi = bundle.fiber_class()
@@ -152,6 +172,7 @@ def test_triple_pairing_kernel_refuses_bundles_and_foreign_classes():
 
 
 def test_pairing_kernel_refuses_bundles_and_foreign_classes():
+    # a bundle whose relation is not zero; a relation-free one is paired
     p2 = projective_space(2)
     bundle = proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [1]]))
     xi = bundle.fiber_class()

@@ -558,7 +558,7 @@ def test_paired_weights_form_no_product(monkeypatch):
     euler_numbers(inst)
     assert formed == [1, 2, 3]
     assert paired == [4, 5, 6]
-    assert calls and not any(calls)  # the direct route still multiplies
+    assert calls and not any(calls)  # the powers D^w and the low hooks still multiply
 
 
 def seeded_instance(seed):
@@ -629,12 +629,22 @@ def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
         assert Instance(space, pair, space.degree_one(good)).polarization is not None
 
 
-def test_values_are_computed_at_construction(quintic):
+def test_values_are_computed_at_construction(quintic, quartic):
     inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
     assert {"chern_diff", "schur_seq", "hypersurface_class"} <= vars(pair).keys()
     assert {"resolution", "calabi_yau"} <= vars(inst).keys()
-    assert len(inst.resolution.tangent) == inst.d  # parts 0 .. d-1 of c(T_Z)
+    # the quintic divides c(T_P) by its normal roots: parts 0 .. d-1 of c(T_Z),
+    # and its polarization asks for the cycles [Z] xi^j as well
+    assert len(inst.resolution.tangent) == inst.d
+    assert len(inst.resolution.cycles) == inst.d
+    assert Instance(inst.ambient, inst.pair).resolution.cycles is None
+    # the quartic (E = O^2, F = O(2)^2) pairs c(T_P) with the cycles instead,
+    # with or without a polarization
+    for polarization in (quartic.polarization, None):
+        res = Instance(quartic.ambient, quartic.pair, polarization).resolution
+        assert res.tangent is None
+        assert len(res.cycles) == quartic.d
 
 
 def test_build_report_builds_no_chern_class(monkeypatch, quintic):
@@ -766,12 +776,14 @@ def assert_untwisted_resolution_agrees(inst, report):
     tangent = chow.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
     assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
 
-    cycle, twisted = locus, res.locus
-    for j in range(d):
+    assert res.cycles[0] == res.locus
+    cycle = locus
+    for j, twisted in enumerate(res.cycles):
         pushed, k = bundle.pushforward(cycle), d - 1 - j
         assert pushed == res.space.pushforward(twisted), j
         assert _pair(hyper**k, pushed) == report.intersection_numbers[k], j
-        cycle, twisted = cycle * xi, twisted * res.tautological
+        cycle = cycle * xi
+    assert len(res.cycles) == d
     if d == 4:
         cycle = tangent[2] * locus
         assert _pair(hyper, bundle.pushforward(cycle)) == report.c2_against_polarization
@@ -785,7 +797,8 @@ def assert_untwisted_resolution_agrees(inst, report):
 def twist_cases(draw):
     """Ambient dims, E rows and F rows: P^4..P^6, or a product of P^1 and
     P^2 factors of dimension 4..6, at rank 2..4, with F uniform, partly
-    repeated, of distinct rows, or trivial, each on purpose."""
+    repeated, of distinct rows, or trivial, each on purpose, or with
+    E = O^r and F uniform, where the resolution divides nothing."""
     if draw(st.booleans()):
         dims = [draw(st.integers(4, 6))]
     else:
@@ -795,13 +808,16 @@ def twist_cases(draw):
     rank = draw(st.integers(2, 4))
     row = st.lists(st.integers(-2, 3), min_size=len(dims), max_size=len(dims))
     rows_e = draw(st.lists(row, min_size=rank, max_size=rank))
-    shape = draw(st.sampled_from(["uniform", "repeated", "distinct", "trivial"]))
+    shapes = ["uniform", "repeated", "distinct", "trivial", "E = O^r"]
+    shape = draw(st.sampled_from(shapes))
+    if shape == "E = O^r":
+        rows_e = [[0] * len(dims)] * rank
     if shape == "trivial":
         rows_f = [[0] * len(dims)] * rank
     elif shape == "distinct":
         rows_f = draw(st.lists(row, min_size=rank, max_size=rank, unique_by=tuple))
     else:
-        copies = rank if shape == "uniform" else draw(st.integers(2, rank))
+        copies = draw(st.integers(2, rank)) if shape == "repeated" else rank
         rest = draw(st.lists(row, min_size=rank - copies, max_size=rank - copies))
         rows_f = draw(st.permutations([draw(row)] * copies + rest))
     return dims, rows_e, rows_f
@@ -819,6 +835,9 @@ def test_report_matches_the_untwisted_resolution(case):
     )
     inst = Instance(space, pair, space.degree_one([1] * len(dims)))
     assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
+    # E = O^r and F = L^r is the one input that divides nothing
+    paired = not any(map(any, rows_e)) and rows_f.count(rows_f[0]) == len(rows_f)
+    assert (inst.resolution.tangent is None) == paired
 
 
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
@@ -900,11 +919,61 @@ def test_report_numbers_are_ints(case):
 
 
 def doubled_locus(inst):
-    """A copy of ``inst`` whose resolution has twice its fundamental class,
-    which changes only the direct routes."""
+    """A copy of ``inst`` whose resolution has twice its fundamental class and
+    twice every cycle ``[Z] xi^j`` derived from it, which changes only the
+    direct routes, on the division path and the paired path alike."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
-    copy.resolution = inst.resolution._replace(locus=2 * inst.resolution.locus)
+    res = inst.resolution
+    cycles = res.cycles and [2 * cycle for cycle in res.cycles]
+    copy.resolution = res._replace(locus=2 * res.locus, cycles=cycles)
     return copy
+
+
+def test_euler_numbers_compare_routes(quintic):
+    # the quintic divides c(T_P) and pairs c_(d-1)(T_Z) with [Z] on a
+    # relation-free bundle; the dense P^8 and (P^1)^5 pair c(T_P) with the
+    # cycles [Z] xi^k and divide nothing
+    for inst in (quintic, dense_instance(8), dense_product_instance([1] * 5)):
+        assert euler_numbers(inst).resolution != 0
+        with pytest.raises(ConsistencyError, match="^resolution Euler number:"):
+            euler_numbers(doubled_locus(inst))
+
+
+def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
+    monkeypatch, quintic, quartic
+):
+    # with E = O^r and F = L^r, building the instance divides no class on the
+    # bundle space, and the intersection numbers form no product there: they
+    # read the cycles the instance built
+    divided, multiplied = [], []
+    original_divide, original_kernel = chow.divide_by_roots, chow._accumulate_terms
+
+    def counted_divide(parts, roots):
+        divided.append(parts[0].ambient)
+        return original_divide(parts, roots)
+
+    def counted_kernel(space, *args):
+        multiplied.append(space)
+        return original_kernel(space, *args)
+
+    for module in (chow, bundles, invariants):
+        monkeypatch.setattr(module, "divide_by_roots", counted_divide)
+    monkeypatch.setattr(chow, "_accumulate_terms", counted_kernel)
+    for make, paired in [
+        (lambda: Instance(quartic.ambient, quartic.pair, quartic.polarization), True),
+        (lambda: dense_instance(8), True),
+        (lambda: dense_product_instance([1] * 5), True),
+        (lambda: Instance(quintic.ambient, quintic.pair, quintic.polarization), False),
+    ]:
+        divided.clear()
+        inst = make()
+        bundle = inst.resolution.space
+        assert (inst.resolution.tangent is None) == paired
+        assert (bundle in divided) == (not paired)
+        multiplied.clear()
+        intersection_numbers(inst)
+        assert inst.ambient in multiplied  # the powers of the polarization
+        assert bundle not in multiplied
 
 
 def test_intersection_numbers_compare_routes(quintic):
