@@ -21,11 +21,11 @@ ambient space and paired there (the projection formula).  The bundle is
 ``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
-input selects the form of the direct ``chi(Z)`` and ``c2`` cycle: where
-E = O^r and F = L^r they pair ``c(T_P(F))`` with the cycles ``[Z] xi^k``
-that the intersection numbers push down, and divide nothing; elsewhere
-they divide ``c(T_P(F))`` by the normal roots (:class:`Resolution`).  The
-smooth number and the singular gap have a second route, the shortcut of
+direct ``chi(Z)`` and ``c2`` cycle both read ``c(T_Z) [Z] = Q sum_k a_k
+[Z] xi^k``: the ``p`` normal roots equal to ``xi`` give the ``a_k`` of
+``1 / (1 + t)^p``, the others divide ``c(T_P(F))`` into ``Q``, and on a
+bundle with a relation all divide (:class:`Resolution`).  The smooth
+number and the singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
 only.  A report evaluates one cofactor Schur determinant, the 2x2 class
 of :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else
@@ -55,21 +55,22 @@ class ConsistencyError(RuntimeError):
 class Resolution(NamedTuple):
     """The small resolution as a zero locus in the quotient bundle ``space``:
     ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
-    of its normal bundle, ``locus`` its fundamental class, their product,
-    ``tautological`` is ``xi = zeta + c1(L)`` on ``space = P(F (x) L^-1)``
-    with fiber class ``zeta`` (:class:`Instance` picks ``L``), ``cycles``
-    are ``[Z] xi^j`` for ``j = 0 .. d-1`` (None when unused), and ``tangent``
-    the parts ``0 .. d-1`` of ``c(T_Z) = c(T_P(F)) / prod_i (1 + m_i)``, by
-    the normal exact sequence.  When every normal root is ``xi`` (E = O^r)
-    and ``space`` has no relation (F = L^r), ``tangent`` is None: there
-    ``c(T_Z) [Z] = c(T_P(F)) sum_k (-1)^k C(k+r-1, r-1) [Z] xi^k``."""
+    of its normal bundle, ``tautological`` is ``xi = zeta + c1(L)`` on
+    ``space = P(F (x) L^-1)`` with fiber class ``zeta`` (:class:`Instance`
+    picks ``L``), and ``cycles`` are ``[Z] xi^j``: ``[Z]``, the roots'
+    product, and every ``j < d`` when ``p > 0`` or there is a polarization.
+    By the normal exact sequence ``c(T_Z) [Z] = Q sum_k a_k [Z] xi^k``: the
+    ``p`` normal roots equal to ``xi`` (none count on a space with a
+    relation) give ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d``
+    (``[1]`` when ``p = 0``), and the others divide ``c(T_P(F))`` into ``Q``,
+    whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides)."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
-    locus: ChowClass
-    tangent: list[ChowClass] | None
+    tangent: list[ChowClass]
     tautological: ChowClass
-    cycles: list[ChowClass] | None
+    cycles: list[ChowClass]
+    series: list[int]
 
 
 def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
@@ -128,18 +129,21 @@ class Instance:
         space = proj_bundle(ambient, F.twist(-f))
         xi = space.fiber_class() + space.pullback(f)
         roots = pair.E.dual().pullback_to(space).twist(xi).roots
-        # The cycles [Z] xi^j stand in for c(T_Z) where every normal root is
-        # xi and there is no relation, and serve the intersection numbers.
-        locus = prod(roots, start=space.one())
-        tangent = cycles = None
-        paired = roots.count(xi) == len(roots) and not space.has_relation
-        if not paired:
-            tangent = divide_by_roots(space.tangent_chern.parts(ambient.dim - 1), roots)
-        if paired or polarization is not None:
-            cycles = [locus]
-            for _ in range(ambient.dim - 1):
+        # Only the roots that are not xi divide c(T_P); the p that are stay
+        # with [Z] as the series 1 / (1 + xi)^p.  Where there is a relation,
+        # and so no pairing kernel, every root divides.
+        d = ambient.dim
+        divided = roots if space.has_relation else [m for m in roots if m != xi]
+        p = len(roots) - len(divided)
+        series = [(-1) ** k * comb(k + p - 1, k) for k in range(d)] if p else [1]
+        tangent = []
+        if divided:
+            tangent = divide_by_roots(space.tangent_chern.parts(d - 1), divided)
+        cycles = [prod(roots, start=space.one())]
+        if p or polarization is not None:
+            for _ in range(d - 1):
                 cycles.append(cycles[-1] * xi)
-        self.resolution = Resolution(space, roots, locus, tangent, xi, cycles)
+        self.resolution = Resolution(space, roots, tangent, xi, cycles, series)
 
     @property
     def d(self) -> int:
@@ -169,12 +173,6 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
         return 0
     quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
     return space.integrate(divisor * quotient[-1])
-
-
-def _normal_series(res: Resolution, n: int) -> list[int]:
-    """``(-1)^k C(k+r-1, r-1)`` for ``k < n``: ``1 / (1 + xi)^r`` in degree k."""
-    r = len(res.normal_roots)
-    return [(-1) ** k * comb(k + r - 1, r - 1) for k in range(n)]
 
 
 def porteous_class(inst: Instance) -> ChowClass:
@@ -230,9 +228,10 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     determinant runs.
 
     The resolution number is compared with ``chi(Z)``, integrated directly
-    on the quotient bundle: ``c_(d-1)(T_Z)`` against the fundamental class,
-    or, where every normal root is ``xi`` (:class:`Resolution`), the sum over
-    ``k`` of ``(-1)^k C(k+r-1, r-1) c_(d-1-k)(T_P(F))`` against ``[Z] xi^k``.
+    on the quotient bundle (:class:`Resolution`): with no relation there,
+    the sum of ``a_k Q_(d-1-k)`` paired with ``[Z] xi^k``, ``1 / (1 + t)^p``
+    for the ``p`` normal roots equal to ``xi``; with one, every root divides
+    and ``c_(d-1)(T_Z)`` is multiplied by the normal roots one at a time.
     In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
@@ -259,17 +258,17 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         else:
             resolution += sign * hook_pairing(weight, seq, dual, t)
     res = inst.resolution
-    if res.tangent is None:
-        # a cycle of degree r + k meets only the part c_(d-1-k) of c(T_P)
-        series, whole = _normal_series(res, d), res.space.tangent_chern
-        direct = sum(a * _pair(c, whole) for a, c in zip(series, res.cycles))
-    elif not res.space.has_relation:
-        direct = _pair(res.tangent[d - 1], res.locus)
-    else:
+    if res.space.has_relation:
         integrand = res.tangent[d - 1]
         for root in res.normal_roots:
             integrand = integrand * root
         direct = res.space.integrate(integrand)
+    else:
+        # [Z] xi^k has degree r + k: it meets only the part d-1-k of the
+        # quotient, or of the whole c(T_P) where no root is divided
+        parts = res.tangent or [res.space.tangent_chern] * d
+        terms = zip(res.series, res.cycles, reversed(parts))
+        direct = sum(a * _pair(cycle, t) for a, cycle, t in terms)
     if resolution != direct:
         raise ConsistencyError(
             f"resolution Euler number: hook sum {resolution} != direct {direct}"
@@ -357,9 +356,10 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     the ambient space; without it the general normal-sequence expansion is
     used, and callers must opt in since the simple forms no longer apply.
     Every value is recomputed directly and compared: ``c2 . [Z]`` is formed
-    once on the quotient bundle, as ``c_2(T_Z)`` times ``[Z]`` or as one sum
-    over the cycles ``[Z] xi^k`` (:class:`Resolution`), and it and its
-    product with the tautological class are pushed down to the ambient space.
+    once on the quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k)
+    [Z] xi^k``, ``1 / (1 + t)^p`` for the ``p`` normal roots equal to ``xi``
+    (:class:`Resolution`; ``Q_2 [Z]`` on a bundle with a relation), and it
+    and its product with the tautological class are pushed down.
     """
     return _c2_numbers(inst, allow_non_cy, None)
 
@@ -418,11 +418,8 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
 
     res = inst.resolution
     bundle_space = res.space
-    if res.tangent is None:
-        series, tangent = _normal_series(res, 3), bundle_space.tangent_chern.parts(2)
-        cycle = sum_of_products(bundle_space, zip(series, tangent[::-1], res.cycles))
-    else:
-        cycle = res.tangent[2] * res.locus
+    tangent = res.tangent or bundle_space.tangent_chern.parts(2)
+    cycle = sum_of_products(bundle_space, zip(res.series, tangent[2::-1], res.cycles))
     direct_h = _pair(hyper, bundle_space.pushforward(cycle))
     direct_l = space.integrate(
         bundle_space.pushforward(cycle * res.tautological)

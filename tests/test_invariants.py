@@ -634,17 +634,20 @@ def test_values_are_computed_at_construction(quintic, quartic):
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
     assert {"chern_diff", "schur_seq", "hypersurface_class"} <= vars(pair).keys()
     assert {"resolution", "calabi_yau"} <= vars(inst).keys()
-    # the quintic divides c(T_P) by its normal roots: parts 0 .. d-1 of c(T_Z),
-    # and its polarization asks for the cycles [Z] xi^j as well
+    # the quintic (no normal root is xi) divides c(T_P) by every normal root:
+    # parts 0 .. d-1 of c(T_Z), and its polarization asks for the cycles
+    # [Z] xi^j as well; without one it keeps [Z] alone
     assert len(inst.resolution.tangent) == inst.d
     assert len(inst.resolution.cycles) == inst.d
-    assert Instance(inst.ambient, inst.pair).resolution.cycles is None
+    assert inst.resolution.series == [1]
+    res = Instance(inst.ambient, inst.pair).resolution
+    assert res.cycles == [prod(res.normal_roots, start=res.space.one())]
     # the quartic (E = O^2, F = O(2)^2) pairs c(T_P) with the cycles instead,
     # with or without a polarization
     for polarization in (quartic.polarization, None):
         res = Instance(quartic.ambient, quartic.pair, polarization).resolution
-        assert res.tangent is None
-        assert len(res.cycles) == quartic.d
+        assert res.tangent == []
+        assert len(res.cycles) == len(res.series) == quartic.d
 
 
 def test_build_report_builds_no_chern_class(monkeypatch, quintic):
@@ -776,7 +779,6 @@ def assert_untwisted_resolution_agrees(inst, report):
     tangent = chow.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
     assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
 
-    assert res.cycles[0] == res.locus
     cycle = locus
     for j, twisted in enumerate(res.cycles):
         pushed, k = bundle.pushforward(cycle), d - 1 - j
@@ -797,8 +799,10 @@ def assert_untwisted_resolution_agrees(inst, report):
 def twist_cases(draw):
     """Ambient dims, E rows and F rows: P^4..P^6, or a product of P^1 and
     P^2 factors of dimension 4..6, at rank 2..4, with F uniform, partly
-    repeated, of distinct rows, or trivial, each on purpose, or with
-    E = O^r and F uniform, where the resolution divides nothing."""
+    repeated, of distinct rows, or trivial, each on purpose; or with
+    E = O^r and F uniform, where the resolution divides nothing; or with
+    some rows of E zero and some not and F uniform or trivial, where it
+    divides only the normal roots that are not xi."""
     if draw(st.booleans()):
         dims = [draw(st.integers(4, 6))]
     else:
@@ -808,10 +812,17 @@ def twist_cases(draw):
     rank = draw(st.integers(2, 4))
     row = st.lists(st.integers(-2, 3), min_size=len(dims), max_size=len(dims))
     rows_e = draw(st.lists(row, min_size=rank, max_size=rank))
-    shapes = ["uniform", "repeated", "distinct", "trivial", "E = O^r"]
+    shapes = ["uniform", "repeated", "distinct", "trivial", "E = O^r", "E partly O"]
     shape = draw(st.sampled_from(shapes))
+    zero = [0] * len(dims)
     if shape == "E = O^r":
-        rows_e = [[0] * len(dims)] * rank
+        rows_e = [zero] * rank
+    if shape == "E partly O":
+        zeros = draw(st.integers(1, rank - 1))
+        size = rank - zeros
+        rest = draw(st.lists(row.filter(any), min_size=size, max_size=size))
+        rows_e = draw(st.permutations([zero] * zeros + rest))
+        shape = draw(st.sampled_from(["uniform", "trivial"]))
     if shape == "trivial":
         rows_f = [[0] * len(dims)] * rank
     elif shape == "distinct":
@@ -835,9 +846,15 @@ def test_report_matches_the_untwisted_resolution(case):
     )
     inst = Instance(space, pair, space.degree_one([1] * len(dims)))
     assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
-    # E = O^r and F = L^r is the one input that divides nothing
-    paired = not any(map(any, rows_e)) and rows_f.count(rows_f[0]) == len(rows_f)
-    assert (inst.resolution.tangent is None) == paired
+    # F = L^r is the one input whose bundle has no relation; there the p zero
+    # rows of E leave [Z] the series 1 / (1 + xi)^p, and E = O^r divides nothing
+    res, uniform = inst.resolution, rows_f.count(rows_f[0]) == len(rows_f)
+    p = rows_e.count([0] * len(dims)) if uniform else 0
+    product = list(res.series)
+    for _ in range(p):
+        product = [a + b for a, b in zip(product, [0] + product)]
+    assert product == [1] + [0] * (inst.d - 1 if p else 0)
+    assert (res.tangent == []) == (p == len(rows_e))
 
 
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
@@ -919,21 +936,37 @@ def test_report_numbers_are_ints(case):
 
 
 def doubled_locus(inst):
-    """A copy of ``inst`` whose resolution has twice its fundamental class and
-    twice every cycle ``[Z] xi^j`` derived from it, which changes only the
-    direct routes, on the division path and the paired path alike."""
+    """A copy of ``inst`` whose resolution has twice its fundamental class:
+    twice every cycle ``[Z] xi^j`` and twice one of the normal roots whose
+    product ``[Z]`` is, which changes only the direct routes, whichever
+    normal roots divide."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
     res = inst.resolution
-    cycles = res.cycles and [2 * cycle for cycle in res.cycles]
-    copy.resolution = res._replace(locus=2 * res.locus, cycles=cycles)
+    first, *rest = res.normal_roots
+    copy.resolution = res._replace(
+        normal_roots=(2 * first, *rest), cycles=[2 * cycle for cycle in res.cycles]
+    )
     return copy
 
 
+def partly_trivial_instance():
+    """P^8 with E = O + O + O(-1) and F = O^3: two of the three normal roots
+    are xi, on a bundle with no relation."""
+    return make_instance(projective_space(8), [0, 0, -1], [0, 0, 0])
+
+
 def test_euler_numbers_compare_routes(quintic):
-    # the quintic divides c(T_P) and pairs c_(d-1)(T_Z) with [Z] on a
-    # relation-free bundle; the dense P^8 and (P^1)^5 pair c(T_P) with the
-    # cycles [Z] xi^k and divide nothing
-    for inst in (quintic, dense_instance(8), dense_product_instance([1] * 5)):
+    # the quintic divides c(T_P) by every normal root, the P^8 with E partly
+    # trivial by the one that is not xi, on relation-free bundles; the dense
+    # P^8 and (P^1)^5 divide nothing; with F = O(1) + O(1) + O(2) the bundle
+    # has a relation and c_(d-1)(T_Z) is multiplied by the normal roots
+    for inst in (
+        quintic,
+        partly_trivial_instance(),
+        dense_instance(8),
+        dense_product_instance([1] * 5),
+        make_instance(projective_space(5), [0, 0, 0], [1, 1, 2]),
+    ):
         assert euler_numbers(inst).resolution != 0
         with pytest.raises(ConsistencyError, match="^resolution Euler number:"):
             euler_numbers(doubled_locus(inst))
@@ -942,14 +975,16 @@ def test_euler_numbers_compare_routes(quintic):
 def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
     monkeypatch, quintic, quartic
 ):
-    # with E = O^r and F = L^r, building the instance divides no class on the
-    # bundle space, and the intersection numbers form no product there: they
+    # on a relation-free bundle, building the instance divides c(T_P) by
+    # exactly the normal roots that are not xi, so with E = O^r and F = L^r
+    # it divides no class there; with a relation it divides by every root.
+    # The intersection numbers form no product on the bundle space: they
     # read the cycles the instance built
     divided, multiplied = [], []
     original_divide, original_kernel = chow.divide_by_roots, chow._accumulate_terms
 
     def counted_divide(parts, roots):
-        divided.append(parts[0].ambient)
+        divided.append((parts[0].ambient, list(roots)))
         return original_divide(parts, roots)
 
     def counted_kernel(space, *args):
@@ -959,17 +994,26 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
     for module in (chow, bundles, invariants):
         monkeypatch.setattr(module, "divide_by_roots", counted_divide)
     monkeypatch.setattr(chow, "_accumulate_terms", counted_kernel)
-    for make, paired in [
-        (lambda: Instance(quartic.ambient, quartic.pair, quartic.polarization), True),
-        (lambda: dense_instance(8), True),
-        (lambda: dense_product_instance([1] * 5), True),
-        (lambda: Instance(quintic.ambient, quintic.pair, quintic.polarization), False),
+    for make, xis in [  # with the number of normal roots equal to xi
+        (lambda: Instance(quartic.ambient, quartic.pair, quartic.polarization), 2),
+        (lambda: dense_instance(8), 3),
+        (lambda: dense_product_instance([1] * 5), 3),
+        (lambda: Instance(quintic.ambient, quintic.pair, quintic.polarization), 0),
+        (partly_trivial_instance, 2),
+        (lambda: make_instance(projective_space(4), [0, -1, 0], [1, 1, 1]), 2),
+        (lambda: make_instance(projective_space(5), [0, 0, 0], [1, 1, 2]), 3),
     ]:
         divided.clear()
         inst = make()
-        bundle = inst.resolution.space
-        assert (inst.resolution.tangent is None) == paired
-        assert (bundle in divided) == (not paired)
+        res = inst.resolution
+        bundle, xi = res.space, res.tautological
+        others = [m for m in res.normal_roots if m != xi]
+        assert len(others) == len(res.normal_roots) - xis
+        if bundle.has_relation:
+            others = list(res.normal_roots)
+        on_bundle = [roots for space, roots in divided if space is bundle]
+        assert on_bundle == ([others] if others else [])
+        assert (res.tangent == []) == (not others)
         multiplied.clear()
         intersection_numbers(inst)
         assert inst.ambient in multiplied  # the powers of the polarization
@@ -987,6 +1031,11 @@ def test_c2_numbers_compare_routes(quintic, quartic):
         c2_numbers(doubled_locus(quintic))
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(quartic), allow_non_cy=True)
+    # E = O + O(-1) + O and F = O(1)^3: two of the three normal roots are xi
+    partly = make_instance(projective_space(4), [0, -1, 0], [1, 1, 1])
+    assert c2_numbers(partly, allow_non_cy=True) != (0, 0)
+    with pytest.raises(ConsistencyError):
+        c2_numbers(doubled_locus(partly), allow_non_cy=True)
     # c2 pairings need a fourfold
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(dense_product_instance([1] * 4)), allow_non_cy=True)
@@ -996,7 +1045,8 @@ def test_c2_numbers_compare_routes(quintic, quartic):
 def resolution_cases(draw):
     """Ambient dims, rank and E, F multidegree rows: P^d for d = 4..8, or a
     product of P^1 and P^2 factors of total dimension 4..7.  In about a
-    third of the draws F repeats one row, F = L^r."""
+    third of the draws F repeats one row, F = L^r, trivial in a quarter of
+    those, and in half of those E has some zero rows and some nonzero."""
     if draw(st.booleans()):
         dims = [draw(st.integers(4, 8))]
     else:
@@ -1007,7 +1057,15 @@ def resolution_cases(draw):
     row = st.lists(st.integers(-3, 3), min_size=len(dims), max_size=len(dims))
     rows = st.lists(row, min_size=rank, max_size=rank)
     rows_e = draw(rows)
-    rows_f = [draw(row)] * rank if draw(st.integers(0, 2)) == 0 else draw(rows)
+    rows_f = draw(rows)
+    if draw(st.integers(0, 2)) == 0:
+        zero = [0] * len(dims)
+        rows_f = [zero if draw(st.integers(0, 3)) == 0 else draw(row)] * rank
+        if draw(st.booleans()):
+            zeros = draw(st.integers(1, rank - 1))
+            size = rank - zeros
+            rest = draw(st.lists(row.filter(any), min_size=size, max_size=size))
+            rows_e = draw(st.permutations([zero] * zeros + rest))
     return dims, rows_e, rows_f
 
 
@@ -1023,9 +1081,11 @@ def test_resolution_cycles_push_forward_to_the_schur_sequence(case):
         BundleSpec.sum_of_line_bundles(space, rows_f),
     )
     res = Instance(space, pair).resolution
-    cycle = res.locus
+    cycle = res.cycles[0]
     for j in range(space.dim):
         assert res.space.pushforward(cycle) == pair.schur_seq[j + 1], j
+        if j < len(res.cycles):  # the cycles the instance stores, when it does
+            assert cycle == res.cycles[j], j
         cycle = cycle * res.tautological
 
 
