@@ -21,15 +21,13 @@ ambient space and paired there (the projection formula).  The bundle is
 ``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
-direct ``chi(Z)`` and ``c2`` cycle both read ``c(T_Z) [Z] = Q sum_k a_k
-[Z] xi^k``: the ``p`` normal roots equal to ``xi`` give the ``a_k`` of
-``1 / (1 + t)^p``, the others divide ``c(T_P(F))`` into ``Q``, and on a
-bundle with a relation all divide (:class:`Resolution`).  The smooth
-number and the singular gap have a second route, the shortcut of
+direct ``chi(Z)`` and ``c2`` cycle both read ``c(T_Z) [Z]`` in the one
+form of :class:`Resolution`; a relation on the bundle decides only whether
+``chi(Z)`` is paired there or multiplied out.  The smooth number and the
+singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
-only.  A report evaluates one cofactor Schur determinant, the 2x2 class
-of :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else
-none.
+only.  A report evaluates one cofactor Schur determinant, the 2x2 class of
+:func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else none.
 """
 
 from __future__ import annotations
@@ -59,10 +57,11 @@ class Resolution(NamedTuple):
     ``space = P(F (x) L^-1)`` with fiber class ``zeta`` (:class:`Instance`
     picks ``L``), and ``cycles`` are ``[Z] xi^j``: ``[Z]``, the roots'
     product, and every ``j < d`` when ``p > 0`` or there is a polarization.
-    By the normal exact sequence ``c(T_Z) [Z] = Q sum_k a_k [Z] xi^k``: the
-    ``p`` normal roots equal to ``xi`` (none count on a space with a
-    relation) give ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d``
-    (``[1]`` when ``p = 0``), and the others divide ``c(T_P(F))`` into ``Q``,
+    One rule on every bundle, with a relation or without: by the normal
+    exact sequence ``c(T_Z) [Z] = Q sum_k a_k [Z] xi^k``, where the ``p``
+    normal roots equal to ``xi`` (the trivial summands of E) give
+    ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]``
+    when ``p = 0``), and only the others divide ``c(T_P(F))`` into ``Q``,
     whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides)."""
 
     space: AmbientSpace
@@ -74,9 +73,9 @@ class Resolution(NamedTuple):
 
 
 def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
-    """The Calabi-Yau test ``c1(T) == D``: it needs only the ambient space
-    and the pair, so a guard can read it before the resolution is built."""
-    return ambient.tangent_chern.part(1) == pair.hypersurface_class
+    """The Calabi-Yau test ``c1(T) == D``, ``c1(T) = sum (d_i + 1) h_i``: it
+    reads only the inputs, so a guard can check it before P(F) is built."""
+    return ambient.degree_one([c + 1 for c in ambient.caps]) == pair.hypersurface_class
 
 
 class Instance:
@@ -130,15 +129,12 @@ class Instance:
         xi = space.fiber_class() + space.pullback(f)
         roots = pair.E.dual().pullback_to(space).twist(xi).roots
         # Only the roots that are not xi divide c(T_P); the p that are stay
-        # with [Z] as the series 1 / (1 + xi)^p.  Where there is a relation,
-        # and so no pairing kernel, every root divides.
+        # with [Z] as the series 1 / (1 + xi)^p, with a relation or without.
         d = ambient.dim
-        divided = roots if space.has_relation else [m for m in roots if m != xi]
+        divided = [m for m in roots if m != xi]
         p = len(roots) - len(divided)
         series = [(-1) ** k * comb(k + p - 1, k) for k in range(d)] if p else [1]
-        tangent = []
-        if divided:
-            tangent = divide_by_roots(space.tangent_chern.parts(d - 1), divided)
+        tangent = divided and divide_by_roots(space.tangent_chern.parts(d - 1), divided)
         cycles = [prod(roots, start=space.one())]
         if p or polarization is not None:
             for _ in range(d - 1):
@@ -228,10 +224,10 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     determinant runs.
 
     The resolution number is compared with ``chi(Z)``, integrated directly
-    on the quotient bundle (:class:`Resolution`): with no relation there,
-    the sum of ``a_k Q_(d-1-k)`` paired with ``[Z] xi^k``, ``1 / (1 + t)^p``
-    for the ``p`` normal roots equal to ``xi``; with one, every root divides
-    and ``c_(d-1)(T_Z)`` is multiplied by the normal roots one at a time.
+    on the quotient bundle from the terms ``a_k Q_(d-1-k)`` and ``[Z] xi^k``
+    of :class:`Resolution`: with no relation there, each pair is paired;
+    with one, ``c_(d-1)(T_Z)``, their sum without ``[Z]``, is formed by
+    Horner in ``xi`` and multiplied by the normal roots one at a time.
     In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
@@ -259,10 +255,15 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
             resolution += sign * hook_pairing(weight, seq, dual, t)
     res = inst.resolution
     if res.space.has_relation:
-        integrand = res.tangent[d - 1]
-        for root in res.normal_roots:
-            integrand = integrand * root
-        direct = res.space.integrate(integrand)
+        # c_(d-1)(T_Z) = sum_k a_k xi^k Q_(d-1-k) by Horner in xi (Q_(d-1)
+        # itself when p = 0), then times one normal root at a time
+        bundle, xi, one = res.space, res.tautological, res.space.one()
+        parts = res.tangent or bundle.tangent_chern.parts(d - 1)
+        top, *rest = reversed(res.series)
+        integrand = parts[d - 1 - len(rest)] * top
+        for a, t in zip(rest, parts[d - len(rest) :]):
+            integrand = sum_of_products(bundle, [(1, integrand, xi), (a, t, one)])
+        direct = bundle.integrate(prod(res.normal_roots, start=integrand))
     else:
         # [Z] xi^k has degree r + k: it meets only the part d-1-k of the
         # quotient, or of the whole c(T_P) where no root is divided
@@ -357,9 +358,8 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     used, and callers must opt in since the simple forms no longer apply.
     Every value is recomputed directly and compared: ``c2 . [Z]`` is formed
     once on the quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k)
-    [Z] xi^k``, ``1 / (1 + t)^p`` for the ``p`` normal roots equal to ``xi``
-    (:class:`Resolution`; ``Q_2 [Z]`` on a bundle with a relation), and it
-    and its product with the tautological class are pushed down.
+    [Z] xi^k`` (:class:`Resolution`), with or without a relation there, and
+    it and its product with the tautological class are pushed down.
     """
     return _c2_numbers(inst, allow_non_cy, None)
 

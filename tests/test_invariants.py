@@ -236,6 +236,34 @@ def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
     assert not any(inst.calabi_yau for inst, _ in quartic_table)
 
 
+def test_calabi_yau_flag_reads_c1_from_the_caps(quartic_table):
+    # the flag takes c1(T) = sum_i (d_i + 1) h_i from the caps; it must equal
+    # the test against the degree-one part of the whole tangent class
+    def same_flag(inst):
+        whole = inst.ambient.tangent_chern.part(1) == inst.pair.hypersurface_class
+        return inst.calabi_yau == whole
+
+    table = [inst for inst, _ in quartic_table]
+    table.append(instance_from_config(TABLE1["config"]))
+    assert all(same_flag(inst) for inst in table)
+    assert {inst.calabi_yau for inst in table} == {False, True}
+    for dims in ([4], [5], [1] * 8, [2, 0, 3]):
+        space = product_of_projective_spaces(dims)
+        zero, c1 = [0] * len(dims), [d + 1 for d in dims]
+        # the degree on a P^0 factor is no class, so it cannot break the test
+        off_point = [d + 1 if d else 7 for d in dims]
+        seen = set()
+        for rows_f in ([zero, c1], [zero, off_point], [zero, zero], [c1, c1]):
+            pair = VirtualPair(
+                BundleSpec.sum_of_line_bundles(space, [zero, zero]),
+                BundleSpec.sum_of_line_bundles(space, rows_f),
+            )
+            inst = Instance(space, pair)
+            assert same_flag(inst), (dims, rows_f)
+            seen.add(inst.calabi_yau)
+        assert seen == {False, True}, dims
+
+
 # -- Euler characteristics through the resolution ------------------------------
 
 
@@ -800,9 +828,10 @@ def twist_cases(draw):
     """Ambient dims, E rows and F rows: P^4..P^6, or a product of P^1 and
     P^2 factors of dimension 4..6, at rank 2..4, with F uniform, partly
     repeated, of distinct rows, or trivial, each on purpose; or with
-    E = O^r and F uniform, where the resolution divides nothing; or with
-    some rows of E zero and some not and F uniform or trivial, where it
-    divides only the normal roots that are not xi."""
+    E = O^r, where the resolution divides nothing; or with some rows of E
+    zero and some not, where it divides only the normal roots that are not
+    xi.  The last two take F of any of the four shapes, so with or without
+    a relation on the bundle."""
     if draw(st.booleans()):
         dims = [draw(st.integers(4, 6))]
     else:
@@ -812,8 +841,8 @@ def twist_cases(draw):
     rank = draw(st.integers(2, 4))
     row = st.lists(st.integers(-2, 3), min_size=len(dims), max_size=len(dims))
     rows_e = draw(st.lists(row, min_size=rank, max_size=rank))
-    shapes = ["uniform", "repeated", "distinct", "trivial", "E = O^r", "E partly O"]
-    shape = draw(st.sampled_from(shapes))
+    f_shapes = ["uniform", "repeated", "distinct", "trivial"]
+    shape = draw(st.sampled_from([*f_shapes, "E = O^r", "E partly O"]))
     zero = [0] * len(dims)
     if shape == "E = O^r":
         rows_e = [zero] * rank
@@ -822,7 +851,8 @@ def twist_cases(draw):
         size = rank - zeros
         rest = draw(st.lists(row.filter(any), min_size=size, max_size=size))
         rows_e = draw(st.permutations([zero] * zeros + rest))
-        shape = draw(st.sampled_from(["uniform", "trivial"]))
+    if shape not in f_shapes:
+        shape = draw(st.sampled_from(f_shapes))
     if shape == "trivial":
         rows_f = [[0] * len(dims)] * rank
     elif shape == "distinct":
@@ -846,10 +876,9 @@ def test_report_matches_the_untwisted_resolution(case):
     )
     inst = Instance(space, pair, space.degree_one([1] * len(dims)))
     assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
-    # F = L^r is the one input whose bundle has no relation; there the p zero
-    # rows of E leave [Z] the series 1 / (1 + xi)^p, and E = O^r divides nothing
-    res, uniform = inst.resolution, rows_f.count(rows_f[0]) == len(rows_f)
-    p = rows_e.count([0] * len(dims)) if uniform else 0
+    # on every bundle, with a relation or without, the p zero rows of E leave
+    # [Z] the series 1 / (1 + xi)^p, and E = O^r divides nothing
+    res, p = inst.resolution, rows_e.count([0] * len(dims))
     product = list(res.series)
     for _ in range(p):
         product = [a + b for a, b in zip(product, [0] + product)]
@@ -955,17 +984,32 @@ def partly_trivial_instance():
     return make_instance(projective_space(8), [0, 0, -1], [0, 0, 0])
 
 
+def partly_trivial_instance_with_relation(d=5):
+    """P^d with E = O + O + O(-1) and F = O(1) + O(1) + O(2): two of the
+    three normal roots are xi, on a bundle with a relation."""
+    return make_instance(projective_space(d), [0, 0, -1], [1, 1, 2])
+
+
+def table2_row_3(d=4):
+    """Table 2's row 3 on P^d, E = O^3 and F = O(1) + O(1) + O(2): every
+    normal root is xi, on a bundle with a relation."""
+    return make_instance(projective_space(d), [0, 0, 0], [1, 1, 2])
+
+
 def test_euler_numbers_compare_routes(quintic):
-    # the quintic divides c(T_P) by every normal root, the P^8 with E partly
-    # trivial by the one that is not xi, on relation-free bundles; the dense
-    # P^8 and (P^1)^5 divide nothing; with F = O(1) + O(1) + O(2) the bundle
-    # has a relation and c_(d-1)(T_Z) is multiplied by the normal roots
+    # on relation-free bundles the quintic divides c(T_P) by every normal
+    # root, the P^8 with E partly trivial by the one that is not xi, and the
+    # dense P^8 and (P^1)^5 by none; with F = O(1) + O(1) + O(2) the bundle
+    # has a relation, c_(d-1)(T_Z) is summed by Horner in xi and multiplied
+    # by the normal roots, and E = O^3 divides none, E = O + O + O(-1) one
     for inst in (
         quintic,
         partly_trivial_instance(),
         dense_instance(8),
         dense_product_instance([1] * 5),
-        make_instance(projective_space(5), [0, 0, 0], [1, 1, 2]),
+        table2_row_3(),
+        table2_row_3(d=5),
+        partly_trivial_instance_with_relation(),
     ):
         assert euler_numbers(inst).resolution != 0
         with pytest.raises(ConsistencyError, match="^resolution Euler number:"):
@@ -975,11 +1019,10 @@ def test_euler_numbers_compare_routes(quintic):
 def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
     monkeypatch, quintic, quartic
 ):
-    # on a relation-free bundle, building the instance divides c(T_P) by
-    # exactly the normal roots that are not xi, so with E = O^r and F = L^r
-    # it divides no class there; with a relation it divides by every root.
-    # The intersection numbers form no product on the bundle space: they
-    # read the cycles the instance built
+    # on every bundle, with a relation or without, building the instance
+    # divides c(T_P) by exactly the normal roots that are not xi, so with
+    # E = O^r it divides no class there.  The intersection numbers form no
+    # product on the bundle space: they read the cycles the instance built
     divided, multiplied = [], []
     original_divide, original_kernel = chow.divide_by_roots, chow._accumulate_terms
 
@@ -994,23 +1037,27 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
     for module in (chow, bundles, invariants):
         monkeypatch.setattr(module, "divide_by_roots", counted_divide)
     monkeypatch.setattr(chow, "_accumulate_terms", counted_kernel)
-    for make, xis in [  # with the number of normal roots equal to xi
-        (lambda: Instance(quartic.ambient, quartic.pair, quartic.polarization), 2),
-        (lambda: dense_instance(8), 3),
-        (lambda: dense_product_instance([1] * 5), 3),
-        (lambda: Instance(quintic.ambient, quintic.pair, quintic.polarization), 0),
-        (partly_trivial_instance, 2),
-        (lambda: make_instance(projective_space(4), [0, -1, 0], [1, 1, 1]), 2),
-        (lambda: make_instance(projective_space(5), [0, 0, 0], [1, 1, 2]), 3),
+    # with the number of normal roots equal to xi, and whether P(F) has a
+    # relation
+    for make, xis, relation in [
+        (lambda: Instance(quartic.ambient, quartic.pair, quartic.polarization), 2, 0),
+        (lambda: dense_instance(8), 3, 0),
+        (lambda: dense_product_instance([1] * 5), 3, 0),
+        (lambda: Instance(quintic.ambient, quintic.pair, quintic.polarization), 0, 0),
+        (partly_trivial_instance, 2, 0),
+        (lambda: make_instance(projective_space(4), [0, -1, 0], [1, 1, 1]), 2, 0),
+        (table2_row_3, 3, 1),
+        (lambda: table2_row_3(d=5), 3, 1),
+        (partly_trivial_instance_with_relation, 2, 1),
+        (lambda: make_instance(projective_space(5), [-1, -1, -1], [1, 1, 2]), 0, 1),
     ]:
         divided.clear()
         inst = make()
         res = inst.resolution
         bundle, xi = res.space, res.tautological
+        assert bundle.has_relation == relation
         others = [m for m in res.normal_roots if m != xi]
         assert len(others) == len(res.normal_roots) - xis
-        if bundle.has_relation:
-            others = list(res.normal_roots)
         on_bundle = [roots for space, roots in divided if space is bundle]
         assert on_bundle == ([others] if others else [])
         assert (res.tangent == []) == (not others)
@@ -1036,6 +1083,13 @@ def test_c2_numbers_compare_routes(quintic, quartic):
     assert c2_numbers(partly, allow_non_cy=True) != (0, 0)
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(partly), allow_non_cy=True)
+    # on bundles with a relation: E = O^3 (Table 2's row 3, nothing divided)
+    # and E = O + O + O(-1) (two of the three roots are xi)
+    for inst in (table2_row_3(), partly_trivial_instance_with_relation(d=4)):
+        assert inst.resolution.space.has_relation
+        assert c2_numbers(inst, allow_non_cy=True) != (0, 0)
+        with pytest.raises(ConsistencyError):
+            c2_numbers(doubled_locus(inst), allow_non_cy=True)
     # c2 pairings need a fourfold
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(dense_product_instance([1] * 4)), allow_non_cy=True)
