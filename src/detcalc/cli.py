@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .bundles import BundleSpec, VirtualPair
 from .chow import product_of_projective_spaces
@@ -196,10 +197,6 @@ def _inputs(config: InstanceConfig):
     return space, pair, polarization
 
 
-def instance_from_config(config: InstanceConfig) -> Instance:
-    return Instance(*_inputs(config))
-
-
 # -- rendering ---------------------------------------------------------------
 
 
@@ -306,76 +303,65 @@ def render_report(config: InstanceConfig, report: InvariantReport) -> str:
 
 # -- built-in tables ----------------------------------------------------------
 
-# Reference values for the built-in instances; `table --check` recomputes
-# every number and compares.
+
+def _config(e_rows, f_rows, **optional) -> InstanceConfig:
+    """A config on P^4, validated like any other."""
+    ambient = {"kind": "projective_space", "dims": [4]}
+    return parse_config({"ambient": ambient, "E": e_rows, "F": f_rows, **optional})
 
 
-def _config(dims, e_rows, f_rows, polarization=None) -> InstanceConfig:
-    return parse_config(
-        {
-            "ambient": {
-                "kind": "projective_space" if len(dims) == 1 else "product",
-                "dims": list(dims),
-            },
-            "E": e_rows,
-            "F": f_rows,
-            **({"polarization": polarization} if polarization else {}),
-        }
-    )
+class Table(NamedTuple):
+    """A built-in table: its columns, a reader from a report to a row's
+    values, and its rows as ``(label or None, config, expected values)``; a
+    label fills the first column.  `table --check` compares every value."""
+
+    columns: tuple[str, ...]
+    values: Callable[[InvariantReport], tuple]
+    rows: list[tuple[str | None, InstanceConfig, tuple]]
 
 
-_TABLE1_COLUMNS = ("L^3", "L^2.H", "L.H^2", "H^3", "L.c2", "H.c2", "ODPs")
+def _quartic(e_rows, f_rows, odps):
+    label = f"{_bundle_str(e_rows)} -> {_bundle_str(f_rows)}"
+    return label, _config(e_rows, f_rows), (odps,)
 
-TABLE1 = {
-    "config": _config(
-        [4], [[-1], [-1], [-1], [-2]], [[0], [0], [0], [0]], polarization=[1]
+
+TABLES = {
+    # the nodal quintic threefold: its intersection numbers, c2 pairings and nodes
+    "table1": Table(
+        ("L^3", "L^2.H", "L.H^2", "H^3", "L.c2", "H.c2", "ODPs"),
+        lambda report: (
+            *report.intersection_numbers,
+            report.c2_against_tautological,
+            report.c2_against_polarization,
+            report.odp_count,
+        ),
+        [
+            (
+                None,
+                _config([[-1], [-1], [-1], [-2]], [[0]] * 4, polarization=[1]),
+                (2, 7, 9, 5, 44, 50, 46),
+            )
+        ],
     ),
-    "expected": (2, 7, 9, 5, 44, 50, 46),
+    # the node counts of the quartic threefolds
+    "table2": Table(
+        ("E -> F", "ODPs"),
+        lambda report: (report.odp_count,),
+        [
+            _quartic([[0], [0]], [[1], [3]], 9),
+            _quartic([[-1], [0]], [[1], [2]], 12),
+            _quartic([[0], [0], [0]], [[1], [1], [2]], 17),
+            _quartic([[0], [0]], [[2], [2]], 16),
+            _quartic([[0], [0], [0], [0]], [[1], [1], [1], [1]], 20),
+        ],
+    ),
 }
 
-TABLE2 = {
-    "rows": [
-        {"e": [[0], [0]], "f": [[1], [3]], "odps": 9},
-        {"e": [[-1], [0]], "f": [[1], [2]], "odps": 12},
-        {"e": [[0], [0], [0]], "f": [[1], [1], [2]], "odps": 17},
-        {"e": [[0], [0]], "f": [[2], [2]], "odps": 16},
-        {"e": [[0], [0], [0], [0]], "f": [[1], [1], [1], [1]], "odps": 20},
-    ],
-}
 
-
-def _table1_values() -> tuple[int, ...]:
-    config = TABLE1["config"]
-    report = build_report(
-        instance_from_config(config), allow_non_cy_c2=config.allow_non_cy_c2
-    )
-    numbers = report.intersection_numbers
-    return (
-        numbers[0],
-        numbers[1],
-        numbers[2],
-        numbers[3],
-        report.c2_against_tautological,
-        report.c2_against_polarization,
-        report.odp_count,
-    )
-
-
-def _table2_values() -> list[int]:
-    out = []
-    for row in TABLE2["rows"]:
-        config = _config([4], row["e"], row["f"])
-        report = build_report(instance_from_config(config))
-        out.append(report.odp_count)
-    return out
-
-
-def _format_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(str(h)), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)
-    ]
+def _format_table(headers: tuple[str, ...], rows: list[list[str]]) -> str:
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     def fmt(row):
-        return "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
+        return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
     lines = [fmt(headers)]
     lines.append("-" * len(lines[0]))
     lines.extend(fmt(r) for r in rows)
@@ -385,8 +371,9 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_report(args) -> int:
-    config = load_config(args.config)
+def report_from_config(config: InstanceConfig) -> InvariantReport:
+    """The report of a config, refused with :class:`GuardError` if the c2
+    guard fails or a number is too long to print."""
     space, pair, polarization = _inputs(config)
     # the c2 guard reads only the inputs: refuse before P(F) is built
     if space.dim == 4 and polarization is not None:
@@ -398,6 +385,12 @@ def cmd_report(args) -> int:
         assume_general=config.assume_general,
     )
     _check_printable(report)
+    return report
+
+
+def cmd_report(args) -> int:
+    config = load_config(args.config)
+    report = report_from_config(config)
     if args.json:
         print(json.dumps(report_to_dict(config, report), indent=2, sort_keys=True))
     else:
@@ -406,44 +399,23 @@ def cmd_report(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.name == "table1":
-        values = _table1_values()
-        expected = TABLE1["expected"]
-        rows = [[str(v) for v in values]]
-        text = _format_table(list(_TABLE1_COLUMNS), rows)
-        doc = {
-            "name": "table1",
-            "columns": list(_TABLE1_COLUMNS),
-            "rows": [list(values)],
-        }
-        mismatches = [
-            f"{col}: computed {got}, expected {want}"
-            for col, got, want in zip(_TABLE1_COLUMNS, values, expected)
-            if got != want
-        ]
-    else:
-        values = _table2_values()
-        expected = [row["odps"] for row in TABLE2["rows"]]
-        headers = ["E -> F", "ODPs"]
-        rows = [
-            [f"{_bundle_str(row['e'])} -> {_bundle_str(row['f'])}", str(got)]
-            for row, got in zip(TABLE2["rows"], values)
-        ]
-        text = _format_table(headers, rows)
-        doc = {
-            "name": "table2",
-            "columns": headers,
-            "rows": [[r[0], got] for r, got in zip(rows, values)],
-        }
-        mismatches = [
-            f"row {i + 1}: computed {got}, expected {want}"
-            for i, (got, want) in enumerate(zip(values, expected))
+    table = TABLES[args.name]
+    rows, mismatches = [], []
+    for i, (label, config, expected) in enumerate(table.rows, 1):
+        head = [] if label is None else [label]
+        row = head + list(table.values(report_from_config(config)))
+        rows.append(row)
+        mismatches += [
+            f"row {i}, {column}: computed {got}, expected {want}"
+            for column, got, want in zip(table.columns, row, head + list(expected))
             if got != want
         ]
     if args.json:
+        doc = {"name": args.name, "columns": list(table.columns), "rows": rows}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(text, end="")
+        text = [[str(value) for value in row] for row in rows]
+        print(_format_table(table.columns, text), end="")
     if args.check:
         if mismatches:
             for line in mismatches:
@@ -498,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_table = sub.add_parser("table", help="reproduce a built-in table")
-    p_table.add_argument("name", choices=("table1", "table2"))
+    p_table.add_argument("name", choices=TABLES)
     p_table.add_argument(
         "--check",
         action="store_true",

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from detcalc import BundleSpec, Instance, VirtualPair
 from detcalc.chow import projective_space
-from detcalc.cli import TABLE2
+from tables import table_rows
 
 
 @pytest.fixture(scope="session")
@@ -32,13 +32,6 @@ def quartic(p4):
 
 
 @pytest.fixture()
-def quartic_table(p4):
+def quartic_table():
     """The Table 2 instances of ``detcalc table table2``, with their ODP counts."""
-    out = []
-    for row in TABLE2["rows"]:
-        pair = VirtualPair(
-            BundleSpec.sum_of_line_bundles(p4, row["e"]),
-            BundleSpec.sum_of_line_bundles(p4, row["f"]),
-        )
-        out.append((Instance(p4, pair), row["odps"]))
-    return out
+    return [(inst, odps) for inst, (odps,) in table_rows("table2")]

@@ -15,11 +15,11 @@ from detcalc import invariants
 from detcalc.cli import (
     ConfigError,
     InstanceConfig,
-    instance_from_config,
     load_config,
     main,
     parse_config,
 )
+from tables import instance
 
 
 QUINTIC_DOC = {
@@ -275,7 +275,7 @@ def test_single_factor_product_reports_like_projective_space(tmp_path, capsys):
 
 
 def test_instance_from_config_builds_the_right_ring():
-    inst = instance_from_config(parse_config(QUINTIC_DOC))
+    inst = instance(parse_config(QUINTIC_DOC))
     assert inst.d == 4
     assert inst.pair.rank == 4
     assert inst.polarization == inst.ambient.generator(0)
@@ -517,12 +517,31 @@ def test_verify_nonpositive_depth_exits_two(depth, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
-def test_table_check_exits_one_on_mismatch(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name, row, column, computed",
+    [("table1", 1, "ODPs", 46), ("table2", 4, "ODPs", 16)],
+    ids=["table1", "table2"],
+)
+def test_table_check_exits_one_on_mismatch(
+    name, row, column, computed, monkeypatch, capsys
+):
+    # one wrong expected value fails the check on the row and column it sits in
     from detcalc import cli
 
-    monkeypatch.setitem(cli.TABLE1, "expected", (2, 7, 9, 5, 44, 50, 47))
-    assert main(["table", "table1", "--check"]) == 1
-    assert "computed 46, expected 47" in capsys.readouterr().err
+    label, config, expected = cli.TABLES[name].rows[row - 1]
+    wrong = (*expected[:-1], computed + 1)
+    rows = list(cli.TABLES[name].rows)
+    rows[row - 1] = (label, config, wrong)
+    monkeypatch.setitem(cli.TABLES, name, cli.TABLES[name]._replace(rows=rows))
+    assert main(["table", name]) == 0
+    table = capsys.readouterr().out
+    assert main(["table", name, "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == table
+    assert captured.err == (
+        f"check failed: row {row}, {column}: "
+        f"computed {computed}, expected {computed + 1}\n"
+    )
 
 
 # -- verify command ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from math import comb, prod
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from detcalc.chow import (
     proj_bundle,
     projective_space,
 )
-from detcalc.cli import TABLE1, TABLE2, instance_from_config, load_config
+from detcalc.cli import TABLES, load_config
 from detcalc.invariants import (
     ConsistencyError,
     GuardError,
@@ -34,6 +34,7 @@ from detcalc.invariants import (
 from detcalc.schur import schur
 import oracles
 from oracles import series, series_inv, series_mul, series_pow, tableau_gap
+from tables import instance, table_rows
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -244,7 +245,7 @@ def test_calabi_yau_flag_reads_c1_from_the_caps(quartic_table):
         return inst.calabi_yau == whole
 
     table = [inst for inst, _ in quartic_table]
-    table.append(instance_from_config(TABLE1["config"]))
+    table += [inst for inst, _ in table_rows("table1")]
     assert all(same_flag(inst) for inst in table)
     assert {inst.calabi_yau for inst in table} == {False, True}
     for dims in ([4], [5], [1] * 8, [2, 0, 3]):
@@ -728,13 +729,11 @@ def test_uniform_bundle_report_caches_no_reduction():
         ),
         BundleSpec.sum_of_line_bundles(p1s, [[1] * 5] * 3),
     )
-    row = TABLE2["rows"][3]  # F = O(2)^2 on P^4
+    _, quartic, _ = TABLES["table2"].rows[3]  # F = O(2)^2 on P^4
     for inst in (
         make_instance(projective_space(6), [0, 0, 0], [1, 1, 1]),
         Instance(p1s, mixed, p1s.degree_one([1] * 5)),
-        make_instance(
-            projective_space(4), [e for (e,) in row["e"]], [f for (f,) in row["f"]]
-        ),
+        instance(replace(quartic, polarization=[1])),
     ):
         build_report(inst, allow_non_cy_c2=True)
         assert inst.resolution.space._relation == ()
@@ -933,18 +932,13 @@ def report_numbers(value):
 
 
 INTEGER_CASES = {
-    "table1": lambda: instance_from_config(TABLE1["config"]),
+    "table1": lambda: table_rows("table1")[0][0],
     **{
-        f"table2 row {i}": lambda row=row: make_instance(
-            projective_space(4),
-            [e for (e,) in row["e"]],
-            [f for (f,) in row["f"]],
-            polarized=False,
-        )
-        for i, row in enumerate(TABLE2["rows"])
+        f"table2 row {i}": lambda config=config: instance(config)
+        for i, (_, config, _) in enumerate(TABLES["table2"].rows)
     },
     **{
-        f"golden {name}": lambda name=name: instance_from_config(
+        f"golden {name}": lambda name=name: instance(
             load_config(str(GOLDEN / f"{name}.json"))
         )
         for name in ("quintic", "p1_5")
