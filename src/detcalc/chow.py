@@ -559,8 +559,6 @@ class AmbientSpace:
 
 def projective_space(d: int) -> AmbientSpace:
     """Projective d-space: one hyperplane class h with h^(d+1) = 0."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
     return product_of_projective_spaces((d,))
 
 
@@ -569,7 +567,10 @@ def product_of_projective_spaces(dims) -> AmbientSpace:
     factor, named ``h`` for a single factor and ``h1..hn`` otherwise.  The
     tangent class ``prod_i (1 + h_i)^(d_i + 1)`` is built in closed form:
     coefficient ``prod_i C(d_i + 1, e_i)`` on ``prod_i h_i^e_i``."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise TypeError(f"dimensions must be integers, got {d!r}")
     if not dims:
         raise ValueError("at least one factor is required")
     if any(d < 0 for d in dims):

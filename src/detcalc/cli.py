@@ -2,7 +2,7 @@
 
 Configs are JSON documents with a fixed schema (see :class:`InstanceConfig`);
 unknown fields are rejected with the offending field path.  Exit codes:
-0 success, 1 verification or check mismatch, 2 input error, 3 guard
+0 success, 1 verification, check or route mismatch, 2 input error, 3 guard
 violation.
 """
 
@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 from .bundles import BundleSpec, VirtualPair
 from .chow import product_of_projective_spaces
 from .invariants import (
+    ConsistencyError,
     GuardError,
     Instance,
     InvariantReport,
@@ -506,6 +507,9 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"consistency error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ codimension); that assumption is surfaced in report warnings, never
 verified.
 
 A mismatch of two routes aborts, since it can only mean a convention bug.
+Every comparison goes through one helper, which names each route with its
+value, as in ``singular Euler gap: hooks 92, shortcut 94``.
 Intersection numbers and ``c2`` pairings: a closed form on the ambient
 space against a direct route through the rank-one-quotient bundle
 carrying the small resolution, where each cycle is pushed down to the
@@ -48,6 +50,16 @@ class GuardError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Two routes that must agree did not; the ring conventions are broken."""
+
+
+def _agree(quantity: str, **routes):
+    """The value every named route gives for ``quantity``; a mismatch raises
+    :class:`ConsistencyError` naming each route with its value."""
+    first, *rest = routes.values()
+    if any(value != first for value in rest):
+        shown = ", ".join(f"{route} {value}" for route, value in routes.items())
+        raise ConsistencyError(f"{quantity}: {shown}")
+    return first
 
 
 class Resolution(NamedTuple):
@@ -270,13 +282,9 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         parts = res.tangent or [res.space.tangent_chern] * d
         terms = zip(res.series, res.cycles, reversed(parts))
         direct = sum(a * _pair(cycle, t) for a, cycle, t in terms)
-    if resolution != direct:
-        raise ConsistencyError(
-            f"resolution Euler number: hook sum {resolution} != direct {direct}"
-        )
+    _agree("resolution Euler number", hooks=resolution, direct=direct)
     for weight, power, hooks in low_weights:
-        if power != hooks:
-            raise ConsistencyError(f"weight {weight}: D^{weight} != hooks")
+        _agree(f"weight {weight}", power=power, hooks=hooks)
     return EulerNumbers(smooth, (-1) ** d * (resolution - smooth), resolution)
 
 
@@ -328,17 +336,12 @@ def intersection_numbers(inst: Instance) -> list[int]:
     for _ in range(d - 1):
         hyper_pows.append(hyper_pows[-1] * hyper)
 
-    values = []
-    for k in range(d):
-        closed = _pair(hyper_pows[k], seq[d - k])
-        pushed = bundle_space.pushforward(cycles[d - 1 - k])
-        direct = _pair(hyper_pows[k], pushed)
-        if closed != direct:
-            raise ConsistencyError(
-                f"intersection number k={k}: closed form {closed} != direct {direct}"
-            )
-        values.append(closed)
-    return values
+    closed = [_pair(hyper_pows[k], seq[d - k]) for k in range(d)]
+    direct = [
+        _pair(hyper_pows[k], bundle_space.pushforward(cycles[d - 1 - k]))
+        for k in range(d)
+    ]
+    return _agree("intersection numbers", closed=closed, direct=direct)
 
 
 class C2Pairings(NamedTuple):
@@ -361,7 +364,8 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     [Z] xi^k`` (:class:`Resolution`), with or without a relation there, and
     it and its product with the tautological class are pushed down.
     """
-    return _c2_numbers(inst, allow_non_cy, None)
+    _check_c2_guard(inst.d, inst.polarization, inst.calabi_yau, allow_non_cy)
+    return _c2_numbers(inst, None)
 
 
 def _check_c2_guard(
@@ -382,13 +386,12 @@ def _check_c2_guard(
         )
 
 
-def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
-    """:func:`c2_numbers`, given the singular-point count (an int, or None
-    to compute it).  The closed and reduced forms integrate products of
-    two or three ambient classes with ``_pair`` and ``_pair3``, which form
-    no product."""
+def _c2_numbers(inst: Instance, singular) -> C2Pairings:
+    """:func:`c2_numbers` past its guard, given the singular-point count (an
+    int, or None to compute it).  The closed and reduced forms integrate
+    products of two or three ambient classes with ``_pair`` and ``_pair3``,
+    which form no product."""
     cy = inst.calabi_yau
-    _check_c2_guard(inst.d, inst.polarization, cy, allow_non_cy)
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
@@ -400,36 +403,23 @@ def _c2_numbers(inst: Instance, allow_non_cy: bool, singular) -> C2Pairings:
     diff = inst.pair.chern_diff
     head = t2 - diff[1] * t1 + diff[2]
     if cy:
-        simplified = t2 - seq[2]
-        if head != simplified:
-            raise ConsistencyError(
-                "Calabi-Yau simplification of the c2 head does not match"
-            )
+        _agree("c2 head", normal_sequence=head, calabi_yau=t2 - seq[2])
     closed_h = _pair3(head, seq[1], hyper) + _pair3(seq[1], seq[2], hyper)
-    closed_l = _pair(head, seq[2]) + _pair(seq[1], seq[3])
-
+    routes = {"closed": (closed_h, _pair(head, seq[2]) + _pair(seq[1], seq[3]))}
     if cy:
-        reduced_h = _pair3(t2, seq[1], hyper)
         if singular is None:
             singular = porteous_degree(inst)
-        reduced_l = _pair(t2, seq[2]) - singular
-        if (closed_h, closed_l) != (reduced_h, reduced_l):
-            raise ConsistencyError("c2 closed forms disagree with the reduced forms")
+        routes["reduced"] = (_pair3(t2, seq[1], hyper), _pair(t2, seq[2]) - singular)
 
     res = inst.resolution
     bundle_space = res.space
     tangent = res.tangent or bundle_space.tangent_chern.parts(2)
     cycle = sum_of_products(bundle_space, zip(res.series, tangent[2::-1], res.cycles))
-    direct_h = _pair(hyper, bundle_space.pushforward(cycle))
-    direct_l = space.integrate(
-        bundle_space.pushforward(cycle * res.tautological)
+    routes["direct"] = (
+        _pair(hyper, bundle_space.pushforward(cycle)),
+        space.integrate(bundle_space.pushforward(cycle * res.tautological)),
     )
-    if (closed_h, closed_l) != (direct_h, direct_l):
-        raise ConsistencyError(
-            f"c2 pairings: closed ({closed_h}, {closed_l}) != "
-            f"direct ({direct_h}, {direct_l})"
-        )
-    return C2Pairings(closed_h, closed_l)
+    return C2Pairings(*_agree("c2 pairings", **routes))
 
 
 # -- reports ----------------------------------------------------------------
@@ -498,10 +488,7 @@ def build_report(
         )
     if inst.d == 4 or (inst.d == 5 and inst.calabi_yau):
         shortcut = ih_milnor_number_small_dim(inst)
-        if euler.ih_milnor != shortcut:
-            raise ConsistencyError(
-                "singular Euler gap disagrees with the shortcut formula"
-            )
+        _agree("singular Euler gap", hooks=euler.ih_milnor, shortcut=shortcut)
     if inst.d == 4:
         count = shortcut // 2  # twice porteous_degree: one 2x2 class per report
         report.singular_degree = count
@@ -512,7 +499,7 @@ def build_report(
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
         if inst.d == 4:
-            pairings = _c2_numbers(inst, allow_non_cy_c2, count)
+            pairings = _c2_numbers(inst, count)
             report.c2_against_polarization = pairings.against_polarization
             report.c2_against_tautological = pairings.against_tautological
             if not inst.calabi_yau:

@@ -10,7 +10,10 @@ PartitionLike = Iterable[int]
 
 def partition(parts: PartitionLike) -> tuple[int, ...]:
     """Canonical partition tuple: trailing zeros stripped, weak decrease enforced."""
-    lam = tuple(int(p) for p in parts)
+    lam = tuple(parts)
+    for p in lam:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"parts must be integers, got {p!r}")
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     if any(a < b for a, b in zip(lam, lam[1:])):

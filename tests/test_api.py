@@ -76,6 +76,47 @@ def _term_map_users() -> dict[str, list[str]]:
     return found
 
 
+class _Raises(ast.NodeVisitor):
+    """``module.function`` of every place a module constructs or raises
+    ``ConsistencyError``, by the innermost enclosing definition."""
+
+    def __init__(self, module):
+        self.module = module
+        self.enclosing = ["<module>"]
+        self.sites = []
+
+    def _definition(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _site(self, node):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name == "ConsistencyError":
+            self.sites.append(f"{self.module}.{self.enclosing[-1]}")
+
+    def visit_Call(self, node):
+        self._site(node.func)
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        self._site(node.exc)
+        self.generic_visit(node)
+
+
+def test_route_comparisons_raise_in_one_place():
+    # every comparison of two routes goes through invariants._agree; the one
+    # other raise, the homogeneity of D^w in euler_numbers, compares none
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _Raises(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sites == ["invariants._agree", "invariants.euler_numbers"]
+
+
 def test_only_chow_touches_term_maps():
     # a class's term map is read, filled and handed over in chow alone, so
     # the rule that keeps classes immutable is one module's business

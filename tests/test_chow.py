@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,22 @@ def test_product_integration():
     assert (h2**4).is_zero()
     small = product_of_projective_spaces([1, 1])
     assert small.tangent_chern.part(1) == small.degree_one([2, 2])
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: projective_space(4.7), "4.7"),
+        (lambda: projective_space("4"), "'4'"),
+        (lambda: product_of_projective_spaces([4.0]), "4.0"),
+        (lambda: product_of_projective_spaces(["4"]), "'4'"),
+        (lambda: product_of_projective_spaces([True, 3.9]), "True"),
+    ],
+)
+def test_spaces_refuse_dimensions_that_are_not_integers(build, bad):
+    # a float or a string was truncated or converted before, and True read as 1
+    with pytest.raises(TypeError, match=f"got {re.escape(bad)}$"):
+        build()
 
 
 def test_single_factor_product_is_projective_space():

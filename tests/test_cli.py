@@ -398,6 +398,18 @@ def test_report_exit_three_on_guard_violation(tmp_path, capsys):
     assert "guard violation" in capsys.readouterr().err
 
 
+def test_report_and_table_exit_one_on_route_mismatch(tmp_path, capsys, monkeypatch):
+    original = invariants.hook_pairing
+    monkeypatch.setattr(invariants, "hook_pairing", lambda *a: 2 * original(*a))
+    for argv in (["report", write_config(tmp_path, QUINTIC_DOC)], ["table", "table1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "consistency error: resolution Euler number: hooks "
+        )
+
+
 def test_report_refuses_c2_before_building_the_resolution(tmp_path, capsys, monkeypatch):
     # the c2 guard reads only the inputs, so a refused report builds no P(F)
     doc = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcalc import bundles, chow, invariants
+from detcalc import bundles, chow, cli, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     _pair,
@@ -1087,6 +1087,122 @@ def test_c2_numbers_compare_routes(quintic, quartic):
     # c2 pairings need a fourfold
     with pytest.raises(ConsistencyError):
         c2_numbers(doubled_locus(dense_product_instance([1] * 4)), allow_non_cy=True)
+
+
+# One case per comparison: a mutation that breaks it, as (run, quantity,
+# routes), where routes maps each route, in order, to the value it then gives.
+# The doubled locus doubles every direct route and nothing else.
+
+
+def _resolution_euler_mismatch(monkeypatch, quintic, quartic):
+    value = euler_numbers(quintic).resolution
+    routes = {"hooks": value, "direct": 2 * value}
+    return lambda: euler_numbers(doubled_locus(quintic)), "resolution Euler number", routes
+
+
+def _low_weight_mismatch(monkeypatch, quintic, quartic):
+    pair = VirtualPair(quintic.pair.E, quintic.pair.F)
+    divisor = pair.hypersurface_class
+    pair.hypersurface_class = 2 * divisor
+    inst = Instance(quintic.ambient, pair, quintic.polarization)
+    routes = {"power": 2 * divisor, "hooks": divisor}
+    return lambda: euler_numbers(inst), "weight 1", routes
+
+
+def _singular_gap_mismatch(monkeypatch, quintic, quartic):
+    gap = euler_numbers(quintic).ih_milnor
+    monkeypatch.setattr(invariants, "ih_milnor_number_small_dim", lambda inst: gap + 1)
+    routes = {"hooks": gap, "shortcut": gap + 1}
+    return lambda: build_report(quintic), "singular Euler gap", routes
+
+
+def _intersection_numbers_mismatch(monkeypatch, quintic, quartic):
+    values = intersection_numbers(quintic)
+    routes = {"closed": values, "direct": [2 * v for v in values]}
+    run = lambda: intersection_numbers(doubled_locus(quintic))
+    return run, "intersection numbers", routes
+
+
+def _c2_head_mismatch(monkeypatch, quintic, quartic):
+    space = quintic.ambient
+    pair = VirtualPair(quintic.pair.E, quintic.pair.F)
+    extra = space.generator(0) ** 2
+    pair.chern_diff = [*pair.chern_diff]
+    pair.chern_diff[2] = pair.chern_diff[2] + extra
+    inst = Instance(space, pair, quintic.polarization)
+    head = space.tangent_chern.part(2) - pair.schur_seq[2]
+    routes = {"normal_sequence": head + extra, "calabi_yau": head}
+    return lambda: c2_numbers(inst), "c2 head", routes
+
+
+def _c2_reduced_mismatch(monkeypatch, quintic, quartic):
+    h, l = c2_numbers(quintic)
+    count = porteous_degree(quintic)
+    monkeypatch.setattr(invariants, "porteous_degree", lambda inst: count + 1)
+    routes = {"closed": (h, l), "reduced": (h, l - 1), "direct": (h, l)}
+    return lambda: c2_numbers(quintic), "c2 pairings", routes
+
+
+def _c2_direct_mismatch(monkeypatch, quintic, quartic):
+    h, l = c2_numbers(quintic)
+    routes = {"closed": (h, l), "reduced": (h, l), "direct": (2 * h, 2 * l)}
+    return lambda: c2_numbers(doubled_locus(quintic)), "c2 pairings", routes
+
+
+def _c2_direct_mismatch_off_calabi_yau(monkeypatch, quintic, quartic):
+    # no reduced route runs off the Calabi-Yau condition
+    h, l = c2_numbers(quartic, allow_non_cy=True)
+    routes = {"closed": (h, l), "direct": (2 * h, 2 * l)}
+    run = lambda: c2_numbers(doubled_locus(quartic), allow_non_cy=True)
+    return run, "c2 pairings", routes
+
+
+MISMATCHES = {
+    "resolution_euler": _resolution_euler_mismatch,
+    "low_weight": _low_weight_mismatch,
+    "singular_gap": _singular_gap_mismatch,
+    "intersection_numbers": _intersection_numbers_mismatch,
+    "c2_head": _c2_head_mismatch,
+    "c2_reduced": _c2_reduced_mismatch,
+    "c2_direct": _c2_direct_mismatch,
+    "c2_direct_off_calabi_yau": _c2_direct_mismatch_off_calabi_yau,
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_every_comparison_names_its_routes_and_values(
+    monkeypatch, quintic, quartic, case
+):
+    run, quantity, routes = MISMATCHES[case](monkeypatch, quintic, quartic)
+    assert len({str(value) for value in routes.values()}) == 2
+    with pytest.raises(ConsistencyError) as caught:
+        run()
+    shown = ", ".join(f"{route} {value}" for route, value in routes.items())
+    assert str(caught.value) == f"{quantity}: {shown}"
+
+
+def test_c2_guard_runs_once_per_entry_point(monkeypatch, quintic):
+    # a library report and c2_numbers check the guard once each; a CLI
+    # report checks it from the inputs before P(F) is built, then again in
+    # build_report
+    calls = []
+    original = invariants._check_c2_guard
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "_check_c2_guard", counted)
+    monkeypatch.setattr(cli, "_check_c2_guard", counted)
+    build_report(quintic)
+    assert len(calls) == 1
+    calls.clear()
+    c2_numbers(quintic)
+    assert len(calls) == 1
+    calls.clear()
+    _, config, _ = TABLES["table1"].rows[0]
+    cli.report_from_config(config)
+    assert len(calls) == 2
 
 
 @st.composite

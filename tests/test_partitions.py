@@ -1,3 +1,4 @@
+import re
 from math import comb, factorial
 
 import pytest
@@ -42,6 +43,15 @@ def test_partition_normalization():
         partition([2, 3])
     with pytest.raises(ValueError):
         partition([2, -1])
+
+
+@pytest.mark.parametrize(
+    "parts, bad", [((2.5, 2.9), "2.5"), ((2, True), "True"), (("2",), "'2'")]
+)
+def test_partition_refuses_parts_that_are_not_integers(parts, bad):
+    # a float was truncated before, so (2.5, 2.9) read as (2, 2)
+    with pytest.raises(TypeError, match=f"got {re.escape(bad)}$"):
+        partition(parts)
 
 
 def test_hook_product_known_values():
