@@ -55,10 +55,12 @@ class ConsistencyError(RuntimeError):
 def _agree(quantity: str, **routes):
     """The value every named route gives for ``quantity``; a mismatch raises
     :class:`ConsistencyError` naming each route with its value."""
-    first, *rest = routes.values()
-    if any(value != first for value in rest):
-        shown = ", ".join(f"{route} {value}" for route, value in routes.items())
-        raise ConsistencyError(f"{quantity}: {shown}")
+    values = iter(routes.values())
+    first = next(values)
+    for value in values:
+        if value != first:
+            shown = ", ".join(f"{route} {value}" for route, value in routes.items())
+            raise ConsistencyError(f"{quantity}: {shown}")
     return first
 
 

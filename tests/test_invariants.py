@@ -1097,7 +1097,8 @@ def test_c2_numbers_compare_routes(quintic, quartic):
 def _resolution_euler_mismatch(monkeypatch, quintic, quartic):
     value = euler_numbers(quintic).resolution
     routes = {"hooks": value, "direct": 2 * value}
-    return lambda: euler_numbers(doubled_locus(quintic)), "resolution Euler number", routes
+    run = lambda: euler_numbers(doubled_locus(quintic))
+    return run, "resolution Euler number", routes
 
 
 def _low_weight_mismatch(monkeypatch, quintic, quartic):
