@@ -76,19 +76,20 @@ def test_product_integration():
 
 
 @pytest.mark.parametrize(
-    "build, bad",
+    "build, size, bad",
     [
-        (lambda: projective_space(4.7), "4.7"),
-        (lambda: projective_space("4"), "'4'"),
-        (lambda: product_of_projective_spaces([4.0]), "4.0"),
-        (lambda: product_of_projective_spaces(["4"]), "'4'"),
-        (lambda: product_of_projective_spaces([True, 3.9]), "True"),
+        (projective_space, 4.7, "4.7"),
+        (projective_space, "4", "'4'"),
+        (product_of_projective_spaces, [4.0], "4.0"),
+        (product_of_projective_spaces, ["4"], "'4'"),
+        (product_of_projective_spaces, [True, 3.9], "True"),
     ],
+    ids=["float", "str", "float_factor", "str_factor", "bool_factor"],
 )
-def test_spaces_refuse_dimensions_that_are_not_integers(build, bad):
+def test_spaces_refuse_dimensions_that_are_not_integers(build, size, bad):
     # a float or a string was truncated or converted before, and True read as 1
     with pytest.raises(TypeError, match=f"got {re.escape(bad)}$"):
-        build()
+        build(size)
 
 
 def test_single_factor_product_is_projective_space():
