@@ -1,10 +1,12 @@
 """Whole stdout and exit code of the command line on fixed inputs.
 
 Each case runs ``main`` in process and compares its stdout byte for byte
-with ``tests/golden/<case>.out``.  The two report configs live beside
-them: the README quintic and a Calabi-Yau fivefold on (P^1)^5.  The cases
-also run one after another in one process, to show that a call leaves
-nothing behind that changes the next one.
+with ``tests/golden/<case>.out``.  The three report configs live beside
+them: the README quintic, a Calabi-Yau fivefold on (P^1)^5, and a fourfold
+on P^1 x P^3 off the Calabi-Yau condition with both flags off their
+defaults, whose report echoes the flags and prints both of their notes.
+The cases also run one after another in one process, to show that a call
+leaves nothing behind that changes the next one.
 """
 
 import json
@@ -24,6 +26,8 @@ CASES = {
     "report-quintic-json": ["report", str(GOLDEN / "quintic.json"), "--json"],
     "report-p1-5": ["report", str(GOLDEN / "p1_5.json")],
     "report-p1-5-json": ["report", str(GOLDEN / "p1_5.json"), "--json"],
+    "report-p1p3-flags": ["report", str(GOLDEN / "p1p3_flags.json")],
+    "report-p1p3-flags-json": ["report", str(GOLDEN / "p1p3_flags.json"), "--json"],
 }
 
 
