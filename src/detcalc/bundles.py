@@ -93,7 +93,9 @@ class VirtualPair:
     dual Jacobi-Trudi form.  ``hypersurface_class`` is ``c1(F) - c1(E)``,
     the first Chern class of det(E dual) tensor det(F): the divisor class
     cut out by the determinant of a morphism E -> F, taken from the roots
-    so that it is independent of the two sequences.
+    so that it is independent of the two sequences.  ``calabi_yau`` is the
+    test ``c1(T) == hypersurface_class`` on a product of projective spaces,
+    with ``c1(T) = sum (d_i + 1) h_i`` read from the caps.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -109,6 +111,8 @@ class VirtualPair:
             E.dual().total_chern().parts(), F.dual().roots
         )
         self.hypersurface_class = F.c1() - E.c1()
+        tangent_c1 = self.ambient.degree_one([c + 1 for c in self.ambient.caps])
+        self.calabi_yau = tangent_c1 == self.hypersurface_class
 
     @property
     def rank(self) -> int:

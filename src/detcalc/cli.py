@@ -1,17 +1,18 @@
 """Command-line interface: instance reports, built-in tables, self-verification.
 
-Configs are JSON documents with a fixed schema (see :class:`InstanceConfig`);
-unknown fields are rejected with the offending field path.  Exit codes:
-0 success, 1 verification, check or route mismatch, 2 input error, 3 guard
-violation.
+A config is a JSON document with a fixed schema; unknown fields are
+rejected with the offending field path.  :func:`parse_config` returns the
+validated document, normalized, and ``report --json`` echoes it under
+``instance``.  Exit codes: 0 success, 1 verification, check or route
+mismatch, 2 input error, 3 guard violation, 141 standard output closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .bundles import BundleSpec, VirtualPair
@@ -22,47 +23,18 @@ from .invariants import (
     Instance,
     InvariantReport,
     _check_c2_guard,
-    _is_calabi_yau,
     build_report,
 )
 from .verify import run_all
 
 _AMBIENT_KINDS = ("projective_space", "product")
-# Flag names and defaults, in the order they are checked.
+# Flag names and defaults, in the order they are checked; each names a
+# keyword parameter of ``build_report``.
 _FLAGS = {"assume_general": True, "allow_non_cy_c2": False}
 
 
 class ConfigError(ValueError):
     """A config document violates the schema; the message carries a field path."""
-
-
-@dataclass
-class InstanceConfig:
-    """Declarative description of one instance.
-
-    ``dims`` lists the dimensions of the projective factors; every
-    multidegree row has one integer per factor.  ``E`` and ``F`` must have
-    the same number of rows (the matrix size of the morphism).
-    """
-
-    ambient_kind: str
-    dims: list[int]
-    e_rows: list[list[int]]
-    f_rows: list[list[int]]
-    polarization: list[int] | None = None
-    assume_general: bool = True
-    allow_non_cy_c2: bool = False
-
-    def to_dict(self) -> dict:
-        doc = {
-            "ambient": {"kind": self.ambient_kind, "dims": list(self.dims)},
-            "E": [list(r) for r in self.e_rows],
-            "F": [list(r) for r in self.f_rows],
-            "flags": {name: getattr(self, name) for name in _FLAGS},
-        }
-        if self.polarization is not None:
-            doc["polarization"] = list(self.polarization)
-        return doc
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -112,8 +84,13 @@ def _object(value, path: str, required, optional=()) -> dict:
     return value
 
 
-def parse_config(doc) -> InstanceConfig:
-    """Validate a decoded JSON document against the config schema."""
+def parse_config(doc) -> dict:
+    """Validate a decoded JSON document against the config schema.
+
+    Returns it normalized, as a new document: both flags filled in, and
+    ``polarization`` present only when given.  A normalized document
+    parses to itself.
+    """
     _object(doc, "<root>", ("ambient", "E", "F"), ("polarization", "flags"))
     ambient = _object(doc["ambient"], "ambient", ("kind", "dims"))
     kind = ambient["kind"]
@@ -139,7 +116,7 @@ def parse_config(doc) -> InstanceConfig:
     )
     _expect(len(e_rows) >= 2, "E", "the morphism matrix must be at least 2 x 2")
 
-    polarization = None
+    config = {"ambient": {"kind": kind, "dims": dims}, "E": e_rows, "F": f_rows}
     if "polarization" in doc:
         polarization = _int_list(doc["polarization"], "polarization")
         _expect(
@@ -153,22 +130,16 @@ def parse_config(doc) -> InstanceConfig:
                 f"polarization[{i}]",
                 "must be >= 1 so that the class is ample",
             )
+        config["polarization"] = polarization
 
     flags = {**_FLAGS, **_object(doc.get("flags", {}), "flags", (), _FLAGS)}
     for name, value in flags.items():
         _expect(isinstance(value, bool), f"flags.{name}", "expected a boolean")
-
-    return InstanceConfig(
-        ambient_kind=kind,
-        dims=dims,
-        e_rows=e_rows,
-        f_rows=f_rows,
-        polarization=polarization,
-        **flags,
-    )
+    config["flags"] = flags
+    return config
 
 
-def load_config(path: str) -> InstanceConfig:
+def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -185,16 +156,16 @@ def load_config(path: str) -> InstanceConfig:
     return parse_config(doc)
 
 
-def _inputs(config: InstanceConfig):
+def _inputs(config: dict):
     """The ambient space, the bundle pair and the polarization (or None)."""
-    space = product_of_projective_spaces(config.dims)
+    space = product_of_projective_spaces(config["ambient"]["dims"])
     pair = VirtualPair(
-        BundleSpec.sum_of_line_bundles(space, config.e_rows),
-        BundleSpec.sum_of_line_bundles(space, config.f_rows),
+        BundleSpec.sum_of_line_bundles(space, config["E"]),
+        BundleSpec.sum_of_line_bundles(space, config["F"]),
     )
     polarization = None
-    if config.polarization is not None:
-        polarization = space.degree_one(config.polarization)
+    if "polarization" in config:
+        polarization = space.degree_one(config["polarization"])
     return space, pair, polarization
 
 
@@ -207,10 +178,6 @@ def _bundle_str(rows: list[list[int]]) -> str:
     return " + ".join("O(" + ",".join(str(d) for d in row) + ")" for row in rows)
 
 
-def _ambient_str(config: InstanceConfig) -> str:
-    return " x ".join(f"P^{d}" for d in config.dims)
-
-
 def _pairing_label(k: int, dim: int) -> str:
     bits = []
     l_power = dim - 1 - k
@@ -221,9 +188,11 @@ def _pairing_label(k: int, dim: int) -> str:
     return ".".join(bits)
 
 
-def report_to_dict(config: InstanceConfig, report: InvariantReport) -> dict:
+def report_to_dict(config: dict, report: InvariantReport) -> dict:
+    """The report document: the config under ``instance`` and every field
+    of the report that is set.  Both ``report`` outputs print it."""
     doc = {
-        "instance": config.to_dict(),
+        "instance": config,
         "dim": report.dim,
         "rank": report.rank,
         "calabi_yau": report.calabi_yau,
@@ -271,41 +240,37 @@ def _check_printable(report: InvariantReport) -> None:
                 )
 
 
-def render_report(config: InstanceConfig, report: InvariantReport) -> str:
+def render_report(doc: dict) -> str:
+    """The text form of a report document from :func:`report_to_dict`."""
+    config = doc["instance"]
+    ambient = " x ".join(f"P^{d}" for d in config["ambient"]["dims"])
     lines = [
-        f"ambient:            {_ambient_str(config)}  (dim {report.dim})",
-        f"E:                  {_bundle_str(config.e_rows)}",
-        f"F:                  {_bundle_str(config.f_rows)}",
-        f"matrix size:        {report.rank} x {report.rank}",
-        f"calabi-yau:         {'yes' if report.calabi_yau else 'no'}",
+        f"ambient:            {ambient}  (dim {doc['dim']})",
+        f"E:                  {_bundle_str(config['E'])}",
+        f"F:                  {_bundle_str(config['F'])}",
+        f"matrix size:        {doc['rank']} x {doc['rank']}",
+        f"calabi-yau:         {'yes' if doc['calabi_yau'] else 'no'}",
     ]
-    if report.singular_degree is not None:
-        lines.append(f"singular degree:    {report.singular_degree}")
-    if report.odp_count is not None:
-        lines.append(f"ODP count:          {report.odp_count}")
-    lines.append(f"ih milnor number:   {report.ih_milnor}")
-    lines.append(f"euler (smooth):     {report.euler_smooth}")
-    lines.append(f"euler (IH) = euler (resolution): {report.euler_ih}")
-    if report.intersection_numbers is not None:
-        pairs = ", ".join(
-            f"{_pairing_label(k, report.dim)} = {value}"
-            for k, value in enumerate(report.intersection_numbers)
-        )
+    if "singular_degree" in doc:
+        lines.append(f"singular degree:    {doc['singular_degree']}")
+    if "odp_count" in doc:
+        lines.append(f"ODP count:          {doc['odp_count']}")
+    lines.append(f"ih milnor number:   {doc['ih_milnor_number']}")
+    lines.append(f"euler (smooth):     {doc['euler_smooth']}")
+    lines.append(f"euler (IH) = euler (resolution): {doc['euler_ih']}")
+    if "intersection_numbers" in doc:
+        pairs = ", ".join(f"{k} = {v}" for k, v in doc["intersection_numbers"].items())
         lines.append(f"intersection numbers: {pairs}")
-    if report.c2_against_polarization is not None:
-        lines.append(
-            f"c2 pairings:        c2.H = {report.c2_against_polarization}, "
-            f"c2.L = {report.c2_against_tautological}"
-        )
-    for warning in report.warnings:
-        lines.append(f"note: {warning}")
+    if "c2.H" in doc:
+        lines.append(f"c2 pairings:        c2.H = {doc['c2.H']}, c2.L = {doc['c2.L']}")
+    lines += [f"note: {warning}" for warning in doc["warnings"]]
     return "\n".join(lines) + "\n"
 
 
 # -- built-in tables ----------------------------------------------------------
 
 
-def _config(e_rows, f_rows, **optional) -> InstanceConfig:
+def _config(e_rows, f_rows, **optional) -> dict:
     """A config on P^4, validated like any other."""
     ambient = {"kind": "projective_space", "dims": [4]}
     return parse_config({"ambient": ambient, "E": e_rows, "F": f_rows, **optional})
@@ -318,7 +283,7 @@ class Table(NamedTuple):
 
     columns: tuple[str, ...]
     values: Callable[[InvariantReport], tuple]
-    rows: list[tuple[str | None, InstanceConfig, tuple]]
+    rows: list[tuple[str | None, dict, tuple]]
 
 
 def _quartic(e_rows, f_rows, odps):
@@ -372,30 +337,26 @@ def _format_table(headers: tuple[str, ...], rows: list[list[str]]) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def report_from_config(config: InstanceConfig) -> InvariantReport:
+def report_from_config(config: dict) -> InvariantReport:
     """The report of a config, refused with :class:`GuardError` if the c2
     guard fails or a number is too long to print."""
     space, pair, polarization = _inputs(config)
+    flags = config["flags"]
     # the c2 guard reads only the inputs: refuse before P(F) is built
     if space.dim == 4 and polarization is not None:
-        calabi_yau = _is_calabi_yau(space, pair)
-        _check_c2_guard(4, polarization, calabi_yau, config.allow_non_cy_c2)
-    report = build_report(
-        Instance(space, pair, polarization),
-        allow_non_cy_c2=config.allow_non_cy_c2,
-        assume_general=config.assume_general,
-    )
+        _check_c2_guard(4, polarization, pair.calabi_yau, flags["allow_non_cy_c2"])
+    report = build_report(Instance(space, pair, polarization), **flags)
     _check_printable(report)
     return report
 
 
 def cmd_report(args) -> int:
     config = load_config(args.config)
-    report = report_from_config(config)
+    doc = report_to_dict(config, report_from_config(config))
     if args.json:
-        print(json.dumps(report_to_dict(config, report), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(render_report(config, report), end="")
+        print(render_report(doc), end="")
     return 0
 
 
@@ -500,7 +461,14 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: send what is still buffered to
+        # os.devnull, so the flush at exit raises nothing, and exit as SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

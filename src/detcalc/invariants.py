@@ -86,18 +86,13 @@ class Resolution(NamedTuple):
     series: list[int]
 
 
-def _is_calabi_yau(ambient: AmbientSpace, pair: VirtualPair) -> bool:
-    """The Calabi-Yau test ``c1(T) == D``, ``c1(T) = sum (d_i + 1) h_i``: it
-    reads only the inputs, so a guard can check it before P(F) is built."""
-    return ambient.degree_one([c + 1 for c in ambient.caps]) == pair.hypersurface_class
-
-
 class Instance:
     """One evaluation problem: ambient space, bundle pair, optional polarization.
 
     ``calabi_yau`` is True when the hypersurface class equals the first
     Chern class of the tangent bundle, so the hypersurface has trivial
-    canonical class.  It and the small resolution are computed here.
+    canonical class; it is the pair's test.  The small resolution is
+    computed here.
     """
 
     def __init__(
@@ -128,7 +123,7 @@ class Instance:
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
-        self.calabi_yau = _is_calabi_yau(ambient, pair)
+        self.calabi_yau = pair.calabi_yau
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
         # class xi, built in one step so that its classes share one space,

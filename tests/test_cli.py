@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from detcalc import invariants
+from detcalc import chow, invariants
 from detcalc.cli import (
     ConfigError,
-    InstanceConfig,
     load_config,
     main,
     parse_config,
@@ -59,14 +58,14 @@ def write_config(tmp_path, doc, name="config.json"):
 )
 def test_parse_config_round_trip(doc):
     config = parse_config(doc)
-    assert parse_config(config.to_dict()) == config
+    assert parse_config(json.loads(json.dumps(config))) == config
 
 
 def test_parse_config_defaults():
     config = parse_config({k: v for k, v in QUINTIC_DOC.items() if k != "polarization"})
-    assert config.polarization is None
-    assert config.assume_general is True
-    assert config.allow_non_cy_c2 is False
+    assert "polarization" not in config
+    assert config["flags"]["assume_general"] is True
+    assert config["flags"]["allow_non_cy_c2"] is False
 
 
 def _field_path(value):
@@ -246,8 +245,9 @@ def test_parse_config_accepts_or_raises_config_error(doc):
         config = parse_config(doc)
     except ConfigError:
         return
-    assert isinstance(config, InstanceConfig)
-    assert parse_config(config.to_dict()) == config
+    assert isinstance(config, dict)
+    assert parse_config(config) == config
+    assert json.loads(json.dumps(config)) == config
 
 
 @settings(max_examples=300, deadline=None)
@@ -431,6 +431,24 @@ def test_report_refuses_c2_before_building_the_resolution(tmp_path, capsys, monk
     doc["flags"] = {"allow_non_cy_c2": True}
     assert main(["report", write_config(tmp_path, doc)]) == 0
     assert calls == [1]
+
+
+def test_report_evaluates_the_calabi_yau_test_once(tmp_path, capsys, monkeypatch):
+    # the test builds c1(T) = sum (d_i + 1) h_i from the caps; the pair holds
+    # it, and the c2 guard and the instance read it from there
+    tangent_c1 = []
+    original = chow.AmbientSpace.degree_one
+
+    def counting(space, coeffs):
+        coeffs = list(coeffs)
+        if coeffs == [c + 1 for c in space.caps]:
+            tangent_c1.append(coeffs)
+        return original(space, coeffs)
+
+    monkeypatch.setattr(chow.AmbientSpace, "degree_one", counting)
+    assert main(["report", write_config(tmp_path, QUINTIC_DOC)]) == 0
+    assert "calabi-yau:         yes" in capsys.readouterr().out
+    assert tangent_c1 == [[5]]
 
 
 def _long_degree_doc(digits):
@@ -634,3 +652,34 @@ def test_module_entry_point_in_a_fresh_process(argv, code, golden, stderr):
     assert done.returncode == code
     assert done.stdout == expected
     assert stderr in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--depth", "6"], ["table", "table1", "--check"]],
+    ids=["verify-depth-6", "table1-check"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
+    # the read end of the pipe is closed before the process starts, so its
+    # first write to standard output fails with a broken pipe
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "detcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""

@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from math import comb, prod
 from pathlib import Path
 
@@ -733,7 +733,7 @@ def test_uniform_bundle_report_caches_no_reduction():
     for inst in (
         make_instance(projective_space(6), [0, 0, 0], [1, 1, 1]),
         Instance(p1s, mixed, p1s.degree_one([1] * 5)),
-        instance(replace(quartic, polarization=[1])),
+        instance({**quartic, "polarization": [1]}),
     ):
         build_report(inst, allow_non_cy_c2=True)
         assert inst.resolution.space._relation == ()
