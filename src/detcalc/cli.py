@@ -467,7 +467,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed standard output: send what is still buffered to
         # os.devnull, so the flush at exit raises nothing, and exit as SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
