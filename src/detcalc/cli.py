@@ -459,8 +459,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        try:
+            args = _PARSER.parse_args(argv)
+        finally:
+            # argparse exits from parse_args with the help text still buffered
+            sys.stdout.flush()
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,14 +1,19 @@
 """Cross-module property suites, runnable from the command line.
 
 Each suite exercises an algebraic identity that ties at least two modules
-together, on deterministic pseudo-random inputs.  A failure message names
-the inputs, so a broken convention is easy to localize.
+together, on deterministic pseudo-random inputs.  Every case runs inside
+:meth:`SuiteResult.case`, and every comparison is an
+:func:`~detcalc.invariants._agree` call: a raise inside a case is that
+case's failure, and its message names the quantity, every route with its
+value, and the inputs, so a broken convention is easy to localize.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .bundles import BundleSpec, VirtualPair
@@ -16,8 +21,8 @@ from .chow import (
     AmbientSpace, ChowClass, divide_by_roots, projective_space, sum_of_products
 )
 from .invariants import (
-    ConsistencyError,
     Instance,
+    _agree,
     c2_numbers,
     euler_numbers,
     euler_smooth_hypersurface,
@@ -38,10 +43,15 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, message: str) -> None:
+    @contextmanager
+    def case(self, where: str):
+        """Count one case; an exception raised inside it is its failure,
+        recorded as the exception's text followed by ``where``."""
         self.cases += 1
-        if not ok:
-            self.failures.append(message)
+        try:
+            yield
+        except Exception as exc:
+            self.failures.append(f"{exc} ({where})")
 
 
 def _random_split(
@@ -103,28 +113,18 @@ def suite_schur_identities(depth: int, seed: int) -> SuiteResult:
         if not all(c.is_zero() for c in seq[1:]):
             break
     s1 = seq[1]
-    memo: dict[tuple[int, ...], ChowClass] = {}
-
-    def s(lam: tuple[int, ...]) -> ChowClass:
-        """``schur(lam, seq)``, evaluated once per shape."""
-        found = memo.get(lam)
-        if found is None:
-            memo[lam] = found = schur(lam, seq)
-        return found
-
+    s = cache(lambda lam: schur(lam, seq))  # each shape evaluated once
     max_weight = min(depth, 6)
     for weight in range(max_weight + 1):
         for lam in partitions_of(weight):
-            left = s1 * s(lam)
-            right = space.zero()
-            for mu in covers_above(lam):
-                right = right + s(mu)
-            result.check(left == right, f"Pieri product fails at {lam}")
+            with result.case(f"shape {lam}"):
+                covers = sum(map(s, covers_above(lam)), space.zero())
+                _agree("Pieri product", product=s1 * s(lam), covers=covers)
     for power in range(max_weight + 1):
-        expansion = space.zero()
-        for lam in partitions_of(power):
-            expansion = expansion + syt_count(lam) * s(lam)
-        result.check(s1**power == expansion, f"power identity fails at {power}")
+        with result.case(f"power {power}"):
+            terms = [syt_count(lam) * s(lam) for lam in partitions_of(power)]
+            tableaux = sum(terms, space.zero())
+            _agree("power identity", power=s1**power, tableaux=tableaux)
     return result
 
 
@@ -135,25 +135,18 @@ def suite_sequence_transforms(depth: int, seed: int) -> SuiteResult:
     space = projective_space(min(6, 2 + depth))
     for trial in range(8):
         seq = _random_sequence(rng, space)
-        back = s_from_c(s_from_c(seq))
-        result.check(
-            all(a == b for a, b in zip(seq, back)),
-            f"transform is not an involution (trial {trial})",
-        )
+        with result.case(f"trial {trial}"):
+            _agree("transform involution", sequence=seq, twice=s_from_c(s_from_c(seq)))
     rank_cap = max(2, min(4, depth))
     for trial in range(8):
         pair = _random_split_pair(rng, space, rng.randint(2, rank_cap))
-        transformed = s_from_c(pair.chern_diff)
-        result.check(
-            all(a == b for a, b in zip(transformed, pair.schur_seq)),
-            f"transform of c(F-E) is not the dual-difference sequence (trial {trial})",
-        )
-        square_direct = schur((2, 2), pair.schur_seq)
-        square_swapped = schur((2, 2), pair.chern_diff)
-        result.check(
-            square_direct == square_swapped,
-            f"2x2 Schur class is not swap-symmetric (trial {trial})",
-        )
+        with result.case(f"trial {trial}"):
+            transform = s_from_c(pair.chern_diff)
+            _agree("dual-difference sequence", transform=transform, pair=pair.schur_seq)
+        with result.case(f"trial {trial}"):
+            direct = schur((2, 2), pair.schur_seq)
+            swapped = schur((2, 2), pair.chern_diff)
+            _agree("2x2 Schur class", direct=direct, swapped=swapped)
     return result
 
 
@@ -191,39 +184,33 @@ def suite_twist_formulas(depth: int, seed: int) -> SuiteResult:
         ell = h * rng.randint(-2, 2)
         twisted = _chern_diff(pair.E.twist(ell), pair.F.twist(ell))
         for k in range(1, min(5, space.dim) + 1):
-            closed = _twisted_virtual_chern(pair, ell, k)
-            direct = twisted[k]
-            result.check(
-                closed == direct,
-                f"twisted virtual class mismatch (trial {trial}, k={k})",
-            )
-        bundle = pair.E
-        top = bundle.twist(ell).chern(rank)
-        total = bundle.total_chern()
-        expansion = [(1, total.part(i), ell ** (rank - i)) for i in range(rank + 1)]
-        result.check(
-            top == sum_of_products(space, expansion),
-            f"top twisted Chern class mismatch (trial {trial})",
-        )
-        product = _chern_diff(pair.E, pair.E)
-        result.check(
-            product[0] == 1 and all(p.is_zero() for p in product[1:]),
-            f"virtual classes of a trivial difference persist (trial {trial})",
-        )
-        forward = pair.chern_diff
-        backward = _chern_diff(pair.F, pair.E)
-        steps = [(i, k - i) for k in range(space.dim + 1) for i in range(k + 1)]
-        convolution = [(1, forward[i], backward[j]) for i, j in steps]
-        result.check(
-            sum_of_products(space, convolution) == 1,
-            f"c(F-E).c(E-F) is not 1 (trial {trial})",
-        )
+            with result.case(f"trial {trial}, k={k}"):
+                closed = _twisted_virtual_chern(pair, ell, k)
+                _agree("twisted virtual class", closed=closed, direct=twisted[k])
+        where = f"trial {trial}"
+        with result.case(where):
+            total = pair.E.total_chern()
+            terms = [(1, total.part(i), ell ** (rank - i)) for i in range(rank + 1)]
+            expansion = sum_of_products(space, terms)
+            direct = pair.E.twist(ell).chern(rank)
+            _agree("top twisted Chern class", direct=direct, expansion=expansion)
+        with result.case(where):
+            quotient = _chern_diff(pair.E, pair.E)
+            _agree("c(E - E)", quotient=quotient, unit=[1] + [0] * space.dim)
+        with result.case(where):
+            forward = pair.chern_diff
+            backward = _chern_diff(pair.F, pair.E)
+            steps = [(i, k - i) for k in range(space.dim + 1) for i in range(k + 1)]
+            convolution = [(1, forward[i], backward[j]) for i, j in steps]
+            product = sum_of_products(space, convolution)
+            _agree("c(F - E) c(E - F)", product=product, unit=1)
     return result
 
 
 def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
     """Euler numbers against the shortcut and the smooth-divisor formula; a
-    :class:`ConsistencyError` from :func:`euler_numbers` is a failure."""
+    raise from :func:`euler_numbers` is the trial's one failure, and its
+    smooth case is skipped."""
     result = SuiteResult("euler-consistency")
     rng = random.Random(seed)
     rank_cap = max(2, min(4, depth))
@@ -238,32 +225,25 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
             calabi_yau=(dim == 5),
             with_polarization=False,
         )
-        try:
+        where = f"trial {trial}, dim {dim}"
+        euler = None
+        with result.case(where):
             euler = euler_numbers(inst)
-        except ConsistencyError as exc:
-            result.check(False, f"Euler numbers raised (trial {trial}): {exc}")
+            shortcut = ih_milnor_number_small_dim(inst)
+            _agree("singular Euler gap", euler=euler.ih_milnor, shortcut=shortcut)
+        if euler is None:
             continue
-        shortcut = ih_milnor_number_small_dim(inst)
-        result.check(
-            euler.ih_milnor == shortcut,
-            f"singular Euler gap {euler.ih_milnor} != shortcut {shortcut} "
-            f"(trial {trial}, dim {dim})",
-        )
-        smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class)
-        result.check(
-            euler.smooth == smooth,
-            f"smooth Euler number {euler.smooth} != divisor formula {smooth} "
-            f"(trial {trial}, dim {dim})",
-        )
+        with result.case(where):
+            smooth = euler_smooth_hypersurface(space, inst.pair.hypersurface_class)
+            _agree("smooth Euler number", euler=euler.smooth, divisor=smooth)
     return result
 
 
 def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
     """Closed forms against direct quotient-bundle integrals.
 
-    The comparisons themselves run inside :func:`intersection_numbers` and
-    :func:`c2_numbers`, which raise on any disagreement; the suite records
-    such an exception as a failure.
+    The comparisons themselves are the :func:`_agree` calls inside
+    :func:`intersection_numbers` and :func:`c2_numbers`; one case per trial.
     """
     result = SuiteResult("dual-routes")
     rng = random.Random(seed)
@@ -274,13 +254,9 @@ def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
         inst = _random_instance(
             rng, space, rank=rng.randint(2, rank_cap), calabi_yau=calabi_yau
         )
-        try:
+        with result.case(f"trial {trial}"):
             intersection_numbers(inst)
             c2_numbers(inst, allow_non_cy=not inst.calabi_yau)
-        except Exception as exc:
-            result.check(False, f"dual-route comparison raised (trial {trial}): {exc}")
-        else:
-            result.check(True, "")
     return result
 
 

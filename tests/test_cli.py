@@ -657,8 +657,13 @@ def test_module_entry_point_in_a_fresh_process(argv, code, golden, stderr):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--depth", "6"], ["table", "table1", "--check"]],
-    ids=["verify-depth-6", "table1-check"],
+    [
+        ["verify", "--depth", "6"],
+        ["table", "table1", "--check"],
+        ["--help"],
+        ["verify", "-h"],
+    ],
+    ids=["verify-depth-6", "table1-check", "help", "verify-help"],
 )
 def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
     # the read end of the pipe is closed before the process starts, so its
@@ -681,5 +686,10 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    assert done.returncode == 141
+    if unbuffered and argv[-1] in ("--help", "-h"):
+        # argparse itself writes the help unbuffered, drops the failed write
+        # and exits 0
+        assert done.returncode in (0, 141)
+    else:
+        assert done.returncode == 141
     assert done.stderr == ""

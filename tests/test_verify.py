@@ -1,3 +1,8 @@
+import re
+
+import pytest
+
+from detcalc import bundles, invariants, verify
 from detcalc.schur import schur
 from detcalc.verify import run_all
 
@@ -37,7 +42,7 @@ def test_euler_suite_records_a_broken_identity_as_failures(monkeypatch):
     monkeypatch.setattr(invariants, "hook_sum", lambda *a: 2 * original(*a))
     result = verify.suite_euler_consistency(depth=4, seed=1)
     assert not result.passed
-    assert all("Euler numbers raised" in f for f in result.failures)
+    assert all("resolution Euler number: hooks" in f for f in result.failures)
 
 
 
@@ -73,3 +78,68 @@ def test_schur_suite_is_not_vacuous_at_the_default_seed(monkeypatch):
     # each shape is evaluated once
     shapes = [lam for lam, _ in evaluated]
     assert len(shapes) == len(set(shapes))
+
+
+def _plus_one(original):
+    return lambda *a: original(*a) + 1
+
+
+def _twice(original):
+    return lambda *a: 2 * original(*a)
+
+
+def _degree_two_negated(original):
+    def mutated(seq):
+        out = original(seq)
+        out[2] = -out[2]
+        return out
+
+    return mutated
+
+
+def _twice_the_twist(original):
+    return lambda bundle, ell: original(bundle, 2 * ell)
+
+
+# one package mutation per suite, the number of cases it fails at depth 6 and
+# seed 2024, and the form of every failure: the quantity, each route with its
+# value, and the inputs
+_MUTATIONS = [
+    (
+        verify.suite_schur_identities, verify, "syt_count", _plus_one, 7,
+        r"power identity: power .+, tableaux .+ \(power \d\)",
+    ),
+    (
+        verify.suite_sequence_transforms, verify, "s_from_c", _degree_two_negated, 14,
+        r"(transform involution: sequence \[.+\], twice"
+        r"|dual-difference sequence: transform \[.+\], pair) \[.+\] \(trial \d\)",
+    ),
+    (
+        verify.suite_twist_formulas, bundles.BundleSpec, "twist", _twice_the_twist, 35,
+        r"twisted virtual class: closed .+, direct .+ \(trial \d, k=\d\)"
+        r"|top twisted Chern class: direct .+, expansion .+ \(trial \d\)",
+    ),
+    (
+        verify.suite_euler_consistency, invariants, "porteous_class", _twice, 42,
+        r"singular Euler gap: euler -?\d+, shortcut -?\d+ \(trial \d+, dim [45]\)",
+    ),
+    (
+        verify.suite_dual_routes, invariants, "porteous_class", _twice, 10,
+        r"c2 pairings: closed \(.+\), reduced \(.+\), direct \(.+\) \(trial \d+\)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, owner, attribute, mutate, failing, form",
+    _MUTATIONS,
+    ids=[suite.__name__.removeprefix("suite_") for suite, *_ in _MUTATIONS],
+)
+def test_every_suite_fails_on_a_mutation_and_says_why(
+    monkeypatch, suite, owner, attribute, mutate, failing, form
+):
+    monkeypatch.setattr(owner, attribute, mutate(getattr(owner, attribute)))
+    result = suite(depth=6, seed=2024)
+    assert len(result.failures) == failing, result.failures
+    for failure in result.failures:
+        assert re.fullmatch(form, failure), failure
