@@ -95,7 +95,8 @@ class VirtualPair:
     cut out by the determinant of a morphism E -> F, taken from the roots
     so that it is independent of the two sequences.  ``calabi_yau`` is the
     test ``c1(T) == hypersurface_class`` on a product of projective spaces,
-    with ``c1(T) = sum (d_i + 1) h_i`` read from the caps.
+    with ``c1(T) = sum (d_i + 1) h_i`` read from the caps, and ``2 e`` on a
+    divided block generator (``chow.block_space``).
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -111,7 +112,10 @@ class VirtualPair:
             E.dual().total_chern().parts(), F.dual().roots
         )
         self.hypersurface_class = F.c1() - E.c1()
-        tangent_c1 = self.ambient.degree_one([c + 1 for c in self.ambient.caps])
+        space = self.ambient
+        tangent_c1 = space.degree_one(
+            [2 if d else c + 1 for c, d in zip(space.caps, space.divided)]
+        )
         self.calabi_yau = tangent_c1 == self.hypersurface_class
 
     @property

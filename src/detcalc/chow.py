@@ -22,7 +22,10 @@ their top bit, so one mask test finds the monomials that leave the normal
 form.  The bias is used only in that flag test: every term map, a class's
 or an accumulator's, is keyed by plain codes.  A projective bundle lays
 out its base's fields first, unchanged, so pulling a class back copies
-its codes.
+its codes.  A block of repeated P^1 factors (:func:`block_space`) is one
+divided field, whose exponent k stands for ``e_k``: there
+``e_k e_l = C(k+l, k) e_(k+l)``, a weight the kernel, the reduction's shift
+and the pairings read off a table of factorials.
 
 Term maps belong to this module: other modules build classes through the
 ring operations, :func:`sum_of_products` and :func:`divide_by_roots`.  A
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterator
 
 
@@ -75,6 +78,22 @@ def _accumulate_terms(
     bias, over, trunc = space._bias, space._over, space._trunc
     reduced = space._reduced
     get = out.get
+    if space._divided:  # weight each product of divided powers by binomials
+        fact, mask = space._fact, space._divided
+        right = [(b, cb, fact[b & mask]) for b, cb in right.items()]
+        for a, ca in left.items():
+            ca, biased, fa = ca * scale, a + bias, fact[a & mask]
+            for b, cb, fb in right:
+                flags = (biased + b) & over
+                if not flags & trunc:
+                    raw = a + b
+                    coeff = ca * cb * (fact[raw & mask] // (fa * fb))
+                    if not flags:
+                        out[raw] = get(raw, 0) + coeff
+                    else:
+                        for e, k in reduced.get(raw) or space._reduce(raw):
+                            out[e] = get(e, 0) + coeff * k
+        return
     right = list(right.items())
     for a, ca in left.items():
         ca *= scale
@@ -280,13 +299,16 @@ def _pair(x: ChowClass, y: ChowClass) -> int:
     There every product of normal-form monomials either truncates or stays
     in normal form, so only the pairs ``m * (top / m)`` reach the top
     monomial, and the complement of a packed code is ``top - m``.  The cost
-    is linear in the term count of ``x``.
+    is linear in the term count of ``x``, with divided fields too, whose
+    weights :func:`_pair3` applies.
     """
     space = x.ambient
     if y.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
     if space._relation:
         raise ValueError("the pairing kernel needs a space with no relation")
+    if space._divided:
+        return _pair3(x, y, space.one())
     top, get = space._top, y.terms.get
     return sum(c * get(top - e, 0) for e, c in x.terms.items())
 
@@ -301,8 +323,10 @@ def _pair3(x: ChowClass, y: ChowClass, z: ChowClass) -> int:
     subtraction borrows there, and the borrowing field comes out above its
     cap (a field is one bit wider than its cap needs) or the code negative:
     no class holds such a key, so the lookup itself is the truncation test.
-    No class or accumulator is built, and the cost is the product of the
-    two shorter term counts.
+    Divided fields weight a triple by its multinomial coefficients,
+    ``N / (F(m) F(n) F(rest))`` with ``F`` the product of the factorials of
+    a code's divided fields and ``N = F(top)``.  No class or accumulator is
+    built, and the cost is the product of the two shorter term counts.
     """
     space = x.ambient
     if y.ambient is not space or z.ambient is not space:
@@ -316,6 +340,16 @@ def _pair3(x: ChowClass, y: ChowClass, z: ChowClass) -> int:
     top, get = space._top, z.terms.get
     right = list(y.terms.items())
     total = 0
+    if space._divided:
+        fact, mask = space._fact, space._divided
+        right = [(b, cb, fact[b & mask]) for b, cb in right]
+        for a, ca in x.terms.items():
+            rest, na = top - a, fact[top & mask] // fact[a & mask]
+            for b, cb, fb in right:
+                cz = get(rest - b)
+                if cz:
+                    total += ca * cb * cz * (na // (fb * fact[(rest - b) & mask]))
+        return total
     for a, ca in x.terms.items():
         rest = top - a
         for b, cb in right:
@@ -341,21 +375,34 @@ class AmbientSpace:
         gens: tuple[str, ...],
         caps: tuple[int, ...],
         base: "AmbientSpace | None" = None,
+        divided: tuple[bool, ...] = (),
     ):
         self.dim = sum(caps)
         self.gens = gens
         self.caps = caps
         self.base = base
+        self.divided = divided or (False,) * len(caps)
         self.tangent_chern: ChowClass | None = None
         # A field is one bit wider than caps[i] needs, so the sum of two
         # normal-form exponents fits.  After the bias is added, its top bit
         # (in tops[i]) is set exactly when the exponent exceeds caps[i].
+        # A divided field's bits are in _divided, and _fact holds, per code of
+        # those bits, the product of the factorials of its fields, so that
+        # e_k e_l = C(k+l, k) e_(k+l) is fact[a + b] / (fact[a] fact[b]).
         fields, tops, self._bias, shift = [], [], 0, 0
-        for cap in caps:
+        self._divided, self._fact = 0, {0: 1}
+        for cap, d in zip(caps, self.divided):
             width = cap.bit_length() + 1
             fields.append((shift, (1 << width) - 1))
             tops.append(1 << (shift + width - 1))
             self._bias += ((1 << (width - 1)) - 1 - cap) << shift
+            if d:
+                self._divided += fields[-1][1] << shift
+                self._fact = {
+                    c + (k << shift): f * factorial(k)
+                    for c, f in self._fact.items()
+                    for k in range(cap + 1)
+                }
             shift += width
         self._fields = tuple(fields)  # (shift, mask) per generator
         self._shifts = tuple(shift for shift, _ in fields)
@@ -420,13 +467,18 @@ class AmbientSpace:
         for field in self._base_fields:
             g = raw & field
             if g:
-                rest = raw - g
-                biased = g + bias
+                rest, biased = raw - g, g + bias
                 result = tuple([
                     (e + g, c)
                     for e, c in self._reduced.get(rest) or self._reduce(rest)
                     if not (e + biased) & over
                 ])
+                if g & self._divided:  # e_k e_l = C(k+l, k) e_(k+l) on g's field
+                    fact, mask = self._fact, self._divided
+                    result = tuple([
+                        (e, c * fact[e & mask] // fact[(e - g) & mask] // fact[g])
+                        for e, c in result
+                    ])
                 break
         else:
             trunc, lowered = self._trunc, raw - self._step
@@ -490,6 +542,14 @@ class AmbientSpace:
             if sum(exp) == degree:
                 yield exp
 
+    def coefficients(self, x: ChowClass) -> list[int]:
+        """The coefficient of each generator in ``x``, a class of degree one:
+        on a product, its degree on a line of each factor (of a block)."""
+        row = [x.terms.get(1 << shift, 0) for shift in self._shifts]
+        if x.ambient is not self or len(x.terms) != len(row) - row.count(0):
+            raise ValueError("expected a class of degree one on this space")
+        return row
+
     # -- functionals ---------------------------------------------------------
 
     def integrate(self, x: ChowClass) -> int:
@@ -541,16 +601,17 @@ class AmbientSpace:
 
     def _monomial_str(self, exp: tuple[int, ...]) -> str:
         bits = []
-        for name, e in zip(self.gens, exp):
+        for name, e, d in zip(self.gens, exp, self.divided):
             if e == 1:
                 bits.append(name)
             elif e > 1:
-                bits.append(f"{name}^{e}")
+                bits.append(f"{name}[{e}]" if d else f"{name}^{e}")
         return "*".join(bits) if bits else "1"
 
     def __repr__(self):
         if self.base is None:
-            return " x ".join(f"P^{c}" for c in self.caps)
+            names = zip(self.caps, self.divided)
+            return " x ".join(f"(P^1)^{c}" if d else f"P^{c}" for c, d in names)
         return f"P(rank-{self.caps[-1] + 1} bundle) over {self.base!r}"
 
 
@@ -568,6 +629,36 @@ def product_of_projective_spaces(dims) -> AmbientSpace:
     tangent class ``prod_i (1 + h_i)^(d_i + 1)`` is built in closed form:
     coefficient ``prod_i C(d_i + 1, e_i)`` on ``prod_i h_i^e_i``."""
     dims = tuple(dims)
+    return _product(dims, dims, (False,) * len(dims), range(len(dims)))
+
+
+def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
+    """The ring of the classes of a product of projective spaces that are
+    symmetric in each block, the P^1 factors of equal ``columns`` (any
+    hashable per factor), and the first factor of each of its generators.
+
+    A block of ``n >= 2`` factors is one divided generator ``e`` with basis
+    ``e_k``, the sum of the products of k distinct hyperplane classes:
+    ``e_k e_l = C(k+l, k) e_(k+l)``, ``e_n`` integrates to 1, and ``c(T)``
+    has ``2^k`` on ``e_k``.  A symmetric class restricts to it by its
+    coefficient on one monomial of each ``e_k``, with the same integrals.
+    Other factors stay truncating hyperplane classes, as in a product."""
+    dims, caps, firsts, index = tuple(dims), [], [], {}
+    for i, (d, column) in enumerate(zip(dims, columns)):
+        if d == 1 and column in index:
+            caps[index[column]] += 1
+            continue
+        if d == 1:
+            index[column] = len(caps)
+        caps.append(d)
+        firsts.append(i)
+    divided = tuple(dims[i] == 1 and c > 1 for i, c in zip(firsts, caps))
+    return _product(dims, tuple(caps), divided, firsts), firsts
+
+
+def _product(dims: tuple, caps: tuple, divided: tuple, firsts) -> AmbientSpace:
+    """The product of P^d over ``dims`` with a generator of cap ``caps[j]``
+    for each first factor ``firsts[j]``, divided where ``divided`` says."""
     for d in dims:
         if not isinstance(d, int) or isinstance(d, bool):
             raise TypeError(f"dimensions must be integers, got {d!r}")
@@ -578,17 +669,37 @@ def product_of_projective_spaces(dims) -> AmbientSpace:
     if len(dims) == 1:
         gens = ("h",)
     else:
-        gens = tuple(f"h{i + 1}" for i in range(len(dims)))
-    space = AmbientSpace(gens, dims)
+        gens = tuple(f"{'eh'[not d]}{i + 1}" for i, d in zip(firsts, divided))
+    space = AmbientSpace(gens, caps, divided=divided)
     terms = {0: 1}
-    for d, shift in zip(dims, space._shifts):
+    for cap, d, shift in zip(caps, divided, space._shifts):
         terms = {
-            code + (e << shift): c * comb(d + 1, e)
+            code + (e << shift): c * (2**e if d else comb(cap + 1, e))
             for code, c in terms.items()
-            for e in range(d + 1)
+            for e in range(cap + 1)
         }
     space.tangent_chern = _make(space, terms)
     return space
+
+
+def restrict_to_blocks(classes: list) -> tuple | None:
+    """Degree-one ``classes`` (or None) on a product of projective spaces,
+    restricted to its :func:`block_space` by the coefficients of each
+    factor; None when no two P^1 factors have equal coefficients, or the
+    space is not a plain product.  Every class built from them is then
+    symmetric in each block, so it has the same integrals on both rings."""
+    space = classes[0].ambient
+    if space.base is not None or space._divided or space.caps.count(1) < 2:
+        return None
+    given = [x for x in classes if x is not None]
+    rows = [space.coefficients(x) for x in given]
+    lines = [column for column, cap in zip(zip(*rows), space.caps) if cap == 1]
+    if len(set(lines)) == len(lines):
+        return None
+    blocks, firsts = block_space(space.caps, zip(*rows))
+    codes = [(1 << shift, i) for shift, i in zip(blocks._shifts, firsts)]
+    out = iter([_make(blocks, {e: r[i] for e, i in codes if r[i]}) for r in rows])
+    return tuple(None if x is None else next(out) for x in classes)
 
 
 def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
@@ -611,7 +722,9 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
         raise ValueError("fiber bundle does not live on the given base")
     if base.base is not None:
         raise ValueError("the base must not itself be a projective bundle")
-    space = AmbientSpace(base.gens + ("xi",), base.caps + (rank - 1,), base=base)
+    space = AmbientSpace(
+        base.gens + ("xi",), base.caps + (rank - 1,), base, base.divided + (False,)
+    )
     dual = fiber.dual()
     parts = dual.total_chern().parts(rank)
     shift = space._shifts[-1]

@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .bundles import BundleSpec, VirtualPair
-from .chow import product_of_projective_spaces
+from .chow import block_space
 from .invariants import (
     ConsistencyError,
     GuardError,
@@ -157,16 +157,18 @@ def load_config(path: str) -> dict:
 
 
 def _inputs(config: dict):
-    """The ambient space, the bundle pair and the polarization (or None)."""
-    space = product_of_projective_spaces(config["ambient"]["dims"])
+    """The ambient space, the bundle pair and the polarization (or None), on
+    the block ring of the factors' columns of degrees (``chow.block_space``)."""
+    polarized = "polarization" in config
+    rows = config["E"] + config["F"] + ([config["polarization"]] if polarized else [])
+    space, firsts = block_space(config["ambient"]["dims"], zip(*rows))
+    rows = [[row[i] for i in firsts] for row in rows]
+    rank = len(config["E"])
     pair = VirtualPair(
-        BundleSpec.sum_of_line_bundles(space, config["E"]),
-        BundleSpec.sum_of_line_bundles(space, config["F"]),
+        BundleSpec.sum_of_line_bundles(space, rows[:rank]),
+        BundleSpec.sum_of_line_bundles(space, rows[rank : 2 * rank]),
     )
-    polarization = None
-    if "polarization" in config:
-        polarization = space.degree_one(config["polarization"])
-    return space, pair, polarization
+    return space, pair, space.degree_one(rows[-1]) if polarized else None
 
 
 # -- rendering ---------------------------------------------------------------

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from math import comb, prod
 from typing import NamedTuple
 
-from .bundles import VirtualPair
+from .bundles import BundleSpec, VirtualPair
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, divide_by_roots, proj_bundle
-from .chow import sum_of_products
+from .chow import restrict_to_blocks, sum_of_products
 from .schur import hook_pairing, hook_sum, schur
 
 
@@ -76,7 +76,9 @@ class Resolution(NamedTuple):
     normal roots equal to ``xi`` (the trivial summands of E) give
     ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]``
     when ``p = 0``), and only the others divide ``c(T_P(F))`` into ``Q``,
-    whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides)."""
+    whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides).
+    ``space`` is a bundle over the ring the report runs on,
+    ``Instance.ring.ambient``: the block ring when there is one."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
@@ -93,6 +95,10 @@ class Instance:
     Chern class of the tangent bundle, so the hypersurface has trivial
     canonical class; it is the pair's test.  The small resolution is
     computed here.
+
+    Every report route runs on :attr:`ring`, chosen from the inputs alone.
+    ``ambient``, ``pair`` and ``polarization`` stay what the caller passed;
+    ``resolution`` is the ring's.
     """
 
     def __init__(
@@ -113,17 +119,27 @@ class Instance:
             if not polarization.is_homogeneous(1):
                 raise ValueError("polarization must be homogeneous of degree one")
             # O(a_1, ..., a_n) is ample exactly when every a_i >= 1; a_i is its
-            # degree on a line of factor i, the top monomial lowered by one h_i
-            caps = ambient.caps
-            for i, c in enumerate(caps):
-                line = {caps[:i] + (c - 1,) + caps[i + 1 :]: 1}
-                if c and _pair(polarization, ChowClass(ambient, line)) < 1:
+            # degree on a line of factor i, its coefficient on generator i
+            degrees = zip(ambient.caps, ambient.coefficients(polarization))
+            for i, (c, a) in enumerate(degrees):
+                if c and a < 1:
                     msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
                     raise ValueError(msg)
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
+        # Inputs constant on a block of P^1 factors run on the block ring.
+        r = pair.rank
+        restricted = restrict_to_blocks([*pair.E.roots, *pair.F.roots, polarization])
+        if restricted:
+            space = restricted[0].ambient
+            E = BundleSpec(space, restricted[:r])
+            F = BundleSpec(space, restricted[r:-1])
+            self._block = Instance(space, VirtualPair(E, F), restricted[-1])
+            self.resolution = self._block.resolution
+            return
+        self._block = None  # not self: a cycle would outlive its last reference
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
         # class xi, built in one step so that its classes share one space,
@@ -149,6 +165,16 @@ class Instance:
             for _ in range(d - 1):
                 cycles.append(cycles[-1] * xi)
         self.resolution = Resolution(space, roots, tangent, xi, cycles, series)
+
+    @property
+    def ring(self) -> "Instance":
+        """The instance restricted to the block ring (``chow.block_space``)
+        when the pair's roots and the polarization are constant on a block
+        of two or more P^1 factors, with ``prod (n_b + 1)`` basis elements
+        in place of ``2^n``; else the instance itself.  Every class a report
+        builds is then symmetric in each block, so every number is the
+        same on both rings."""
+        return self._block or self
 
     @property
     def d(self) -> int:
@@ -201,6 +227,7 @@ def porteous_degree(inst: Instance) -> int:
             "the singular locus is a zero-cycle only when dim M = 4; "
             "use porteous_class for the class itself"
         )
+    inst = inst.ring
     return inst.ambient.integrate(porteous_class(inst))
 
 
@@ -241,6 +268,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
     """
+    inst = inst.ring
     d = inst.d
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
@@ -292,6 +320,7 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     Valid for fourfolds, where it is twice :func:`porteous_degree`, and for
     Calabi-Yau fivefolds; refused elsewhere, where no such reduction holds.
     """
+    inst = inst.ring
     d = inst.d
     if d == 5 and not inst.calabi_yau:
         raise GuardError(
@@ -321,6 +350,7 @@ def intersection_numbers(inst: Instance) -> list[int]:
     """
     if inst.polarization is None:
         raise GuardError("intersection numbers need a polarization class")
+    inst = inst.ring
     d = inst.d
     space = inst.ambient
     seq = inst.pair.schur_seq
@@ -388,6 +418,7 @@ def _c2_numbers(inst: Instance, singular) -> C2Pairings:
     int, or None to compute it).  The closed and reduced forms integrate
     products of two or three ambient classes with ``_pair`` and ``_pair3``,
     which form no product."""
+    inst = inst.ring
     cy = inst.calabi_yau
     space = inst.ambient
     seq = inst.pair.schur_seq

@@ -1,0 +1,222 @@
+"""The block ring of repeated P^1 factors (``chow.block_space``) against the
+monomial ring.
+
+A report whose roots and polarization are constant on a block of P^1
+factors runs on the block ring.  With the block test patched off
+(``invariants.restrict_to_blocks`` returning None) the same instance runs on
+the 2^n-monomial ring, and every report field must be equal; so must the
+report of the command line's path, which builds the block ring straight
+from the config's columns.
+"""
+
+from dataclasses import asdict
+from math import comb, factorial
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detcalc import chow, cli, invariants
+from detcalc.bundles import BundleSpec, VirtualPair
+from detcalc.chow import (
+    ChowClass,
+    _pair,
+    _pair3,
+    block_space,
+    product_of_projective_spaces,
+    proj_bundle,
+    projective_space,
+)
+from detcalc.invariants import Instance, build_report
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def library_instance(dims, rows_e, rows_f, polarization):
+    space = product_of_projective_spaces(dims)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, rows_e),
+        BundleSpec.sum_of_line_bundles(space, rows_f),
+    )
+    return Instance(space, pair, space.degree_one(polarization))
+
+
+def config(dims, rows_e, rows_f, polarization):
+    kind = "projective_space" if len(dims) == 1 else "product"
+    return cli.parse_config({
+        "ambient": {"kind": kind, "dims": dims},
+        "E": rows_e,
+        "F": rows_f,
+        "polarization": polarization,
+        "flags": {"allow_non_cy_c2": True},
+    })
+
+
+def monomial_report(dims, rows_e, rows_f, polarization):
+    """The report on the 2^n-monomial ring: the block test patched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "restrict_to_blocks", lambda classes: None)
+        inst = library_instance(dims, rows_e, rows_f, polarization)
+        assert inst.ring is inst
+        return asdict(build_report(inst, allow_non_cy_c2=True))
+
+
+@st.composite
+def block_cases(draw):
+    """Factor dims and the rows of E, F and the polarization: (P^1)^n with
+    n <= 7 split into blocks at random, sometimes with one more factor
+    P^1..P^3, the factors shuffled, and every row constant on each block.
+    E has no, some or all rows zero; F repeats a root or has distinct
+    ones; in some draws the last row of F makes the instance Calabi-Yau."""
+    extra = draw(st.sampled_from([[], [1], [2], [3]]))
+    ones = draw(st.integers(max(2, 4 - sum(extra)), 7))
+    sizes = []
+    while sum(sizes) < ones:
+        sizes.append(draw(st.integers(1, ones - sum(sizes))))
+    groups = [(1, size) for size in sizes] + [(d, 1) for d in extra]
+    rank = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-2, 2), min_size=len(groups), max_size=len(groups))
+    zero = [0] * len(groups)
+    zeros = draw(st.integers(0, rank))
+    rows_e = [zero] * zeros + draw(
+        st.lists(row.filter(any), min_size=rank - zeros, max_size=rank - zeros)
+    )
+    positive = st.lists(st.integers(0, 2), min_size=len(groups), max_size=len(groups))
+    if draw(st.booleans()):  # F repeats a root
+        rows_f = [draw(positive)] * 2 + draw(
+            st.lists(positive, min_size=rank - 2, max_size=rank - 2)
+        )
+    else:
+        rows_f = draw(
+            st.lists(positive, min_size=rank, max_size=rank, unique_by=tuple)
+        )
+    if draw(st.booleans()):  # c1(F) - c1(E) = c1(T), factor by factor
+        rows_f[-1] = [
+            d + 1 + sum(r[g] for r in rows_e) - sum(r[g] for r in rows_f[:-1])
+            for g, (d, _) in enumerate(groups)
+        ]
+    polarization = draw(
+        st.lists(st.integers(1, 2), min_size=len(groups), max_size=len(groups))
+    )
+    factors = [g for g, (_, size) in enumerate(groups) for _ in range(size)]
+    factors = draw(st.permutations(factors))
+    dims = [groups[g][0] for g in factors]
+
+    def spread(rows):
+        return [[r[g] for g in factors] for r in rows]
+
+    return dims, spread(rows_e), spread(rows_f), spread([polarization])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+def test_block_ring_reports_equal_the_monomial_ring(case):
+    dims, rows_e, rows_f, polarization = case
+    expected = monomial_report(*case)
+    inst = library_instance(*case)
+    columns = [
+        (d, *(r[i] for r in rows_e + rows_f + [polarization]))
+        for i, d in enumerate(dims)
+    ]
+    repeated = any(d == 1 and columns.count(c) > 1 for d, c in zip(dims, columns))
+    assert (inst.ring is not inst) == repeated
+    assert asdict(build_report(inst, allow_non_cy_c2=True)) == expected
+    assert inst.ambient.gens == product_of_projective_spaces(dims).gens
+    from_config = Instance(*cli._inputs(config(*case)))
+    assert from_config.ring is from_config
+    assert any(from_config.ambient.divided) == repeated
+    assert asdict(build_report(from_config, allow_non_cy_c2=True)) == expected
+
+
+def test_golden_p1_12_config_runs_on_two_blocks():
+    # the golden (P^1)^12 config, whose report was recorded on the monomial
+    # ring, runs on the block ring of its two column types: 7 x 7 elements
+    inst = Instance(*cli._inputs(cli.load_config(str(GOLDEN / "p1_12_mixed.json"))))
+    assert inst.ambient.caps == (6, 6) and inst.ambient.divided == (True, True)
+    assert repr(inst.ambient) == "(P^1)^6 x (P^1)^6"
+
+
+def test_p1_40_report_finishes_on_the_block_ring():
+    # (P^1)^40 has 2^40 monomials; its two blocks of 20 have 21 x 21
+    config = cli.load_config(str(GOLDEN / "p1_40_mixed.json"))
+    report = cli.report_from_config(config)
+    assert report.dim == 40 and len(report.intersection_numbers) == 40
+
+
+def test_divided_powers_multiply_by_binomials():
+    space, firsts = block_space([1] * 5, [0] * 5)
+    assert firsts == [0] and space.caps == (5,) and space.divided == (True,)
+    e = space.generator(0)
+    basis = [ChowClass(space, {(k,): 1}) for k in range(6)]
+    for k in range(6):
+        assert e**k == factorial(k) * basis[k]  # e_1^k = k! e_k
+        for m in range(6 - k):
+            assert basis[k] * basis[m] == comb(k + m, k) * basis[k + m]
+    assert space.integrate(basis[5]) == 1
+    assert space.tangent_chern == sum(
+        (2**k * basis[k] for k in range(6)), space.zero()
+    )
+    assert repr(3 * basis[2] + e) == "e1 + 3*e1[2]"
+
+
+def test_block_ring_integrals_equal_the_monomial_ring():
+    # every product of degree-one classes constant on the blocks, and the
+    # tangent class, integrates to the same number on both rings
+    dims, columns = [1, 2, 1, 1, 1], ["a", "p", "b", "a", "b"]
+    blocks, firsts = block_space(dims, columns)
+    assert firsts == [0, 1, 2] and blocks.caps == (2, 2, 2)
+    full = product_of_projective_spaces(dims)
+    rows = [[1, 2, -1, 1, -1], [0, 1, 3, 0, 3], [2, 0, 1, 2, 1]]
+    x, y, z = (full.degree_one(row) for row in rows)
+    u, v, w = (blocks.degree_one([row[i] for i in firsts]) for row in rows)
+    assert full.integrate(x**2 * y**3 * z) == blocks.integrate(u**2 * v**3 * w)
+    assert _pair(x**3, y**3) == _pair(u**3, v**3)
+    assert _pair3(x**2, y * z, x * y**2) == _pair3(u**2, v * w, u * v**2)
+    assert _pair(full.tangent_chern, x**4) == _pair(blocks.tangent_chern, u**4)
+    # the same on a bundle with a relation over each ring
+    pair = [[1, 0, 2, 1, 2], [0, 1, 1, 0, 1]]
+    over_full = proj_bundle(full, BundleSpec.sum_of_line_bundles(full, pair))
+    f = BundleSpec.sum_of_line_bundles(blocks, [[r[i] for i in firsts] for r in pair])
+    over_blocks = proj_bundle(blocks, f)
+    assert over_full.has_relation and over_blocks.has_relation
+    left = over_full.fiber_class() ** 3 * over_full.pullback(x * y) ** 2
+    right = over_blocks.fiber_class() ** 3 * over_blocks.pullback(u * v) ** 2
+    assert over_full.integrate(left * over_full.tangent_chern) == (
+        over_blocks.integrate(right * over_blocks.tangent_chern)
+    )
+
+
+def test_calabi_yau_and_ample_tests_read_blocks():
+    # c1(T) is 2 e on a block, not (n + 1) e; an ample class has degree at
+    # least 1 on a line of each factor of a block, whose coefficient it is
+    p1_5 = Instance(*cli._inputs(cli.load_config(str(GOLDEN / "p1_5.json"))))
+    assert p1_5.ambient.divided == (True, True) and p1_5.calabi_yau
+    space, _ = block_space([1] * 4, [0] * 4)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, [[0], [0]]),
+        BundleSpec.sum_of_line_bundles(space, [[1], [1]]),
+    )
+    assert pair.calabi_yau
+    assert Instance(space, pair, space.degree_one([1])).polarization is not None
+    with pytest.raises(ValueError, match="not ample: degree below 1 on factor 1"):
+        Instance(space, pair, space.degree_one([0]))
+
+
+def test_inputs_without_a_repeated_p1_column_build_no_block_ring(monkeypatch):
+    built = []
+    original = chow.block_space
+    monkeypatch.setattr(chow, "block_space", lambda *a: built.append(a) or original(*a))
+    cases = [
+        (projective_space(6), [[0], [0], [0]], [[1], [1], [1]]),
+        (product_of_projective_spaces([2, 2]), [[0, 0]] * 2, [[1, 1]] * 2),
+        (product_of_projective_spaces([1] * 4), [[0] * 4] * 2, [[1, 2, 3, 0]] * 2),
+    ]
+    for space, rows_e, rows_f in cases:
+        built.clear()
+        pair = VirtualPair(
+            BundleSpec.sum_of_line_bundles(space, rows_e),
+            BundleSpec.sum_of_line_bundles(space, rows_f),
+        )
+        inst = Instance(space, pair, space.degree_one([1] * len(space.caps)))
+        assert inst.ring is inst and built == []

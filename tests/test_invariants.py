@@ -795,11 +795,14 @@ def test_uniform_bundle_matches_the_untwisted_resolution(case):
 
 
 def assert_untwisted_resolution_agrees(inst, report):
-    """Build P(F) itself, with its whole relation and xi its fiber class, and
-    check the report's chi(Z), the pushed cycles L^j . [Z] with their
-    intersection numbers and, on fourfolds, the c2 direct cycle."""
-    pair, hyper, res, d = inst.pair, inst.polarization, inst.resolution, inst.d
-    bundle = proj_bundle(inst.ambient, pair.F)
+    """Build P(F) itself, with its whole relation and xi its fiber class, on
+    the ring the report runs on (the block ring when the inputs are constant
+    on a block of P^1 factors), and check the report's chi(Z), the pushed
+    cycles L^j . [Z] with their intersection numbers and, on fourfolds, the
+    c2 direct cycle."""
+    ring, res, d = inst.ring, inst.resolution, inst.d
+    pair, hyper = ring.pair, ring.polarization
+    bundle = proj_bundle(ring.ambient, pair.F)
     xi = bundle.fiber_class()
     roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
     locus = prod(roots, start=bundle.one())
@@ -817,7 +820,7 @@ def assert_untwisted_resolution_agrees(inst, report):
         cycle = tangent[2] * locus
         assert _pair(hyper, bundle.pushforward(cycle)) == report.c2_against_polarization
         assert (
-            inst.ambient.integrate(bundle.pushforward(cycle * xi))
+            ring.ambient.integrate(bundle.pushforward(cycle * xi))
             == report.c2_against_tautological
         )
 
@@ -962,11 +965,12 @@ def doubled_locus(inst):
     """A copy of ``inst`` whose resolution has twice its fundamental class:
     twice every cycle ``[Z] xi^j`` and twice one of the normal roots whose
     product ``[Z]`` is, which changes only the direct routes, whichever
-    normal roots divide."""
+    normal roots divide.  The routes read the resolution of the ring the
+    report runs on."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
-    res = inst.resolution
+    res = copy.resolution
     first, *rest = res.normal_roots
-    copy.resolution = res._replace(
+    copy.ring.resolution = res._replace(
         normal_roots=(2 * first, *rest), cycles=[2 * cycle for cycle in res.cycles]
     )
     return copy
@@ -1057,7 +1061,7 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
         assert (res.tangent == []) == (not others)
         multiplied.clear()
         intersection_numbers(inst)
-        assert inst.ambient in multiplied  # the powers of the polarization
+        assert inst.ring.ambient in multiplied  # the powers of the polarization
         assert bundle not in multiplied
 
 
@@ -1245,10 +1249,11 @@ def test_resolution_cycles_push_forward_to_the_schur_sequence(case):
         BundleSpec.sum_of_line_bundles(space, rows_e),
         BundleSpec.sum_of_line_bundles(space, rows_f),
     )
-    res = Instance(space, pair).resolution
+    ring = Instance(space, pair).ring  # the block ring, when F and E allow
+    res = ring.resolution
     cycle = res.cycles[0]
     for j in range(space.dim):
-        assert res.space.pushforward(cycle) == pair.schur_seq[j + 1], j
+        assert res.space.pushforward(cycle) == ring.pair.schur_seq[j + 1], j
         if j < len(res.cycles):  # the cycles the instance stores, when it does
             assert cycle == res.cycles[j], j
         cycle = cycle * res.tautological

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from detcalc import bundles, invariants, verify
+from detcalc import bundles, chow, invariants, verify
 from detcalc.schur import schur
 from detcalc.verify import run_all
 
@@ -18,6 +18,7 @@ def test_all_suites_pass_at_default_depth():
         "twist-formulas",
         "euler-consistency",
         "dual-routes",
+        "block-ring",
     }
 
 
@@ -126,6 +127,10 @@ _MUTATIONS = [
     (
         verify.suite_dual_routes, invariants, "porteous_class", _twice, 10,
         r"c2 pairings: closed \(.+\), reduced \(.+\), direct \(.+\) \(trial \d+\)",
+    ),
+    (
+        verify.suite_block_ring, chow, "_pair3", _twice, 3,
+        r"products x\^k y\^\(n-k\): monomial \[.+\], blocks \[.+\] \(columns \(.+\)\)",
     ),
 ]
 
