@@ -162,7 +162,8 @@ def _inputs(config: dict):
     polarized = "polarization" in config
     rows = config["E"] + config["F"] + ([config["polarization"]] if polarized else [])
     space, firsts = block_space(config["ambient"]["dims"], zip(*rows))
-    rows = [[row[i] for i in firsts] for row in rows]
+    if len(firsts) < len(rows[0]):  # one degree per block
+        rows = [[row[i] for i in firsts] for row in rows]
     rank = len(config["E"])
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, rows[:rank]),

@@ -211,7 +211,7 @@ def porteous_class(inst: Instance) -> ChowClass:
 
     By Thom-Porteous, the locus where the morphism has rank at most
     ``rank - 2``: the square shape of side 2 evaluated on the pair's Schur
-    sequence.
+    sequence, on ``inst.ambient``; the report routes pass ``inst.ring``.
     """
     return schur((2, 2), inst.pair.schur_seq)
 

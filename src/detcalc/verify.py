@@ -262,26 +262,24 @@ def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
 
 
 def suite_block_ring(depth: int, seed: int) -> SuiteResult:
-    """The block ring of (P^1)^n against its monomial ring: two random
-    classes x, y constant on the blocks, whose products ``x^k y^(n-k)``
-    and pairings ``c(T) x^k`` must integrate to the same numbers."""
+    """The block ring of (P^1)^n against its monomial ring: a random class
+    x constant on the blocks, whose products ``x^k x^(n-k)`` and pairings
+    ``c(T) x^k`` must integrate to the same numbers on both rings."""
     result = SuiteResult("block-ring")
     rng = random.Random(seed)
     for columns in ((0, 0, 1, 1), (0, 1, 0, 2, 0), (0, 1, 1, 0, 0, 1)):
-        n = len(columns)
-        rows = [[rng.randint(1, 3) for _ in range(3)] for _ in range(2)]
+        n, row = len(columns), [rng.randint(1, 3) for _ in range(3)]
         with result.case(f"columns {columns}"):
             products, tangent = {}, {}
             for name, key in ("monomial", range(n)), ("blocks", columns):
                 space, firsts = block_space([1] * n, key)
-                x, y = (space.degree_one([r[columns[i]] for i in firsts]) for r in rows)
-                xs, ys = [space.one()], [space.one()]
+                x = space.degree_one([row[columns[i]] for i in firsts])
+                powers = [space.one()]
                 for _ in range(n):
-                    xs.append(xs[-1] * x)
-                    ys.append(ys[-1] * y)
-                products[name] = [_pair(xs[k], ys[n - k]) for k in range(n + 1)]
-                tangent[name] = [_pair(space.tangent_chern, power) for power in xs]
-            _agree("products x^k y^(n-k)", **products)
+                    powers.append(powers[-1] * x)
+                products[name] = [_pair(powers[k], powers[n - k]) for k in range(n + 1)]
+                tangent[name] = [_pair(space.tangent_chern, power) for power in powers]
+            _agree("products x^k x^(n-k)", **products)
             _agree("tangent pairings c(T) x^k", **tangent)
     return result
 

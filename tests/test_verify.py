@@ -130,7 +130,7 @@ _MUTATIONS = [
     ),
     (
         verify.suite_block_ring, chow, "_pair3", _twice, 3,
-        r"products x\^k y\^\(n-k\): monomial \[.+\], blocks \[.+\] \(columns \(.+\)\)",
+        r"products x\^k x\^\(n-k\): monomial \[.+\], blocks \[.+\] \(columns \(.+\)\)",
     ),
 ]
 
