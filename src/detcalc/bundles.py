@@ -3,10 +3,12 @@
 A bundle is a direct sum of line bundles, given by one first Chern class
 per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
 the two Chern-class sequences every downstream formula consumes, computed
-at construction by ``chow.divide_by_roots``.  No term map is read here.
+by ``chow.divide_by_roots`` on first read.  No term map is read here.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .chow import AmbientSpace, ChowClass, divide_by_roots, sum_of_products
 
@@ -87,8 +89,10 @@ class VirtualPair:
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
     the Schur determinants of the degeneracy-locus formulas.  Both are
-    computed at construction, each by dividing a total Chern class by the
-    other bundle's roots one at a time (``chow.divide_by_roots``);
+    computed on first read, each by dividing a total Chern class by the
+    other bundle's roots one at a time (``chow.divide_by_roots``), so a
+    pair whose :class:`~detcalc.invariants.Instance` runs on the block ring
+    never divides on its own space;
     ``chern_diff`` is also the dual sequence ``s_from_c(schur_seq)`` of the
     dual Jacobi-Trudi form.  ``hypersurface_class`` is ``c1(F) - c1(E)``,
     the first Chern class of det(E dual) tensor det(F): the divisor class
@@ -107,16 +111,22 @@ class VirtualPair:
         self.E = E
         self.F = F
         self.ambient = E.ambient
-        self.chern_diff = divide_by_roots(F.total_chern().parts(), E.roots)
-        self.schur_seq = divide_by_roots(
-            E.dual().total_chern().parts(), F.dual().roots
-        )
         self.hypersurface_class = F.c1() - E.c1()
         space = self.ambient
         tangent_c1 = space.degree_one(
             [2 if d else c + 1 for c, d in zip(space.caps, space.divided)]
         )
         self.calabi_yau = tangent_c1 == self.hypersurface_class
+
+    @cached_property
+    def chern_diff(self) -> list[ChowClass]:
+        return divide_by_roots(self.F.total_chern().parts(), self.E.roots)
+
+    @cached_property
+    def schur_seq(self) -> list[ChowClass]:
+        return divide_by_roots(
+            self.E.dual().total_chern().parts(), self.F.dual().roots
+        )
 
     @property
     def rank(self) -> int:

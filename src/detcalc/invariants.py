@@ -5,9 +5,10 @@ dimension at least four, an equal-rank bundle pair (E, F), and an optional
 degree-one polarization class.  The hypersurface is the divisor where a
 generic morphism E -> F drops rank; its singular locus is the next
 degeneracy stratum.  The quantities several invariants share are built
-once, by the constructors: the pair's two Chern-class sequences and its
-divisor class ``D = c1(F) - c1(E)``, and the instance's Calabi-Yau test
-``c1(T) == D`` and small resolution with its tangent class ``c(T_Z)``.
+once, by the constructors: the pair's divisor class ``D = c1(F) - c1(E)``,
+and the instance's Calabi-Yau test ``c1(T) == D``, small resolution with
+its tangent class ``c(T_Z)``, and the two Chern-class sequences of the
+pair on the ring the report runs on.
 The functions here only read them.  All results assume the morphism is
 generic in the transversality sense (each stratum smooth of expected
 codimension); that assumption is surfaced in report warnings, never
@@ -94,7 +95,8 @@ class Instance:
     ``calabi_yau`` is True when the hypersurface class equals the first
     Chern class of the tangent bundle, so the hypersurface has trivial
     canonical class; it is the pair's test.  The small resolution is
-    computed here.
+    computed here, and so are the pair's two sequences on :attr:`ring`'s
+    pair; the caller's pair divides none when the ring is the block ring.
 
     Every report route runs on :attr:`ring`, chosen from the inputs alone.
     ``ambient``, ``pair`` and ``polarization`` stay what the caller passed;
@@ -140,6 +142,7 @@ class Instance:
             self.resolution = self._block.resolution
             return
         self._block = None  # not self: a cycle would outlive its last reference
+        pair.chern_diff, pair.schur_seq  # divided on the ring the report runs on
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
         # class xi, built in one step so that its classes share one space,

@@ -168,7 +168,8 @@ def _twisted_virtual_chern(pair: VirtualPair, ell, k: int):
 
 def _chern_diff(E: BundleSpec, F: BundleSpec) -> list:
     """Parts of ``c(F)/c(E)``: the ``chern_diff`` of ``VirtualPair(E, F)``
-    without its ``schur_seq``."""
+    without the pair's ``c1`` sums and Calabi-Yau test, which its
+    constructor forms and this suite never reads."""
     return divide_by_roots(F.total_chern().parts(), E.roots)
 
 

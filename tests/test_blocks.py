@@ -10,14 +10,14 @@ from the config's columns.
 """
 
 from dataclasses import asdict
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcalc import chow, cli, invariants
+from detcalc import bundles, chow, cli, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     ChowClass,
@@ -29,6 +29,7 @@ from detcalc.chow import (
     projective_space,
 )
 from detcalc.invariants import Instance, build_report
+from oracles import unit_inverse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +128,32 @@ def test_block_ring_reports_equal_the_monomial_ring(case):
     assert from_config.ring is from_config
     assert any(from_config.ambient.divided) == repeated
     assert asdict(build_report(from_config, allow_non_cy_c2=True)) == expected
+
+
+def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch):
+    # the p1n_dense (P^1)^8 op runs on the block ring, where the instance
+    # divides its own pair's sequences; the caller's pair divides none
+    n = 8
+    spaces = []
+    original = chow.divide_by_roots
+
+    def recording(parts, roots):
+        spaces.extend(part.ambient for part in parts[:1])
+        return original(parts, roots)
+
+    for module in (chow, bundles, invariants):
+        monkeypatch.setattr(module, "divide_by_roots", recording)
+    inst = library_instance([1] * n, [[0] * n] * 3, [[1] * n] * 3, [1] * n)
+    build_report(inst)
+    pair = inst.pair
+    assert inst.ring is not inst and spaces
+    assert all(space is not inst.ambient for space in spaces)
+    assert not {"chern_diff", "schur_seq"} & vars(pair).keys()
+    # read afterwards, on the caller's space, they are the quotients
+    c_e, c_f = (prod(1 + r for r in B.roots) for B in (pair.E, pair.F))
+    assert pair.chern_diff == (c_f * unit_inverse(c_e)).parts()
+    dual_e, dual_f = (prod(1 - r for r in B.roots) for B in (pair.E, pair.F))
+    assert pair.schur_seq == (dual_e * unit_inverse(dual_f)).parts()
 
 
 def test_golden_p1_12_config_runs_on_two_blocks():

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from detcalc import chow, invariants
+from detcalc import bundles, chow, invariants
 from detcalc.cli import (
     ConfigError,
     load_config,
     main,
     parse_config,
+    report_from_config,
 )
+from detcalc.invariants import GuardError
 from tables import instance
 
 
@@ -431,6 +433,25 @@ def test_report_refuses_c2_before_building_the_resolution(tmp_path, capsys, monk
     doc["flags"] = {"allow_non_cy_c2": True}
     assert main(["report", write_config(tmp_path, doc)]) == 0
     assert calls == [1]
+
+
+def test_refused_c2_report_divides_no_chern_class(monkeypatch):
+    # the guard reads D and the Calabi-Yau test, which the pair holds; the
+    # two sequences wait for an instance, which a refused config never builds
+    calls = []
+    for module in (chow, bundles, invariants):
+        monkeypatch.setattr(
+            module, "divide_by_roots", lambda *a: calls.append(1) or [],
+        )
+    config = parse_config({
+        "ambient": {"kind": "projective_space", "dims": [4]},
+        "E": [[0], [0]],
+        "F": [[1], [1]],
+        "polarization": [1],
+    })
+    with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
+        report_from_config(config)
+    assert calls == []
 
 
 def test_report_evaluates_the_calabi_yau_test_once(tmp_path, capsys, monkeypatch):

@@ -660,8 +660,13 @@ def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
 
 def test_values_are_computed_at_construction(quintic, quartic):
     inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
+    # a bare pair holds D and the Calabi-Yau test, which the CLI's c2 guard
+    # reads before any instance exists; the instance divides its sequences
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
-    assert {"chern_diff", "schur_seq", "hypersurface_class"} <= vars(pair).keys()
+    assert {"hypersurface_class", "calabi_yau"} <= vars(pair).keys()
+    assert not {"chern_diff", "schur_seq"} & vars(pair).keys()
+    Instance(quintic.ambient, pair, quintic.polarization)
+    assert {"chern_diff", "schur_seq"} <= vars(pair).keys()
     assert {"resolution", "calabi_yau"} <= vars(inst).keys()
     # the quintic (no normal root is xi) divides c(T_P) by every normal root:
     # parts 0 .. d-1 of c(T_Z), and its polarization asks for the cycles
