@@ -33,7 +33,6 @@ from .invariants import (
     porteous_class,
     porteous_degree,
 )
-from .schur import s_from_c, schur
 
 __version__ = "0.1.0"
 
@@ -59,6 +58,4 @@ __all__ = [
     "product_of_projective_spaces",
     "proj_bundle",
     "projective_space",
-    "s_from_c",
-    "schur",
 ]

@@ -51,9 +51,6 @@ class BundleSpec:
                 out = sum_of_products(self.ambient, [(1, one + root, out)])
         return out
 
-    def chern(self, k: int) -> ChowClass:
-        return self.total_chern().part(k)
-
     def c1(self) -> ChowClass:
         """The sum of the roots, in one term map; zero roots are skipped."""
         one = self.ambient.one()
@@ -88,18 +85,19 @@ class VirtualPair:
 
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
-    the Schur determinants of the degeneracy-locus formulas.  Both are
+    the Schur classes of the degeneracy-locus formulas.  Both are
     computed on first read, each by dividing a total Chern class by the
     other bundle's roots one at a time (``chow.divide_by_roots``), so a
     pair whose :class:`~detcalc.invariants.Instance` runs on the block ring
-    never divides on its own space;
-    ``chern_diff`` is also the dual sequence ``s_from_c(schur_seq)`` of the
-    dual Jacobi-Trudi form.  ``hypersurface_class`` is ``c1(F) - c1(E)``,
-    the first Chern class of det(E dual) tensor det(F): the divisor class
-    cut out by the determinant of a morphism E -> F, taken from the roots
-    so that it is independent of the two sequences.  ``calabi_yau`` is the
-    test ``c1(T) == hypersurface_class`` on a product of projective spaces,
-    with ``c1(T) = sum (d_i + 1) h_i`` read from the caps, and ``2 e`` on a
+    never divides on its own space.  ``chern_diff`` is also the dual
+    sequence of ``schur_seq``, ``(sum s_i t^i) (sum (-1)^j c_j t^j) = 1``,
+    as the hook sums of :mod:`detcalc.schur` read them.
+    ``hypersurface_class`` is ``c1(F) - c1(E)``, the first Chern class of
+    det(E dual) tensor det(F): the divisor class cut out by the determinant
+    of a morphism E -> F, taken from the roots so that it is independent of
+    the two sequences.  ``calabi_yau`` is the test
+    ``c1(T) == hypersurface_class`` on a product of projective spaces, with
+    ``c1(T) = sum (d_i + 1) h_i`` read from the caps, and ``2 e`` on a
     divided block generator (``chow.block_space``).
     """
 

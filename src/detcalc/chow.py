@@ -36,10 +36,8 @@ one that starts from a class is a copy, ``dict(x.terms)``.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator
 
 
 def _scalar(value) -> int | None:
@@ -243,13 +241,6 @@ class ChowClass:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def part(self, degree: int) -> "ChowClass":
-        """Homogeneous component of the given degree."""
-        deg = self.ambient._degree
-        return _make(
-            self.ambient, {e: c for e, c in self.terms.items() if deg(e) == degree}
-        )
 
     def parts(self, top: int | None = None) -> list["ChowClass"]:
         """Homogeneous components of degrees ``0 .. top`` (default: the
@@ -535,12 +526,6 @@ class AmbientSpace:
             for e, k in self.generator(i).terms.items():
                 out[e] = out.get(e, 0) + q * k
         return _finish(self, out)
-
-    def monomials_of_degree(self, degree: int) -> Iterator[tuple[int, ...]]:
-        """Exponent tuples of the normal-form monomial basis in one degree."""
-        for exp in itertools.product(*(range(cap + 1) for cap in self.caps)):
-            if sum(exp) == degree:
-                yield exp
 
     def coefficients(self, x: ChowClass) -> list[int]:
         """The coefficient of each generator in ``x``, a class of degree one:

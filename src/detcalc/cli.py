@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=_depth,
         default=4,
-        help="bound on partition weights and bundle ranks (default 4)",
+        help="bound on bundle ranks (default 4)",
     )
     p_verify.add_argument("--seed", type=int, default=2024)
     p_verify.set_defaults(func=cmd_verify)

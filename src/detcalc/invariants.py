@@ -29,7 +29,7 @@ form of :class:`Resolution`; a relation on the bundle decides only whether
 ``chi(Z)`` is paired there or multiplied out.  The smooth number and the
 singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
-only.  A report evaluates one cofactor Schur determinant, the 2x2 class of
+only.  A report forms one Schur class, the 2x2 class of
 :func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else none.
 """
 
@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .bundles import BundleSpec, VirtualPair
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, divide_by_roots, proj_bundle
 from .chow import restrict_to_blocks, sum_of_products
-from .schur import hook_pairing, hook_sum, schur
+from .schur import hook_pairing, hook_sum
 
 
 class GuardError(ValueError):
@@ -213,10 +213,12 @@ def porteous_class(inst: Instance) -> ChowClass:
     """Class of the singular locus of the determinantal hypersurface.
 
     By Thom-Porteous, the locus where the morphism has rank at most
-    ``rank - 2``: the square shape of side 2 evaluated on the pair's Schur
-    sequence, on ``inst.ambient``; the report routes pass ``inst.ring``.
+    ``rank - 2``: the square shape of side 2 on the pair's Schur sequence,
+    ``s_2 s_2 - s_1 s_3``, on ``inst.ambient``; the report routes pass
+    ``inst.ring``.
     """
-    return schur((2, 2), inst.pair.schur_seq)
+    s = inst.pair.schur_seq
+    return sum_of_products(inst.ambient, [(1, s[2], s[2]), (-1, s[1], s[3])])
 
 
 def porteous_degree(inst: Instance) -> int:

@@ -21,9 +21,8 @@ from detcalc.invariants import (
     ih_milnor_number_small_dim,
     porteous_degree,
 )
-from detcalc.partitions import hook_product, partitions_of, syt_count
 from detcalc.verify import run_all
-from oracles import syt_count_by_removal
+from oracles import hook_product, partitions_of, syt_count, syt_count_by_removal
 
 _START = time.monotonic()
 

