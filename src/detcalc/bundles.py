@@ -98,7 +98,7 @@ class VirtualPair:
     the two sequences.  ``calabi_yau`` is the test
     ``c1(T) == hypersurface_class`` on a product of projective spaces, with
     ``c1(T) = sum (d_i + 1) h_i`` read from the caps, and ``2 e`` on a
-    divided block generator (``chow.block_space``).
+    divided generator of a block of repeated P^1 factors.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):

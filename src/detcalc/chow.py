@@ -515,16 +515,16 @@ class AmbientSpace:
         """Integer combination of the generators, summed in one term map."""
         coeffs = list(coeffs)
         if len(coeffs) != len(self.gens):
-            raise ValueError(
-                f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
-            )
+            msg = f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
+            raise ValueError(msg)
         out: dict[int, int] = {}
         for i, c in enumerate(coeffs):
             q = _scalar(c)
             if q is None:
                 raise TypeError(f"expected an integer, got {c!r}")
-            for e, k in self.generator(i).terms.items():
-                out[e] = out.get(e, 0) + q * k
+            if q:
+                for e, k in self.generator(i).terms.items():
+                    out[e] = out.get(e, 0) + q * k
         return _finish(self, out)
 
     def coefficients(self, x: ChowClass) -> list[int]:
@@ -628,7 +628,9 @@ def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
     has ``2^k`` on ``e_k``.  A symmetric class restricts to it by its
     coefficient on one monomial of each ``e_k``, with the same integrals.
     Other factors stay truncating hyperplane classes, as in a product."""
-    dims, caps, firsts, index = tuple(dims), [], [], {}
+    dims, columns, caps, firsts, index = tuple(dims), list(columns), [], [], {}
+    if len(columns) != len(dims):
+        raise ValueError(f"expected {len(dims)} columns, got {len(columns)}")
     for i, (d, column) in enumerate(zip(dims, columns)):
         if d == 1 and column in index:
             caps[index[column]] += 1
@@ -665,26 +667,6 @@ def _product(dims: tuple, caps: tuple, divided: tuple, firsts) -> AmbientSpace:
         }
     space.tangent_chern = _make(space, terms)
     return space
-
-
-def restrict_to_blocks(classes: list) -> tuple | None:
-    """Degree-one ``classes`` (or None) on a product of projective spaces,
-    restricted to its :func:`block_space` by the coefficients of each
-    factor; None when no two P^1 factors have equal coefficients, or the
-    space is not a plain product.  Every class built from them is then
-    symmetric in each block, so it has the same integrals on both rings."""
-    space = classes[0].ambient
-    if space.base is not None or space._divided or space.caps.count(1) < 2:
-        return None
-    given = [x for x in classes if x is not None]
-    rows = [space.coefficients(x) for x in given]
-    lines = [column for column, cap in zip(zip(*rows), space.caps) if cap == 1]
-    if len(set(lines)) == len(lines):
-        return None
-    blocks, firsts = block_space(space.caps, zip(*rows))
-    codes = [(1 << shift, i) for shift, i in zip(blocks._shifts, firsts)]
-    out = iter([_make(blocks, {e: r[i] for e, i in codes if r[i]}) for r in rows])
-    return tuple(None if x is None else next(out) for x in classes)
 
 
 def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:

@@ -15,14 +15,13 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .bundles import BundleSpec, VirtualPair
-from .chow import block_space
 from .invariants import (
     ConsistencyError,
     GuardError,
     Instance,
     InvariantReport,
     _check_c2_guard,
+    _inputs_from_rows,
     build_report,
 )
 from .verify import run_all
@@ -154,22 +153,6 @@ def load_config(path: str) -> dict:
     except RecursionError as exc:
         raise ConfigError("<file>: JSON nested too deeply") from exc
     return parse_config(doc)
-
-
-def _inputs(config: dict):
-    """The ambient space, the bundle pair and the polarization (or None), on
-    the block ring of the factors' columns of degrees (``chow.block_space``)."""
-    polarized = "polarization" in config
-    rows = config["E"] + config["F"] + ([config["polarization"]] if polarized else [])
-    space, firsts = block_space(config["ambient"]["dims"], zip(*rows))
-    if len(firsts) < len(rows[0]):  # one degree per block
-        rows = [[row[i] for i in firsts] for row in rows]
-    rank = len(config["E"])
-    pair = VirtualPair(
-        BundleSpec.sum_of_line_bundles(space, rows[:rank]),
-        BundleSpec.sum_of_line_bundles(space, rows[rank : 2 * rank]),
-    )
-    return space, pair, space.degree_one(rows[-1]) if polarized else None
 
 
 # -- rendering ---------------------------------------------------------------
@@ -343,7 +326,8 @@ def _format_table(headers: tuple[str, ...], rows: list[list[str]]) -> str:
 def report_from_config(config: dict) -> InvariantReport:
     """The report of a config, refused with :class:`GuardError` if the c2
     guard fails or a number is too long to print."""
-    space, pair, polarization = _inputs(config)
+    rows = config["E"], config["F"], config.get("polarization")
+    space, pair, polarization = _inputs_from_rows(config["ambient"]["dims"], *rows)
     flags = config["flags"]
     # the c2 guard reads only the inputs: refuse before P(F) is built
     if space.dim == 4 and polarization is not None:
@@ -449,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=_depth,
         default=4,
-        help="bound on bundle ranks (default 4)",
+        help="bound on bundle ranks, which run from 2 to max(2, min(4, N)), so "
+        "every N of 4 or more runs the same cases (default 4)",
     )
     p_verify.add_argument("--seed", type=int, default=2024)
     p_verify.set_defaults(func=cmd_verify)

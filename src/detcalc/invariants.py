@@ -40,8 +40,8 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .bundles import BundleSpec, VirtualPair
-from .chow import AmbientSpace, ChowClass, _pair, _pair3, divide_by_roots, proj_bundle
-from .chow import restrict_to_blocks, sum_of_products
+from .chow import AmbientSpace, ChowClass, _pair, _pair3, block_space, divide_by_roots
+from .chow import proj_bundle, sum_of_products
 from .schur import hook_pairing, hook_sum
 
 
@@ -79,7 +79,7 @@ class Resolution(NamedTuple):
     when ``p = 0``), and only the others divide ``c(T_P(F))`` into ``Q``,
     whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides).
     ``space`` is a bundle over the ring the report runs on,
-    ``Instance.ring.ambient``: the block ring when there is one."""
+    ``Instance.ring.ambient``: the block ring of :meth:`Instance.from_rows`."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
@@ -92,15 +92,16 @@ class Resolution(NamedTuple):
 class Instance:
     """One evaluation problem: ambient space, bundle pair, optional polarization.
 
-    ``calabi_yau`` is True when the hypersurface class equals the first
-    Chern class of the tangent bundle, so the hypersurface has trivial
-    canonical class; it is the pair's test.  The small resolution is
-    computed here, and so are the pair's two sequences on :attr:`ring`'s
-    pair; the caller's pair divides none when the ring is the block ring.
+    :meth:`from_rows` builds one from integer degree rows.  ``calabi_yau``,
+    the pair's test, is True when the hypersurface class is ``c1(T)``, so
+    the hypersurface has trivial canonical class.  The small resolution is
+    computed here, and so are the sequences of :attr:`ring`'s pair; the
+    caller's pair divides none when the ring is the block ring.
 
-    Every report route runs on :attr:`ring`, chosen from the inputs alone.
-    ``ambient``, ``pair`` and ``polarization`` stay what the caller passed;
-    ``resolution`` is the ring's.
+    Every report route runs on :attr:`ring`, chosen from the inputs alone:
+    built by hand on a product whose inputs repeat a P^1 column, it is the
+    instance :meth:`from_rows` builds from their degree rows.  ``ambient``,
+    ``pair`` and ``polarization`` stay as passed; ``resolution`` is the ring's.
     """
 
     def __init__(
@@ -132,13 +133,9 @@ class Instance:
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
         # Inputs constant on a block of P^1 factors run on the block ring.
-        r = pair.rank
-        restricted = restrict_to_blocks([*pair.E.roots, *pair.F.roots, polarization])
-        if restricted:
-            space = restricted[0].ambient
-            E = BundleSpec(space, restricted[:r])
-            F = BundleSpec(space, restricted[r:-1])
-            self._block = Instance(space, VirtualPair(E, F), restricted[-1])
+        rows = _block_rows(ambient, pair, polarization)
+        if rows:
+            self._block = Instance.from_rows(ambient.caps, *rows)
             self.resolution = self._block.resolution
             return
         self._block = None  # not self: a cycle would outlive its last reference
@@ -169,14 +166,18 @@ class Instance:
                 cycles.append(cycles[-1] * xi)
         self.resolution = Resolution(space, roots, tangent, xi, cycles, series)
 
+    @classmethod
+    def from_rows(cls, dims, E, F, polarization=None) -> "Instance":
+        """The instance on the P^d over ``dims`` of integer degree rows, one
+        entry per factor: a row per summand of E and F, one for the
+        polarization.  It runs on the block ring of the factors' columns; a
+        row of the wrong width, or no rows, raises ``ValueError`` first."""
+        return cls(*_inputs_from_rows(dims, E, F, polarization))
+
     @property
     def ring(self) -> "Instance":
-        """The instance restricted to the block ring (``chow.block_space``)
-        when the pair's roots and the polarization are constant on a block
-        of two or more P^1 factors, with ``prod (n_b + 1)`` basis elements
-        in place of ``2^n``; else the instance itself.  Every class a report
-        builds is then symmetric in each block, so every number is the
-        same on both rings."""
+        """The instance :meth:`from_rows` builds when the inputs repeat a P^1
+        column, else the instance itself; every number is the same on both."""
         return self._block or self
 
     @property
@@ -185,6 +186,36 @@ class Instance:
 
     def __repr__(self):
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
+
+
+def _inputs_from_rows(dims, E, F, polarization):
+    """The space, the pair and the polarization (or None) of checked degree
+    rows, on the block ring of the factors' columns (``chow.block_space``)."""
+    if not E or not F:
+        raise ValueError("E and F must each have at least one row")
+    rows = [*E, *F] + ([polarization] if polarization is not None else [])
+    for row in rows:
+        if len(row) != len(dims):
+            raise ValueError(f"expected {len(dims)} entries in row {row!r}")
+    space, firsts = block_space(dims, zip(*rows))
+    if len(firsts) < len(dims):  # one degree per block
+        rows = [[row[i] for i in firsts] for row in rows]
+    E, F = rows[: len(E)], rows[len(E) : len(E) + len(F)]
+    pair = VirtualPair(*(BundleSpec.sum_of_line_bundles(space, B) for B in (E, F)))
+    return space, pair, space.degree_one(rows[-1]) if polarization is not None else None
+
+
+def _block_rows(space: AmbientSpace, pair: VirtualPair, polarization):
+    """The degree rows ``(E, F, polarization)`` of an instance's inputs when
+    ``space`` is a plain product (no bundle, no block) and they repeat a P^1
+    column, so that the instance runs on the block ring; else None."""
+    if space.base is not None or any(space.divided) or space.caps.count(1) < 2:
+        return None
+    E, F = ([space.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
+    polar = None if polarization is None else space.coefficients(polarization)
+    columns = zip(*E, *F, *([polar] if polar is not None else []))
+    lines = [column for column, cap in zip(columns, space.caps) if cap == 1]
+    return (E, F, polar) if len(set(lines)) < len(lines) else None
 
 
 # -- scalar invariants -----------------------------------------------------

@@ -156,7 +156,8 @@ _SUITES = (
 
 
 def run_all(depth: int = 4, seed: int = 2024) -> list[SuiteResult]:
-    """Run every suite; ``depth`` bounds bundle ranks."""
+    """Run every suite; ``depth`` bounds bundle ranks, drawn from 2 to
+    ``max(2, min(4, depth))``: every depth of 4 or more runs the same cases."""
     if depth < 1:
         raise ValueError("depth must be positive")
     # seeds from seed + 3, where these suites drew theirs when three

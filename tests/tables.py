@@ -1,12 +1,14 @@
 """The built-in tables' instances, built from the row configs in
-``detcalc.cli.TABLES`` the way ``detcalc report`` builds a config's."""
+``detcalc.cli.TABLES`` through ``Instance.from_rows``, the constructor
+whose rows-to-ring step ``detcalc report`` shares."""
 
-from detcalc.cli import TABLES, _inputs
+from detcalc.cli import TABLES
 from detcalc.invariants import Instance
 
 
 def instance(config) -> Instance:
-    return Instance(*_inputs(config))
+    rows = config["E"], config["F"], config.get("polarization")
+    return Instance.from_rows(config["ambient"]["dims"], *rows)
 
 
 def table_rows(name: str) -> list:

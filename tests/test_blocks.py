@@ -3,10 +3,10 @@ monomial ring.
 
 A report whose roots and polarization are constant on a block of P^1
 factors runs on the block ring.  With the block test patched off
-(``invariants.restrict_to_blocks`` returning None) the same instance runs on
-the 2^n-monomial ring, and every report field must be equal; so must the
-report of the command line's path, which builds the block ring straight
-from the config's columns.
+(``invariants._block_rows`` returning None) the same instance runs on the
+2^n-monomial ring, and every report field must be equal; so must the
+reports of ``Instance.from_rows`` and of the command line's path, which
+build the block ring straight from the rows' columns.
 """
 
 from dataclasses import asdict
@@ -30,6 +30,7 @@ from detcalc.chow import (
 )
 from detcalc.invariants import Instance, build_report
 from oracles import unit_inverse
+from tables import instance as config_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,7 +58,7 @@ def config(dims, rows_e, rows_f, polarization):
 def monomial_report(dims, rows_e, rows_f, polarization):
     """The report on the 2^n-monomial ring: the block test patched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "restrict_to_blocks", lambda classes: None)
+        patch.setattr(invariants, "_block_rows", lambda space, pair, polar: None)
         inst = library_instance(dims, rows_e, rows_f, polarization)
         assert inst.ring is inst
         return asdict(build_report(inst, allow_non_cy_c2=True))
@@ -124,10 +125,12 @@ def test_block_ring_reports_equal_the_monomial_ring(case):
     assert (inst.ring is not inst) == repeated
     assert asdict(build_report(inst, allow_non_cy_c2=True)) == expected
     assert inst.ambient.gens == product_of_projective_spaces(dims).gens
-    from_config = Instance(*cli._inputs(config(*case)))
+    doc = config(*case)
+    from_config = config_instance(doc)
     assert from_config.ring is from_config
     assert any(from_config.ambient.divided) == repeated
     assert asdict(build_report(from_config, allow_non_cy_c2=True)) == expected
+    assert asdict(cli.report_from_config(doc)) == expected
 
 
 def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch):
@@ -159,7 +162,7 @@ def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch)
 def test_golden_p1_12_config_runs_on_two_blocks():
     # the golden (P^1)^12 config, whose report was recorded on the monomial
     # ring, runs on the block ring of its two column types: 7 x 7 elements
-    inst = Instance(*cli._inputs(cli.load_config(str(GOLDEN / "p1_12_mixed.json"))))
+    inst = config_instance(cli.load_config(str(GOLDEN / "p1_12_mixed.json")))
     assert inst.ambient.caps == (6, 6) and inst.ambient.divided == (True, True)
     assert repr(inst.ambient) == "(P^1)^6 x (P^1)^6"
 
@@ -169,6 +172,8 @@ def test_p1_40_report_finishes_on_the_block_ring():
     config = cli.load_config(str(GOLDEN / "p1_40_mixed.json"))
     report = cli.report_from_config(config)
     assert report.dim == 40 and len(report.intersection_numbers) == 40
+    # the library constructor builds the same ring from the same rows
+    assert asdict(build_report(config_instance(config))) == asdict(report)
 
 
 def test_divided_powers_multiply_by_binomials():
@@ -217,7 +222,7 @@ def test_block_ring_integrals_equal_the_monomial_ring():
 def test_calabi_yau_and_ample_tests_read_blocks():
     # c1(T) is 2 e on a block, not (n + 1) e; an ample class has degree at
     # least 1 on a line of each factor of a block, whose coefficient it is
-    p1_5 = Instance(*cli._inputs(cli.load_config(str(GOLDEN / "p1_5.json"))))
+    p1_5 = config_instance(cli.load_config(str(GOLDEN / "p1_5.json")))
     assert p1_5.ambient.divided == (True, True) and p1_5.calabi_yau
     space, _ = block_space([1] * 4, [0] * 4)
     pair = VirtualPair(
@@ -231,19 +236,62 @@ def test_calabi_yau_and_ample_tests_read_blocks():
 
 
 def test_inputs_without_a_repeated_p1_column_build_no_block_ring(monkeypatch):
+    # the name the package calls: invariants imports block_space from chow;
+    # the last case, with a repeated column, shows that the patch is seen
     built = []
-    original = chow.block_space
-    monkeypatch.setattr(chow, "block_space", lambda *a: built.append(a) or original(*a))
+    original = invariants.block_space
+    monkeypatch.setattr(
+        invariants, "block_space", lambda *a: built.append(a) or original(*a)
+    )
+    p1_4 = product_of_projective_spaces([1] * 4)
     cases = [
-        (projective_space(6), [[0], [0], [0]], [[1], [1], [1]]),
-        (product_of_projective_spaces([2, 2]), [[0, 0]] * 2, [[1, 1]] * 2),
-        (product_of_projective_spaces([1] * 4), [[0] * 4] * 2, [[1, 2, 3, 0]] * 2),
+        (projective_space(6), [[0], [0], [0]], [[1], [1], [1]], False),
+        (product_of_projective_spaces([2, 2]), [[0, 0]] * 2, [[1, 1]] * 2, False),
+        (p1_4, [[0] * 4] * 2, [[1, 2, 3, 0]] * 2, False),
+        (p1_4, [[0] * 4] * 2, [[1, 2, 1, 0]] * 2, True),  # factors 1 and 3
     ]
-    for space, rows_e, rows_f in cases:
+    for space, rows_e, rows_f, repeated in cases:
         built.clear()
         pair = VirtualPair(
             BundleSpec.sum_of_line_bundles(space, rows_e),
             BundleSpec.sum_of_line_bundles(space, rows_f),
         )
         inst = Instance(space, pair, space.degree_one([1] * len(space.caps)))
-        assert inst.ring is inst and built == []
+        assert (inst.ring is not inst) == repeated
+        assert bool(built) == repeated
+
+
+def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):
+    built = []
+    original = chow._product
+    monkeypatch.setattr(chow, "_product", lambda *a: built.append(a) or original(*a))
+    with pytest.raises(ValueError, match="expected 3 columns, got 2"):
+        block_space([2, 1, 1], zip(*[[0, 0]] * 4))
+    with pytest.raises(ValueError, match="expected 3 columns, got 0"):
+        block_space([2, 1, 1], zip(*[]))
+    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
+        block_space([1, 1], [0, 0, 0])
+    assert built == []
+    space, firsts = block_space([2, 1, 1], [(0,), (1,), (1,)])
+    assert space.dim == 4 and firsts == [0, 1] and len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "E, F, polarization, message",
+    [
+        ([[0, 0, 0], [0, 0]], [[1, 1, 1]] * 2, None, r"in row \[0, 0\]"),
+        ([[0, 0, 0]] * 2, [[1, 1, 1], [1, 1, 1, 1]], None, r"in row \[1, 1, 1, 1\]"),
+        ([[0, 0, 0]] * 2, [[1, 1, 1]] * 2, [1, 1], r"in row \[1, 1\]"),
+        ([], [[1, 1, 1]] * 2, None, "at least one row"),
+        ([[0, 0, 0]] * 2, [], [1, 1, 1], "at least one row"),
+    ],
+    ids=["short-E-row", "long-F-row", "short-polarization", "no-E-rows", "no-F-rows"],
+)
+def test_from_rows_refuses_malformed_rows_before_building_a_ring(
+    E, F, polarization, message, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(invariants, "block_space", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match=message):
+        Instance.from_rows([2, 1, 1], E, F, polarization)
+    assert built == []
