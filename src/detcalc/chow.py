@@ -290,17 +290,23 @@ def _pair(x: ChowClass, y: ChowClass) -> int:
     There every product of normal-form monomials either truncates or stays
     in normal form, so only the pairs ``m * (top / m)`` reach the top
     monomial, and the complement of a packed code is ``top - m``.  The cost
-    is linear in the term count of ``x``, with divided fields too, whose
-    weights :func:`_pair3` applies.
+    is linear in the term count of ``x``, with divided fields too, where
+    a pair weighs ``N / (F(m) F(top - m))`` as in :func:`_pair3`.
     """
     space = x.ambient
     if y.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
     if space._relation:
         raise ValueError("the pairing kernel needs a space with no relation")
-    if space._divided:
-        return _pair3(x, y, space.one())
     top, get = space._top, y.terms.get
+    if space._divided:  # weight m * (top / m) by N / (F(m) F(top - m))
+        fact, mask = space._fact, space._divided
+        n, total = fact[top & mask], 0
+        for e, c in x.terms.items():
+            cy = get(top - e)
+            if cy:
+                total += c * cy * (n // (fact[e & mask] * fact[(top - e) & mask]))
+        return total
     return sum(c * get(top - e, 0) for e, c in x.terms.items())
 
 
@@ -356,8 +362,9 @@ class AmbientSpace:
     ``caps[i]`` is the highest normal-form power of generator ``i``, so the
     dimension is ``sum(caps)``; a space with a ``base`` is a projective
     bundle whose last generator is the fiber class.  The module
-    constructors build an instance completely, but a bundle space then
-    fills its reduction cache lazily, without a lock: an entry is computed
+    constructors build an instance completely, but a space then fills two
+    caches lazily, without a lock: a bundle its reduction cache, and a
+    space with no base its tangent class, on first read.  Each is computed
     from the inputs alone, so two threads that race store equal values.
     """
 
@@ -373,7 +380,7 @@ class AmbientSpace:
         self.caps = caps
         self.base = base
         self.divided = divided or (False,) * len(caps)
-        self.tangent_chern: ChowClass | None = None
+        self._tangent: ChowClass | None = None  # c(T); proj_bundle sets a bundle's
         # A field is one bit wider than caps[i] needs, so the sum of two
         # normal-form exponents fits.  After the bias is added, its top bit
         # (in tops[i]) is set exactly when the exponent exceeds caps[i].
@@ -512,19 +519,26 @@ class AmbientSpace:
         return _make(self, dict(self._reduce(code)))
 
     def degree_one(self, coeffs) -> ChowClass:
-        """Integer combination of the generators, summed in one term map."""
+        """Integer combination of the generators, summed in one term map: a
+        generator in normal form is its code, and only one that truncates
+        (a P^0) or reduces (a rank-one bundle's fiber class) is built."""
         coeffs = list(coeffs)
         if len(coeffs) != len(self.gens):
             msg = f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
             raise ValueError(msg)
         out: dict[int, int] = {}
-        for i, c in enumerate(coeffs):
+        bias, over = self._bias, self._over
+        for i, (c, shift) in enumerate(zip(coeffs, self._shifts)):
             q = _scalar(c)
             if q is None:
                 raise TypeError(f"expected an integer, got {c!r}")
             if q:
-                for e, k in self.generator(i).terms.items():
-                    out[e] = out.get(e, 0) + q * k
+                code = 1 << shift
+                if not (code + bias) & over:
+                    out[code] = out.get(code, 0) + q
+                else:
+                    for e, k in self.generator(i).terms.items():
+                        out[e] = out.get(e, 0) + q * k
         return _finish(self, out)
 
     def coefficients(self, x: ChowClass) -> list[int]:
@@ -572,6 +586,23 @@ class AmbientSpace:
         )
 
     @property
+    def tangent_chern(self) -> ChowClass:
+        """``c(T)``: on a space with no base ``prod_i (1 + h_i)^(d_i + 1)``,
+        built in closed form on first read, coefficient ``C(d_i + 1, e_i)``
+        on ``h_i^e_i`` (``2^k`` on ``e_k`` of a block); on a bundle the class
+        :func:`proj_bundle` set."""
+        if self._tangent is None and self.base is None:
+            terms = {0: 1}
+            for cap, d, shift in zip(self.caps, self.divided, self._shifts):
+                terms = {
+                    code + (e << shift): c * (2**e if d else comb(cap + 1, e))
+                    for code, c in terms.items()
+                    for e in range(cap + 1)
+                }
+            self._tangent = _make(self, terms)
+        return self._tangent
+
+    @property
     def has_relation(self) -> bool:
         """True when the fiber class reduces through a nonzero relation."""
         return bool(self._relation)
@@ -610,9 +641,9 @@ def projective_space(d: int) -> AmbientSpace:
 
 def product_of_projective_spaces(dims) -> AmbientSpace:
     """Product of projective spaces: one truncating hyperplane class per
-    factor, named ``h`` for a single factor and ``h1..hn`` otherwise.  The
-    tangent class ``prod_i (1 + h_i)^(d_i + 1)`` is built in closed form:
-    coefficient ``prod_i C(d_i + 1, e_i)`` on ``prod_i h_i^e_i``."""
+    factor, named ``h`` for a single factor and ``h1..hn`` otherwise.  Its
+    tangent class is built on first read (``AmbientSpace.tangent_chern``),
+    so the space costs only its generators."""
     dims = tuple(dims)
     return _product(dims, dims, (False,) * len(dims), range(len(dims)))
 
@@ -657,16 +688,7 @@ def _product(dims: tuple, caps: tuple, divided: tuple, firsts) -> AmbientSpace:
         gens = ("h",)
     else:
         gens = tuple(f"{'eh'[not d]}{i + 1}" for i, d in zip(firsts, divided))
-    space = AmbientSpace(gens, caps, divided=divided)
-    terms = {0: 1}
-    for cap, d, shift in zip(caps, divided, space._shifts):
-        terms = {
-            code + (e << shift): c * (2**e if d else comb(cap + 1, e))
-            for code, c in terms.items()
-            for e in range(cap + 1)
-        }
-    space.tangent_chern = _make(space, terms)
-    return space
+    return AmbientSpace(gens, caps, divided=divided)
 
 
 def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
@@ -701,5 +723,5 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
         for e, c in parts[i].terms.items()
     })
     relative = dual.pullback_to(space).twist(space.fiber_class()).total_chern()
-    space.tangent_chern = space.pullback(base.tangent_chern) * relative
+    space._tangent = space.pullback(base.tangent_chern) * relative
     return space

@@ -121,13 +121,7 @@ class Instance:
                 raise ValueError("polarization lives on a different ambient space")
             if not polarization.is_homogeneous(1):
                 raise ValueError("polarization must be homogeneous of degree one")
-            # O(a_1, ..., a_n) is ample exactly when every a_i >= 1; a_i is its
-            # degree on a line of factor i, its coefficient on generator i
-            degrees = zip(ambient.caps, ambient.coefficients(polarization))
-            for i, (c, a) in enumerate(degrees):
-                if c and a < 1:
-                    msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
-                    raise ValueError(msg)
+            _check_ample(ambient.caps, ambient.coefficients(polarization))
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
@@ -170,8 +164,9 @@ class Instance:
     def from_rows(cls, dims, E, F, polarization=None) -> "Instance":
         """The instance on the P^d over ``dims`` of integer degree rows, one
         entry per factor: a row per summand of E and F, one for the
-        polarization.  It runs on the block ring of the factors' columns; a
-        row of the wrong width, or no rows, raises ``ValueError`` first."""
+        polarization.  It runs on the block ring of the factors' columns; no
+        rows, E and F of different lengths, a row of the wrong width or a
+        polarization that is not ample raises ``ValueError`` first."""
         return cls(*_inputs_from_rows(dims, E, F, polarization))
 
     @property
@@ -188,15 +183,30 @@ class Instance:
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
 
 
+def _check_ample(dims, degrees) -> None:
+    """Raise ``ValueError`` unless ``O(a_1, ..., a_n)`` is ample: ``a_i``, its
+    degree on a line of factor i, is at least 1 wherever ``dims[i] > 0``."""
+    for i, (d, a) in enumerate(zip(dims, degrees)):
+        if d and a < 1:
+            msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
+            raise ValueError(msg)
+
+
 def _inputs_from_rows(dims, E, F, polarization):
     """The space, the pair and the polarization (or None) of checked degree
-    rows, on the block ring of the factors' columns (``chow.block_space``)."""
+    rows, on the block ring of the factors' columns (``chow.block_space``).
+    Every check on the rows alone runs before the ring is built, so a
+    refusal names the caller's factor, not a block's generator."""
     if not E or not F:
         raise ValueError("E and F must each have at least one row")
+    if len(E) != len(F):
+        raise ValueError("bundles must have the same rank")
     rows = [*E, *F] + ([polarization] if polarization is not None else [])
     for row in rows:
         if len(row) != len(dims):
             raise ValueError(f"expected {len(dims)} entries in row {row!r}")
+    if polarization is not None:
+        _check_ample(dims, polarization)
     space, firsts = block_space(dims, zip(*rows))
     if len(firsts) < len(dims):  # one degree per block
         rows = [[row[i] for i in firsts] for row in rows]

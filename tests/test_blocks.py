@@ -9,6 +9,7 @@ reports of ``Instance.from_rows`` and of the command line's path, which
 build the block ring straight from the rows' columns.
 """
 
+import json
 from dataclasses import asdict
 from math import comb, factorial, prod
 from pathlib import Path
@@ -131,6 +132,25 @@ def test_block_ring_reports_equal_the_monomial_ring(case):
     assert any(from_config.ambient.divided) == repeated
     assert asdict(build_report(from_config, allow_non_cy_c2=True)) == expected
     assert asdict(cli.report_from_config(doc)) == expected
+    # _pair on the block ring, divided loop included, is the integral of the
+    # product and the monomial ring's value
+    assert pairings(from_config) == pairings(inst)
+
+
+def pairings(inst):
+    """``_pair(x, y)`` of ``H^k`` and ``D^(d-k)``, and of ``c(T) (1 + H)`` and
+    ``(1 + D)^3``, each checked against ``integrate(x * y)``."""
+    space, h = inst.ambient, inst.polarization
+    d, divisor = space.dim, inst.pair.hypersurface_class
+    hs, ds = [space.one()], [space.one()]
+    for _ in range(d):
+        hs.append(hs[-1] * h)
+        ds.append(ds[-1] * divisor)
+    classes = [(hs[k], ds[d - k]) for k in range(d + 1)]
+    classes.append((space.tangent_chern * (1 + h), (1 + divisor) ** 3))
+    values = [_pair(x, y) for x, y in classes]
+    assert values == [space.integrate(x * y) for x, y in classes]
+    return values
 
 
 def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch):
@@ -174,6 +194,21 @@ def test_p1_40_report_finishes_on_the_block_ring():
     assert report.dim == 40 and len(report.intersection_numbers) == 40
     # the library constructor builds the same ring from the same rows
     assert asdict(build_report(config_instance(config))) == asdict(report)
+
+
+def test_hand_built_p1_40_reports_as_from_rows_without_its_tangent_class():
+    # a library caller's (P^1)^40 product ring costs its 40 generators: the
+    # report runs on the block ring, and the caller's c(T), 2^40 terms, is
+    # never built; a small product shows that first, as the (P^1)^40 one
+    # would otherwise fill memory
+    assert product_of_projective_spaces([1] * 4)._tangent is None
+    doc = json.loads((GOLDEN / "p1_40_mixed.json").read_text(encoding="utf-8"))
+    dims, rows = doc["ambient"]["dims"], (doc["E"], doc["F"], doc["polarization"])
+    inst = library_instance(dims, *rows)
+    assert inst.ring is not inst
+    report = build_report(inst)
+    assert asdict(report) == asdict(build_report(Instance.from_rows(dims, *rows)))
+    assert inst.ambient._tangent is None
 
 
 def test_divided_powers_multiply_by_binomials():
@@ -284,8 +319,13 @@ def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):
         ([[0, 0, 0]] * 2, [[1, 1, 1]] * 2, [1, 1], r"in row \[1, 1\]"),
         ([], [[1, 1, 1]] * 2, None, "at least one row"),
         ([[0, 0, 0]] * 2, [], [1, 1, 1], "at least one row"),
+        ([[0, 0, 0]] * 2, [[1, 1, 1]] * 3, None, "bundles must have the same rank"),
+        ([[0, 0, 0]] * 2, [[1, 1, 1]] * 2, [1, 1, 0], "not ample: .* on factor 3"),
     ],
-    ids=["short-E-row", "long-F-row", "short-polarization", "no-E-rows", "no-F-rows"],
+    ids=[
+        "short-E-row", "long-F-row", "short-polarization", "no-E-rows", "no-F-rows",
+        "unequal-ranks", "non-ample",
+    ],
 )
 def test_from_rows_refuses_malformed_rows_before_building_a_ring(
     E, F, polarization, message, monkeypatch
@@ -294,4 +334,16 @@ def test_from_rows_refuses_malformed_rows_before_building_a_ring(
     monkeypatch.setattr(invariants, "block_space", lambda *a: built.append(a))
     with pytest.raises(ValueError, match=message):
         Instance.from_rows([2, 1, 1], E, F, polarization)
+    assert built == []
+
+
+def test_from_rows_names_the_callers_factor_of_a_non_ample_polarization(monkeypatch):
+    # factors 1 and 3 form one block and 2 and 4 another, so factor 5 is the
+    # ring's third generator; the zero degree is on the caller's factor 5,
+    # and no ring is built
+    built = []
+    monkeypatch.setattr(invariants, "block_space", lambda *a: built.append(a))
+    rows_f = [[1, 0, 1, 0, 1], [1] * 5]
+    with pytest.raises(ValueError, match="degree below 1 on factor 5$"):
+        Instance.from_rows([1, 1, 1, 1, 2], [[0] * 5] * 2, rows_f, [1, 2, 1, 2, 0])
     assert built == []

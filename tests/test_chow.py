@@ -12,6 +12,7 @@ from detcalc.chow import (
     _finish,
     _pair,
     _pair3,
+    block_space,
     product_of_projective_spaces,
     proj_bundle,
     projective_space,
@@ -61,6 +62,49 @@ def test_closed_form_tangent_class_against_ring_products(dims):
     for d in dims:
         euler *= d + 1
     assert space.integrate(space.tangent_chern) == euler
+
+
+@pytest.mark.parametrize(
+    "dims", [[1], [6], [2, 0, 3], [1] * 5, [1, 2, 1]],
+    ids=["P^1", "P^6", "P^2xP^0xP^3", "(P^1)^5", "P^1xP^2xP^1"],
+)
+def test_tangent_class_is_built_on_first_read_as_the_naive_product(dims):
+    # c(T) of a product is not built with the space; read, it is the naive
+    # reference's prod_i (1 + h_i)^(d_i + 1), and built once
+    space = product_of_projective_spaces(dims)
+    assert space._tangent is None
+    n, expected = len(dims), {(0,) * len(dims): 1}
+    for i, d in enumerate(dims):
+        factor = {(0,) * n: 1, tuple(int(j == i) for j in range(n)): 1}
+        for _ in range(d + 1):
+            expected = naive_multiply(expected, factor, dims)
+    tangent = space.tangent_chern
+    assert tangent == ChowClass(space, expected)
+    assert space.tangent_chern is tangent
+
+
+def degree_one_cases():
+    """A product with a truncating P^0, a block ring, P(F) with a relation,
+    a rank-one P(F), whose fiber class reduces, and P(F) of a trivial F."""
+    p2 = projective_space(2)
+    return {
+        "product": product_of_projective_spaces([2, 0, 1]),
+        "blocks": block_space([1, 2, 1, 1], [0, 1, 0, 0])[0],
+        "relation": proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[1], [2]])),
+        "rank-one": proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[3]])),
+        "trivial": proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [0]])),
+    }
+
+
+@pytest.mark.parametrize("name", list(degree_one_cases()))
+def test_degree_one_is_the_sum_of_the_generators(name):
+    space = degree_one_cases()[name]
+    rng = random.Random(name)
+    rows = [[0] * len(space.gens), [1] * len(space.gens)]
+    rows += [[rng.randint(-3, 3) for _ in space.gens] for _ in range(6)]
+    for row in rows:
+        generators = (q * space.generator(i) for i, q in enumerate(row))
+        assert space.degree_one(row) == sum(generators, space.zero())
 
 
 def test_projective_space_truncation_and_integration():

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from detcalc import bundles, chow, invariants, verify
+from detcalc import bundles, invariants, verify
 from detcalc.verify import run_all
 
 
@@ -60,6 +60,10 @@ def _twice(original):
     return lambda *a: 2 * original(*a)
 
 
+def _twice_on_blocks(original):
+    return lambda x, y: (2 if any(x.ambient.divided) else 1) * original(x, y)
+
+
 def _twice_the_twist(original):
     return lambda bundle, ell: original(bundle, 2 * ell)
 
@@ -87,7 +91,7 @@ _MUTATIONS = [
         id="dual_routes",
     ),
     pytest.param(
-        verify.suite_block_ring, chow, "_pair3", _twice, 3,
+        verify.suite_block_ring, verify, "_pair", _twice_on_blocks, 3,
         r"products x\^k x\^\(n-k\): monomial \[.+\], blocks \[.+\] \(columns \(.+\)\)",
         id="block_ring",
     ),
