@@ -320,11 +320,10 @@ def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):
         ([], [[1, 1, 1]] * 2, None, "at least one row"),
         ([[0, 0, 0]] * 2, [], [1, 1, 1], "at least one row"),
         ([[0, 0, 0]] * 2, [[1, 1, 1]] * 3, None, "bundles must have the same rank"),
-        ([[0, 0, 0]] * 2, [[1, 1, 1]] * 2, [1, 1, 0], "not ample: .* on factor 3"),
     ],
     ids=[
         "short-E-row", "long-F-row", "short-polarization", "no-E-rows", "no-F-rows",
-        "unequal-ranks", "non-ample",
+        "unequal-ranks",
     ],
 )
 def test_from_rows_refuses_malformed_rows_before_building_a_ring(
