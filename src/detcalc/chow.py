@@ -129,10 +129,10 @@ def sum_of_products(space: "AmbientSpace", products) -> "ChowClass":
 
 def divide_by_roots(parts: list["ChowClass"], roots) -> list["ChowClass"]:
     """A new list of the parts of a class divided by ``prod (1 + root)``,
-    one degree-one root at a time through ``Z_k = Y_k - root * Z_(k-1)``,
-    all roots of one degree in one term map: no inverse, only degree-one
-    factors.  Each root's running quotient ``Z_(k-1)`` is a snapshot of the
-    accumulator, and only the returned parts become classes.  Every root
+    with no inverse.  Each part's term map is copied once; then, one root at
+    a time, ``Z_k = Y_k - root * Z_(k-1)`` runs in place for rising k, so
+    ``Z_(k-1)`` is already that root's quotient when ``Z_k`` reads it and no
+    snapshot is kept.  Only the returned parts become classes.  Every root
     must live on the space of the parts; a zero one is then skipped."""
     if not parts:
         return []
@@ -142,15 +142,11 @@ def divide_by_roots(parts: list["ChowClass"], roots) -> list["ChowClass"]:
     roots = [root.terms for root in roots if root.terms]
     if not roots:
         return list(parts)
-    out = [parts[0]]
-    last = [parts[0].terms] * len(roots)  # Z_(k-1) after each root
-    for part in parts[1:]:
-        acc = dict(part.terms)
-        for j, root in enumerate(roots):
-            _accumulate_terms(space, acc, root, last[j], -1)
-            last[j] = dict(acc)
-        out.append(_finish(space, acc))
-    return out
+    acc = [parts[0].terms] + [dict(part.terms) for part in parts[1:]]
+    for root in roots:
+        for k in range(1, len(acc)):
+            _accumulate_terms(space, acc[k], root, acc[k - 1], -1)
+    return [parts[0]] + [_finish(space, terms) for terms in acc[1:]]
 
 
 def _combine(x: "ChowClass", y: "ChowClass", sign: int) -> "ChowClass":

@@ -13,12 +13,14 @@ ring operations of a class, one product and one sum at a time, where the
 package builds each sum of products in one term map and divides by roots.
 No report takes the routes of the last four: they expand determinants and
 transforms that the package's hook convolution and its one 2x2 class
-avoid.
+avoid.  :func:`determinantal_singularities` leaves the ring model: it
+counts the singular points of an explicit determinant with sympy.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -242,8 +244,8 @@ def naive_multiply(a: dict, b: dict, caps, relations=None) -> dict:
 
 
 def monomials_of_degree(space, degree: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of the normal-form monomials of one degree on a space
-    with no divided generator, as the class constructor takes them."""
+    """Exponent tuples of the normal-form monomials of one degree, as the
+    class constructor takes them; a divided exponent k stands for ``e_k``."""
     for exp in itertools.product(*(range(cap + 1) for cap in space.caps)):
         if sum(exp) == degree:
             yield exp
@@ -355,3 +357,71 @@ def tableau_gap(inst) -> int:
         tangent_part = space.tangent_chern.parts()[d - weight]
         gap += (-1) ** (d + weight) * space.integrate(rest * tangent_part)
     return gap
+
+
+# -- the singular points of an explicit determinant over GF(p) ----------------
+
+PRIME = 32003
+
+
+def standard_monomial_count(polys, gens) -> int | None:
+    """The number of standard monomials of the ideal of ``polys`` over
+    GF(PRIME), read off a grevlex Groebner basis built by Buchberger's
+    algorithm; None when the ideal is not zero-dimensional.  The unit
+    ideal has none.  A zero-dimensional ideal has as many as it has zeros
+    over the algebraic closure, counted with multiplicity."""
+    import sympy
+
+    basis = sympy.groebner(
+        polys, *gens, modulus=PRIME, order="grevlex", method="buchberger"
+    )
+    leads = [poly.monoms(order="grevlex")[0] for poly in basis.polys]
+    for i in range(len(gens)):  # zero-dimensional: a pure power of each x_i
+        if not any(sum(lead) == lead[i] for lead in leads):
+            return None
+    standard, frontier = set(), [(0,) * len(gens)]
+    while frontier:
+        m = frontier.pop()
+        if m in standard or any(all(map(int.__ge__, m, lead)) for lead in leads):
+            continue
+        standard.add(m)
+        frontier.extend(m[:i] + (m[i] + 1,) + m[i + 1 :] for i in range(len(m)))
+    return len(standard)
+
+
+def determinantal_singularities(E, F, n: int, seed: int):
+    """The singular points of ``det M = 0`` on P^n, for a matrix ``M`` of
+    forms from ``O(E)`` to ``O(F)``: entry ``(i, j)`` is a form of degree
+    ``F[i] - E[j]`` whose coefficients ``random.Random(seed)`` draws from
+    GF(PRIME).  Returns three standard-monomial counts:
+
+    - of ``f`` and its partials in the chart ``x0 = 1``: the singular
+      points there, each weighted by its Tjurina number;
+    - of the same ideal with the chart's Hessian determinant added: 0, the
+      unit ideal, when every one of those points is an A1 point;
+    - of the partials ``df/dx_i`` on ``x0 = 0``: an integer, not None,
+      when no singular point lies outside the chart.
+
+    The prime is fixed at 32003 and the test draws seed 0.  A bad prime or
+    an unlucky draw shows up as a count that differs or a point that is
+    not A1, never as a silent pass.
+    """
+    import sympy
+
+    xs = sympy.symbols(f"x0:{n + 1}")
+    rng = random.Random(seed)
+
+    def form(degree):
+        monomials = itertools.combinations_with_replacement(xs, degree)
+        return sum(rng.randrange(PRIME) * sympy.Mul(*m) for m in monomials)
+
+    f = sympy.Matrix([[form(b - a) for a in E] for b in F]).det(method="berkowitz")
+    chart, affine = sympy.expand(f.subs(xs[0], 1)), xs[1:]
+    jacobian = [chart] + [sympy.diff(chart, x) for x in affine]
+    hessian = sympy.hessian(chart, affine).det(method="berkowitz")
+    boundary = [sympy.expand(sympy.diff(f, x).subs(xs[0], 0)) for x in xs]
+    return (
+        standard_monomial_count(jacobian, affine),
+        standard_monomial_count(jacobian + [sympy.expand(hessian)], affine),
+        standard_monomial_count(boundary, affine),
+    )

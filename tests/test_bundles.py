@@ -6,6 +6,7 @@ from detcalc import chow
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     ChowClass,
+    block_space,
     divide_by_roots,
     product_of_projective_spaces,
     proj_bundle,
@@ -171,12 +172,17 @@ def random_parts(rng, space):
     return ChowClass(space, terms).parts()
 
 
-@pytest.mark.parametrize("case", ["P(P^2xP^2)", "(P^1)^5"])
+@pytest.mark.parametrize("case", ["P(P^2xP^2)", "(P^1)^5", "blocks of (P^1)^5"])
 def test_divide_by_roots_round_trip(case):
     rng = random.Random(19)
     if case == "(P^1)^5":
         space = product_of_projective_spaces([1] * 5)
         rows = [[1, -1, 2, 0, -3], [-2, 1, 0, 1, 1], [0, 3, -1, -1, 2]]
+    elif case == "blocks of (P^1)^5":
+        # divided generators e for the first two factors and e' for the
+        # last three: roots constant on the blocks
+        space, _ = block_space([1] * 5, [0, 0, 1, 1, 1])
+        rows = [[1, -2], [-3, 1], [2, 2]]
     else:
         base = product_of_projective_spaces([2, 2])
         space = proj_bundle(
@@ -189,7 +195,12 @@ def test_divide_by_roots_round_trip(case):
     roots = [space.degree_one(row) for row in rows]
     for _ in range(4):
         parts = random_parts(rng, space)
-        quotient = sum(divide_by_roots(parts, roots), space.zero())
+        held = [dict(part.terms) for part in parts]
+        divided = divide_by_roots(parts, roots)
+        # the division writes into copies: no input class changes
+        assert [part.terms for part in parts] == held
+        assert divided[0] is parts[0]
+        quotient = sum(divided, space.zero())
         for root in roots:  # multiply back, one root at a time
             quotient = quotient * (1 + root)
         assert quotient.parts() == parts

@@ -766,6 +766,17 @@ def test_odp_count_of_uniform_square_matrices(a, counts):
         assert build_report(inst, allow_non_cy_c2=True).odp_count == expected
 
 
+def test_odp_count_of_an_explicit_cubic_determinant():
+    # the paper's theorem on one general matrix: det of a random 2 x 2
+    # matrix of forms from O^2 to O(1) + O(2) on P^4, over GF(32003) with
+    # seed 0, is a cubic whose singular points are A1 points, as many as
+    # the report's ODP count; none lies off the chart x0 = 1
+    count, non_a1, boundary = oracles.determinantal_singularities([0, 0], [1, 2], 4, 0)
+    assert non_a1 == 0 and boundary is not None
+    inst = Instance.from_rows([4], [[0], [0]], [[1], [2]])
+    assert count == build_report(inst).odp_count == porteous_degree(inst) == 4
+
+
 TWIST_CASES = {  # ambient dims, E rows, F rows
     "P^4": ([4], [[0], [-1]], [[2]] * 2),
     "P^5": ([5], [[0], [0], [0]], [[1]] * 3),
