@@ -28,9 +28,9 @@ direct ``chi(Z)`` and ``c2`` cycle both read ``c(T_Z) [Z]`` in the one
 form of :class:`Resolution`; a relation on the bundle decides only whether
 ``chi(Z)`` is paired there or multiplied out.  The smooth number and the
 singular gap have a second route, the shortcut of
-:func:`ih_milnor_number_small_dim`, on fourfolds and Calabi-Yau fivefolds
-only.  A report forms one Schur class, the 2x2 class of
-:func:`porteous_class`, on fourfolds and Calabi-Yau fivefolds, else none.
+:func:`ih_milnor_number_small_dim`, on fourfolds and fivefolds only.  A
+report forms one Schur class, the 2x2 class of :func:`porteous_class`, on
+fourfolds and fivefolds, else none.
 """
 
 from __future__ import annotations
@@ -360,25 +360,24 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
 
 
 def ih_milnor_number_small_dim(inst: Instance) -> int:
-    """Shortcut for the singular Euler gap: ``(dim - 2)`` times the degree of
-    the tangent class against the singular locus.
-
-    Valid for fourfolds, where it is twice :func:`porteous_degree`, and for
-    Calabi-Yau fivefolds; refused elsewhere, where no such reduction holds.
+    """Shortcut for the singular Euler gap: a weight ``w`` paired with the
+    class of the singular locus (Parusinski-Pragacz, J. Algebraic Geom. 4,
+    1995).  On a fourfold ``w = 2``, twice :func:`porteous_degree`; on a
+    fivefold, where Sing is a curve with ``c1(N) = 2D`` on it, ``w = 5D -
+    2 c1(T)``, which is ``3 c1(T)`` under the Calabi-Yau condition ``D =
+    c1(T)``.  Refused from dimension 6, where Sing is a surface or more.
     """
     inst = inst.ring
-    d = inst.d
-    if d == 5 and not inst.calabi_yau:
+    if inst.d not in (4, 5):
         raise GuardError(
-            "the dimension-5 shortcut needs the Calabi-Yau condition "
-            "c1(T) = c1(F) - c1(E)"
+            "the shortcut formula is only available for dim M = 4 or 5; "
+            "use euler_numbers instead"
         )
-    if d not in (4, 5):
-        raise GuardError(
-            "the shortcut formula is only available for dim M = 4, or dim M = 5 "
-            "with the Calabi-Yau condition; use euler_numbers instead"
-        )
-    return (d - 2) * _pair(inst.ambient.tangent_chern, porteous_class(inst))
+    space, divisor = inst.ambient, inst.pair.hypersurface_class
+    weight = space.scalar(2)
+    if inst.d == 5:
+        weight = 5 * divisor - 2 * space.tangent_chern.parts(1)[1]
+    return _pair(weight, porteous_class(inst))
 
 
 # -- intersection numbers on the resolution ---------------------------------
@@ -560,7 +559,7 @@ def build_report(
         report.warnings.append(
             "assume_general is off: every output below is conditional on genericity"
         )
-    if inst.d == 4 or (inst.d == 5 and inst.calabi_yau):
+    if inst.d in (4, 5):
         shortcut = ih_milnor_number_small_dim(inst)
         _agree("singular Euler gap", hooks=euler.ih_milnor, shortcut=shortcut)
     if inst.d == 4:

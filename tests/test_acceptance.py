@@ -123,11 +123,11 @@ def test_identity_suites():
 
 @criterion("guard behavior")
 def test_guards(p4):
-    p5 = projective_space(5)
-    non_cy_fivefold = Instance(p5, VirtualPair(split(p5, [0, 0]), split(p5, [2, 2])))
+    p6 = projective_space(6)
+    sixfold = Instance(p6, VirtualPair(split(p6, [0, 0]), split(p6, [3, 4])))
     try:
-        ih_milnor_number_small_dim(non_cy_fivefold)
-        raise AssertionError("dimension-5 shortcut must refuse a non-CY instance")
+        ih_milnor_number_small_dim(sixfold)
+        raise AssertionError("the singular-gap shortcut must refuse dim M = 6")
     except GuardError:
         pass
 
@@ -140,6 +140,7 @@ def test_guards(p4):
     except GuardError:
         pass
 
+    p5 = projective_space(5)
     fivefold = Instance(p5, VirtualPair(split(p5, [0, 0]), split(p5, [3, 3])))
     try:
         porteous_degree(fivefold)

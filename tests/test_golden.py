@@ -1,12 +1,15 @@
 """Whole stdout and exit code of the command line on fixed inputs.
 
 Each case runs ``main`` in process and compares its stdout byte for byte
-with ``tests/golden/<case>.out``.  The three report configs live beside
-them: the README quintic, a Calabi-Yau fivefold on (P^1)^5, a fourfold
-on P^1 x P^3 off the Calabi-Yau condition with both flags off their
+with ``tests/golden/<case>.out``.  The report configs live beside them:
+the README quintic, a Calabi-Yau fivefold on (P^1)^5, a fourfold on
+P^1 x P^3 off the Calabi-Yau condition with both flags off their
 defaults, whose report echoes the flags and prints both of their notes,
-and a (P^1)^12 with two column types, whose outputs were recorded on the
-2^12-monomial ring before reports ran on the block ring.
+a (P^1)^12 with two column types, whose outputs were recorded on the
+2^12-monomial ring before reports ran on the block ring, and a fivefold
+on P^5 off the Calabi-Yau condition (E = O^2, F = O(2)^2), whose outputs
+were recorded before its report compared the singular gap with the
+shortcut.
 The cases also run one after another in one process, to show that a call
 leaves nothing behind that changes the next one.
 """
@@ -32,6 +35,8 @@ CASES = {
     "report-p1p3-flags-json": ["report", str(GOLDEN / "p1p3_flags.json"), "--json"],
     "report-p1-12-mixed": ["report", str(GOLDEN / "p1_12_mixed.json")],
     "report-p1-12-mixed-json": ["report", str(GOLDEN / "p1_12_mixed.json"), "--json"],
+    "report-p5-non-cy": ["report", str(GOLDEN / "p5_non_cy.json")],
+    "report-p5-non-cy-json": ["report", str(GOLDEN / "p5_non_cy.json"), "--json"],
 }
 
 

@@ -216,16 +216,6 @@ def test_fourfold_milnor_number_is_twice_the_degree(p4):
         assert euler_numbers(inst).ih_milnor == 2 * porteous_degree(inst)
 
 
-def test_fivefold_shortcut_requires_calabi_yau():
-    p5 = projective_space(5)
-    inst = make_instance(p5, [0, 0], [2, 2], polarized=False)
-    assert not inst.calabi_yau
-    with pytest.raises(GuardError):
-        ih_milnor_number_small_dim(inst)
-    # the tableau sum itself has no such restriction
-    euler_numbers(inst)
-
-
 def test_shortcut_refused_in_higher_dimension():
     p6 = projective_space(6)
     inst = make_instance(p6, [0, 0], [3, 4], polarized=False)
@@ -233,13 +223,38 @@ def test_shortcut_refused_in_higher_dimension():
         ih_milnor_number_small_dim(inst)
 
 
-def test_fivefold_calabi_yau_shortcut_agrees_with_tableau_sum():
-    p5 = projective_space(5)
+FIVEFOLDS = {  # factor dimensions: the column each factor's degrees copy
+    (5,): (0,),
+    (1, 4): (0, 1),
+    (2, 3): (0, 1),
+    (1,) * 5: (0, 0, 1, 1, 2),  # repeated P^1 columns: a block ring
+}
+
+
+def test_fivefold_shortcut_agrees_with_tableau_sum():
+    # the weight 5D - 2 c1(T) on the singular curve, which is 3 c1(T) under
+    # the Calabi-Yau condition D = c1(T), on and off that condition
+    inst = make_instance(projective_space(5), [0, 0], [2, 2], polarized=False)
+    assert not inst.calabi_yau
+    assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst) == 128
     rng = random.Random(22)
-    for _ in range(10):
-        inst = random_instance(rng, p5, calabi_yau=True, polarized=False)
-        assert inst.calabi_yau
-        assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst)
+    for dims, columns in FIVEFOLDS.items():
+        kinds = set()
+        for trial in range(8):
+            rank = rng.randint(2, 4)
+            E = [[rng.randint(-2, 1) for _ in range(3)] for _ in range(rank)]
+            F = [[rng.randint(0, 2) for _ in range(3)] for _ in range(rank)]
+            E, F = ([[row[c] for c in columns] for row in B] for B in (E, F))
+            if trial % 2:  # c1(F) - c1(E) = c1(T), which is d_i + 1 on factor i
+                F[-1] = [
+                    d + 1 + sum(e[i] for e in E) - sum(f[i] for f in F[:-1])
+                    for i, d in enumerate(dims)
+                ]
+            inst = Instance.from_rows(dims, E, F)
+            assert any(inst.ambient.divided) == (len(set(columns)) < len(columns))
+            kinds.add(inst.calabi_yau)
+            assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst)
+        assert kinds == {False, True}, dims
 
 
 def test_calabi_yau_condition_examples(quintic, quartic, quartic_table):
@@ -438,6 +453,10 @@ def calabi_yau_fivefold():
     return make_instance(projective_space(5), [0, 0, 0], [2, 2, 2])
 
 
+def non_calabi_yau_fivefold():
+    return make_instance(projective_space(5), [0, 0], [2, 2])
+
+
 def count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -452,11 +471,11 @@ def count_calls(monkeypatch, names):
 
 
 def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
-    # the shortcut pairs the 2x2 class with c(T) on fourfolds and Calabi-Yau
-    # fivefolds alike, and the c2 pairings reuse its count
+    # the shortcut pairs the 2x2 class with its weight on every fourfold and
+    # fivefold, and the c2 pairings reuse its count
     names = ("euler_numbers", "porteous_class", "porteous_degree")
     counts = count_calls(monkeypatch, names)
-    for inst in (quintic, calabi_yau_fivefold()):
+    for inst in (quintic, calabi_yau_fivefold(), non_calabi_yau_fivefold()):
         counts.update(dict.fromkeys(names, 0))
         build_report(inst)
         assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
@@ -501,7 +520,7 @@ CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
         lambda x: x + 1,
         "^resolution Euler number:",
     ),
-    # the 2x2 class enters the shortcut on fourfolds and Calabi-Yau fivefolds
+    # the 2x2 class enters the shortcut on every fourfold and fivefold
     "schur_doubled": (invariants, "porteous_class", lambda x: 2 * x, "shortcut"),
     "ih_milnor_number_small_dim": (
         invariants,
@@ -522,7 +541,8 @@ CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
             "hook_pairing_doubled",
             "hook_product_pairing_plus_one",
         )
-    ],
+    ]
+    + [("5-non-cy", case) for case in ("schur_doubled", "ih_milnor_number_small_dim")],
     ids=lambda value: str(value),
 )
 def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
@@ -533,6 +553,8 @@ def test_build_report_still_cross_checks(monkeypatch, quintic, dim, case):
         inst = quintic
     elif dim == 5:
         inst = calabi_yau_fivefold()
+    elif dim == "5-non-cy":
+        inst = non_calabi_yau_fivefold()
     else:  # no shortcut runs: only the direct route can see the hooks
         inst = dense_instance(dim)
     with pytest.raises(ConsistencyError, match=message):
@@ -696,8 +718,9 @@ def test_values_are_computed_at_construction(quintic, quartic):
 
 def test_build_report_builds_no_chern_class(monkeypatch, quintic):
     # D, the Calabi-Yau test and c(T_Z) are built once, by the constructors;
-    # a report on a polarized fourfold or a Calabi-Yau fivefold only reads them
-    fivefold = calabi_yau_fivefold()
+    # a report on a polarized fourfold or a fivefold, Calabi-Yau or not, with
+    # its shortcut, only reads them
+    fivefolds = (calabi_yau_fivefold(), non_calabi_yau_fivefold())
     calls = []
 
     def counted(name, original):
@@ -715,7 +738,7 @@ def test_build_report_builds_no_chern_class(monkeypatch, quintic):
         (invariants, "divide_by_roots"),
     ]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    for inst in (quintic, fivefold):
+    for inst in (quintic, *fivefolds):
         build_report(inst)
     assert calls == []
 

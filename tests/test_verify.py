@@ -72,8 +72,10 @@ def _twice_the_twist(original):
 # at depth 6 and seed 2024, and the form of every failure: the quantity, each
 # route with its value, and the inputs
 _MUTATIONS = [
+    # a doubled 2x2 class doubles the shortcut, so every trial with a nonzero
+    # singular gap fails, Calabi-Yau fivefolds or not
     pytest.param(
-        verify.suite_euler_consistency, invariants, "porteous_class", _twice, 42,
+        verify.suite_euler_consistency, invariants, "porteous_class", _twice, 40,
         r"singular Euler gap: euler -?\d+, shortcut -?\d+ \(trial \d+, dim [45]\)",
         id="euler_consistency",
     ),
