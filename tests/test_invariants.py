@@ -223,6 +223,15 @@ def test_shortcut_refused_in_higher_dimension():
         ih_milnor_number_small_dim(inst)
 
 
+def test_fivefold_calabi_yau_shortcut_agrees_with_tableau_sum():
+    p5 = projective_space(5)
+    rng = random.Random(22)
+    for _ in range(10):
+        inst = random_instance(rng, p5, calabi_yau=True, polarized=False)
+        assert inst.calabi_yau
+        assert euler_numbers(inst).ih_milnor == ih_milnor_number_small_dim(inst)
+
+
 FIVEFOLDS = {  # factor dimensions: the column each factor's degrees copy
     (5,): (0,),
     (1, 4): (0, 1),
