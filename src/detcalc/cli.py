@@ -15,15 +15,8 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .invariants import (
-    ConsistencyError,
-    GuardError,
-    Instance,
-    InvariantReport,
-    _check_c2_guard,
-    _inputs_from_rows,
-    build_report,
-)
+from .invariants import ConsistencyError, GuardError, Instance, InvariantReport
+from .invariants import build_report
 from .verify import run_all
 
 _AMBIENT_KINDS = ("projective_space", "product")
@@ -324,15 +317,12 @@ def _format_table(headers: tuple[str, ...], rows: list[list[str]]) -> str:
 
 
 def report_from_config(config: dict) -> InvariantReport:
-    """The report of a config, refused with :class:`GuardError` if the c2
-    guard fails or a number is too long to print."""
+    """The report of a config's :meth:`Instance.from_rows`, refused with
+    :class:`GuardError` if the c2 guard fails or a number is too long to
+    print."""
     rows = config["E"], config["F"], config.get("polarization")
-    space, pair, polarization = _inputs_from_rows(config["ambient"]["dims"], *rows)
-    flags = config["flags"]
-    # the c2 guard reads only the inputs: refuse before P(F) is built
-    if space.dim == 4 and polarization is not None:
-        _check_c2_guard(4, polarization, pair.calabi_yau, flags["allow_non_cy_c2"])
-    report = build_report(Instance(space, pair, polarization), **flags)
+    inst = Instance.from_rows(config["ambient"]["dims"], *rows)
+    report = build_report(inst, **config["flags"])
     _check_printable(report)
     return report
 

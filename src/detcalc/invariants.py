@@ -5,10 +5,11 @@ dimension at least four, an equal-rank bundle pair (E, F), and an optional
 degree-one polarization class.  The hypersurface is the divisor where a
 generic morphism E -> F drops rank; its singular locus is the next
 degeneracy stratum.  The quantities several invariants share are built
-once, by the constructors: the pair's divisor class ``D = c1(F) - c1(E)``,
-and the instance's Calabi-Yau test ``c1(T) == D``, small resolution with
-its tangent class ``c(T_Z)``, and the two Chern-class sequences of the
-pair on the ring the report runs on.
+once: the pair's divisor class ``D = c1(F) - c1(E)`` and Calabi-Yau test
+``c1(T) == D`` by the constructors, which do no other ring work; the
+instance's small resolution with its tangent class ``c(T_Z)`` and the
+pair's two Chern-class sequences on the ring the report runs on, on first
+read, so the ``c2`` guard, which reads only the inputs, refuses first.
 The functions here only read them.  All results assume the morphism is
 generic in the transversality sense (each stratum smooth of expected
 codimension); that assumption is surfaced in report warnings, never
@@ -36,6 +37,7 @@ fourfolds and fivefolds, else none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, prod
 from typing import NamedTuple
 
@@ -78,8 +80,8 @@ class Resolution(NamedTuple):
     ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]``
     when ``p = 0``), and only the others divide ``c(T_P(F))`` into ``Q``,
     whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides).
-    ``space`` is a bundle over the ring the report runs on,
-    ``Instance.ring.ambient``: the block ring of :meth:`Instance.from_rows`."""
+    ``Instance.resolution`` builds it on first read, with ``space`` a bundle
+    over ``Instance.ring.ambient``, the block ring of ``Instance.from_rows``."""
 
     space: AmbientSpace
     normal_roots: tuple[ChowClass, ...]
@@ -92,11 +94,12 @@ class Resolution(NamedTuple):
 class Instance:
     """One evaluation problem: ambient space, bundle pair, optional polarization.
 
-    :meth:`from_rows` builds one from integer degree rows.  ``calabi_yau``,
-    the pair's test, is True when the hypersurface class is ``c1(T)``, so
-    the hypersurface has trivial canonical class.  The small resolution is
-    computed here, and so are the sequences of :attr:`ring`'s pair; the
-    caller's pair divides none when the ring is the block ring.
+    :meth:`from_rows` builds one from integer degree rows; a projective
+    bundle as ambient is refused.  ``calabi_yau``, the pair's test, is True
+    when the hypersurface class is ``c1(T)``, so the hypersurface has
+    trivial canonical class.  The small resolution and the sequences of
+    :attr:`ring`'s pair are built on first read, not here; the caller's
+    pair divides none when the ring is the block ring.
 
     Every report route runs on :attr:`ring`, chosen from the inputs alone:
     built by hand on a product whose inputs repeat a P^1 column, it is the
@@ -112,6 +115,8 @@ class Instance:
     ):
         if pair.ambient is not ambient:
             raise ValueError("bundle pair lives on a different ambient space")
+        if ambient.base is not None:
+            raise ValueError(f"the ambient space is a projective bundle: {ambient!r}")
         if ambient.dim < 4:
             raise GuardError("the ambient space must have dimension at least 4")
         if pair.rank < 2:
@@ -126,14 +131,16 @@ class Instance:
         self.pair = pair
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
-        # Inputs constant on a block of P^1 factors run on the block ring.
+        # Inputs constant on a block of P^1 factors run on the block ring;
+        # None, not self, otherwise: a cycle would outlive its last reference.
         rows = _block_rows(ambient, pair, polarization)
-        if rows:
-            self._block = Instance.from_rows(ambient.caps, *rows)
-            self.resolution = self._block.resolution
-            return
-        self._block = None  # not self: a cycle would outlive its last reference
-        pair.chern_diff, pair.schur_seq  # divided on the ring the report runs on
+        self._block = Instance.from_rows(ambient.caps, *rows) if rows else None
+
+    @cached_property
+    def resolution(self) -> Resolution:
+        """The small resolution of :attr:`ring`, built on first read."""
+        if self._block is not None:
+            return self._block.resolution
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
         # class xi, built in one step so that its classes share one space,
@@ -141,6 +148,7 @@ class Instance:
         # P(F) = P(F (x) L^-1) with xi = zeta + c1(L) (Hartshorne II.7.9), and
         # each copy of L in F drops a factor from the relation, so L is the
         # root F repeats most, and O when no root repeats or O ties it.
+        ambient, pair = self.ambient, self.pair
         F, zero = pair.F, ambient.zero()
         f = max((zero, *F.roots), key=F.roots.count)
         f = f if F.roots.count(f) > 1 else zero
@@ -155,19 +163,39 @@ class Instance:
         series = [(-1) ** k * comb(k + p - 1, k) for k in range(d)] if p else [1]
         tangent = divided and divide_by_roots(space.tangent_chern.parts(d - 1), divided)
         cycles = [prod(roots, start=space.one())]
-        if p or polarization is not None:
+        if p or self.polarization is not None:
             for _ in range(d - 1):
                 cycles.append(cycles[-1] * xi)
-        self.resolution = Resolution(space, roots, tangent, xi, cycles, series)
+        res = Resolution(space, roots, tangent, xi, cycles, series)
+        # cached_property takes no lock from Python 3.12, so two threads may
+        # build one each: the first stored wins, and every read sees it
+        return vars(self).setdefault("resolution", res)
 
     @classmethod
     def from_rows(cls, dims, E, F, polarization=None) -> "Instance":
         """The instance on the P^d over ``dims`` of integer degree rows, one
         entry per factor: a row per summand of E and F, one for the
-        polarization.  It runs on the block ring of the factors' columns; no
-        rows, E and F of different lengths, a row of the wrong width or a
-        polarization that is not ample raises ``ValueError`` first."""
-        return cls(*_inputs_from_rows(dims, E, F, polarization))
+        polarization.  It runs on the block ring of the factors' columns
+        (``chow.block_space``); no rows, E and F of different lengths, a row
+        of the wrong width or a polarization that is not ample raises
+        ``ValueError`` before that ring is built, naming the caller's factor."""
+        if not E or not F:
+            raise ValueError("E and F must each have at least one row")
+        if len(E) != len(F):
+            raise ValueError("bundles must have the same rank")
+        rows = [*E, *F] + ([polarization] if polarization is not None else [])
+        for row in rows:
+            if len(row) != len(dims):
+                raise ValueError(f"expected {len(dims)} entries in row {row!r}")
+        if polarization is not None:
+            _check_ample(dims, polarization)
+        space, firsts = block_space(dims, zip(*rows))
+        if len(firsts) < len(dims):  # one degree per block
+            rows = [[row[i] for i in firsts] for row in rows]
+        E, F = rows[: len(E)], rows[len(E) : len(E) + len(F)]
+        pair = VirtualPair(*(BundleSpec.sum_of_line_bundles(space, B) for B in (E, F)))
+        polarization = space.degree_one(rows[-1]) if polarization is not None else None
+        return cls(space, pair, polarization)
 
     @property
     def ring(self) -> "Instance":
@@ -192,34 +220,11 @@ def _check_ample(dims, degrees) -> None:
             raise ValueError(msg)
 
 
-def _inputs_from_rows(dims, E, F, polarization):
-    """The space, the pair and the polarization (or None) of checked degree
-    rows, on the block ring of the factors' columns (``chow.block_space``).
-    Every check on the rows alone runs before the ring is built, so a
-    refusal names the caller's factor, not a block's generator."""
-    if not E or not F:
-        raise ValueError("E and F must each have at least one row")
-    if len(E) != len(F):
-        raise ValueError("bundles must have the same rank")
-    rows = [*E, *F] + ([polarization] if polarization is not None else [])
-    for row in rows:
-        if len(row) != len(dims):
-            raise ValueError(f"expected {len(dims)} entries in row {row!r}")
-    if polarization is not None:
-        _check_ample(dims, polarization)
-    space, firsts = block_space(dims, zip(*rows))
-    if len(firsts) < len(dims):  # one degree per block
-        rows = [[row[i] for i in firsts] for row in rows]
-    E, F = rows[: len(E)], rows[len(E) : len(E) + len(F)]
-    pair = VirtualPair(*(BundleSpec.sum_of_line_bundles(space, B) for B in (E, F)))
-    return space, pair, space.degree_one(rows[-1]) if polarization is not None else None
-
-
 def _block_rows(space: AmbientSpace, pair: VirtualPair, polarization):
     """The degree rows ``(E, F, polarization)`` of an instance's inputs when
-    ``space`` is a plain product (no bundle, no block) and they repeat a P^1
+    ``space`` is a plain product (not a block ring) and they repeat a P^1
     column, so that the instance runs on the block ring; else None."""
-    if space.base is not None or any(space.divided) or space.caps.count(1) < 2:
+    if any(space.divided) or space.caps.count(1) < 2:
         return None
     E, F = ([space.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
     polar = None if polarization is None else space.coefficients(polarization)
@@ -436,21 +441,19 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     [Z] xi^k`` (:class:`Resolution`), with or without a relation there, and
     it and its product with the tautological class are pushed down.
     """
-    _check_c2_guard(inst.d, inst.polarization, inst.calabi_yau, allow_non_cy)
+    _check_c2_guard(inst, allow_non_cy)
     return _c2_numbers(inst, None)
 
 
-def _check_c2_guard(
-    d: int, polarization: ChowClass | None, calabi_yau: bool, allow_non_cy: bool
-) -> None:
+def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
     """Raise :class:`GuardError` unless the c2 pairings are defined and, off
-    the Calabi-Yau condition, opted into.  It reads only the inputs, so the
-    command line checks it before the :class:`Instance` is built."""
-    if d != 4:
+    the Calabi-Yau condition, opted into.  It reads only the inputs, so it
+    refuses before the resolution or a sequence of the pair is built."""
+    if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
-    if polarization is None:
+    if inst.polarization is None:
         raise GuardError("c2 pairings need a polarization class")
-    if not calabi_yau and not allow_non_cy:
+    if not inst.calabi_yau and not allow_non_cy:
         raise GuardError(
             "the Calabi-Yau condition fails; opt in to the general "
             "normal-sequence expansion (allow_non_cy=True, or "
@@ -541,10 +544,10 @@ def build_report(
     Intersection numbers need a polarization; the c2 pairings additionally
     need a fourfold and either the Calabi-Yau condition or the explicit
     opt-in, and raise :class:`GuardError` otherwise, before any invariant
-    is computed.
+    is computed and before the instance builds its resolution.
     """
     if inst.d == 4 and inst.polarization is not None:
-        _check_c2_guard(4, inst.polarization, inst.calabi_yau, allow_non_cy_c2)
+        _check_c2_guard(inst, allow_non_cy_c2)
     euler = euler_numbers(inst)
     report = InvariantReport(
         dim=inst.d,

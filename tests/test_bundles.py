@@ -348,6 +348,21 @@ def test_hypersurface_class():
     assert pair.hypersurface_class == 5 * h
 
 
+def test_calabi_yau_on_a_projective_bundle_reads_its_tangent_class():
+    # on P(O + O(1)) over P^3, c1(T) = 2 xi + 3 h, part 1 of the c(T) that
+    # proj_bundle sets, not the 2 xi + 4 h that the caps of a product give
+    p3 = projective_space(3)
+    bundle = proj_bundle(p3, split(p3, [0, 1]))
+    xi, h = bundle.fiber_class(), bundle.pullback(p3.generator(0))
+    assert bundle.tangent_chern.parts(1)[1] == 2 * xi + 3 * h
+    E = BundleSpec.split(bundle, [bundle.zero(), bundle.zero()])
+    for divisor, calabi_yau in [(2 * xi + 3 * h, True), (2 * xi + 4 * h, False)]:
+        F = BundleSpec.split(bundle, [xi, divisor - xi])
+        pair = VirtualPair(E, F)
+        assert pair.hypersurface_class == divisor
+        assert pair.calabi_yau is calabi_yau
+
+
 def test_pair_requires_matching_ranks_and_space():
     p4 = projective_space(4)
     p3 = projective_space(3)

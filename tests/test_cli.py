@@ -437,7 +437,7 @@ def test_report_refuses_c2_before_building_the_resolution(tmp_path, capsys, monk
 
 def test_refused_c2_report_divides_no_chern_class(monkeypatch):
     # the guard reads D and the Calabi-Yau test, which the pair holds; the
-    # two sequences wait for an instance, which a refused config never builds
+    # two sequences wait for a first read, which a refused config never makes
     calls = []
     for module in (chow, bundles, invariants):
         monkeypatch.setattr(

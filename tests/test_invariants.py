@@ -681,6 +681,18 @@ def test_instance_guards(p4):
         Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [1, 1])), p4.one())
 
 
+def test_instance_refuses_a_projective_bundle_ambient():
+    # proj_bundle takes no bundle as its base, and the resolution is built
+    # on first read, so the constructor refuses such an ambient itself
+    p3 = projective_space(3)
+    bundle = proj_bundle(p3, split(p3, [0, 1]))
+    E = BundleSpec.split(bundle, [bundle.zero()] * 2)
+    pair = VirtualPair(E, BundleSpec.split(bundle, [bundle.fiber_class()] * 2))
+    named = r"projective bundle: P\(rank-2 bundle\) over P\^3"
+    with pytest.raises(ValueError, match=named):
+        Instance(bundle, pair)
+
+
 def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
     # O(a_1, ..., a_n) is ample exactly when every a_i >= 1, the rule the
     # command line applies to its configs; a factor of dimension 0 has no a_i
@@ -699,16 +711,36 @@ def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
         assert Instance(space, pair, space.degree_one(good)).polarization is not None
 
 
-def test_values_are_computed_at_construction(quintic, quartic):
-    inst = Instance(quintic.ambient, quintic.pair, quintic.polarization)
-    # a bare pair holds D and the Calabi-Yau test, which the CLI's c2 guard
-    # reads before any instance exists; the instance divides its sequences
+def test_values_are_computed_on_first_read(quintic, quartic):
+    # the constructor only checks the inputs: a bare pair holds D and the
+    # Calabi-Yau test, which the c2 guard reads, and the resolution and the
+    # pair's sequences wait for a report, which builds each once
     pair = VirtualPair(quintic.pair.E, quintic.pair.F)
     assert {"hypersurface_class", "calabi_yau"} <= vars(pair).keys()
+    inst = Instance(quintic.ambient, pair, quintic.polarization)
+    assert "calabi_yau" in vars(inst)
+    assert "resolution" not in vars(inst)
     assert not {"chern_diff", "schur_seq"} & vars(pair).keys()
-    Instance(quintic.ambient, pair, quintic.polarization)
+    build_report(inst)
+    built = inst.resolution, pair.chern_diff, pair.schur_seq
+    assert vars(inst)["resolution"] is built[0]
     assert {"chern_diff", "schur_seq"} <= vars(pair).keys()
-    assert {"resolution", "calabi_yau"} <= vars(inst).keys()
+    build_report(inst)
+    again = inst.resolution, pair.chern_diff, pair.schur_seq
+    assert all(x is y for x, y in zip(again, built))
+    # a block instance reads the ring's resolution; the caller's pair never
+    # divides, the ring's pair does
+    p1s = product_of_projective_spaces([1] * 4)
+    caller = VirtualPair(
+        BundleSpec.sum_of_line_bundles(p1s, [[0] * 4] * 2),
+        BundleSpec.sum_of_line_bundles(p1s, [[1] * 4, [2] * 4]),
+    )
+    block = Instance(p1s, caller, p1s.degree_one([1] * 4))
+    assert block.ring is not block and "resolution" not in vars(block.ring)
+    build_report(block, allow_non_cy_c2=True)
+    assert block.resolution is block.ring.resolution
+    assert {"chern_diff", "schur_seq"} <= vars(block.ring.pair).keys()
+    assert not {"chern_diff", "schur_seq"} & vars(caller).keys()
     # the quintic (no normal root is xi) divides c(T_P) by every normal root:
     # parts 0 .. d-1 of c(T_Z), and its polarization asks for the cycles
     # [Z] xi^j as well; without one it keeps [Z] alone
@@ -725,11 +757,9 @@ def test_values_are_computed_at_construction(quintic, quartic):
         assert len(res.cycles) == len(res.series) == quartic.d
 
 
-def test_build_report_builds_no_chern_class(monkeypatch, quintic):
-    # D, the Calabi-Yau test and c(T_Z) are built once, by the constructors;
-    # a report on a polarized fourfold or a fivefold, Calabi-Yau or not, with
-    # its shortcut, only reads them
-    fivefolds = (calabi_yau_fivefold(), non_calabi_yau_fivefold())
+def counted_ring_work(monkeypatch):
+    """The names of the calls that build a Chern class or P(F), in order,
+    once this patches them."""
     calls = []
 
     def counted(name, original):
@@ -745,11 +775,39 @@ def test_build_report_builds_no_chern_class(monkeypatch, quintic):
         (chow, "divide_by_roots"),
         (bundles, "divide_by_roots"),
         (invariants, "divide_by_roots"),
+        (invariants, "proj_bundle"),
     ]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    for inst in (quintic, *fivefolds):
+    return calls
+
+
+def test_build_report_builds_no_chern_class(monkeypatch, quintic):
+    # D and the Calabi-Yau test are built by the constructors, c(T_Z) and
+    # the pair's sequences by the first report; a second report on a
+    # polarized fourfold or a fivefold, Calabi-Yau or not, with its
+    # shortcut, only reads them
+    instances = (quintic, calabi_yau_fivefold(), non_calabi_yau_fivefold())
+    for inst in instances:
+        build_report(inst)
+    calls = counted_ring_work(monkeypatch)
+    for inst in instances:
         build_report(inst)
     assert calls == []
+
+
+def test_refused_c2_report_does_no_ring_work(monkeypatch):
+    # the c2 guard reads only the inputs, and the instance builds its
+    # resolution and its pair's sequences on first read, so a library
+    # report or c2_numbers that the guard refuses builds neither
+    calls = counted_ring_work(monkeypatch)
+    for rows_f in ([[1], [1]], [[2], [2], [2]]):
+        inst = Instance.from_rows([4], [[0]] * len(rows_f), rows_f, [1])
+        with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
+            build_report(inst)
+        with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
+            c2_numbers(inst)
+        assert "resolution" not in vars(inst)
+    assert not {"total_chern", "divide_by_roots", "proj_bundle"} & set(calls)
 
 
 def test_trivial_bundle_report_caches_no_reduction():
@@ -1245,9 +1303,8 @@ def test_every_comparison_names_its_routes_and_values(
 
 
 def test_c2_guard_runs_once_per_entry_point(monkeypatch, quintic):
-    # a library report and c2_numbers check the guard once each; a CLI
-    # report checks it from the inputs before P(F) is built, then again in
-    # build_report
+    # a library report, c2_numbers and a CLI report, which builds through
+    # Instance.from_rows and build_report, check the guard once each
     calls = []
     original = invariants._check_c2_guard
 
@@ -1256,7 +1313,6 @@ def test_c2_guard_runs_once_per_entry_point(monkeypatch, quintic):
         return original(*args)
 
     monkeypatch.setattr(invariants, "_check_c2_guard", counted)
-    monkeypatch.setattr(cli, "_check_c2_guard", counted)
     build_report(quintic)
     assert len(calls) == 1
     calls.clear()
@@ -1265,7 +1321,7 @@ def test_c2_guard_runs_once_per_entry_point(monkeypatch, quintic):
     calls.clear()
     _, config, _ = TABLES["table1"].rows[0]
     cli.report_from_config(config)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @st.composite
@@ -1373,3 +1429,38 @@ def test_build_report_agrees_across_threads():
                 assert report == serial[i], f"thread {t}, instance {i}"
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_racing_reads_of_the_resolution_keep_the_first_stored(monkeypatch):
+    # From Python 3.12 cached_property takes no lock, so two threads that
+    # find no resolution both run its function and build one P(F) each;
+    # calling that function from two threads forces the overlap on every
+    # version, with proj_bundle held until both have entered it
+    both = threading.Barrier(2, timeout=10)
+    original = invariants.proj_bundle
+
+    def meeting(*args):
+        both.wait()
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "proj_bundle", meeting)
+    inst = make_instance(projective_space(5), [0, 0, -1], [1, 1, 2])
+    built, errors = [], []
+
+    def read():
+        try:
+            built.append(Instance.resolution.func(inst))
+        except Exception as exc:  # reported by the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(built) == 2
+    first, second = built
+    assert first is second
+    assert inst.resolution is first  # stored: the barrier is not met again
+    assert build_report(inst, allow_non_cy_c2=True).dim == 5
