@@ -8,9 +8,19 @@ by ``chow.divide_by_roots`` on first read.  No term map is read here.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .chow import AmbientSpace, ChowClass, divide_by_roots, sum_of_products
+
+
+class first_read:
+    """A value computed on first read and kept in the instance's ``vars``.
+    No lock is taken: when threads race, every read returns the first stored."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, obj, owner=None):
+        name = self.func.__name__
+        return self if obj is None else vars(obj).setdefault(name, self.func(obj))
 
 
 class BundleSpec:
@@ -85,11 +95,11 @@ class VirtualPair:
 
     ``chern_diff[k]`` is the degree-k part of ``c(F)/c(E)``; ``schur_seq[k]``
     the degree-k part of ``c(E dual)/c(F dual)``, the sequence that feeds
-    the Schur classes of the degeneracy-locus formulas.  Both are
-    computed on first read, each by dividing a total Chern class by the
-    other bundle's roots one at a time (``chow.divide_by_roots``), so a
-    pair whose :class:`~detcalc.invariants.Instance` runs on the block ring
-    never divides on its own space.  ``chern_diff`` is also the dual
+    the Schur classes of the degeneracy-locus formulas.  Both are computed
+    on first read with no lock (:class:`first_read`), each by dividing a
+    total Chern class by the other bundle's roots one at a time
+    (``chow.divide_by_roots``), so a pair whose Instance runs on the block
+    ring never divides on its own space.  ``chern_diff`` is also the dual
     sequence of ``schur_seq``, ``(sum s_i t^i) (sum (-1)^j c_j t^j) = 1``,
     as the hook sums of :mod:`detcalc.schur` read them.
     ``hypersurface_class`` is ``c1(F) - c1(E)``, the first Chern class of
@@ -119,11 +129,11 @@ class VirtualPair:
             tangent_c1 = space.tangent_chern.parts(1)[1]  # set by proj_bundle
         self.calabi_yau = tangent_c1 == self.hypersurface_class
 
-    @cached_property
+    @first_read
     def chern_diff(self) -> list[ChowClass]:
         return divide_by_roots(self.F.total_chern().parts(), self.E.roots)
 
-    @cached_property
+    @first_read
     def schur_seq(self) -> list[ChowClass]:
         return divide_by_roots(
             self.E.dual().total_chern().parts(), self.F.dual().roots

@@ -9,11 +9,11 @@ once: the pair's divisor class ``D = c1(F) - c1(E)`` and Calabi-Yau test
 ``c1(T) == D`` by the constructors, which do no other ring work; the
 instance's small resolution with its tangent class ``c(T_Z)`` and the
 pair's two Chern-class sequences on the ring the report runs on, on first
-read, so the ``c2`` guard, which reads only the inputs, refuses first.
-The functions here only read them.  All results assume the morphism is
-generic in the transversality sense (each stratum smooth of expected
-codimension); that assumption is surfaced in report warnings, never
-verified.
+read and with no lock (``bundles.first_read``), so the ``c2`` guard, which
+reads only the inputs, refuses first.  The functions here only read them.
+All results assume the morphism is generic in the transversality sense
+(each stratum smooth of expected codimension); that assumption is
+surfaced in report warnings, never verified.
 
 A mismatch of two routes aborts, since it can only mean a convention bug.
 Every comparison goes through one helper, which names each route with its
@@ -25,10 +25,10 @@ ambient space and paired there (the projection formula).  The bundle is
 ``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
-direct ``chi(Z)`` and ``c2`` cycle both read ``c(T_Z) [Z]`` in the one
-form of :class:`Resolution`; a relation on the bundle decides only whether
-``chi(Z)`` is paired there or multiplied out.  The smooth number and the
-singular gap have a second route, the shortcut of
+direct ``chi(Z)``, ``c2`` cycle and intersection numbers all read the one
+stored ``[Z]`` of :class:`Resolution`; a relation on the bundle decides
+only whether ``chi(Z)`` is paired there or multiplied out.  The smooth
+number and the singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and fivefolds only.  A
 report forms one Schur class, the 2x2 class of :func:`porteous_class`, on
 fourfolds and fivefolds, else none.
@@ -37,11 +37,10 @@ fourfolds and fivefolds, else none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, prod
 from typing import NamedTuple
 
-from .bundles import BundleSpec, VirtualPair
+from .bundles import BundleSpec, VirtualPair, first_read
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, block_space, divide_by_roots
 from .chow import proj_bundle, sum_of_products
 from .schur import hook_pairing, hook_sum
@@ -68,23 +67,22 @@ def _agree(quantity: str, **routes):
 
 
 class Resolution(NamedTuple):
-    """The small resolution as a zero locus in the quotient bundle ``space``:
-    ``normal_roots`` are the first Chern classes ``xi - e_i`` of the summands
-    of its normal bundle, ``tautological`` is ``xi = zeta + c1(L)`` on
-    ``space = P(F (x) L^-1)`` with fiber class ``zeta`` (:class:`Instance`
-    picks ``L``), and ``cycles`` are ``[Z] xi^j``: ``[Z]``, the roots'
+    """The small resolution as a zero locus in the quotient bundle ``space``,
+    with normal roots ``xi - e_i`` for the roots ``e_i`` of E:
+    ``tautological`` is ``xi = zeta + c1(L)`` on ``space = P(F (x) L^-1)``
+    with fiber class ``zeta`` (:class:`Instance` picks ``L``), and ``cycles``
+    are ``[Z] xi^j``: ``[Z] = xi^p prod_(e_i != 0) (xi - e_i)``, the roots'
     product, and every ``j < d`` when ``p > 0`` or there is a polarization.
     One rule on every bundle, with a relation or without: by the normal
     exact sequence ``c(T_Z) [Z] = Q sum_k a_k [Z] xi^k``, where the ``p``
-    normal roots equal to ``xi`` (the trivial summands of E) give
-    ``series``, the ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]``
-    when ``p = 0``), and only the others divide ``c(T_P(F))`` into ``Q``,
-    whose parts ``0 .. d-1`` are ``tangent`` (empty when none divides).
+    trivial summands of E, whose roots are ``xi``, give ``series``, the
+    ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]`` when ``p = 0``), and
+    only the others divide ``c(T_P(F))`` into ``Q``, whose parts
+    ``0 .. d-1`` are ``tangent`` (empty when none divides).
     ``Instance.resolution`` builds it on first read, with ``space`` a bundle
     over ``Instance.ring.ambient``, the block ring of ``Instance.from_rows``."""
 
     space: AmbientSpace
-    normal_roots: tuple[ChowClass, ...]
     tangent: list[ChowClass]
     tautological: ChowClass
     cycles: list[ChowClass]
@@ -136,15 +134,14 @@ class Instance:
         rows = _block_rows(ambient, pair, polarization)
         self._block = Instance.from_rows(ambient.caps, *rows) if rows else None
 
-    @cached_property
+    @first_read
     def resolution(self) -> Resolution:
         """The small resolution of :attr:`ring`, built on first read."""
         if self._block is not None:
             return self._block.resolution
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
-        # class xi, built in one step so that its classes share one space,
-        # with its tangent class divided by one normal root at a time.
+        # class xi, with normal roots xi - e_i for the roots e_i of E.
         # P(F) = P(F (x) L^-1) with xi = zeta + c1(L) (Hartshorne II.7.9), and
         # each copy of L in F drops a factor from the relation, so L is the
         # root F repeats most, and O when no root repeats or O ties it.
@@ -154,22 +151,18 @@ class Instance:
         f = f if F.roots.count(f) > 1 else zero
         space = proj_bundle(ambient, F.twist(-f))
         xi = space.fiber_class() + space.pullback(f)
-        roots = pair.E.dual().pullback_to(space).twist(xi).roots
-        # Only the roots that are not xi divide c(T_P); the p that are stay
-        # with [Z] as the series 1 / (1 + xi)^p, with a relation or without.
+        # Only the roots of the nonzero e_i divide c(T_P); the p roots xi of
+        # the trivial summands stay with [Z] as the series 1 / (1 + xi)^p.
         d = ambient.dim
-        divided = [m for m in roots if m != xi]
-        p = len(roots) - len(divided)
+        divided = [xi - space.pullback(e) for e in pair.E.roots if not e.is_zero()]
+        p = pair.rank - len(divided)
         series = [(-1) ** k * comb(k + p - 1, k) for k in range(d)] if p else [1]
         tangent = divided and divide_by_roots(space.tangent_chern.parts(d - 1), divided)
-        cycles = [prod(roots, start=space.one())]
+        cycles = [prod(divided, start=xi**p)]
         if p or self.polarization is not None:
             for _ in range(d - 1):
                 cycles.append(cycles[-1] * xi)
-        res = Resolution(space, roots, tangent, xi, cycles, series)
-        # cached_property takes no lock from Python 3.12, so two threads may
-        # build one each: the first stored wins, and every read sees it
-        return vars(self).setdefault("resolution", res)
+        return Resolution(space, tangent, xi, cycles, series)
 
     @classmethod
     def from_rows(cls, dims, E, F, polarization=None) -> "Instance":
@@ -314,7 +307,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     on the quotient bundle from the terms ``a_k Q_(d-1-k)`` and ``[Z] xi^k``
     of :class:`Resolution`: with no relation there, each pair is paired;
     with one, ``c_(d-1)(T_Z)``, their sum without ``[Z]``, is formed by
-    Horner in ``xi`` and multiplied by the normal roots one at a time.
+    Horner in ``xi`` and multiplied by the stored ``[Z]`` once.
     In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
@@ -344,14 +337,14 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     res = inst.resolution
     if res.space.has_relation:
         # c_(d-1)(T_Z) = sum_k a_k xi^k Q_(d-1-k) by Horner in xi (Q_(d-1)
-        # itself when p = 0), then times one normal root at a time
+        # itself when p = 0), then times [Z]
         bundle, xi, one = res.space, res.tautological, res.space.one()
         parts = res.tangent or bundle.tangent_chern.parts(d - 1)
         top, *rest = reversed(res.series)
         integrand = parts[d - 1 - len(rest)] * top
         for a, t in zip(rest, parts[d - len(rest) :]):
             integrand = sum_of_products(bundle, [(1, integrand, xi), (a, t, one)])
-        direct = bundle.integrate(prod(res.normal_roots, start=integrand))
+        direct = bundle.integrate(integrand * res.cycles[0])
     else:
         # [Z] xi^k has degree r + k: it meets only the part d-1-k of the
         # quotient, or of the whole c(T_P) where no root is divided

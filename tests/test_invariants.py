@@ -748,7 +748,8 @@ def test_values_are_computed_on_first_read(quintic, quartic):
     assert len(inst.resolution.cycles) == inst.d
     assert inst.resolution.series == [1]
     res = Instance(inst.ambient, inst.pair).resolution
-    assert res.cycles == [prod(res.normal_roots, start=res.space.one())]
+    roots = [res.tautological - res.space.pullback(e) for e in inst.pair.E.roots]
+    assert res.cycles == [prod(roots, start=res.space.one())]
     # the quartic (E = O^2, F = O(2)^2) pairs c(T_P) with the cycles instead,
     # with or without a polarization
     for polarization in (quartic.polarization, None):
@@ -1079,16 +1080,12 @@ def test_report_numbers_are_ints(case):
 
 def doubled_locus(inst):
     """A copy of ``inst`` whose resolution has twice its fundamental class:
-    twice every cycle ``[Z] xi^j`` and twice one of the normal roots whose
-    product ``[Z]`` is, which changes only the direct routes, whichever
-    normal roots divide.  The routes read the resolution of the ring the
+    twice every cycle ``[Z] xi^j``, which every direct route reads and no
+    other route does.  The routes read the resolution of the ring the
     report runs on."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
     res = copy.resolution
-    first, *rest = res.normal_roots
-    copy.ring.resolution = res._replace(
-        normal_roots=(2 * first, *rest), cycles=[2 * cycle for cycle in res.cycles]
-    )
+    copy.ring.resolution = res._replace(cycles=[2 * cycle for cycle in res.cycles])
     return copy
 
 
@@ -1115,7 +1112,9 @@ def test_euler_numbers_compare_routes(quintic):
     # root, the P^8 with E partly trivial by the one that is not xi, and the
     # dense P^8 and (P^1)^5 by none; with F = O(1) + O(1) + O(2) the bundle
     # has a relation, c_(d-1)(T_Z) is summed by Horner in xi and multiplied
-    # by the normal roots, and E = O^3 divides none, E = O + O + O(-1) one
+    # by [Z], and E = O^3 divides none, E = O + O + O(-1) one.  On each the
+    # direct chi(Z) integrates against the one stored [Z]: doubling the
+    # cycles alone doubles it
     for inst in (
         quintic,
         partly_trivial_instance(),
@@ -1125,9 +1124,12 @@ def test_euler_numbers_compare_routes(quintic):
         table2_row_3(d=5),
         partly_trivial_instance_with_relation(),
     ):
-        assert euler_numbers(inst).resolution != 0
-        with pytest.raises(ConsistencyError, match="^resolution Euler number:"):
+        value = euler_numbers(inst).resolution
+        assert value != 0
+        with pytest.raises(ConsistencyError) as raised:
             euler_numbers(doubled_locus(inst))
+        shown = f"resolution Euler number: hooks {value}, direct {2 * value}"
+        assert str(raised.value) == shown
 
 
 def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
@@ -1168,10 +1170,11 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
         divided.clear()
         inst = make()
         res = inst.resolution
-        bundle, xi = res.space, res.tautological
+        bundle, xi, E = res.space, res.tautological, inst.ring.pair.E
         assert bundle.has_relation == relation
-        others = [m for m in res.normal_roots if m != xi]
-        assert len(others) == len(res.normal_roots) - xis
+        assert [e.is_zero() for e in E.roots].count(True) == xis
+        others = [xi - bundle.pullback(e) for e in E.roots if not e.is_zero()]
+        assert res.cycles[0] == prod(others, start=xi**xis)
         on_bundle = [roots for space, roots in divided if space is bundle]
         assert on_bundle == ([others] if others else [])
         assert (res.tangent == []) == (not others)
@@ -1431,36 +1434,60 @@ def test_build_report_agrees_across_threads():
         sys.setswitchinterval(interval)
 
 
-def test_racing_reads_of_the_resolution_keep_the_first_stored(monkeypatch):
-    # From Python 3.12 cached_property takes no lock, so two threads that
-    # find no resolution both run its function and build one P(F) each;
-    # calling that function from two threads forces the overlap on every
-    # version, with proj_bundle held until both have entered it
+def meet_in_two_threads(monkeypatch, module, name, *reads):
+    """Patch ``module.name`` to wait at a barrier of two before it runs, call
+    the two ``reads`` in two threads and return what each read, in order.
+    A first read that holds a lock the other needs breaks the barrier."""
     both = threading.Barrier(2, timeout=10)
-    original = invariants.proj_bundle
+    original = getattr(module, name)
 
     def meeting(*args):
         both.wait()
         return original(*args)
 
-    monkeypatch.setattr(invariants, "proj_bundle", meeting)
-    inst = make_instance(projective_space(5), [0, 0, -1], [1, 1, 2])
-    built, errors = [], []
+    monkeypatch.setattr(module, name, meeting)
+    built, errors = {}, []
 
-    def read():
+    def run(i):
         try:
-            built.append(Instance.resolution.func(inst))
+            built[i] = reads[i]()
         except Exception as exc:  # reported by the caller
             errors.append(exc)
 
-    threads = [threading.Thread(target=read) for _ in range(2)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == [] and len(built) == 2
-    first, second = built
+    assert errors == []
+    return built[0], built[1]
+
+
+def test_racing_reads_of_the_resolution_keep_the_first_stored(monkeypatch):
+    # a first read takes no lock, so two threads that find no resolution
+    # both build one P(F), held in proj_bundle until both have entered it;
+    # the first stored wins, and both reads return it
+    inst = make_instance(projective_space(5), [0, 0, -1], [1, 1, 2])
+    read = lambda: inst.resolution
+    first, second = meet_in_two_threads(
+        monkeypatch, invariants, "proj_bundle", read, read
+    )
     assert first is second
     assert inst.resolution is first  # stored: the barrier is not met again
     assert build_report(inst, allow_non_cy_c2=True).dim == 5
+
+
+def test_first_reads_of_two_instances_run_at_once(monkeypatch):
+    # one instance's first read of its resolution, or one pair's of its
+    # sequence, does not wait for another's: both are inside proj_bundle,
+    # or divide_by_roots, at once
+    a, b = (make_instance(projective_space(5), [0, 0, -1], [1, 1, k]) for k in (2, 3))
+    expected = [inst.pair.schur_seq for inst in (a, b)]
+    reads = (lambda: a.resolution), (lambda: b.resolution)
+    first, second = meet_in_two_threads(monkeypatch, invariants, "proj_bundle", *reads)
+    assert a.resolution is first and b.resolution is second
+    pairs = [VirtualPair(inst.pair.E, inst.pair.F) for inst in (a, b)]
+    reads = (lambda: pairs[0].schur_seq), (lambda: pairs[1].schur_seq)
+    first, second = meet_in_two_threads(monkeypatch, bundles, "divide_by_roots", *reads)
+    assert [first, second] == expected
