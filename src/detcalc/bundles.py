@@ -106,10 +106,8 @@ class VirtualPair:
     det(E dual) tensor det(F): the divisor class cut out by the determinant
     of a morphism E -> F, taken from the roots so that it is independent of
     the two sequences.  ``calabi_yau`` is the test
-    ``c1(T) == hypersurface_class``, with ``c1(T) = sum (d_i + 1) h_i`` read
-    from the caps on a product of projective spaces (``2 e`` on a divided
-    generator of a block of repeated P^1 factors) and from ``c(T)`` on a
-    projective bundle.
+    ``c1(T) == hypersurface_class``, with ``c1(T)`` the space's
+    ``AmbientSpace.tangent_c1``.
     """
 
     def __init__(self, E: BundleSpec, F: BundleSpec):
@@ -121,13 +119,7 @@ class VirtualPair:
         self.F = F
         self.ambient = E.ambient
         self.hypersurface_class = F.c1() - E.c1()
-        space = self.ambient
-        if space.base is None:  # from the caps: c(T) has 2^n terms on (P^1)^n
-            caps = zip(space.caps, space.divided)
-            tangent_c1 = space.degree_one([2 if d else c + 1 for c, d in caps])
-        else:
-            tangent_c1 = space.tangent_chern.parts(1)[1]  # set by proj_bundle
-        self.calabi_yau = tangent_c1 == self.hypersurface_class
+        self.calabi_yau = self.ambient.tangent_c1 == self.hypersurface_class
 
     @first_read
     def chern_diff(self) -> list[ChowClass]:

@@ -134,8 +134,6 @@ def divide_by_roots(parts: list["ChowClass"], roots) -> list["ChowClass"]:
     ``Z_(k-1)`` is already that root's quotient when ``Z_k`` reads it and no
     snapshot is kept.  Only the returned parts become classes.  Every root
     must live on the space of the parts; a zero one is then skipped."""
-    if not parts:
-        return []
     space = parts[0].ambient
     if any(root.ambient is not space for root in roots):
         raise ValueError("classes live on different ambient spaces")
@@ -251,14 +249,9 @@ class ChowClass:
                 split[k][e] = c
         return [_make(space, terms) for terms in split]
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True when every monomial has the same degree (``degree`` if given)."""
-        degrees = {self.ambient._degree(e) for e in self.terms}
-        if not degrees:
-            return True
-        if degree is None:
-            return len(degrees) == 1
-        return degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """True when every monomial has degree ``degree``; zero has every degree."""
+        return all(self.ambient._degree(e) == degree for e in self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -505,7 +498,6 @@ class AmbientSpace:
 
     def generator(self, i: int) -> ChowClass:
         """The i-th degree-one generator, already reduced to normal form."""
-        i = range(len(self.gens))[i]
         code = 1 << self._shifts[i]
         flags = (code + self._bias) & self._over
         if not flags:
@@ -597,6 +589,16 @@ class AmbientSpace:
                 }
             self._tangent = _make(self, terms)
         return self._tangent
+
+    @property
+    def tangent_c1(self) -> ChowClass:
+        """``c1(T)``: on a space with no base ``sum_i (d_i + 1) h_i`` from the
+        caps (``2 e`` on a block), building no ``c(T)``; on a bundle the
+        degree-one part of the ``c(T)`` that :func:`proj_bundle` set."""
+        if self.base is None:
+            caps = zip(self.caps, self.divided)
+            return self.degree_one([2 if d else c + 1 for c, d in caps])
+        return self.tangent_chern.parts(1)[1]
 
     @property
     def has_relation(self) -> bool:

@@ -199,8 +199,9 @@ def report_to_dict(config: dict, report: InvariantReport) -> dict:
 def _check_printable(report: InvariantReport) -> None:
     """Refuse a report holding an integer with more decimal digits than the
     interpreter converts to text (``sys.get_int_max_str_digits()``, where 0
-    means no limit), before any of it is rendered."""
-    limit = sys.get_int_max_str_digits()
+    means no limit), before any of it is rendered.  CPython before 3.10.7
+    has no limit and no such function."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
     for name, value in vars(report).items():

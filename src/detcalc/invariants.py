@@ -7,10 +7,12 @@ generic morphism E -> F drops rank; its singular locus is the next
 degeneracy stratum.  The quantities several invariants share are built
 once: the pair's divisor class ``D = c1(F) - c1(E)`` and Calabi-Yau test
 ``c1(T) == D`` by the constructors, which do no other ring work; the
-instance's small resolution with its tangent class ``c(T_Z)`` and the
-pair's two Chern-class sequences on the ring the report runs on, on first
-read and with no lock (``bundles.first_read``), so the ``c2`` guard, which
-reads only the inputs, refuses first.  The functions here only read them.
+ring the report runs on, the instance's small resolution with its tangent
+class ``c(T_Z)`` and the pair's two Chern-class sequences on that ring, on
+first read and with no lock (``bundles.first_read``), so the ``c2`` guard,
+which reads only the inputs, refuses first.  The functions here only read
+them, ``c(T)`` of the ambient space and ``AmbientSpace.tangent_c1``: on the
+bundle they read the parts of ``c(T_Z)`` that :class:`Resolution` holds.
 All results assume the morphism is generic in the transversality sense
 (each stratum smooth of expected codimension); that assumption is
 surfaced in report warnings, never verified.
@@ -78,7 +80,7 @@ class Resolution(NamedTuple):
     trivial summands of E, whose roots are ``xi``, give ``series``, the
     ``a_k`` of ``1 / (1 + t)^p`` for ``k < d`` (``[1]`` when ``p = 0``), and
     only the others divide ``c(T_P(F))`` into ``Q``, whose parts
-    ``0 .. d-1`` are ``tangent`` (empty when none divides).
+    ``0 .. d-1`` are ``tangent`` (those of ``c(T_P(F))`` when none divides).
     ``Instance.resolution`` builds it on first read, with ``space`` a bundle
     over ``Instance.ring.ambient``, the block ring of ``Instance.from_rows``."""
 
@@ -95,9 +97,9 @@ class Instance:
     :meth:`from_rows` builds one from integer degree rows; a projective
     bundle as ambient is refused.  ``calabi_yau``, the pair's test, is True
     when the hypersurface class is ``c1(T)``, so the hypersurface has
-    trivial canonical class.  The small resolution and the sequences of
-    :attr:`ring`'s pair are built on first read, not here; the caller's
-    pair divides none when the ring is the block ring.
+    trivial canonical class.  :attr:`ring`, the small resolution and the
+    sequences of the ring's pair are built on first read, not here; the
+    caller's pair divides none when the ring is the block ring.
 
     Every report route runs on :attr:`ring`, chosen from the inputs alone:
     built by hand on a product whose inputs repeat a P^1 column, it is the
@@ -129,10 +131,14 @@ class Instance:
         self.pair = pair
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
-        # Inputs constant on a block of P^1 factors run on the block ring;
-        # None, not self, otherwise: a cycle would outlive its last reference.
-        rows = _block_rows(ambient, pair, polarization)
-        self._block = Instance.from_rows(ambient.caps, *rows) if rows else None
+
+    @first_read
+    def _block(self) -> "Instance | None":
+        """The block-ring instance when the inputs are constant on a block of
+        P^1 factors; None, not self, otherwise, as a cycle would outlive
+        its last reference."""
+        rows = _block_rows(self.ambient, self.pair, self.polarization)
+        return Instance.from_rows(self.ambient.caps, *rows) if rows else None
 
     @first_read
     def resolution(self) -> Resolution:
@@ -157,7 +163,7 @@ class Instance:
         divided = [xi - space.pullback(e) for e in pair.E.roots if not e.is_zero()]
         p = pair.rank - len(divided)
         series = [(-1) ** k * comb(k + p - 1, k) for k in range(d)] if p else [1]
-        tangent = divided and divide_by_roots(space.tangent_chern.parts(d - 1), divided)
+        tangent = divide_by_roots(space.tangent_chern.parts(d - 1), divided)
         cycles = [prod(divided, start=xi**p)]
         if p or self.polarization is not None:
             for _ in range(d - 1):
@@ -339,17 +345,14 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         # c_(d-1)(T_Z) = sum_k a_k xi^k Q_(d-1-k) by Horner in xi (Q_(d-1)
         # itself when p = 0), then times [Z]
         bundle, xi, one = res.space, res.tautological, res.space.one()
-        parts = res.tangent or bundle.tangent_chern.parts(d - 1)
         top, *rest = reversed(res.series)
-        integrand = parts[d - 1 - len(rest)] * top
-        for a, t in zip(rest, parts[d - len(rest) :]):
+        integrand = res.tangent[d - 1 - len(rest)] * top
+        for a, t in zip(rest, res.tangent[d - len(rest) :]):
             integrand = sum_of_products(bundle, [(1, integrand, xi), (a, t, one)])
         direct = bundle.integrate(integrand * res.cycles[0])
     else:
-        # [Z] xi^k has degree r + k: it meets only the part d-1-k of the
-        # quotient, or of the whole c(T_P) where no root is divided
-        parts = res.tangent or [res.space.tangent_chern] * d
-        terms = zip(res.series, res.cycles, reversed(parts))
+        # [Z] xi^k has degree r + k: it meets only the part d-1-k of Q
+        terms = zip(res.series, res.cycles, reversed(res.tangent))
         direct = sum(a * _pair(cycle, t) for a, cycle, t in terms)
     _agree("resolution Euler number", hooks=resolution, direct=direct)
     for weight, power, hooks in low_weights:
@@ -374,7 +377,7 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     space, divisor = inst.ambient, inst.pair.hypersurface_class
     weight = space.scalar(2)
     if inst.d == 5:
-        weight = 5 * divisor - 2 * space.tangent_chern.parts(1)[1]
+        weight = 5 * divisor - 2 * space.tangent_c1
     return _pair(weight, porteous_class(inst))
 
 
@@ -481,12 +484,11 @@ def _c2_numbers(inst: Instance, singular) -> C2Pairings:
         routes["reduced"] = (_pair3(t2, seq[1], hyper), _pair(t2, seq[2]) - singular)
 
     res = inst.resolution
-    bundle_space = res.space
-    tangent = res.tangent or bundle_space.tangent_chern.parts(2)
-    cycle = sum_of_products(bundle_space, zip(res.series, tangent[2::-1], res.cycles))
+    bundle = res.space
+    cycle = sum_of_products(bundle, zip(res.series, res.tangent[2::-1], res.cycles))
     routes["direct"] = (
-        _pair(hyper, bundle_space.pushforward(cycle)),
-        space.integrate(bundle_space.pushforward(cycle * res.tautological)),
+        _pair(hyper, bundle.pushforward(cycle)),
+        space.integrate(bundle.pushforward(cycle * res.tautological)),
     )
     return C2Pairings(*_agree("c2 pairings", **routes))
 

@@ -29,7 +29,7 @@ from detcalc.chow import (
     proj_bundle,
     projective_space,
 )
-from detcalc.invariants import Instance, build_report
+from detcalc.invariants import GuardError, Instance, build_report
 from oracles import unit_inverse
 from tables import instance as config_instance
 
@@ -294,6 +294,25 @@ def test_inputs_without_a_repeated_p1_column_build_no_block_ring(monkeypatch):
         inst = Instance(space, pair, space.degree_one([1] * len(space.caps)))
         assert (inst.ring is not inst) == repeated
         assert bool(built) == repeated
+
+
+def test_hand_built_instance_builds_its_block_ring_on_the_first_report(monkeypatch):
+    # the c2 guard reads only the caller's inputs, so neither the constructor
+    # nor a report the guard refuses builds the block ring; the first report
+    # that runs builds it once
+    built = []
+    original = invariants.block_space
+    monkeypatch.setattr(
+        invariants, "block_space", lambda *a: built.append(a) or original(*a)
+    )
+    inst = library_instance([1] * 4, [[0] * 4] * 2, [[1] * 4, [2] * 4], [1] * 4)
+    assert built == []
+    with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
+        build_report(inst)
+    assert built == []
+    for _ in range(2):
+        build_report(inst, allow_non_cy_c2=True)
+        assert len(built) == 1 and inst.ring is not inst
 
 
 def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):

@@ -354,7 +354,17 @@ def test_calabi_yau_on_a_projective_bundle_reads_its_tangent_class():
     p3 = projective_space(3)
     bundle = proj_bundle(p3, split(p3, [0, 1]))
     xi, h = bundle.fiber_class(), bundle.pullback(p3.generator(0))
-    assert bundle.tangent_chern.parts(1)[1] == 2 * xi + 3 * h
+    assert bundle.tangent_c1 == bundle.tangent_chern.parts(1)[1] == 2 * xi + 3 * h
+    # c1(T) is part 1 of c(T) on every space; one with no base reads it from
+    # the caps (2 e on a block), before its c(T) is built
+    for space in (
+        projective_space(5),
+        product_of_projective_spaces([1, 0, 2, 1]),
+        block_space([1, 2, 1, 1], [0, 1, 0, 2])[0],
+    ):
+        c1 = space.tangent_c1
+        assert space._tangent is None
+        assert c1 == space.tangent_chern.parts(1)[1]
     E = BundleSpec.split(bundle, [bundle.zero(), bundle.zero()])
     for divisor, calabi_yau in [(2 * xi + 3 * h, True), (2 * xi + 4 * h, False)]:
         F = BundleSpec.split(bundle, [xi, divisor - xi])

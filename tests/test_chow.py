@@ -157,7 +157,7 @@ def test_part_and_homogeneity():
     h = p4.generator(0)
     x = 3 + h + 2 * h**2
     assert x.parts()[1] == h
-    assert not x.is_homogeneous()
+    assert not any(x.is_homogeneous(k) for k in range(3))
     assert (h**2).is_homogeneous(2)
     assert p4.zero().is_homogeneous(3)
 

@@ -494,6 +494,15 @@ def test_report_refuses_numbers_past_the_digit_limit(tmp_path, capsys, as_json):
     assert "Traceback" not in captured.err
 
 
+def test_report_without_the_digit_limit_function(monkeypatch, capsys):
+    # CPython before 3.10.7 has neither sys.get_int_max_str_digits nor a
+    # limit, so a report prints as it does with the limit switched off
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert main(["report", str(golden / "quintic.json")]) == 0
+    assert capsys.readouterr().out == (golden / "report-quintic.out").read_text()
+
+
 def test_report_prints_numbers_under_the_digit_limit(tmp_path, capsys):
     path = write_config(tmp_path, _long_degree_doc(1000))
     assert main(["report", path, "--json"]) == 0

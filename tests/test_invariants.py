@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from detcalc import bundles, chow, cli, invariants
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
+    AmbientSpace,
     _pair,
     product_of_projective_spaces,
     proj_bundle,
@@ -750,11 +751,11 @@ def test_values_are_computed_on_first_read(quintic, quartic):
     res = Instance(inst.ambient, inst.pair).resolution
     roots = [res.tautological - res.space.pullback(e) for e in inst.pair.E.roots]
     assert res.cycles == [prod(roots, start=res.space.one())]
-    # the quartic (E = O^2, F = O(2)^2) pairs c(T_P) with the cycles instead,
-    # with or without a polarization
+    # the quartic (E = O^2, F = O(2)^2) divides by no root: it pairs the parts
+    # of c(T_P) with the cycles instead, with or without a polarization
     for polarization in (quartic.polarization, None):
         res = Instance(quartic.ambient, quartic.pair, polarization).resolution
-        assert res.tangent == []
+        assert res.tangent == res.space.tangent_chern.parts(quartic.d - 1)
         assert len(res.cycles) == len(res.series) == quartic.d
 
 
@@ -996,13 +997,14 @@ def test_report_matches_the_untwisted_resolution(case):
     inst = Instance(space, pair, space.degree_one([1] * len(dims)))
     assert_untwisted_resolution_agrees(inst, build_report(inst, allow_non_cy_c2=True))
     # on every bundle, with a relation or without, the p zero rows of E leave
-    # [Z] the series 1 / (1 + xi)^p, and E = O^r divides nothing
+    # [Z] the series 1 / (1 + xi)^p, and E = O^r divides c(T_P) by nothing
     res, p = inst.resolution, rows_e.count([0] * len(dims))
     product = list(res.series)
     for _ in range(p):
         product = [a + b for a, b in zip(product, [0] + product)]
     assert product == [1] + [0] * (inst.d - 1 if p else 0)
-    assert (res.tangent == []) == (p == len(rows_e))
+    whole = res.space.tangent_chern.parts(inst.d - 1)
+    assert (res.tangent == whole) == (p == len(rows_e))
 
 
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
@@ -1107,6 +1109,63 @@ def table2_row_3(d=4):
     return make_instance(projective_space(d), [0, 0, 0], [1, 1, 2])
 
 
+def e_trivial_instances(quartic):
+    """Instances with E = O^r, whose resolution divides c(T_P) by no root:
+    P^6 with F = O(1)^3 on a bundle with no relation, Table 2's row 3 on a
+    bundle with one, and the quartic, a polarized fourfold."""
+    return [
+        make_instance(projective_space(6), [0, 0, 0], [1, 1, 1]),
+        table2_row_3(),
+        Instance(quartic.ambient, quartic.pair, quartic.polarization),
+    ]
+
+
+def test_report_reads_no_bundle_tangent_class_past_the_resolution(
+    monkeypatch, quartic
+):
+    # the resolution holds the parts of Q that every direct route reads, those
+    # of c(T_P) when nothing divides, so a report reads no c(T) of a bundle
+    reads = []
+    original = AmbientSpace.tangent_chern
+
+    def counted(space):
+        if space.base is not None:
+            reads.append(space)
+        return original.fget(space)
+
+    monkeypatch.setattr(AmbientSpace, "tangent_chern", property(counted))
+    for inst in e_trivial_instances(quartic):
+        bundle = inst.resolution.space
+        reads.clear()
+        build_report(inst, allow_non_cy_c2=True)
+        assert reads == []
+        bundle.tangent_chern  # a read the patch does count
+        assert reads == [bundle]
+
+
+def doubled_tangent(inst):
+    """A copy of ``inst`` whose resolution holds twice every part of ``Q``,
+    which every direct route but the intersection numbers reads."""
+    copy = Instance(inst.ambient, inst.pair, inst.polarization)
+    res = copy.resolution
+    copy.ring.resolution = res._replace(tangent=[2 * t for t in res.tangent])
+    return copy
+
+
+def test_direct_routes_read_the_stored_tangent_parts_when_nothing_divides(quartic):
+    for inst in e_trivial_instances(quartic):
+        value = euler_numbers(inst).resolution
+        assert value != 0
+        with pytest.raises(ConsistencyError) as raised:
+            euler_numbers(doubled_tangent(inst))
+        shown = f"resolution Euler number: hooks {value}, direct {2 * value}"
+        assert str(raised.value) == shown
+        if inst.d == 4:
+            assert c2_numbers(inst, allow_non_cy=True) != (0, 0)
+            with pytest.raises(ConsistencyError, match="c2 pairings"):
+                c2_numbers(doubled_tangent(inst), allow_non_cy=True)
+
+
 def test_euler_numbers_compare_routes(quintic):
     # on relation-free bundles the quintic divides c(T_P) by every normal
     # root, the P^8 with E partly trivial by the one that is not xi, and the
@@ -1137,8 +1196,9 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
 ):
     # on every bundle, with a relation or without, building the instance
     # divides c(T_P) by exactly the normal roots that are not xi, so with
-    # E = O^r it divides no class there.  The intersection numbers form no
-    # product on the bundle space: they read the cycles the instance built
+    # E = O^r it makes one call with no root, which divides nothing.  The
+    # intersection numbers form no product on the bundle space: they read
+    # the cycles the instance built
     divided, multiplied = [], []
     original_divide, original_kernel = chow.divide_by_roots, chow._accumulate_terms
 
@@ -1176,8 +1236,9 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
         others = [xi - bundle.pullback(e) for e in E.roots if not e.is_zero()]
         assert res.cycles[0] == prod(others, start=xi**xis)
         on_bundle = [roots for space, roots in divided if space is bundle]
-        assert on_bundle == ([others] if others else [])
-        assert (res.tangent == []) == (not others)
+        assert on_bundle == [others]
+        whole = bundle.tangent_chern.parts(inst.d - 1)
+        assert (res.tangent == whole) == (not others)
         multiplied.clear()
         intersection_numbers(inst)
         assert inst.ring.ambient in multiplied  # the powers of the polarization
@@ -1476,6 +1537,20 @@ def test_racing_reads_of_the_resolution_keep_the_first_stored(monkeypatch):
     assert first is second
     assert inst.resolution is first  # stored: the barrier is not met again
     assert build_report(inst, allow_non_cy_c2=True).dim == 5
+    # so does the block ring of a hand-built (P^1)^4 instance whose inputs
+    # repeat a P^1 column: both threads are inside block_space at once
+    p1s = product_of_projective_spaces([1] * 4)
+    pair = VirtualPair(
+        BundleSpec.sum_of_line_bundles(p1s, [[0] * 4] * 2),
+        BundleSpec.sum_of_line_bundles(p1s, [[1] * 4, [2] * 4]),
+    )
+    block = Instance(p1s, pair, p1s.degree_one([1] * 4))
+    assert "_block" not in vars(block)
+    read = lambda: block.ring
+    first, second = meet_in_two_threads(
+        monkeypatch, invariants, "block_space", read, read
+    )
+    assert first is second is block.ring and first is not block
 
 
 def test_first_reads_of_two_instances_run_at_once(monkeypatch):
