@@ -197,27 +197,21 @@ def report_to_dict(config: dict, report: InvariantReport) -> dict:
 
 
 def _check_printable(report: InvariantReport) -> None:
-    """Refuse a report holding an integer with more decimal digits than the
-    interpreter converts to text (``sys.get_int_max_str_digits()``, where 0
-    means no limit), before any of it is rendered.  CPython before 3.10.7
-    has no limit and no such function."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
+    """Refuse a report holding an integer that the interpreter will not
+    convert to text (more decimal digits than
+    ``sys.get_int_max_str_digits()``), before any of it is rendered."""
     for name, value in vars(report).items():
         items = enumerate(value) if isinstance(value, list) else [(None, value)]
         for i, item in items:
-            # a digit takes more than 3 bits, so shorter ints skip the power
-            if (
-                isinstance(item, int)
-                and item.bit_length() > 3 * limit
-                and abs(item) >= 10**limit
-            ):
+            try:
+                str(item)
+            except ValueError:
                 where = name if i is None else f"{name}[{i}]"
                 raise GuardError(
-                    f"report field {where} has more than {limit} digits, "
+                    f"report field {where} has more than "
+                    f"{sys.get_int_max_str_digits()} digits, "
                     "the interpreter's limit for printing an integer"
-                )
+                ) from None
 
 
 def render_report(doc: dict) -> str:

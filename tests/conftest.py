@@ -1,9 +1,20 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# hypothesis imports this module (libcst, then mypy_extensions) only when a
+# @given test fails; under -W error the DeprecationWarning of that import
+# would end the whole session with an INTERNALERROR, so import it here, once
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from detcalc import BundleSpec, Instance, VirtualPair
 from detcalc.chow import projective_space

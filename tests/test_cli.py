@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from detcalc import bundles, chow, invariants
+from detcalc import InvariantReport, bundles, chow, invariants
 from detcalc.cli import (
     ConfigError,
+    _check_printable,
     load_config,
     main,
     parse_config,
@@ -508,6 +509,40 @@ def test_report_prints_numbers_under_the_digit_limit(tmp_path, capsys):
     assert main(["report", path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(type(x) in (int, bool) for x in _numbers(doc))
+
+
+def _report_with(euler_smooth, intersection_numbers=None):
+    return InvariantReport(
+        dim=4,
+        rank=2,
+        calabi_yau=True,
+        ih_milnor=0,
+        euler_smooth=euler_smooth,
+        euler_ih=0,
+        euler_resolution=0,
+        intersection_numbers=intersection_numbers,
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_printable_refuses_from_one_digit_past_the_limit(sign):
+    limit = 700  # CPython refuses a limit from 1 to 639
+    widest, past = sign * (10**limit - 1), sign * 10**limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        _check_printable(_report_with(widest, [1, widest, 1]))
+        refusal = f" has more than {limit} digits, the interpreter's limit"
+        with pytest.raises(GuardError, match=f"^report field euler_smooth{refusal}"):
+            _check_printable(_report_with(past))
+        with pytest.raises(
+            GuardError, match=rf"^report field intersection_numbers\[1\]{refusal}"
+        ):
+            _check_printable(_report_with(0, [1, past, 1]))
+        sys.set_int_max_str_digits(0)  # no limit
+        _check_printable(_report_with(past, [1, past, 1]))
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @settings(max_examples=20, deadline=None)

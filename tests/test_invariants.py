@@ -1478,8 +1478,10 @@ def reports_in_threads(shared, count=4):
 
 def test_build_report_agrees_across_threads():
     # the threads share one set of spaces and instances and run them in the
-    # same order, so _reduced, the one cache filled lazily, fills
-    # concurrently; twenty rounds, each on fresh instances
+    # same order, so every cache filled on first read fills concurrently: an
+    # instance's _block and resolution, a pair's chern_diff and schur_seq, a
+    # base space's c(T) and a bundle's _reduced; twenty rounds, each on
+    # fresh instances
     serial = [asdict(build_report(inst)) for inst in threaded_cases()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-computation
