@@ -43,10 +43,9 @@ class BundleSpec:
 
     @classmethod
     def sum_of_line_bundles(cls, ambient: AmbientSpace, degree_rows) -> "BundleSpec":
-        """Split bundle from integer multidegrees, one row per summand."""
-        return cls.split(
-            ambient, (ambient.degree_one(row) for row in degree_rows)
-        )
+        """Split bundle from integer multidegrees, one row per summand; the
+        classes ``degree_one`` builds need none of :meth:`split`'s checks."""
+        return cls(ambient, tuple(ambient.degree_one(row) for row in degree_rows))
 
     @property
     def rank(self) -> int:

@@ -3,10 +3,13 @@
 Each suite checks numbers a report prints against a second route, on
 deterministic pseudo-random inputs: the Euler numbers, the intersection
 numbers and ``c2`` pairings, and the block ring against its monomial ring.
-Every case runs inside :meth:`SuiteResult.case`, and every comparison is an
-:func:`~detcalc.invariants._agree` call: a raise inside a case is that
-case's failure, and its message names the quantity, every route with its
-value, and the inputs, so a broken convention is easy to localize.
+Each random instance is degree rows on P^4 or P^5, built by
+:meth:`~detcalc.invariants.Instance.from_rows` as ``detcalc report`` builds
+its own.  Every case runs inside :meth:`SuiteResult.case`, and every
+comparison is an :func:`~detcalc.invariants._agree` call: a raise inside a
+case is that case's failure, and its message names the quantity, every
+route with its value, and the inputs, so a broken convention is easy to
+localize.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .bundles import BundleSpec, VirtualPair
-from .chow import AmbientSpace, _pair, block_space, projective_space
+from .chow import _pair, block_space, projective_space
 from .invariants import (
     Instance,
     _agree,
@@ -49,47 +51,36 @@ class SuiteResult:
             self.failures.append(f"{exc} ({where})")
 
 
-def _random_instance(
-    rng: random.Random,
-    space: AmbientSpace,
-    rank: int,
-    calabi_yau: bool,
-    with_polarization: bool = True,
-) -> Instance:
+def _random_rows(
+    rng: random.Random, dim: int, rank: int, calabi_yau: bool
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Random degree rows of E and F on P^dim, one per summand."""
     rows_e = [[rng.randint(-2, 1)] for _ in range(rank)]
     rows_f = [[rng.randint(0, 2)] for _ in range(rank)]
     if calabi_yau:
-        # adjust the last summand so c1(F) - c1(E) matches c1 of the tangent
-        target = space.dim + 1
-        rows_f[-1][0] = target + sum(r[0] for r in rows_e) - sum(
+        # adjust the last summand so c1(F) - c1(E) is c1(T) = dim + 1
+        rows_f[-1][0] = dim + 1 + sum(r[0] for r in rows_e) - sum(
             r[0] for r in rows_f[:-1]
         )
-    pair = VirtualPair(
-        BundleSpec.sum_of_line_bundles(space, rows_e),
-        BundleSpec.sum_of_line_bundles(space, rows_f),
-    )
-    polarization = space.degree_one([1]) if with_polarization else None
-    return Instance(space, pair, polarization)
+    return rows_e, rows_f
 
 
 def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
     """Euler numbers against the shortcut and the smooth-divisor formula; a
     raise from :func:`euler_numbers` is the trial's one failure, and its
-    smooth case is skipped."""
+    smooth case is skipped.  The formula runs on a P^d of its own, with the
+    divisor of degree ``sum F - sum E`` read from the rows, so it shares
+    neither the instance's ring nor its pair."""
     result = SuiteResult("euler-consistency")
     rng = random.Random(seed)
     rank_cap = max(2, min(4, depth))
     spaces = {4: projective_space(4), 5: projective_space(5)}
     for trial in range(50):
         dim = 4 if trial % 2 == 0 else 5
-        space = spaces[dim]
-        inst = _random_instance(
-            rng,
-            space,
-            rank=rng.randint(2, rank_cap),
-            calabi_yau=(trial % 4 == 1),  # half the fivefolds
-            with_polarization=False,
-        )
+        rank = rng.randint(2, rank_cap)
+        # half the fivefolds are Calabi-Yau
+        rows_e, rows_f = _random_rows(rng, dim, rank, trial % 4 == 1)
+        inst = Instance.from_rows([dim], rows_e, rows_f)
         where = f"trial {trial}, dim {dim}"
         euler = None
         with result.case(where):
@@ -99,7 +90,9 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
         if euler is None:
             continue
         with result.case(where):
-            smooth = euler_smooth_hypersurface(space, inst.pair.hypersurface_class)
+            space = spaces[dim]
+            degree = sum(r[0] for r in rows_f) - sum(r[0] for r in rows_e)
+            smooth = euler_smooth_hypersurface(space, space.degree_one([degree]))
             _agree("smooth Euler number", euler=euler.smooth, divisor=smooth)
     return result
 
@@ -112,13 +105,11 @@ def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
     """
     result = SuiteResult("dual-routes")
     rng = random.Random(seed)
-    space = projective_space(4)
     rank_cap = max(2, min(4, depth))
     for trial in range(20):
         calabi_yau = trial % 2 == 0
-        inst = _random_instance(
-            rng, space, rank=rng.randint(2, rank_cap), calabi_yau=calabi_yau
-        )
+        rows = _random_rows(rng, 4, rng.randint(2, rank_cap), calabi_yau)
+        inst = Instance.from_rows([4], *rows, [1])
         with result.case(f"trial {trial}"):
             intersection_numbers(inst)
             c2_numbers(inst, allow_non_cy=not inst.calabi_yau)

@@ -315,15 +315,21 @@ def test_euler_resolution_of_quintic(quintic):
 
 
 def test_euler_identity_on_random_instances():
+    # from d = 6 a report computes the smooth number by one route only, so
+    # this is its second route there: the divisor formula on P^6 to P^8 and
+    # on a product, built as a report builds it
     rng = random.Random(23)
-    for dim in (4, 5):
-        space = projective_space(dim)
-        for _ in range(8):
-            inst = random_instance(rng, space, polarized=False)
-            smooth = euler_smooth_hypersurface(space, inst.pair.hypersurface_class)
-            euler = euler_numbers(inst)
-            assert euler.smooth == smooth
-            assert euler.resolution == smooth + (-1) ** dim * euler.ih_milnor
+    instances = [
+        random_instance(rng, projective_space(dim), polarized=False)
+        for dim in (4, 5, 6, 7, 8)
+        for _ in range(8)
+    ]
+    instances.append(Instance.from_rows([2, 4], [[0, 0], [-1, 0]], [[1, 1], [0, 2]]))
+    for inst in instances:
+        smooth = euler_smooth_hypersurface(inst.ambient, inst.pair.hypersurface_class)
+        euler = euler_numbers(inst)
+        assert euler.smooth == smooth
+        assert euler.resolution == smooth + (-1) ** inst.d * euler.ih_milnor
 
 
 # -- intersection numbers and c2 pairings ---------------------------------------
@@ -858,15 +864,21 @@ def test_odp_count_of_uniform_square_matrices(a, counts):
         assert build_report(inst, allow_non_cy_c2=True).odp_count == expected
 
 
-def test_odp_count_of_an_explicit_cubic_determinant():
-    # the paper's theorem on one general matrix: det of a random 2 x 2
-    # matrix of forms from O^2 to O(1) + O(2) on P^4, over GF(32003) with
-    # seed 0, is a cubic whose singular points are A1 points, as many as
-    # the report's ODP count; none lies off the chart x0 = 1
-    count, non_a1, boundary = oracles.determinantal_singularities([0, 0], [1, 2], 4, 0)
+@pytest.mark.parametrize(
+    "E, F, nodes",
+    [([0, 0], [1, 2], 4), ([0, 0, 0], [1, 1, 1], 6)],
+    ids=["O^2->O(1)+O(2)", "O^3->O(1)^3"],
+)
+def test_odp_count_of_an_explicit_cubic_determinant(E, F, nodes):
+    # the paper's theorem on one general matrix: det of a random matrix of
+    # forms from O(E) to O(F) on P^4, over GF(32003) with seed 0, is a cubic
+    # whose singular points are A1 points, as many as the report's ODP
+    # count; none lies off the chart x0 = 1.  For O^3 -> O(1)^3 the count
+    # is k^2 (k^2 - 1) / 12 with k = 3 (Harris, Example 19.10)
+    count, non_a1, boundary = oracles.determinantal_singularities(E, F, 4, 0)
     assert non_a1 == 0 and boundary is not None
-    inst = Instance.from_rows([4], [[0], [0]], [[1], [2]])
-    assert count == build_report(inst).odp_count == porteous_degree(inst) == 4
+    inst = Instance.from_rows([4], [[e] for e in E], [[f] for f in F])
+    assert count == build_report(inst).odp_count == porteous_degree(inst) == nodes
 
 
 TWIST_CASES = {  # ambient dims, E rows, F rows

@@ -24,6 +24,21 @@ def test_required_case_counts():
     assert results["dual-routes"].cases == 20
 
 
+def test_every_random_instance_is_built_from_degree_rows(monkeypatch):
+    # verify draws its instances through the door a report uses: one
+    # Instance.from_rows call per euler-consistency and dual-routes trial
+    calls = []
+    from_rows = invariants.Instance.from_rows.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_rows(cls, *args, **kwargs)
+
+    monkeypatch.setattr(invariants.Instance, "from_rows", classmethod(counting))
+    assert all(r.passed for r in run_all(depth=6))
+    assert len(calls) == 50 + 20
+
+
 def test_runs_are_deterministic():
     first = run_all(depth=4, seed=5)
     second = run_all(depth=4, seed=5)
