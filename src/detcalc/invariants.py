@@ -5,12 +5,12 @@ dimension at least four, an equal-rank bundle pair (E, F), and an optional
 degree-one polarization class.  The hypersurface is the divisor where a
 generic morphism E -> F drops rank; its singular locus is the next
 degeneracy stratum.  The quantities several invariants share are built
-once: the pair's divisor class ``D = c1(F) - c1(E)`` and Calabi-Yau test
-``c1(T) == D`` by the constructors, which do no other ring work; the
-ring the report runs on, the instance's small resolution with its tangent
-class ``c(T_Z)`` and the pair's two Chern-class sequences on that ring, on
-first read and with no lock (``bundles.first_read``), so the ``c2`` guard,
-which reads only the inputs, refuses first.  The functions here only read
+once: the ring the report runs on, the pair's divisor class ``D = c1(F) -
+c1(E)`` and Calabi-Yau test ``c1(T) == D`` by the constructors, which do
+no other ring work; the instance's small resolution with its tangent
+class ``c(T_Z)`` and the pair's two Chern-class sequences, on first read
+and with no lock (``bundles.first_read``), so the ``c2`` guard, which
+reads only the inputs, refuses first.  The functions here only read
 them, ``c(T)`` of the ambient space and ``AmbientSpace.tangent_c1``: on the
 bundle they read the parts of ``c(T_Z)`` that :class:`Resolution` holds.
 All results assume the morphism is generic in the transversality sense
@@ -82,7 +82,7 @@ class Resolution(NamedTuple):
     only the others divide ``c(T_P(F))`` into ``Q``, whose parts
     ``0 .. d-1`` are ``tangent`` (those of ``c(T_P(F))`` when none divides).
     ``Instance.resolution`` builds it on first read, with ``space`` a bundle
-    over ``Instance.ring.ambient``, the block ring of ``Instance.from_rows``."""
+    over ``Instance.ambient``, the block ring of ``Instance.from_rows``."""
 
     space: AmbientSpace
     tangent: list[ChowClass]
@@ -97,14 +97,14 @@ class Instance:
     :meth:`from_rows` builds one from integer degree rows; a projective
     bundle as ambient is refused.  ``calabi_yau``, the pair's test, is True
     when the hypersurface class is ``c1(T)``, so the hypersurface has
-    trivial canonical class.  :attr:`ring`, the small resolution and the
-    sequences of the ring's pair are built on first read, not here; the
-    caller's pair divides none when the ring is the block ring.
+    trivial canonical class.  The small resolution and the sequences of
+    the pair are built on first read, not here.
 
-    Every report route runs on :attr:`ring`, chosen from the inputs alone:
-    built by hand on a product whose inputs repeat a P^1 column, it is the
-    instance :meth:`from_rows` builds from their degree rows.  ``ambient``,
-    ``pair`` and ``polarization`` stay as passed; ``resolution`` is the ring's.
+    The ring is chosen here, from the inputs alone: built by hand on a
+    product whose inputs repeat a P^1 column, the instance keeps the
+    ``ambient``, ``pair`` and ``polarization`` that :meth:`from_rows` builds
+    from their degree rows, in place of the caller's, whose pair then
+    divides none.
     """
 
     def __init__(
@@ -127,24 +127,18 @@ class Instance:
             if not polarization.is_homogeneous(1):
                 raise ValueError("polarization must be homogeneous of degree one")
             _check_ample(ambient.caps, ambient.coefficients(polarization))
+        rows = _block_rows(ambient, pair, polarization)
+        if rows:
+            block = Instance.from_rows(ambient.caps, *rows)
+            ambient, pair, polarization = block.ambient, block.pair, block.polarization
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
 
     @first_read
-    def _block(self) -> "Instance | None":
-        """The block-ring instance when the inputs are constant on a block of
-        P^1 factors; None, not self, otherwise, as a cycle would outlive
-        its last reference."""
-        rows = _block_rows(self.ambient, self.pair, self.polarization)
-        return Instance.from_rows(self.ambient.caps, *rows) if rows else None
-
-    @first_read
     def resolution(self) -> Resolution:
-        """The small resolution of :attr:`ring`, built on first read."""
-        if self._block is not None:
-            return self._block.resolution
+        """The small resolution, built on first read."""
         # The small resolution inside the rank-one-quotient bundle of F: the
         # zero locus of E dual pulled back and twisted by the tautological
         # class xi, with normal roots xi - e_i for the roots e_i of E.
@@ -197,12 +191,6 @@ class Instance:
         return cls(space, pair, polarization)
 
     @property
-    def ring(self) -> "Instance":
-        """The instance :meth:`from_rows` builds when the inputs repeat a P^1
-        column, else the instance itself; every number is the same on both."""
-        return self._block or self
-
-    @property
     def d(self) -> int:
         return self.ambient.dim
 
@@ -220,9 +208,10 @@ def _check_ample(dims, degrees) -> None:
 
 
 def _block_rows(space: AmbientSpace, pair: VirtualPair, polarization):
-    """The degree rows ``(E, F, polarization)`` of an instance's inputs when
-    ``space`` is a plain product (not a block ring) and they repeat a P^1
-    column, so that the instance runs on the block ring; else None."""
+    """The degree rows ``(E, F, polarization)`` of a hand-built instance's
+    inputs when ``space`` is a plain product (not a block ring) and they
+    repeat a P^1 column, so that the constructor restricts the instance to
+    the block ring; else None."""
     if any(space.divided) or space.caps.count(1) < 2:
         return None
     E, F = ([space.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
@@ -259,8 +248,8 @@ def porteous_class(inst: Instance) -> ChowClass:
 
     By Thom-Porteous, the locus where the morphism has rank at most
     ``rank - 2``: the square shape of side 2 on the pair's Schur sequence,
-    ``s_2 s_2 - s_1 s_3``, on ``inst.ambient``; the report routes pass
-    ``inst.ring``.
+    ``s_2 s_2 - s_1 s_3``, on ``inst.ambient``, the ring the constructor
+    chose.
     """
     s = inst.pair.schur_seq
     return sum_of_products(inst.ambient, [(1, s[2], s[2]), (-1, s[1], s[3])])
@@ -277,7 +266,6 @@ def porteous_degree(inst: Instance) -> int:
             "the singular locus is a zero-cycle only when dim M = 4; "
             "use porteous_class for the class itself"
         )
-    inst = inst.ring
     return inst.ambient.integrate(porteous_class(inst))
 
 
@@ -318,7 +306,6 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     checked as classes; that ties the roots to the pair's sequences.  A
     mismatch raises :class:`ConsistencyError`.
     """
-    inst = inst.ring
     d = inst.d
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
@@ -368,7 +355,6 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
     2 c1(T)``, which is ``3 c1(T)`` under the Calabi-Yau condition ``D =
     c1(T)``.  Refused from dimension 6, where Sing is a surface or more.
     """
-    inst = inst.ring
     if inst.d not in (4, 5):
         raise GuardError(
             "the shortcut formula is only available for dim M = 4 or 5; "
@@ -396,7 +382,6 @@ def intersection_numbers(inst: Instance) -> list[int]:
     """
     if inst.polarization is None:
         raise GuardError("intersection numbers need a polarization class")
-    inst = inst.ring
     d = inst.d
     space = inst.ambient
     seq = inst.pair.schur_seq
@@ -462,7 +447,6 @@ def _c2_numbers(inst: Instance, singular) -> C2Pairings:
     int, or None to compute it).  The closed and reduced forms integrate
     products of two or three ambient classes with ``_pair`` and ``_pair3``,
     which form no product."""
-    inst = inst.ring
     cy = inst.calabi_yau
     space = inst.ambient
     seq = inst.pair.schur_seq

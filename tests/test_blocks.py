@@ -1,10 +1,10 @@
 """The block ring of repeated P^1 factors (``chow.block_space``) against the
 monomial ring.
 
-A report whose roots and polarization are constant on a block of P^1
-factors runs on the block ring.  With the block test patched off
-(``invariants._block_rows`` returning None) the same instance runs on the
-2^n-monomial ring, and every report field must be equal; so must the
+An instance whose roots and polarization are constant on a block of P^1
+factors is built on the block ring.  With the block test patched off
+(``invariants._block_rows`` returning None) the same hand-built instance
+stays on the 2^n-monomial ring, and every report field must be equal; so must the
 reports of ``Instance.from_rows`` and of the command line's path, which
 build the block ring straight from the rows' columns.
 """
@@ -36,13 +36,18 @@ from tables import instance as config_instance
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def library_instance(dims, rows_e, rows_f, polarization):
+def library_inputs(dims, rows_e, rows_f, polarization):
+    """The product space, pair and polarization a library caller passes."""
     space = product_of_projective_spaces(dims)
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, rows_e),
         BundleSpec.sum_of_line_bundles(space, rows_f),
     )
-    return Instance(space, pair, space.degree_one(polarization))
+    return space, pair, space.degree_one(polarization)
+
+
+def library_instance(dims, rows_e, rows_f, polarization):
+    return Instance(*library_inputs(dims, rows_e, rows_f, polarization))
 
 
 def config(dims, rows_e, rows_f, polarization):
@@ -61,7 +66,7 @@ def monomial_report(dims, rows_e, rows_f, polarization):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariants, "_block_rows", lambda space, pair, polar: None)
         inst = library_instance(dims, rows_e, rows_f, polarization)
-        assert inst.ring is inst
+        assert not any(inst.ambient.divided)
         return asdict(build_report(inst, allow_non_cy_c2=True))
 
 
@@ -123,13 +128,13 @@ def test_block_ring_reports_equal_the_monomial_ring(case):
         for i, d in enumerate(dims)
     ]
     repeated = any(d == 1 and columns.count(c) > 1 for d, c in zip(dims, columns))
-    assert (inst.ring is not inst) == repeated
+    assert any(inst.ambient.divided) == repeated
     assert asdict(build_report(inst, allow_non_cy_c2=True)) == expected
-    assert inst.ambient.gens == product_of_projective_spaces(dims).gens
     doc = config(*case)
     from_config = config_instance(doc)
-    assert from_config.ring is from_config
     assert any(from_config.ambient.divided) == repeated
+    assert repr(inst.ambient) == repr(from_config.ambient)
+    assert inst.ambient.gens == from_config.ambient.gens
     assert asdict(build_report(from_config, allow_non_cy_c2=True)) == expected
     assert asdict(cli.report_from_config(doc)) == expected
     # _pair on the block ring, divided loop included, is the integral of the
@@ -154,8 +159,9 @@ def pairings(inst):
 
 
 def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch):
-    # the p1n_dense (P^1)^8 op runs on the block ring, where the instance
-    # divides its own pair's sequences; the caller's pair divides none
+    # the p1n_dense (P^1)^8 op is built on the block ring, where the
+    # instance divides its own pair's sequences; the caller's pair divides
+    # none
     n = 8
     spaces = []
     original = chow.divide_by_roots
@@ -166,11 +172,13 @@ def test_a_restricted_instance_divides_nothing_on_the_callers_space(monkeypatch)
 
     for module in (chow, bundles, invariants):
         monkeypatch.setattr(module, "divide_by_roots", recording)
-    inst = library_instance([1] * n, [[0] * n] * 3, [[1] * n] * 3, [1] * n)
+    caller, pair, polarization = library_inputs(
+        [1] * n, [[0] * n] * 3, [[1] * n] * 3, [1] * n
+    )
+    inst = Instance(caller, pair, polarization)
     build_report(inst)
-    pair = inst.pair
-    assert inst.ring is not inst and spaces
-    assert all(space is not inst.ambient for space in spaces)
+    assert inst.pair is not pair and spaces
+    assert all(space is not caller for space in spaces)
     assert not {"chern_diff", "schur_seq"} & vars(pair).keys()
     # read afterwards, on the caller's space, they are the quotients
     c_e, c_f = (prod(1 + r for r in B.roots) for B in (pair.E, pair.F))
@@ -198,17 +206,18 @@ def test_p1_40_report_finishes_on_the_block_ring():
 
 def test_hand_built_p1_40_reports_as_from_rows_without_its_tangent_class():
     # a library caller's (P^1)^40 product ring costs its 40 generators: the
-    # report runs on the block ring, and the caller's c(T), 2^40 terms, is
-    # never built; a small product shows that first, as the (P^1)^40 one
+    # instance is built on the block ring, and the caller's c(T), 2^40
+    # terms, is never built; a small product shows that first, as the (P^1)^40 one
     # would otherwise fill memory
     assert product_of_projective_spaces([1] * 4)._tangent is None
     doc = json.loads((GOLDEN / "p1_40_mixed.json").read_text(encoding="utf-8"))
     dims, rows = doc["ambient"]["dims"], (doc["E"], doc["F"], doc["polarization"])
-    inst = library_instance(dims, *rows)
-    assert inst.ring is not inst
+    caller = library_inputs(dims, *rows)
+    inst = Instance(*caller)
+    assert inst.ambient is not caller[0]
     report = build_report(inst)
     assert asdict(report) == asdict(build_report(Instance.from_rows(dims, *rows)))
-    assert inst.ambient._tangent is None
+    assert caller[0]._tangent is None
 
 
 def test_divided_powers_multiply_by_binomials():
@@ -292,27 +301,28 @@ def test_inputs_without_a_repeated_p1_column_build_no_block_ring(monkeypatch):
             BundleSpec.sum_of_line_bundles(space, rows_f),
         )
         inst = Instance(space, pair, space.degree_one([1] * len(space.caps)))
-        assert (inst.ring is not inst) == repeated
+        assert (inst.ambient is not space) == repeated
         assert bool(built) == repeated
 
 
-def test_hand_built_instance_builds_its_block_ring_on_the_first_report(monkeypatch):
-    # the c2 guard reads only the caller's inputs, so neither the constructor
-    # nor a report the guard refuses builds the block ring; the first report
-    # that runs builds it once
+def test_hand_built_instance_builds_its_block_ring_in_the_constructor(monkeypatch):
+    # the constructor builds the block ring once, and no report builds
+    # another; a report the c2 guard refuses builds neither the resolution
+    # nor a sequence of the pair
     built = []
     original = invariants.block_space
     monkeypatch.setattr(
         invariants, "block_space", lambda *a: built.append(a) or original(*a)
     )
     inst = library_instance([1] * 4, [[0] * 4] * 2, [[1] * 4, [2] * 4], [1] * 4)
-    assert built == []
+    assert len(built) == 1 and repr(inst.ambient) == "(P^1)^4"
     with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
         build_report(inst)
-    assert built == []
+    assert "resolution" not in vars(inst)
+    assert not {"chern_diff", "schur_seq"} & vars(inst.pair).keys()
     for _ in range(2):
         build_report(inst, allow_non_cy_c2=True)
-        assert len(built) == 1 and inst.ring is not inst
+        assert len(built) == 1
 
 
 def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):

@@ -168,14 +168,14 @@ def test_porteous_degree_of_quintic(quintic):
 def test_porteous_class_defaults_to_square_shape(quintic):
     # against the cofactor determinant: the quintic, dense P^5 to P^8, a
     # product of P^1 factors on its block ring, and one whose columns differ
-    blocks = dense_product_instance([1] * 6).ring
+    blocks = dense_product_instance([1] * 6)
     space = product_of_projective_spaces([1] * 5)
     pair = VirtualPair(
         BundleSpec.sum_of_line_bundles(space, [[0] * 5, [-1, 0, 0, 1, 0]]),
         BundleSpec.sum_of_line_bundles(space, [[1, 0, 1, 0, 1], [1] * 5]),
     )
     distinct = Instance(space, pair, space.degree_one([1, 2, 3, 4, 5]))
-    assert any(blocks.ambient.divided) and distinct.ring is distinct
+    assert any(blocks.ambient.divided) and distinct.ambient is space
     cases = [quintic, *map(dense_instance, range(5, 9)), blocks, distinct]
     for inst in cases:
         assert porteous_class(inst) == schur((2, 2), inst.pair.schur_seq)
@@ -735,18 +735,18 @@ def test_values_are_computed_on_first_read(quintic, quartic):
     build_report(inst)
     again = inst.resolution, pair.chern_diff, pair.schur_seq
     assert all(x is y for x, y in zip(again, built))
-    # a block instance reads the ring's resolution; the caller's pair never
-    # divides, the ring's pair does
+    # a block instance builds its resolution on the block ring; the caller's
+    # pair never divides, the instance's pair does
     p1s = product_of_projective_spaces([1] * 4)
     caller = VirtualPair(
         BundleSpec.sum_of_line_bundles(p1s, [[0] * 4] * 2),
         BundleSpec.sum_of_line_bundles(p1s, [[1] * 4, [2] * 4]),
     )
     block = Instance(p1s, caller, p1s.degree_one([1] * 4))
-    assert block.ring is not block and "resolution" not in vars(block.ring)
+    assert block.pair is not caller and "resolution" not in vars(block)
     build_report(block, allow_non_cy_c2=True)
-    assert block.resolution is block.ring.resolution
-    assert {"chern_diff", "schur_seq"} <= vars(block.ring.pair).keys()
+    assert vars(block)["resolution"].space.base is block.ambient
+    assert {"chern_diff", "schur_seq"} <= vars(block.pair).keys()
     assert not {"chern_diff", "schur_seq"} & vars(caller).keys()
     # the quintic (no normal root is xi) divides c(T_P) by every normal root:
     # parts 0 .. d-1 of c(T_Z), and its polarization asks for the cycles
@@ -926,13 +926,13 @@ def test_uniform_bundle_matches_the_untwisted_resolution(case):
 
 def assert_untwisted_resolution_agrees(inst, report):
     """Build P(F) itself, with its whole relation and xi its fiber class, on
-    the ring the report runs on (the block ring when the inputs are constant
-    on a block of P^1 factors), and check the report's chi(Z), the pushed
+    the instance's ring (the block ring when the inputs are constant on a
+    block of P^1 factors), and check the report's chi(Z), the pushed
     cycles L^j . [Z] with their intersection numbers and, on fourfolds, the
     c2 direct cycle."""
-    ring, res, d = inst.ring, inst.resolution, inst.d
-    pair, hyper = ring.pair, ring.polarization
-    bundle = proj_bundle(ring.ambient, pair.F)
+    res, d = inst.resolution, inst.d
+    pair, hyper = inst.pair, inst.polarization
+    bundle = proj_bundle(inst.ambient, pair.F)
     xi = bundle.fiber_class()
     roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
     locus = prod(roots, start=bundle.one())
@@ -950,7 +950,7 @@ def assert_untwisted_resolution_agrees(inst, report):
         cycle = tangent[2] * locus
         assert _pair(hyper, bundle.pushforward(cycle)) == report.c2_against_polarization
         assert (
-            ring.ambient.integrate(bundle.pushforward(cycle * xi))
+            inst.ambient.integrate(bundle.pushforward(cycle * xi))
             == report.c2_against_tautological
         )
 
@@ -1095,11 +1095,10 @@ def test_report_numbers_are_ints(case):
 def doubled_locus(inst):
     """A copy of ``inst`` whose resolution has twice its fundamental class:
     twice every cycle ``[Z] xi^j``, which every direct route reads and no
-    other route does.  The routes read the resolution of the ring the
-    report runs on."""
+    other route does."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
     res = copy.resolution
-    copy.ring.resolution = res._replace(cycles=[2 * cycle for cycle in res.cycles])
+    copy.resolution = res._replace(cycles=[2 * cycle for cycle in res.cycles])
     return copy
 
 
@@ -1160,7 +1159,7 @@ def doubled_tangent(inst):
     which every direct route but the intersection numbers reads."""
     copy = Instance(inst.ambient, inst.pair, inst.polarization)
     res = copy.resolution
-    copy.ring.resolution = res._replace(tangent=[2 * t for t in res.tangent])
+    copy.resolution = res._replace(tangent=[2 * t for t in res.tangent])
     return copy
 
 
@@ -1242,7 +1241,7 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
         divided.clear()
         inst = make()
         res = inst.resolution
-        bundle, xi, E = res.space, res.tautological, inst.ring.pair.E
+        bundle, xi, E = res.space, res.tautological, inst.pair.E
         assert bundle.has_relation == relation
         assert [e.is_zero() for e in E.roots].count(True) == xis
         others = [xi - bundle.pullback(e) for e in E.roots if not e.is_zero()]
@@ -1253,7 +1252,7 @@ def test_paired_resolution_divides_and_multiplies_nothing_on_the_bundle(
         assert (res.tangent == whole) == (not others)
         multiplied.clear()
         intersection_numbers(inst)
-        assert inst.ring.ambient in multiplied  # the powers of the polarization
+        assert inst.ambient in multiplied  # the powers of the polarization
         assert bundle not in multiplied
 
 
@@ -1439,11 +1438,11 @@ def test_resolution_cycles_push_forward_to_the_schur_sequence(case):
         BundleSpec.sum_of_line_bundles(space, rows_e),
         BundleSpec.sum_of_line_bundles(space, rows_f),
     )
-    ring = Instance(space, pair).ring  # the block ring, when F and E allow
-    res = ring.resolution
+    inst = Instance(space, pair)  # on the block ring, when F and E allow
+    res = inst.resolution
     cycle = res.cycles[0]
     for j in range(space.dim):
-        assert res.space.pushforward(cycle) == ring.pair.schur_seq[j + 1], j
+        assert res.space.pushforward(cycle) == inst.pair.schur_seq[j + 1], j
         if j < len(res.cycles):  # the cycles the instance stores, when it does
             assert cycle == res.cycles[j], j
         cycle = cycle * res.tautological
@@ -1491,9 +1490,9 @@ def reports_in_threads(shared, count=4):
 def test_build_report_agrees_across_threads():
     # the threads share one set of spaces and instances and run them in the
     # same order, so every cache filled on first read fills concurrently: an
-    # instance's _block and resolution, a pair's chern_diff and schur_seq, a
-    # base space's c(T) and a bundle's _reduced; twenty rounds, each on
-    # fresh instances
+    # instance's resolution, a pair's chern_diff and schur_seq, a base
+    # space's c(T) and a bundle's _reduced; twenty rounds, each on fresh
+    # instances
     serial = [asdict(build_report(inst)) for inst in threaded_cases()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-computation
@@ -1551,20 +1550,6 @@ def test_racing_reads_of_the_resolution_keep_the_first_stored(monkeypatch):
     assert first is second
     assert inst.resolution is first  # stored: the barrier is not met again
     assert build_report(inst, allow_non_cy_c2=True).dim == 5
-    # so does the block ring of a hand-built (P^1)^4 instance whose inputs
-    # repeat a P^1 column: both threads are inside block_space at once
-    p1s = product_of_projective_spaces([1] * 4)
-    pair = VirtualPair(
-        BundleSpec.sum_of_line_bundles(p1s, [[0] * 4] * 2),
-        BundleSpec.sum_of_line_bundles(p1s, [[1] * 4, [2] * 4]),
-    )
-    block = Instance(p1s, pair, p1s.degree_one([1] * 4))
-    assert "_block" not in vars(block)
-    read = lambda: block.ring
-    first, second = meet_in_two_threads(
-        monkeypatch, invariants, "block_space", read, read
-    )
-    assert first is second is block.ring and first is not block
 
 
 def test_first_reads_of_two_instances_run_at_once(monkeypatch):
