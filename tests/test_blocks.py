@@ -4,9 +4,9 @@ monomial ring.
 An instance whose roots and polarization are constant on a block of P^1
 factors is built on the block ring.  With the block test patched off
 (``invariants._block_rows`` returning None) the same hand-built instance
-stays on the 2^n-monomial ring, and every report field must be equal; so must the
-reports of ``Instance.from_rows`` and of the command line's path, which
-build the block ring straight from the rows' columns.
+stays on the 2^n-monomial ring, and every report field must be equal; so
+must the reports of ``Instance.from_rows`` and of the command line's path,
+which build the block ring straight from the rows' columns.
 """
 
 import json
@@ -207,8 +207,8 @@ def test_p1_40_report_finishes_on_the_block_ring():
 def test_hand_built_p1_40_reports_as_from_rows_without_its_tangent_class():
     # a library caller's (P^1)^40 product ring costs its 40 generators: the
     # instance is built on the block ring, and the caller's c(T), 2^40
-    # terms, is never built; a small product shows that first, as the (P^1)^40 one
-    # would otherwise fill memory
+    # terms, is never built; a small product shows that first, as the
+    # (P^1)^40 one would otherwise fill memory
     assert product_of_projective_spaces([1] * 4)._tangent is None
     doc = json.loads((GOLDEN / "p1_40_mixed.json").read_text(encoding="utf-8"))
     dims, rows = doc["ambient"]["dims"], (doc["E"], doc["F"], doc["polarization"])
