@@ -36,19 +36,13 @@ one that starts from a class is a copy, ``dict(x.terms)``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
 
 def _scalar(value) -> int | None:
-    """``value`` as an exact integer, or None when it is not a number."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ValueError(f"coefficients must be integers, got {value}")
-        return value.numerator
-    return None
+    """``value`` when it is an ``int``, or None: a ``Fraction`` or a float,
+    even an integral one, is not a coefficient."""
+    return value if isinstance(value, int) else None
 
 
 def _make(ambient: "AmbientSpace", terms: dict[int, int]) -> "ChowClass":
@@ -638,28 +632,36 @@ def projective_space(d: int) -> AmbientSpace:
 
 
 def product_of_projective_spaces(dims) -> AmbientSpace:
-    """Product of projective spaces: one truncating hyperplane class per
-    factor, named ``h`` for a single factor and ``h1..hn`` otherwise.  Its
+    """Product of projective spaces, the block ring of distinct columns
+    (:func:`block_space`): one truncating hyperplane class per factor.  Its
     tangent class is built on first read (``AmbientSpace.tangent_chern``),
     so the space costs only its generators."""
     dims = tuple(dims)
-    return _product(dims, dims, (False,) * len(dims), range(len(dims)))
+    return block_space(dims, range(len(dims)))[0]
 
 
 def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
     """The ring of the classes of a product of projective spaces that are
     symmetric in each block, the P^1 factors of equal ``columns`` (any
     hashable per factor), and the first factor of each of its generators.
+    Every product ring is built here, ``product_of_projective_spaces`` too.
 
     A block of ``n >= 2`` factors is one divided generator ``e`` with basis
     ``e_k``, the sum of the products of k distinct hyperplane classes:
     ``e_k e_l = C(k+l, k) e_(k+l)``, ``e_n`` integrates to 1, and ``c(T)``
     has ``2^k`` on ``e_k``.  A symmetric class restricts to it by its
     coefficient on one monomial of each ``e_k``, with the same integrals.
-    Other factors stay truncating hyperplane classes, as in a product."""
+    Other factors stay hyperplane classes ``h<i>`` (``h`` on one factor)."""
     dims, columns, caps, firsts, index = tuple(dims), list(columns), [], [], {}
     if len(columns) != len(dims):
         raise ValueError(f"expected {len(dims)} columns, got {len(columns)}")
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise TypeError(f"dimensions must be integers, got {d!r}")
+    if not dims:
+        raise ValueError("at least one factor is required")
+    if any(d < 0 for d in dims):
+        raise ValueError("dimensions must be nonnegative")
     for i, (d, column) in enumerate(zip(dims, columns)):
         if d == 1 and column in index:
             caps[index[column]] += 1
@@ -669,24 +671,11 @@ def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
         caps.append(d)
         firsts.append(i)
     divided = tuple(dims[i] == 1 and c > 1 for i, c in zip(firsts, caps))
-    return _product(dims, tuple(caps), divided, firsts), firsts
-
-
-def _product(dims: tuple, caps: tuple, divided: tuple, firsts) -> AmbientSpace:
-    """The product of P^d over ``dims`` with a generator of cap ``caps[j]``
-    for each first factor ``firsts[j]``, divided where ``divided`` says."""
-    for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError(f"dimensions must be integers, got {d!r}")
-    if not dims:
-        raise ValueError("at least one factor is required")
-    if any(d < 0 for d in dims):
-        raise ValueError("dimensions must be nonnegative")
     if len(dims) == 1:
         gens = ("h",)
     else:
         gens = tuple(f"{'eh'[not d]}{i + 1}" for i, d in zip(firsts, divided))
-    return AmbientSpace(gens, caps, divided=divided)
+    return AmbientSpace(gens, tuple(caps), divided=divided), firsts
 
 
 def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:

@@ -59,6 +59,15 @@ def series_inv(a, cap: int) -> list[Fraction]:
     return out
 
 
+def integer(value: Fraction) -> int:
+    """A series coefficient as the ``int`` a class takes; one with a
+    denominator other than 1 raises, so a test that multiplies it into a
+    class still checks that it is exact."""
+    if value.denominator != 1:
+        raise ValueError(f"{value} is not an integer")
+    return value.numerator
+
+
 def series_pow(a, n: int, cap: int) -> list[Fraction]:
     out = series([1], cap)
     for _ in range(n):

@@ -1,14 +1,19 @@
-"""The package holds nothing that only the tests use: every name in
-``detcalc.__all__``, and every public method of a public class, is read by
-the package itself, outside its own definition and ``__init__.py``, or by
-the README's library example; and every function and method the package
-defines, private ones included, is read by the package itself.  Term maps
-have one owner: no module but ``chow`` reads ``.terms`` or the kernel's
-private names."""
+"""The package holds nothing that only the tests use.  ``detcalc.__all__``
+holds exactly the names its callers read: ``cli.py``, the README's library
+example and the benchmark's ``bench/workloads.py``; every other name is
+imported from its own module.  Every public method of a public class is read
+by the package itself or by the README's library example, and every
+function and method the package defines, private ones included, is read by
+the package itself.  Term maps have one owner: no module but ``chow`` reads
+``.terms`` or the kernel's private names.  Importing the command line
+leaves ``fractions`` unimported."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import detcalc
@@ -138,6 +143,51 @@ def test_every_public_name_has_a_user():
         if name not in uses.used and not re.search(rf"\b{name}\b", example)
     ]
     assert unused == []
+
+
+def _caller_names() -> tuple[set[str], set[str], set[str]]:
+    """The names each caller of the package reads: those ``cli.py`` loads,
+    those the README's example imports from ``detcalc``, and the
+    ``api.<name>`` of ``bench/workloads.py`` that are not modules."""
+    cli = _Uses()
+    cli.visit(ast.parse((PACKAGE / "cli.py").read_text()))
+    readme = {
+        alias.name
+        for node in ast.walk(ast.parse(_readme_example()))
+        if isinstance(node, ast.ImportFrom) and node.module == "detcalc"
+        for alias in node.names
+    }
+    bench = {
+        node.attr
+        for node in ast.walk(ast.parse((ROOT / "bench" / "workloads.py").read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "api"
+        and not (PACKAGE / f"{node.attr}.py").exists()
+    }
+    return cli.used, readme, bench
+
+
+def test_public_names_are_the_names_callers_read():
+    # both ways: an exported name nobody reads is only the tests' business,
+    # and a name the README or the benchmark reads must stay exported
+    cli, readme, bench = _caller_names()
+    assert [n for n in detcalc.__all__ if n not in cli | readme | bench] == []
+    assert sorted((readme | bench) - set(detcalc.__all__)) == []
+
+
+def test_importing_the_cli_does_not_import_fractions():
+    # coefficients are plain ints, so a cold start never loads fractions
+    code = "import sys, detcalc.cli; print('fractions' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def _public_methods(cls):

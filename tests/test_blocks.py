@@ -327,8 +327,10 @@ def test_hand_built_instance_builds_its_block_ring_in_the_constructor(monkeypatc
 
 def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):
     built = []
-    original = chow._product
-    monkeypatch.setattr(chow, "_product", lambda *a: built.append(a) or original(*a))
+    original = chow.AmbientSpace
+    monkeypatch.setattr(
+        chow, "AmbientSpace", lambda *a, **k: built.append(a) or original(*a, **k)
+    )
     with pytest.raises(ValueError, match="expected 3 columns, got 2"):
         block_space([2, 1, 1], zip(*[[0, 0]] * 4))
     with pytest.raises(ValueError, match="expected 3 columns, got 0"):

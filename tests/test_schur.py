@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -23,7 +22,7 @@ def random_sequence(rng, space):
     seq = [space.one()]
     for degree in range(1, space.dim + 1):
         terms = {
-            exp: Fraction(rng.randint(-4, 4))
+            exp: rng.randint(-4, 4)
             for exp in monomials_of_degree(space, degree)
         }
         seq.append(ChowClass(space, terms))
