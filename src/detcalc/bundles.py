@@ -31,20 +31,8 @@ class BundleSpec:
         self.roots = roots
 
     @classmethod
-    def split(cls, ambient: AmbientSpace, roots) -> "BundleSpec":
-        """Direct sum of line bundles, given their first Chern classes."""
-        roots = tuple(roots)
-        for root in roots:
-            if root.ambient is not ambient:
-                raise ValueError("summand class lives on a different space")
-            if not root.is_homogeneous(1):
-                raise ValueError("summand classes must be homogeneous of degree one")
-        return cls(ambient, roots)
-
-    @classmethod
     def sum_of_line_bundles(cls, ambient: AmbientSpace, degree_rows) -> "BundleSpec":
-        """Split bundle from integer multidegrees, one row per summand; the
-        classes ``degree_one`` builds need none of :meth:`split`'s checks."""
+        """Split bundle from integer multidegrees, one row per summand."""
         return cls(ambient, tuple(ambient.degree_one(row) for row in degree_rows))
 
     @property

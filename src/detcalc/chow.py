@@ -3,7 +3,9 @@
 A ring is presented by degree-one generators with one reduction rule per
 generator: a hyperplane class truncates (``h^(d+1) = 0``) while the extra
 generator of a projective bundle reduces through its defining relation,
-or truncates too when that relation is zero.  Products are normalized
+or truncates too when that relation is zero.  Every generator starts in
+normal form, its cap at least 1: :func:`block_space` refuses a P^0 factor
+and :func:`proj_bundle` a fiber of rank below 2.  Products are normalized
 eagerly, so every class is a coefficient map on normal-form monomials and
 equality is coefficient equality.  Coefficients are exact integers
 throughout; floating point never appears.
@@ -345,10 +347,12 @@ class AmbientSpace:
     ``caps[i]`` is the highest normal-form power of generator ``i``, so the
     dimension is ``sum(caps)``; a space with a ``base`` is a projective
     bundle whose last generator is the fiber class.  The module
-    constructors build an instance completely, but a space then fills two
-    caches lazily, without a lock: a bundle its reduction cache, and a
-    space with no base its tangent class, on first read.  Each is computed
-    from the inputs alone, so two threads that race store equal values.
+    constructors keep every cap at least 1, so that each generator is a
+    normal-form monomial, and build an instance completely, but a space
+    then fills two caches lazily, without a lock: a bundle its reduction
+    cache, and a space with no base its tangent class, on first read.  Each
+    is computed from the inputs alone, so two threads that race store equal
+    values.
     """
 
     def __init__(
@@ -491,37 +495,23 @@ class AmbientSpace:
         return self.scalar(1)
 
     def generator(self, i: int) -> ChowClass:
-        """The i-th degree-one generator, already reduced to normal form."""
-        code = 1 << self._shifts[i]
-        flags = (code + self._bias) & self._over
-        if not flags:
-            return _make(self, {code: 1})
-        if flags & self._trunc:
-            return self.zero()
-        return _make(self, dict(self._reduce(code)))
+        """The i-th degree-one generator: its code, coefficient 1."""
+        return _make(self, {1 << self._shifts[i]: 1})
 
     def degree_one(self, coeffs) -> ChowClass:
-        """Integer combination of the generators, summed in one term map: a
-        generator in normal form is its code, and only one that truncates
-        (a P^0) or reduces (a rank-one bundle's fiber class) is built."""
+        """Integer combination of the generators: each nonzero coefficient
+        on its generator's code."""
         coeffs = list(coeffs)
         if len(coeffs) != len(self.gens):
             msg = f"expected {len(self.gens)} coefficients, got {len(coeffs)}"
             raise ValueError(msg)
-        out: dict[int, int] = {}
-        bias, over = self._bias, self._over
-        for i, (c, shift) in enumerate(zip(coeffs, self._shifts)):
-            q = _scalar(c)
-            if q is None:
+        terms: dict[int, int] = {}
+        for c, shift in zip(coeffs, self._shifts):
+            if _scalar(c) is None:
                 raise TypeError(f"expected an integer, got {c!r}")
-            if q:
-                code = 1 << shift
-                if not (code + bias) & over:
-                    out[code] = out.get(code, 0) + q
-                else:
-                    for e, k in self.generator(i).terms.items():
-                        out[e] = out.get(e, 0) + q * k
-        return _finish(self, out)
+            if c:
+                terms[1 << shift] = c
+        return _make(self, terms)
 
     def coefficients(self, x: ChowClass) -> list[int]:
         """The coefficient of each generator in ``x``, a class of degree one:
@@ -660,8 +650,8 @@ def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
             raise TypeError(f"dimensions must be integers, got {d!r}")
     if not dims:
         raise ValueError("at least one factor is required")
-    if any(d < 0 for d in dims):
-        raise ValueError("dimensions must be nonnegative")
+    if any(d < 1 for d in dims):
+        raise ValueError("dimensions must be at least 1: a factor P^0 is refused")
     for i, (d, column) in enumerate(zip(dims, columns)):
         if d == 1 and column in index:
             caps[index[column]] += 1
@@ -683,8 +673,8 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
 
     Adjoins a generator ``xi`` (the first Chern class of the tautological
     quotient line bundle) with the relation ``sum_i c_i(fiber dual) *
-    xi^(r - i) = 0``.  With this convention the rank-one case collapses to
-    the base with ``xi = c1(fiber)``, and pushing forward ``xi^(r-1+m)``
+    xi^(r - i) = 0``, for a rank r of at least 2, so that ``xi`` is in
+    normal form.  With this convention pushing forward ``xi^(r-1+m)``
     yields the m-th coefficient of ``1 / c(fiber dual)``.  The relative
     tangent class is ``c`` of ``fiber dual`` pulled back and twisted by ``xi``.
 
@@ -692,8 +682,8 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
     drop the base's relation, and ``pullback`` would not be multiplicative.
     """
     rank = fiber.rank
-    if rank < 1:
-        raise ValueError("fiber bundle must have positive rank")
+    if rank < 2:
+        raise ValueError("fiber bundle must have rank at least 2")
     if fiber.ambient is not base:
         raise ValueError("fiber bundle does not live on the given base")
     if base.base is not None:

@@ -117,24 +117,28 @@ class Instance:
             raise ValueError("bundle pair lives on a different ambient space")
         if ambient.base is not None:
             raise ValueError(f"the ambient space is a projective bundle: {ambient!r}")
-        if ambient.dim < 4:
-            raise GuardError("the ambient space must have dimension at least 4")
-        if pair.rank < 2:
-            raise GuardError("the bundle rank must be at least 2")
+        self._adopt(ambient, pair, polarization)
         if polarization is not None:
             if polarization.ambient is not ambient:
                 raise ValueError("polarization lives on a different ambient space")
             if not polarization.is_homogeneous(1):
                 raise ValueError("polarization must be homogeneous of degree one")
-            _check_ample(ambient.caps, ambient.coefficients(polarization))
+            _check_ample(ambient.coefficients(polarization))
         rows = _block_rows(ambient, pair, polarization)
         if rows:
-            block = Instance.from_rows(ambient.caps, *rows)
-            ambient, pair, polarization = block.ambient, block.pair, block.polarization
+            vars(self).update(vars(Instance.from_rows(ambient.caps, *rows)))
+
+    def _adopt(self, ambient, pair, polarization) -> "Instance":
+        """Take the inputs after the guards that every instance passes."""
+        if ambient.dim < 4:
+            raise GuardError("the ambient space must have dimension at least 4")
+        if pair.rank < 2:
+            raise GuardError("the bundle rank must be at least 2")
         self.ambient = ambient
         self.pair = pair
         self.polarization = polarization
         self.calabi_yau = pair.calabi_yau
+        return self
 
     @first_read
     def resolution(self) -> Resolution:
@@ -170,8 +174,10 @@ class Instance:
         entry per factor: a row per summand of E and F, one for the
         polarization.  It runs on the block ring of the factors' columns
         (``chow.block_space``); no rows, E and F of different lengths, a row
-        of the wrong width or a polarization that is not ample raises
-        ``ValueError`` before that ring is built, naming the caller's factor."""
+        of the wrong width, a factor P^0 or a polarization that is not ample
+        raises ``ValueError`` before that ring is built, naming the caller's
+        factor.  Built from the rows, the instance skips the checks of a
+        hand-built one, which read each class's degrees back."""
         if not E or not F:
             raise ValueError("E and F must each have at least one row")
         if len(E) != len(F):
@@ -181,14 +187,14 @@ class Instance:
             if len(row) != len(dims):
                 raise ValueError(f"expected {len(dims)} entries in row {row!r}")
         if polarization is not None:
-            _check_ample(dims, polarization)
+            _check_ample(polarization)
         space, firsts = block_space(dims, zip(*rows))
         if len(firsts) < len(dims):  # one degree per block
             rows = [[row[i] for i in firsts] for row in rows]
         E, F = rows[: len(E)], rows[len(E) : len(E) + len(F)]
         pair = VirtualPair(*(BundleSpec.sum_of_line_bundles(space, B) for B in (E, F)))
         polarization = space.degree_one(rows[-1]) if polarization is not None else None
-        return cls(space, pair, polarization)
+        return object.__new__(cls)._adopt(space, pair, polarization)
 
     @property
     def d(self) -> int:
@@ -198,11 +204,11 @@ class Instance:
         return f"Instance(rank {self.pair.rank} pair on {self.ambient!r})"
 
 
-def _check_ample(dims, degrees) -> None:
-    """Raise ``ValueError`` unless ``O(a_1, ..., a_n)`` is ample: ``a_i``, its
-    degree on a line of factor i, is at least 1 wherever ``dims[i] > 0``."""
-    for i, (d, a) in enumerate(zip(dims, degrees)):
-        if d and a < 1:
+def _check_ample(degrees) -> None:
+    """Raise ``ValueError`` unless ``O(a_1, ..., a_n)`` is ample: every
+    ``a_i``, its degree on a line of factor i, is at least 1."""
+    for i, a in enumerate(degrees):
+        if a < 1:
             msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
             raise ValueError(msg)
 
@@ -230,15 +236,12 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
     Integrates ``D * c(T) / (1 + D)`` over the space, on a base or a bundle
     space alike: the parts of ``c(T)`` below the top degree are divided by
     the one root ``D`` (:func:`divide_by_roots`), and only ``D`` times the
-    quotient's degree-``(d-1)`` part reaches the top.  On a point, where
-    no degree ``d - 1`` exists, the divisor is empty and the number is 0.
+    quotient's degree-``(d-1)`` part reaches the top.
     """
     if divisor.ambient is not space:
         raise ValueError("divisor class lives on a different space")
     if not divisor.is_homogeneous(1):
         raise ValueError("divisor class must be homogeneous of degree one")
-    if space.dim == 0:
-        return 0
     quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
     return space.integrate(divisor * quotient[-1])
 

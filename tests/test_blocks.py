@@ -342,6 +342,25 @@ def test_block_space_refuses_columns_that_do_not_match_the_factors(monkeypatch):
     assert space.dim == 4 and firsts == [0, 1] and len(built) == 1
 
 
+def test_block_space_and_from_rows_refuse_a_factor_p0(monkeypatch):
+    # every generator starts in normal form, so a P^0 factor, whose
+    # hyperplane class would truncate, is refused before any ring is built
+    built = []
+    original = chow.AmbientSpace
+    monkeypatch.setattr(
+        chow, "AmbientSpace", lambda *a, **k: built.append(a) or original(*a, **k)
+    )
+    refused = "dimensions must be at least 1: a factor P\\^0 is refused"
+    for dims in ([0], [4, 0], [1, 0, 1]):
+        with pytest.raises(ValueError, match=refused):
+            block_space(dims, range(len(dims)))
+    with pytest.raises(ValueError, match=refused):
+        product_of_projective_spaces([0, 4])
+    with pytest.raises(ValueError, match=refused):
+        Instance.from_rows([0, 4], [[0, 0]] * 2, [[0, 1]] * 2)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "E, F, polarization, message",
     [
@@ -377,3 +396,32 @@ def test_from_rows_names_the_callers_factor_of_a_non_ample_polarization(monkeypa
     with pytest.raises(ValueError, match="degree below 1 on factor 5$"):
         Instance.from_rows([1, 1, 1, 1, 2], [[0] * 5] * 2, rows_f, [1, 2, 1, 2, 0])
     assert built == []
+
+
+def test_from_rows_reads_no_degree_back_from_a_class(monkeypatch):
+    # from_rows builds its ring, pair and polarization from the rows, so no
+    # ample test or block restriction reads a class's coefficients; a
+    # hand-built instance on the same product reads them, which shows that
+    # the patch is seen.  The dimension and rank guards still hold.
+    calls = []
+    original = chow.AmbientSpace.coefficients
+    monkeypatch.setattr(
+        chow.AmbientSpace,
+        "coefficients",
+        lambda self, x: calls.append(x) or original(self, x),
+    )
+    rows_e, rows_f = [[0, 0, 0]] * 2, [[1, 2, 1], [2, 1, 1]]
+    for dims, E, F, polarization in [
+        ([1, 1, 2], rows_e, rows_f, [1, 1, 1]),
+        ([1, 1, 2], rows_e, rows_f, None),
+        ([1, 1, 2], rows_e, [[1, 1, 2], [2, 2, 1]], [1, 1, 1]),  # one block
+        ([4], [[0]] * 3, [[1], [2], [2]], [1]),
+    ]:
+        Instance.from_rows(dims, E, F, polarization)
+    assert calls == []
+    library_instance([1, 1, 2], rows_e, rows_f, [1, 1, 1])
+    assert calls
+    with pytest.raises(GuardError, match="dimension at least 4"):
+        Instance.from_rows([1, 2], [[0, 0]] * 2, [[1, 1]] * 2)
+    with pytest.raises(GuardError, match="rank must be at least 2"):
+        Instance.from_rows([1, 1, 2], [[0, 0, 0]], [[1, 1, 1]])

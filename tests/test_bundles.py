@@ -232,20 +232,10 @@ def test_total_chern_against_naive_product(case):
         assert bundle.dual().total_chern() == naive_total_chern(space, bundle.roots, -1)
 
 
-def test_split_refuses_foreign_or_inhomogeneous_roots():
-    p4, p3 = projective_space(4), projective_space(3)
-    h = p4.generator(0)
-    with pytest.raises(ValueError, match="different space"):
-        BundleSpec.split(p4, [h, p3.generator(0)])
-    with pytest.raises(ValueError, match="degree one"):
-        BundleSpec.split(p4, [h, h * h])
-    with pytest.raises(ValueError, match="degree one"):
-        BundleSpec.split(p4, [1 + h])
-
-
 def test_derived_bundles_keep_degree_one_roots_on_their_space():
-    # dual, twist and pullback_to skip the checks of split: their roots
-    # must still be degree-one classes on the bundle's own space
+    # dual, twist and pullback_to build their roots from classes, not from
+    # degree rows: each must still be a degree-one class on the bundle's own
+    # space, the class of its row of coefficients
     base = product_of_projective_spaces([1, 2])
     B = BundleSpec.sum_of_line_bundles(base, [[1, -1], [0, 0], [2, 1]])
     space = proj_bundle(base, B)
@@ -264,7 +254,8 @@ def test_derived_bundles_keep_degree_one_roots_on_their_space():
         for root in bundle.roots:
             assert root.ambient is where
             assert root.is_homogeneous(1)
-        assert BundleSpec.split(where, bundle.roots).roots == bundle.roots
+        rows = [where.coefficients(root) for root in bundle.roots]
+        assert BundleSpec.sum_of_line_bundles(where, rows).roots == bundle.roots
     with pytest.raises(ValueError, match="degree one"):
         B.twist(ell * ell)
     with pytest.raises(ValueError, match="degree one"):
@@ -360,17 +351,17 @@ def test_calabi_yau_on_a_projective_bundle_reads_its_tangent_class():
     # the caps (2 e on a block), before its c(T) is built
     for space in (
         projective_space(5),
-        product_of_projective_spaces([1, 0, 2, 1]),
+        product_of_projective_spaces([1, 3, 2, 1]),
         block_space([1, 2, 1, 1], [0, 1, 0, 2])[0],
     ):
         c1 = space.tangent_c1
         assert space._tangent is None
         assert c1 == space.tangent_chern.parts(1)[1]
-    E = BundleSpec.split(bundle, [bundle.zero(), bundle.zero()])
-    for divisor, calabi_yau in [(2 * xi + 3 * h, True), (2 * xi + 4 * h, False)]:
-        F = BundleSpec.split(bundle, [xi, divisor - xi])
+    E = BundleSpec.sum_of_line_bundles(bundle, [[0, 0], [0, 0]])
+    for a, calabi_yau in [(3, True), (4, False)]:
+        F = BundleSpec.sum_of_line_bundles(bundle, [[0, 1], [a, 1]])
         pair = VirtualPair(E, F)
-        assert pair.hypersurface_class == divisor
+        assert pair.hypersurface_class == 2 * xi + a * h
         assert pair.calabi_yau is calabi_yau
 
 

@@ -147,12 +147,6 @@ def test_euler_smooth_on_a_bundle_space_against_the_power_sum():
         )
 
 
-def test_euler_smooth_on_a_point():
-    # no degree d - 1 exists on a point: the divisor is empty
-    point = projective_space(0)
-    assert euler_smooth_hypersurface(point, point.zero()) == 0
-
-
 # -- singular-locus degrees ---------------------------------------------------
 
 
@@ -284,13 +278,13 @@ def test_calabi_yau_flag_reads_c1_from_the_caps(quartic_table):
     table += [inst for inst, _ in table_rows("table1")]
     assert all(same_flag(inst) for inst in table)
     assert {inst.calabi_yau for inst in table} == {False, True}
-    for dims in ([4], [5], [1] * 8, [2, 0, 3]):
+    for dims in ([4], [5], [1] * 8, [2, 1, 3]):
         space = product_of_projective_spaces(dims)
         zero, c1 = [0] * len(dims), [d + 1 for d in dims]
-        # the degree on a P^0 factor is no class, so it cannot break the test
-        off_point = [d + 1 if d else 7 for d in dims]
+        # one degree off c1(T), on the last factor, breaks the test
+        off_last = c1[:-1] + [c1[-1] + 1]
         seen = set()
-        for rows_f in ([zero, c1], [zero, off_point], [zero, zero], [c1, c1]):
+        for rows_f in ([zero, c1], [zero, off_last], [zero, zero], [c1, c1]):
             pair = VirtualPair(
                 BundleSpec.sum_of_line_bundles(space, [zero, zero]),
                 BundleSpec.sum_of_line_bundles(space, rows_f),
@@ -693,8 +687,8 @@ def test_instance_refuses_a_projective_bundle_ambient():
     # on first read, so the constructor refuses such an ambient itself
     p3 = projective_space(3)
     bundle = proj_bundle(p3, split(p3, [0, 1]))
-    E = BundleSpec.split(bundle, [bundle.zero()] * 2)
-    pair = VirtualPair(E, BundleSpec.split(bundle, [bundle.fiber_class()] * 2))
+    E = BundleSpec.sum_of_line_bundles(bundle, [[0, 0]] * 2)
+    pair = VirtualPair(E, BundleSpec.sum_of_line_bundles(bundle, [[0, 1]] * 2))
     named = r"projective bundle: P\(rank-2 bundle\) over P\^3"
     with pytest.raises(ValueError, match=named):
         Instance(bundle, pair)
@@ -702,12 +696,12 @@ def test_instance_refuses_a_projective_bundle_ambient():
 
 def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
     # O(a_1, ..., a_n) is ample exactly when every a_i >= 1, the rule the
-    # command line applies to its configs; a factor of dimension 0 has no a_i
+    # command line applies to its configs
     p4, pair, h = quintic.ambient, quintic.pair, quintic.polarization
     for polarization in (p4.zero(), -h):
         with pytest.raises(ValueError, match="not ample"):
             Instance(p4, pair, polarization)
-    for dims, bad, good in [([1, 3], [1, 0], [2, 1]), ([0, 4], [3, 0], [0, 1])]:
+    for dims, bad, good in [([1, 3], [1, 0], [2, 1]), ([1, 4], [3, 0], [1, 1])]:
         space = product_of_projective_spaces(dims)
         pair = VirtualPair(
             BundleSpec.sum_of_line_bundles(space, [[0, 0], [0, 0]]),
