@@ -58,12 +58,9 @@ class BundleSpec:
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))
 
     def twist(self, ell: ChowClass) -> "BundleSpec":
-        """Tensor with a line bundle of first Chern class ``ell``; O is a no-op."""
-        if ell.ambient is not self.ambient:
-            raise ValueError("twisting class lives on a different space")
-        if not ell.is_homogeneous(1):
-            raise ValueError("twisting class must be homogeneous of degree one")
-        if ell.is_zero():
+        """Tensor with a line bundle of first Chern class ``ell``, a degree-one
+        class on the same space (``AmbientSpace.coefficients``); O is a no-op."""
+        if not any(self.ambient.coefficients(ell)):
             return self
         return BundleSpec(self.ambient, tuple(r + ell for r in self.roots))
 

@@ -515,9 +515,12 @@ class AmbientSpace:
 
     def coefficients(self, x: ChowClass) -> list[int]:
         """The coefficient of each generator in ``x``, a class of degree one:
-        on a product, its degree on a line of each factor (of a block)."""
+        on a product, its degree on a line of each factor (of a block).  The
+        package's one test of a degree-one input: any other raises ValueError."""
+        if x.ambient is not self:
+            raise ValueError("class lives on a different space")
         row = [x.terms.get(1 << shift, 0) for shift in self._shifts]
-        if x.ambient is not self or len(x.terms) != len(row) - row.count(0):
+        if len(x.terms) != len(row) - row.count(0):
             raise ValueError("expected a class of degree one on this space")
         return row
 

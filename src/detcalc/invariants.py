@@ -100,11 +100,11 @@ class Instance:
     trivial canonical class.  The small resolution and the sequences of
     the pair are built on first read, not here.
 
-    The ring is chosen here, from the inputs alone: built by hand on a
-    product whose inputs repeat a P^1 column, the instance keeps the
-    ``ambient``, ``pair`` and ``polarization`` that :meth:`from_rows` builds
-    from their degree rows, in place of the caller's, whose pair then
-    divides none.
+    Built by hand, it reads the degree row of each root and of the
+    polarization once, where ``AmbientSpace.coefficients`` refuses a class not
+    of degree one on ``ambient``; when the rows repeat a P^1 column it keeps
+    the ``ambient``, ``pair`` and ``polarization`` that :meth:`from_rows`
+    builds from them in place of the caller's, whose pair then divides none.
     """
 
     def __init__(
@@ -118,15 +118,11 @@ class Instance:
         if ambient.base is not None:
             raise ValueError(f"the ambient space is a projective bundle: {ambient!r}")
         self._adopt(ambient, pair, polarization)
-        if polarization is not None:
-            if polarization.ambient is not ambient:
-                raise ValueError("polarization lives on a different ambient space")
-            if not polarization.is_homogeneous(1):
-                raise ValueError("polarization must be homogeneous of degree one")
-            _check_ample(ambient.coefficients(polarization))
-        rows = _block_rows(ambient, pair, polarization)
-        if rows:
-            vars(self).update(vars(Instance.from_rows(ambient.caps, *rows)))
+        polar = None if polarization is None else ambient.coefficients(polarization)
+        _check_ample(polar)
+        E, F = ([ambient.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
+        if _block_rows(ambient, E, F, polar):
+            vars(self).update(vars(Instance.from_rows(ambient.caps, E, F, polar)))
 
     def _adopt(self, ambient, pair, polarization) -> "Instance":
         """Take the inputs after the guards that every instance passes."""
@@ -186,8 +182,7 @@ class Instance:
         for row in rows:
             if len(row) != len(dims):
                 raise ValueError(f"expected {len(dims)} entries in row {row!r}")
-        if polarization is not None:
-            _check_ample(polarization)
+        _check_ample(polarization)
         space, firsts = block_space(dims, zip(*rows))
         if len(firsts) < len(dims):  # one degree per block
             rows = [[row[i] for i in firsts] for row in rows]
@@ -205,26 +200,24 @@ class Instance:
 
 
 def _check_ample(degrees) -> None:
-    """Raise ``ValueError`` unless ``O(a_1, ..., a_n)`` is ample: every
-    ``a_i``, its degree on a line of factor i, is at least 1."""
-    for i, a in enumerate(degrees):
+    """Raise ``ValueError`` unless ``O(a_1, ..., a_n)`` is ample (or absent,
+    ``None``): every ``a_i``, its degree on a line of factor i, is at least 1."""
+    for i, a in enumerate(degrees or ()):
         if a < 1:
             msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
             raise ValueError(msg)
 
 
-def _block_rows(space: AmbientSpace, pair: VirtualPair, polarization):
-    """The degree rows ``(E, F, polarization)`` of a hand-built instance's
-    inputs when ``space`` is a plain product (not a block ring) and they
-    repeat a P^1 column, so that the constructor restricts the instance to
-    the block ring; else None."""
+def _block_rows(space: AmbientSpace, E, F, polar) -> bool:
+    """True when ``space`` is a plain product (not a block ring) and the
+    degree rows of a hand-built instance's inputs repeat a P^1 column, so
+    that the constructor restricts the instance to the block ring.  A column
+    test over the rows the constructor read: no class is read here."""
     if any(space.divided) or space.caps.count(1) < 2:
-        return None
-    E, F = ([space.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
-    polar = None if polarization is None else space.coefficients(polarization)
+        return False
     columns = zip(*E, *F, *([polar] if polar is not None else []))
     lines = [column for column, cap in zip(columns, space.caps) if cap == 1]
-    return (E, F, polar) if len(set(lines)) < len(lines) else None
+    return len(set(lines)) < len(lines)
 
 
 # -- scalar invariants -----------------------------------------------------
@@ -236,12 +229,10 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
     Integrates ``D * c(T) / (1 + D)`` over the space, on a base or a bundle
     space alike: the parts of ``c(T)`` below the top degree are divided by
     the one root ``D`` (:func:`divide_by_roots`), and only ``D`` times the
-    quotient's degree-``(d-1)`` part reaches the top.
+    quotient's degree-``(d-1)`` part reaches the top.  A ``D`` that is not
+    of degree one on ``space`` raises ``ValueError`` (``AmbientSpace.coefficients``).
     """
-    if divisor.ambient is not space:
-        raise ValueError("divisor class lives on a different space")
-    if not divisor.is_homogeneous(1):
-        raise ValueError("divisor class must be homogeneous of degree one")
+    space.coefficients(divisor)
     quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
     return space.integrate(divisor * quotient[-1])
 

@@ -64,7 +64,7 @@ def config(dims, rows_e, rows_f, polarization):
 def monomial_report(dims, rows_e, rows_f, polarization):
     """The report on the 2^n-monomial ring: the block test patched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_block_rows", lambda space, pair, polar: None)
+        patch.setattr(invariants, "_block_rows", lambda space, E, F, polar: None)
         inst = library_instance(dims, rows_e, rows_f, polarization)
         assert not any(inst.ambient.divided)
         return asdict(build_report(inst, allow_non_cy_c2=True))
@@ -401,8 +401,9 @@ def test_from_rows_names_the_callers_factor_of_a_non_ample_polarization(monkeypa
 def test_from_rows_reads_no_degree_back_from_a_class(monkeypatch):
     # from_rows builds its ring, pair and polarization from the rows, so no
     # ample test or block restriction reads a class's coefficients; a
-    # hand-built instance on the same product reads them, which shows that
-    # the patch is seen.  The dimension and rank guards still hold.
+    # hand-built instance on the same product reads each of its four roots
+    # and its polarization exactly once, which also shows that the patch is
+    # seen.  The dimension and rank guards still hold.
     calls = []
     original = chow.AmbientSpace.coefficients
     monkeypatch.setattr(
@@ -420,7 +421,7 @@ def test_from_rows_reads_no_degree_back_from_a_class(monkeypatch):
         Instance.from_rows(dims, E, F, polarization)
     assert calls == []
     library_instance([1, 1, 2], rows_e, rows_f, [1, 1, 1])
-    assert calls
+    assert len(calls) == 5
     with pytest.raises(GuardError, match="dimension at least 4"):
         Instance.from_rows([1, 2], [[0, 0]] * 2, [[1, 1]] * 2)
     with pytest.raises(GuardError, match="rank must be at least 2"):

@@ -712,6 +712,25 @@ def test_instance_refuses_a_polarization_that_is_not_ample(quintic):
         assert Instance(space, pair, space.degree_one(good)).polarization is not None
 
 
+def test_instance_refuses_an_input_that_is_not_of_degree_one(p4):
+    # the constructor reads every root and the polarization as a degree row,
+    # so such a root is refused as input; accepted, it would reach a report
+    # whose two routes disagree (intersection numbers closed [30, 15, 7, 3]
+    # against direct [31, 15, 7, 3] for the first, resolution Euler number
+    # hooks 0 against direct 2 for the second)
+    h = p4.generator(0)
+    F = split(p4, [1, 2])
+    for roots in [(h * h, -(h * h)), (p4.one(), -p4.one())]:
+        pair = VirtualPair(BundleSpec(p4, roots), F)
+        with pytest.raises(ValueError, match="degree one"):
+            Instance(p4, pair, h)
+    pair = VirtualPair(split(p4, [0, 0]), F)
+    p5 = projective_space(5)
+    for foreign in (p5.generator(0), p5.zero()):
+        with pytest.raises(ValueError, match="different space"):
+            Instance(p4, pair, foreign)
+
+
 def test_values_are_computed_on_first_read(quintic, quartic):
     # the constructor only checks the inputs: a bare pair holds D and the
     # Calabi-Yau test, which the c2 guard reads, and the resolution and the
