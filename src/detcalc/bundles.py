@@ -48,12 +48,6 @@ class BundleSpec:
                 out = sum_of_products(self.ambient, [(1, one + root, out)])
         return out
 
-    def c1(self) -> ChowClass:
-        """The sum of the roots, in one term map; zero roots are skipped."""
-        one = self.ambient.one()
-        products = [(1, one, root) for root in self.roots if not root.is_zero()]
-        return sum_of_products(self.ambient, products)
-
     def dual(self) -> "BundleSpec":
         return BundleSpec(self.ambient, tuple(-r for r in self.roots))
 
@@ -88,8 +82,8 @@ class VirtualPair:
     as the hook sums of :mod:`detcalc.schur` read them.
     ``hypersurface_class`` is ``c1(F) - c1(E)``, the first Chern class of
     det(E dual) tensor det(F): the divisor class cut out by the determinant
-    of a morphism E -> F, taken from the roots so that it is independent of
-    the two sequences.  ``calabi_yau`` is the test
+    of a morphism E -> F, built from the roots alone in one term map, F's
+    with scale +1 and E's with scale -1.  ``calabi_yau`` is the test
     ``c1(T) == hypersurface_class``, with ``c1(T)`` the space's
     ``AmbientSpace.tangent_c1``.
     """
@@ -102,7 +96,9 @@ class VirtualPair:
         self.E = E
         self.F = F
         self.ambient = E.ambient
-        self.hypersurface_class = F.c1() - E.c1()
+        one, signed = self.ambient.one(), ((1, F), (-1, E))
+        terms = [(s, one, r) for s, B in signed for r in B.roots if not r.is_zero()]
+        self.hypersurface_class = sum_of_products(self.ambient, terms)
         self.calabi_yau = self.ambient.tangent_c1 == self.hypersurface_class
 
     @first_read

@@ -408,16 +408,17 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     polarization and with the tautological class.
 
     Stated for fourfold ambients.  Under the Calabi-Yau condition the pair
-    reduces to ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)`` on
-    the ambient space; without it the general normal-sequence expansion is
-    used, and callers must opt in since the simple forms no longer apply.
-    Every value is recomputed directly and compared: ``c2 . [Z]`` is formed
-    once on the quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k)
-    [Z] xi^k`` (:class:`Resolution`), with or without a relation there, and
-    it and its product with the tautological class are pushed down.
+    reduces to ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)``,
+    ``#Sing`` computed here past the guard by :func:`porteous_degree`;
+    without it the general normal-sequence expansion is used, and callers
+    must opt in since the simple forms no longer apply.  Every value is
+    recomputed directly and compared: ``c2 . [Z]`` is formed once on the
+    quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k) [Z] xi^k``
+    (:class:`Resolution`), with or without a relation there, and it and its
+    product with the tautological class are pushed down.
     """
     _check_c2_guard(inst, allow_non_cy)
-    return _c2_numbers(inst, None)
+    return _c2_numbers(inst, porteous_degree(inst) if inst.calabi_yau else None)
 
 
 def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
@@ -436,12 +437,11 @@ def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
         )
 
 
-def _c2_numbers(inst: Instance, singular) -> C2Pairings:
-    """:func:`c2_numbers` past its guard, given the singular-point count (an
-    int, or None to compute it).  The closed and reduced forms integrate
-    products of two or three ambient classes with ``_pair`` and ``_pair3``,
-    which form no product."""
-    cy = inst.calabi_yau
+def _c2_numbers(inst: Instance, singular: int | None) -> C2Pairings:
+    """:func:`c2_numbers` past its guard, given the singular-point count that
+    its caller computed, which only a Calabi-Yau pair's reduced form reads.
+    The closed and reduced forms integrate products of two or three ambient
+    classes with ``_pair`` and ``_pair3``, which form no product."""
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
@@ -452,13 +452,10 @@ def _c2_numbers(inst: Instance, singular) -> C2Pairings:
     # degree-k part of c(F dual)/c(E dual) is (-1)^k chern_diff[k].
     diff = inst.pair.chern_diff
     head = t2 - diff[1] * t1 + diff[2]
-    if cy:
-        _agree("c2 head", normal_sequence=head, calabi_yau=t2 - seq[2])
     closed_h = _pair3(head, seq[1], hyper) + _pair3(seq[1], seq[2], hyper)
     routes = {"closed": (closed_h, _pair(head, seq[2]) + _pair(seq[1], seq[3]))}
-    if cy:
-        if singular is None:
-            singular = porteous_degree(inst)
+    if inst.calabi_yau:
+        _agree("c2 head", normal_sequence=head, calabi_yau=t2 - seq[2])
         routes["reduced"] = (_pair3(t2, seq[1], hyper), _pair(t2, seq[2]) - singular)
 
     res = inst.resolution

@@ -1,9 +1,9 @@
 """Cross-module property suites, runnable from the command line.
 
 Each suite checks numbers a report prints against a second route, on
-deterministic pseudo-random inputs: the Euler numbers, the intersection
-numbers and ``c2`` pairings, and the block ring against its monomial ring.
-Each random instance is degree rows on P^4 or P^5, built by
+deterministic pseudo-random inputs: a whole report's Euler numbers, the
+intersection numbers and ``c2`` pairings, and the block ring against its
+monomial ring.  Each random instance is degree rows on P^4 or P^5, built by
 :meth:`~detcalc.invariants.Instance.from_rows` as ``detcalc report`` builds
 its own.  Every case runs inside :meth:`SuiteResult.case`, and every
 comparison is an :func:`~detcalc.invariants._agree` call: a raise inside a
@@ -22,10 +22,9 @@ from .chow import _pair, block_space, projective_space
 from .invariants import (
     Instance,
     _agree,
+    build_report,
     c2_numbers,
-    euler_numbers,
     euler_smooth_hypersurface,
-    ih_milnor_number_small_dim,
     intersection_numbers,
 )
 
@@ -66,11 +65,11 @@ def _random_rows(
 
 
 def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
-    """Euler numbers against the shortcut and the smooth-divisor formula; a
-    raise from :func:`euler_numbers` is the trial's one failure, and its
-    smooth case is skipped.  The formula runs on a P^d of its own, with the
-    divisor of degree ``sum F - sum E`` read from the rows, so it shares
-    neither the instance's ring nor its pair."""
+    """Runs one :func:`build_report` per trial, whose own comparisons check
+    the Euler numbers, and checks its smooth number against the smooth-divisor
+    formula; a raise from the report is the trial's one failure and skips
+    the second case.  The formula runs on a P^d of its own, with the divisor
+    of degree ``sum F - sum E`` read from the rows, so it shares no ring."""
     result = SuiteResult("euler-consistency")
     rng = random.Random(seed)
     rank_cap = max(2, min(4, depth))
@@ -82,18 +81,16 @@ def suite_euler_consistency(depth: int, seed: int) -> SuiteResult:
         rows_e, rows_f = _random_rows(rng, dim, rank, trial % 4 == 1)
         inst = Instance.from_rows([dim], rows_e, rows_f)
         where = f"trial {trial}, dim {dim}"
-        euler = None
+        report = None
         with result.case(where):
-            euler = euler_numbers(inst)
-            shortcut = ih_milnor_number_small_dim(inst)
-            _agree("singular Euler gap", euler=euler.ih_milnor, shortcut=shortcut)
-        if euler is None:
+            report = build_report(inst)
+        if report is None:
             continue
         with result.case(where):
             space = spaces[dim]
             degree = sum(r[0] for r in rows_f) - sum(r[0] for r in rows_e)
             smooth = euler_smooth_hypersurface(space, space.degree_one([degree]))
-            _agree("smooth Euler number", euler=euler.smooth, divisor=smooth)
+            _agree("smooth Euler number", euler=report.euler_smooth, divisor=smooth)
     return result
 
 

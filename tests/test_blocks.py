@@ -398,6 +398,15 @@ def test_from_rows_names_the_callers_factor_of_a_non_ample_polarization(monkeypa
     assert built == []
 
 
+def test_from_rows_refuses_a_bool_degree():
+    # a bool would read as 0 or 1; block_space refuses it as a dimension and
+    # the command line as an entry, and the rows refuse it as a degree
+    with pytest.raises(TypeError, match="got False$"):
+        Instance.from_rows([4], [[False], [0]], [[1], [1]])
+    with pytest.raises(TypeError, match="got True$"):
+        Instance.from_rows([4], [[0], [0]], [[1], [1]], [True])
+
+
 def test_from_rows_reads_no_degree_back_from_a_class(monkeypatch):
     # from_rows builds its ring, pair and polarization from the rows, so no
     # ample test or block restriction reads a class's coefficients; a

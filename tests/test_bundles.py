@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from detcalc import chow
+from detcalc import bundles, chow
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
     ChowClass,
@@ -60,7 +60,7 @@ def test_twist_examples():
     assert B.twist(p4.zero()).total_chern() == B.total_chern()
     assert B.twist(p4.zero()) is B  # O changes nothing
     line = split(p4, [2])
-    assert line.twist(3 * h).c1() == 5 * h
+    assert line.twist(3 * h).total_chern().parts()[1] == 5 * h
 
 
 def test_top_chern_of_twist_expansion():
@@ -87,7 +87,7 @@ def test_virtual_chern_trivial_and_degree_one():
     for k in range(1, 5):
         assert same.chern_diff[k].is_zero()
     pair = VirtualPair(split(p4, [0, -1]), split(p4, [1, 2]))
-    assert pair.chern_diff[1] == pair.F.c1() - pair.E.c1()
+    assert pair.chern_diff[1] == pair.hypersurface_class
 
 
 def test_dual_difference_sequence_against_series_oracle():
@@ -333,11 +333,20 @@ def test_twisted_virtual_chern_special_cases():
         assert twisted_virtual_chern(pair, p4.zero(), k) == pair.chern_diff[k]
 
 
-def test_hypersurface_class():
+def test_hypersurface_class(monkeypatch):
     p4 = projective_space(4)
     h = p4.generator(0)
     pair = VirtualPair(split(p4, [-1, -1, -1, -2]), split(p4, [0, 0, 0, 0]))
     assert pair.hypersurface_class == 5 * h
+    # D is built in one term map over the nonzero roots of F and of E
+    calls = []
+    original = bundles.sum_of_products
+    monkeypatch.setattr(
+        bundles, "sum_of_products", lambda *a: calls.append(a) or original(*a)
+    )
+    pair = VirtualPair(split(p4, [0, -1]), split(p4, [1, 2]))
+    assert pair.hypersurface_class == 4 * h
+    assert len(calls) == 1
 
 
 def test_calabi_yau_on_a_projective_bundle_reads_its_tangent_class():

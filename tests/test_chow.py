@@ -539,10 +539,15 @@ def test_rank_thirty_bundle_reduces_every_fiber_power():
 def test_non_integral_coefficients_are_refused():
     p4 = projective_space(4)
     h = p4.generator(0)
-    # coefficients are plain ints: a Fraction is refused even when integral
-    for bad in (Fraction(1, 2), Fraction(4, 2), 2.0):
+    # coefficients are plain ints: a Fraction is refused even when integral,
+    # and a bool, which would read as 0 or 1
+    for bad in (Fraction(1, 2), Fraction(4, 2), 2.0, True, False):
         with pytest.raises(TypeError):
             ChowClass(p4, {(1,): bad})
+        with pytest.raises(TypeError):
+            p4.scalar(bad)
+        with pytest.raises(TypeError):
+            p4.degree_one([bad])
         with pytest.raises(TypeError):
             h * bad
         with pytest.raises(TypeError):

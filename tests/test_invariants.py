@@ -791,7 +791,6 @@ def counted_ring_work(monkeypatch):
         return wrapper
 
     for owner, name in [
-        (BundleSpec, "c1"),
         (BundleSpec, "total_chern"),
         (chow, "divide_by_roots"),
         (bundles, "divide_by_roots"),

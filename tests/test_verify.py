@@ -57,6 +57,16 @@ def test_euler_suite_records_a_broken_identity_as_failures(monkeypatch):
     assert all("resolution Euler number: hooks" in f for f in result.failures)
 
 
+def test_euler_suite_runs_one_report_per_trial(monkeypatch):
+    # the singular-gap and resolution comparisons are the report's own
+    calls = []
+    original = verify.build_report
+    monkeypatch.setattr(
+        verify, "build_report", lambda inst: calls.append(inst) or original(inst)
+    )
+    result = verify.suite_euler_consistency(6, 2024)
+    assert result.passed and len(calls) == 50
+
 
 def test_euler_suite_compares_the_smooth_divisor_formula(monkeypatch):
     from detcalc import verify
@@ -91,7 +101,7 @@ _MUTATIONS = [
     # singular gap fails, Calabi-Yau fivefolds or not
     pytest.param(
         verify.suite_euler_consistency, invariants, "porteous_class", _twice, 40,
-        r"singular Euler gap: euler -?\d+, shortcut -?\d+ \(trial \d+, dim [45]\)",
+        r"singular Euler gap: hooks -?\d+, shortcut -?\d+ \(trial \d+, dim [45]\)",
         id="euler_consistency",
     ),
     # a twist by 2 ell puts the resolution in the wrong class, so its direct
