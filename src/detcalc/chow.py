@@ -245,10 +245,6 @@ class ChowClass:
                 split[k][e] = c
         return [_make(space, terms) for terms in split]
 
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every monomial has degree ``degree``; zero has every degree."""
-        return all(self.ambient._degree(e) == degree for e in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .bundles import BundleSpec, VirtualPair, first_read
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, block_space, divide_by_roots
-from .chow import proj_bundle, sum_of_products
+from .chow import _scalar, proj_bundle, sum_of_products
 from .schur import hook_pairing, hook_sum
 
 
@@ -171,9 +171,10 @@ class Instance:
         polarization.  It runs on the block ring of the factors' columns
         (``chow.block_space``); no rows, E and F of different lengths, a row
         of the wrong width, a factor P^0 or a polarization that is not ample
-        raises ``ValueError`` before that ring is built, naming the caller's
-        factor.  Built from the rows, the instance skips the checks of a
-        hand-built one, which read each class's degrees back."""
+        raises ``ValueError``, naming the caller's factor, and a non-``int``
+        entry ``TypeError``, before that ring is built.  Built from the rows,
+        the instance skips the checks of a hand-built one, which read each
+        class's degrees back."""
         if not E or not F:
             raise ValueError("E and F must each have at least one row")
         if len(E) != len(F):
@@ -182,6 +183,8 @@ class Instance:
         for row in rows:
             if len(row) != len(dims):
                 raise ValueError(f"expected {len(dims)} entries in row {row!r}")
+        if bad := [c for row in rows for c in row if _scalar(c) is None]:
+            raise TypeError(f"expected an integer, got {bad[0]!r}")
         _check_ample(polarization)
         space, firsts = block_space(dims, zip(*rows))
         if len(firsts) < len(dims):  # one degree per block
@@ -283,10 +286,13 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     hooks, the shapes that do not contain the 2x2 square, give the
     resolution; with ``f = C(w-1, b)`` their sum is the one convolution
     ``sum_a C(w-2, a-1) h_a e_(w-a)`` of :func:`~detcalc.schur.hook_sum`.
-    Each of ``D^w`` and the hooks is paired once with ``c_(d-w)(T)``, with
-    sign ``(-1)^(w-1)``; from weight 4 the hooks are not formed, and
-    :func:`~detcalc.schur.hook_pairing` integrates each product
-    ``h_a e_(w-a) c_(d-w)(T)`` with ``chow._pair3``.  The other shapes
+    In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is checked
+    as classes, which ties the roots to the pair's sequences, and the one
+    pairing of ``D^w`` with ``c_(d-w)(T)``, with sign ``(-1)^(w-1)``, counts
+    in both numbers.  From weight 4 that pairing, which reads only the
+    degree-w terms of ``D^w``, gives the smooth number alone, and the hooks
+    are not formed: :func:`~detcalc.schur.hook_pairing` integrates each
+    product ``h_a e_(w-a) c_(d-w)(T)`` with ``chow._pair3``.  The other shapes
     give the gap, paired with sign ``(-1)^(d+w)``; as they are
     ``D^w - hooks``, the gap is ``(-1)^d (resolution - smooth)`` and no
     determinant runs.
@@ -295,30 +301,24 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
     on the quotient bundle from the terms ``a_k Q_(d-1-k)`` and ``[Z] xi^k``
     of :class:`Resolution`: with no relation there, each pair is paired;
     with one, ``c_(d-1)(T_Z)``, their sum without ``[Z]``, is formed by
-    Horner in ``xi`` and multiplied by the stored ``[Z]`` once.
-    In weights 1 to 3 every shape is a hook, so ``D^w == hooks`` is also
-    checked as classes; that ties the roots to the pair's sequences.  A
-    mismatch raises :class:`ConsistencyError`.
+    Horner in ``xi`` and multiplied by the stored ``[Z]`` once.  A mismatch
+    raises :class:`ConsistencyError`.
     """
     d = inst.d
     seq = inst.pair.schur_seq
     dual = inst.pair.chern_diff
-    space = inst.ambient
     divisor = inst.pair.hypersurface_class
-    tangent = space.tangent_chern.parts()
-    power = space.one()
+    tangent = inst.ambient.tangent_chern.parts()
+    power = inst.ambient.one()
     smooth = resolution = 0
-    low_weights = []  # (w, D^w, hooks) for w <= 3, where every shape is a hook
     for weight in range(1, d + 1):
         power = power * divisor
-        if not power.is_homogeneous(weight):
-            raise ConsistencyError(f"inhomogeneous power of D in weight {weight}")
         sign, t = (-1) ** (weight - 1), tangent[d - weight]
-        smooth += sign * _pair(power, t)
+        term = sign * _pair(power, t)
+        smooth += term
         if weight <= 3:
-            hooks = hook_sum(weight, seq, dual)
-            low_weights.append((weight, power, hooks))
-            resolution += sign * _pair(hooks, t)
+            _agree(f"weight {weight}", power=power, hooks=hook_sum(weight, seq, dual))
+            resolution += term
         else:
             resolution += sign * hook_pairing(weight, seq, dual, t)
     res = inst.resolution
@@ -336,15 +336,13 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         terms = zip(res.series, res.cycles, reversed(res.tangent))
         direct = sum(a * _pair(cycle, t) for a, cycle, t in terms)
     _agree("resolution Euler number", hooks=resolution, direct=direct)
-    for weight, power, hooks in low_weights:
-        _agree(f"weight {weight}", power=power, hooks=hooks)
     return EulerNumbers(smooth, (-1) ** d * (resolution - smooth), resolution)
 
 
 def ih_milnor_number_small_dim(inst: Instance) -> int:
     """Shortcut for the singular Euler gap: a weight ``w`` paired with the
     class of the singular locus (Parusinski-Pragacz, J. Algebraic Geom. 4,
-    1995).  On a fourfold ``w = 2``, twice :func:`porteous_degree`; on a
+    1995).  On a fourfold ``w = 2``: twice :func:`porteous_degree`; on a
     fivefold, where Sing is a curve with ``c1(N) = 2D`` on it, ``w = 5D -
     2 c1(T)``, which is ``3 c1(T)`` under the Calabi-Yau condition ``D =
     c1(T)``.  Refused from dimension 6, where Sing is a surface or more.
@@ -354,10 +352,9 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
             "the shortcut formula is only available for dim M = 4 or 5; "
             "use euler_numbers instead"
         )
-    space, divisor = inst.ambient, inst.pair.hypersurface_class
-    weight = space.scalar(2)
-    if inst.d == 5:
-        weight = 5 * divisor - 2 * space.tangent_c1
+    if inst.d == 4:
+        return 2 * porteous_degree(inst)
+    weight = 5 * inst.pair.hypersurface_class - 2 * inst.ambient.tangent_c1
     return _pair(weight, porteous_class(inst))
 
 
@@ -407,18 +404,19 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     """Pair ``c2`` of the resolution's tangent bundle with the pulled-back
     polarization and with the tautological class.
 
-    Stated for fourfold ambients.  Under the Calabi-Yau condition the pair
-    reduces to ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)``,
-    ``#Sing`` computed here past the guard by :func:`porteous_degree`;
-    without it the general normal-sequence expansion is used, and callers
-    must opt in since the simple forms no longer apply.  Every value is
+    Stated for fourfold ambients, in closed form from the normal-sequence
+    expansion.  Under the Calabi-Yau condition its degree-two head is
+    checked to be ``c2(T) - s_2`` as classes, so the closed form is the
+    reduced pair ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)``
+    by linearity and is not evaluated again; without it callers must opt
+    in, since the reduced forms no longer apply.  Every value is
     recomputed directly and compared: ``c2 . [Z]`` is formed once on the
     quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k) [Z] xi^k``
     (:class:`Resolution`), with or without a relation there, and it and its
     product with the tautological class are pushed down.
     """
     _check_c2_guard(inst, allow_non_cy)
-    return _c2_numbers(inst, porteous_degree(inst) if inst.calabi_yau else None)
+    return _c2_numbers(inst)
 
 
 def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
@@ -437,11 +435,10 @@ def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
         )
 
 
-def _c2_numbers(inst: Instance, singular: int | None) -> C2Pairings:
-    """:func:`c2_numbers` past its guard, given the singular-point count that
-    its caller computed, which only a Calabi-Yau pair's reduced form reads.
-    The closed and reduced forms integrate products of two or three ambient
-    classes with ``_pair`` and ``_pair3``, which form no product."""
+def _c2_numbers(inst: Instance) -> C2Pairings:
+    """:func:`c2_numbers` past its guard.  The closed form integrates
+    products of two or three ambient classes with ``_pair`` and ``_pair3``,
+    which form no product."""
     space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
@@ -452,20 +449,19 @@ def _c2_numbers(inst: Instance, singular: int | None) -> C2Pairings:
     # degree-k part of c(F dual)/c(E dual) is (-1)^k chern_diff[k].
     diff = inst.pair.chern_diff
     head = t2 - diff[1] * t1 + diff[2]
-    closed_h = _pair3(head, seq[1], hyper) + _pair3(seq[1], seq[2], hyper)
-    routes = {"closed": (closed_h, _pair(head, seq[2]) + _pair(seq[1], seq[3]))}
     if inst.calabi_yau:
         _agree("c2 head", normal_sequence=head, calabi_yau=t2 - seq[2])
-        routes["reduced"] = (_pair3(t2, seq[1], hyper), _pair(t2, seq[2]) - singular)
+    closed_h = _pair3(head, seq[1], hyper) + _pair3(seq[1], seq[2], hyper)
+    closed = (closed_h, _pair(head, seq[2]) + _pair(seq[1], seq[3]))
 
     res = inst.resolution
     bundle = res.space
     cycle = sum_of_products(bundle, zip(res.series, res.tangent[2::-1], res.cycles))
-    routes["direct"] = (
+    direct = (
         _pair(hyper, bundle.pushforward(cycle)),
         space.integrate(bundle.pushforward(cycle * res.tautological)),
     )
-    return C2Pairings(*_agree("c2 pairings", **routes))
+    return C2Pairings(*_agree("c2 pairings", closed=closed, direct=direct))
 
 
 # -- reports ----------------------------------------------------------------
@@ -545,7 +541,7 @@ def build_report(
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
         if inst.d == 4:
-            pairings = _c2_numbers(inst, count)
+            pairings = _c2_numbers(inst)
             report.c2_against_polarization = pairings.against_polarization
             report.c2_against_tautological = pairings.against_tautological
             if not inst.calabi_yau:

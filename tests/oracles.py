@@ -252,6 +252,12 @@ def naive_multiply(a: dict, b: dict, caps, relations=None) -> dict:
 # -- classes built by the public ring operations ------------------------------
 
 
+def degrees(x) -> set[int]:
+    """The degrees of the monomials of the class ``x``, each the sum of its
+    exponents; the zero class has none."""
+    return {sum(x.ambient._unpack(code)) for code in x.terms}
+
+
 def monomials_of_degree(space, degree: int) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of the normal-form monomials of one degree, as the
     class constructor takes them; a divided exponent k stands for ``e_k``."""

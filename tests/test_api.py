@@ -5,8 +5,9 @@ imported from its own module.  Every public method of a public class is read
 by the package itself or by the README's library example, and every
 function and method the package defines, private ones included, is read by
 the package itself.  Term maps have one owner: no module but ``chow`` reads
-``.terms`` or the kernel's private names.  Importing the command line
-leaves ``fractions`` unimported."""
+``.terms`` or the kernel's private names.  Every ``ConsistencyError`` is
+raised in ``invariants._agree``, the one comparison of routes.  Importing
+the command line leaves ``fractions`` unimported."""
 
 import ast
 import inspect
@@ -112,14 +113,14 @@ class _Raises(ast.NodeVisitor):
 
 
 def test_route_comparisons_raise_in_one_place():
-    # every comparison of two routes goes through invariants._agree; the one
-    # other raise, the homogeneity of D^w in euler_numbers, compares none
+    # every comparison of two routes goes through invariants._agree, and
+    # nothing else raises ConsistencyError
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         visitor = _Raises(path.stem)
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.sites
-    assert sites == ["invariants._agree", "invariants.euler_numbers"]
+    assert sites == ["invariants._agree"]
 
 
 def test_only_chow_touches_term_maps():

@@ -407,6 +407,21 @@ def test_from_rows_refuses_a_bool_degree():
         Instance.from_rows([4], [[0], [0]], [[1], [1]], [True])
 
 
+def test_from_rows_refuses_a_degree_that_is_not_an_int_before_the_ring(monkeypatch):
+    # the entry types are tested beside the row widths, so a bool or a float
+    # degree, of E or of the polarization, builds no ring
+    built = []
+    monkeypatch.setattr(invariants, "block_space", lambda *a: built.append(a))
+    for E, polarization, bad in [
+        ([[False], [0]], None, "False"),
+        ([[0.5], [0]], None, "0.5"),
+        ([[0], [0]], [True], "True"),
+    ]:
+        with pytest.raises(TypeError, match=f"^expected an integer, got {bad}$"):
+            Instance.from_rows([4], E, [[1], [1]], polarization)
+    assert built == []
+
+
 def test_from_rows_reads_no_degree_back_from_a_class(monkeypatch):
     # from_rows builds its ring, pair and polarization from the rows, so no
     # ample test or block restriction reads a class's coefficients; a

@@ -253,7 +253,7 @@ def test_derived_bundles_keep_degree_one_roots_on_their_space():
         assert bundle.rank == B.rank
         for root in bundle.roots:
             assert root.ambient is where
-            assert root.is_homogeneous(1)
+        # coefficients refuses a root that is not of degree one
         rows = [where.coefficients(root) for root in bundle.roots]
         assert BundleSpec.sum_of_line_bundles(where, rows).roots == bundle.roots
     with pytest.raises(ValueError, match="degree one"):

@@ -180,8 +180,9 @@ def test_porteous_degree_guard_outside_fourfolds():
     inst = make_instance(p5, [0, 0], [2, 2], polarized=False)
     with pytest.raises(GuardError):
         porteous_degree(inst)
-    # the class itself is still available
-    assert porteous_class(inst).is_homogeneous(4)
+    # the class itself is still available: its own degree-4 part
+    singular = porteous_class(inst)
+    assert singular.parts()[4] == singular
 
 
 def test_porteous_degree_vanishes_for_equal_bundles(p4):
@@ -481,14 +482,36 @@ def count_calls(monkeypatch, names):
 
 
 def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
-    # the shortcut pairs the 2x2 class with its weight on every fourfold and
-    # fivefold, and the c2 pairings reuse its count
+    # the shortcut forms the 2x2 class once on every fourfold and fivefold,
+    # on a fourfold through porteous_degree, and the c2 pairings read none
     names = ("euler_numbers", "porteous_class", "porteous_degree")
     counts = count_calls(monkeypatch, names)
     for inst in (quintic, calabi_yau_fivefold(), non_calabi_yau_fivefold()):
         counts.update(dict.fromkeys(names, 0))
         build_report(inst)
-        assert counts == {**dict.fromkeys(names, 1), "porteous_degree": 0}
+        once_on_fourfolds = {"porteous_degree": int(inst.d == 4)}
+        assert counts == {**dict.fromkeys(names, 1), **once_on_fourfolds}
+
+
+def test_c2_numbers_forms_no_singular_class(monkeypatch, quintic):
+    # the closed route reads the Calabi-Yau head, checked as a class, so
+    # the c2 pairings need no count of the singular points
+    counts = count_calls(monkeypatch, ("porteous_class",))
+    c2_numbers(quintic)
+    assert counts == {"porteous_class": 0}
+
+
+def test_euler_numbers_pairs_each_low_weight_once(monkeypatch):
+    # on P^6 with E = O^3 and F = O(1)^3, the six weights pair D^w once each,
+    # weights 1 to 3 for both numbers, and the direct chi(Z) pairs the six
+    # terms [Z] xi^k on a bundle with no relation
+    inst = Instance.from_rows([6], [[0]] * 3, [[1]] * 3, [1])
+    # built before counting: the pair's sequences and the resolution
+    inst.pair.schur_seq, inst.pair.chern_diff
+    assert not inst.resolution.space.has_relation
+    counts = count_calls(monkeypatch, ("_pair",))
+    euler_numbers(inst)
+    assert counts == {"_pair": 12}
 
 
 def dense_instance(d):
@@ -499,13 +522,14 @@ def dense_instance(d):
 SCHUR_MODULE = sys.modules["detcalc.schur"]
 
 CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
-    # hooks give the resolution number, which the direct integral checks:
-    # as classes in weights 1 to 3, paired with c(T) unformed from weight 4
+    # hooks give the resolution number: checked against D^w as classes in
+    # weights 1 to 3, and paired with c(T) unformed from weight 4, where
+    # the direct integral checks them
     "hook_schur_doubled": (
         invariants,
         "hook_sum",
         lambda x: 2 * x,
-        "^resolution Euler number:",
+        "^weight 1:",
     ),
     "hook_pairing_doubled": (
         invariants,
@@ -523,12 +547,12 @@ CROSS_CHECKS = {  # case id: (module, name, mutation, expected message)
     ),
     # the report's tableau counts are those of the hooks, f = C(w-1, b), now
     # folded into the binomials C(w-2, a-1) of the one hook convolution that
-    # hook_sum and hook_pairing share
+    # hook_sum and hook_pairing share; weight 2 is the first to read one
     "syt_count_plus_one": (
         SCHUR_MODULE,
         "comb",
         lambda x: x + 1,
-        "^resolution Euler number:",
+        "^weight 2:",
     ),
     # the 2x2 class enters the shortcut on every fourfold and fivefold
     "schur_doubled": (invariants, "porteous_class", lambda x: 2 * x, "shortcut"),
@@ -1343,22 +1367,14 @@ def _c2_head_mismatch(monkeypatch, quintic, quartic):
     return lambda: c2_numbers(inst), "c2 head", routes
 
 
-def _c2_reduced_mismatch(monkeypatch, quintic, quartic):
-    h, l = c2_numbers(quintic)
-    count = porteous_degree(quintic)
-    monkeypatch.setattr(invariants, "porteous_degree", lambda inst: count + 1)
-    routes = {"closed": (h, l), "reduced": (h, l - 1), "direct": (h, l)}
-    return lambda: c2_numbers(quintic), "c2 pairings", routes
-
-
 def _c2_direct_mismatch(monkeypatch, quintic, quartic):
     h, l = c2_numbers(quintic)
-    routes = {"closed": (h, l), "reduced": (h, l), "direct": (2 * h, 2 * l)}
+    routes = {"closed": (h, l), "direct": (2 * h, 2 * l)}
     return lambda: c2_numbers(doubled_locus(quintic)), "c2 pairings", routes
 
 
 def _c2_direct_mismatch_off_calabi_yau(monkeypatch, quintic, quartic):
-    # no reduced route runs off the Calabi-Yau condition
+    # the same two routes, with no head check, off the Calabi-Yau condition
     h, l = c2_numbers(quartic, allow_non_cy=True)
     routes = {"closed": (h, l), "direct": (2 * h, 2 * l)}
     run = lambda: c2_numbers(doubled_locus(quartic), allow_non_cy=True)
@@ -1371,7 +1387,6 @@ MISMATCHES = {
     "singular_gap": _singular_gap_mismatch,
     "intersection_numbers": _intersection_numbers_mismatch,
     "c2_head": _c2_head_mismatch,
-    "c2_reduced": _c2_reduced_mismatch,
     "c2_direct": _c2_direct_mismatch,
     "c2_direct_off_calabi_yau": _c2_direct_mismatch_off_calabi_yau,
 }
