@@ -1,10 +1,10 @@
 """Exact intersection-theory calculator for determinantal hypersurfaces.
 
-Given an ambient projective space (or product of projective spaces), two
-split vector bundles of equal rank, and optionally a polarization, the
-package computes the invariants of the hypersurface where a generic
-morphism between the bundles drops rank: the degree of its singular locus,
-the count of its ordinary double points, its intersection-homology Euler
+Given an ambient projective space (or product of projective spaces), two split
+vector bundles of equal rank, and optionally a polarization, the package
+computes the invariants of the hypersurface where a generic morphism between
+the bundles drops rank: on fourfold ambients the degree of its singular locus
+and the count of its ordinary double points, its intersection-homology Euler
 characteristic, the Euler characteristic of its small resolution, and
 intersection numbers on that resolution.  All arithmetic is exact.
 """

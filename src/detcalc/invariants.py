@@ -9,10 +9,10 @@ once: the ring the report runs on, the pair's divisor class ``D = c1(F) -
 c1(E)`` and Calabi-Yau test ``c1(T) == D`` by the constructors, which do
 no other ring work; the instance's small resolution with its tangent
 class ``c(T_Z)`` and the pair's two Chern-class sequences, on first read
-and with no lock (``bundles.first_read``), so the ``c2`` guard, which
-reads only the inputs, refuses first.  The functions here only read
-them, ``c(T)`` of the ambient space and ``AmbientSpace.tangent_c1``: on the
-bundle they read the parts of ``c(T_Z)`` that :class:`Resolution` holds.
+and with no lock (``bundles.first_read``).  In a report :func:`c2_numbers`
+runs first, and its guard reads only the inputs.  The functions here only
+read them, ``c(T)`` of the ambient space and ``AmbientSpace.tangent_c1``: on
+the bundle they read the parts of ``c(T_Z)`` that :class:`Resolution` holds.
 All results assume the morphism is generic in the transversality sense
 (each stratum smooth of expected codimension); that assumption is
 surfaced in report warnings, never verified.
@@ -22,8 +22,9 @@ Every comparison goes through one helper, which names each route with its
 value, as in ``singular Euler gap: hooks 92, shortcut 94``.
 Intersection numbers and ``c2`` pairings: a closed form on the ambient
 space against a direct route through the rank-one-quotient bundle
-carrying the small resolution, where each cycle is pushed down to the
-ambient space and paired there (the projection formula).  The bundle is
+carrying the small resolution, where each cycle but ``c2 . L . [Z]``,
+integrated there, is pushed down to the ambient space and paired there
+(the projection formula).  The bundle is
 ``P(F (x) L^-1)`` for the root ``L`` that F repeats most, which shortens
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
@@ -405,24 +406,20 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     polarization and with the tautological class.
 
     Stated for fourfold ambients, in closed form from the normal-sequence
-    expansion.  Under the Calabi-Yau condition its degree-two head is
-    checked to be ``c2(T) - s_2`` as classes, so the closed form is the
-    reduced pair ``(c2(T).c1(dual diff).H, c2(T).c2(dual diff) - #Sing)``
-    by linearity and is not evaluated again; without it callers must opt
-    in, since the reduced forms no longer apply.  Every value is
-    recomputed directly and compared: ``c2 . [Z]`` is formed once on the
-    quotient bundle as one sum over ``k <= 2`` of ``a_k Q_(2-k) [Z] xi^k``
-    (:class:`Resolution`), with or without a relation there, and it and its
-    product with the tautological class are pushed down.
+    expansion.  Its guard reads only the inputs, so it refuses before the
+    resolution or a sequence of the pair is built.  Under the Calabi-Yau
+    condition its degree-two head is checked to be ``c2(T) - s_2`` as
+    classes, so the closed form is the reduced pair ``(c2(T).c1(dual
+    diff).H, c2(T).c2(dual diff) - #Sing)`` by linearity and is not
+    evaluated again; without it callers must opt in, since the reduced
+    forms no longer apply.  The closed form integrates products of two or
+    three ambient classes with ``_pair`` and ``_pair3``, which form no
+    product.  Every value is recomputed directly and compared: ``c2 . [Z]``
+    is formed once on the quotient bundle as one sum over ``k <= 2`` of
+    ``a_k Q_(2-k) [Z] xi^k`` (:class:`Resolution`), with or without a
+    relation there; it is pushed down and paired with the polarization, and
+    its product with the tautological class is integrated on the bundle.
     """
-    _check_c2_guard(inst, allow_non_cy)
-    return _c2_numbers(inst)
-
-
-def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
-    """Raise :class:`GuardError` unless the c2 pairings are defined and, off
-    the Calabi-Yau condition, opted into.  It reads only the inputs, so it
-    refuses before the resolution or a sequence of the pair is built."""
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
     if inst.polarization is None:
@@ -433,16 +430,9 @@ def _check_c2_guard(inst: Instance, allow_non_cy: bool) -> None:
             "normal-sequence expansion (allow_non_cy=True, or "
             "flags.allow_non_cy_c2 in a config) or drop the polarization"
         )
-
-
-def _c2_numbers(inst: Instance) -> C2Pairings:
-    """:func:`c2_numbers` past its guard.  The closed form integrates
-    products of two or three ambient classes with ``_pair`` and ``_pair3``,
-    which form no product."""
-    space = inst.ambient
     seq = inst.pair.schur_seq
     hyper = inst.polarization
-    _, t1, t2 = space.tangent_chern.parts(2)
+    _, t1, t2 = inst.ambient.tangent_chern.parts(2)
 
     # Degree-two head of c(T_Z) pulled down: A + s1 * (tautological class),
     # where A comes from the normal exact sequence of the resolution.  The
@@ -459,7 +449,7 @@ def _c2_numbers(inst: Instance) -> C2Pairings:
     cycle = sum_of_products(bundle, zip(res.series, res.tangent[2::-1], res.cycles))
     direct = (
         _pair(hyper, bundle.pushforward(cycle)),
-        space.integrate(bundle.pushforward(cycle * res.tautological)),
+        bundle.integrate(cycle * res.tautological),
     )
     return C2Pairings(*_agree("c2 pairings", closed=closed, direct=direct))
 
@@ -509,11 +499,14 @@ def build_report(
 
     Intersection numbers need a polarization; the c2 pairings additionally
     need a fourfold and either the Calabi-Yau condition or the explicit
-    opt-in, and raise :class:`GuardError` otherwise, before any invariant
-    is computed and before the instance builds its resolution.
+    opt-in, and raise :class:`GuardError` otherwise.  On a polarized
+    fourfold :func:`c2_numbers` runs first, and its guard reads only the
+    inputs, so a refused report computes no invariant and builds no
+    resolution.
     """
+    c2 = None
     if inst.d == 4 and inst.polarization is not None:
-        _check_c2_guard(inst, allow_non_cy_c2)
+        c2 = c2_numbers(inst, allow_non_cy_c2)
     euler = euler_numbers(inst)
     report = InvariantReport(
         dim=inst.d,
@@ -540,13 +533,11 @@ def build_report(
         report.warnings.append(_GENERAL_WARNING)
     if inst.polarization is not None:
         report.intersection_numbers = intersection_numbers(inst)
-        if inst.d == 4:
-            pairings = _c2_numbers(inst)
-            report.c2_against_polarization = pairings.against_polarization
-            report.c2_against_tautological = pairings.against_tautological
-            if not inst.calabi_yau:
-                report.warnings.append(
-                    "c2 pairings computed through the general normal-sequence "
-                    "expansion (Calabi-Yau condition fails)"
-                )
+    if c2 is not None:
+        report.c2_against_polarization, report.c2_against_tautological = c2
+        if not inst.calabi_yau:
+            report.warnings.append(
+                "c2 pairings computed through the general normal-sequence "
+                "expansion (Calabi-Yau condition fails)"
+            )
     return report

@@ -109,7 +109,7 @@ def suite_dual_routes(depth: int, seed: int) -> SuiteResult:
         inst = Instance.from_rows([4], *rows, [1])
         with result.case(f"trial {trial}"):
             intersection_numbers(inst)
-            c2_numbers(inst, allow_non_cy=not inst.calabi_yau)
+            c2_numbers(inst, allow_non_cy=True)
     return result
 
 

@@ -9,7 +9,9 @@ a (P^1)^12 with two column types, whose outputs were recorded on the
 2^12-monomial ring before reports ran on the block ring, and a fivefold
 on P^5 off the Calabi-Yau condition (E = O^2, F = O(2)^2), whose outputs
 were recorded before its report compared the singular gap with the
-shortcut.
+shortcut.  ``p4_non_cy_refused.json`` has no golden file: it is the
+polarized fourfold off the Calabi-Yau condition that the installed entry
+point must refuse with exit 3 in CI.
 The cases also run one after another in one process, to show that a call
 leaves nothing behind that changes the next one.
 """

@@ -362,14 +362,14 @@ def test_c2_numbers_of_quintic(quintic):
 
 
 def test_c2_numbers_guards(quartic, p4):
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
         c2_numbers(quartic)  # Calabi-Yau fails, no opt-in
     no_pol = make_instance(p4, [-1, -1, -1, -2], [0, 0, 0, 0], polarized=False)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="need a polarization class"):
         c2_numbers(no_pol)
     p5 = projective_space(5)
     inst5 = make_instance(p5, [0, 0], [3, 3])
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="defined for dim M = 4 only"):
         c2_numbers(inst5, allow_non_cy=True)
 
 
@@ -1057,8 +1057,8 @@ def test_report_matches_the_untwisted_resolution(case):
 
 def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
     # a polarized fourfold off the Calabi-Yau condition, without the opt-in,
-    # is refused before the Euler numbers, the shortcut or the intersection
-    # numbers are computed
+    # is refused by c2_numbers before the Euler numbers, the shortcut or the
+    # intersection numbers are computed
     assert quartic.polarization is not None and not quartic.calabi_yau
     calls = []
 
@@ -1069,24 +1069,21 @@ def test_build_report_refuses_c2_before_any_invariant(monkeypatch, quartic):
 
         return wrapper
 
-    for name in (
+    order = [
+        "c2_numbers",
         "euler_numbers",
         "ih_milnor_number_small_dim",
         "intersection_numbers",
-        "_c2_numbers",
-    ):
+    ]
+    for name in order:
         monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
     with pytest.raises(GuardError, match="Calabi-Yau condition fails"):
         build_report(quartic)
-    assert calls == []
+    assert calls == ["c2_numbers"]
     # the counters do see the work once the report is opted in
+    calls.clear()
     build_report(quartic, allow_non_cy_c2=True)
-    assert calls == [
-        "euler_numbers",
-        "ih_milnor_number_small_dim",
-        "intersection_numbers",
-        "_c2_numbers",
-    ]
+    assert calls == order
 
 
 def report_numbers(value):
@@ -1405,25 +1402,31 @@ def test_every_comparison_names_its_routes_and_values(
 
 
 def test_c2_guard_runs_once_per_entry_point(monkeypatch, quintic):
-    # a library report, c2_numbers and a CLI report, which builds through
-    # Instance.from_rows and build_report, check the guard once each
+    # a library report, a direct call and a CLI report, which builds through
+    # Instance.from_rows and build_report, run c2_numbers, its guard and its
+    # route comparison once each
     calls = []
-    original = invariants._check_c2_guard
+    original, agree = invariants.c2_numbers, invariants._agree
 
     def counted(*args):
-        calls.append(args)
+        calls.append("c2_numbers")
         return original(*args)
 
-    monkeypatch.setattr(invariants, "_check_c2_guard", counted)
-    build_report(quintic)
-    assert len(calls) == 1
-    calls.clear()
-    c2_numbers(quintic)
-    assert len(calls) == 1
-    calls.clear()
-    _, config, _ = TABLES["table1"].rows[0]
-    cli.report_from_config(config)
-    assert len(calls) == 1
+    def counted_agree(quantity, **routes):
+        if quantity == "c2 pairings":
+            calls.append(quantity)
+        return agree(quantity, **routes)
+
+    monkeypatch.setattr(invariants, "c2_numbers", counted)
+    monkeypatch.setattr(invariants, "_agree", counted_agree)
+    for run in (
+        lambda: build_report(quintic),
+        lambda: invariants.c2_numbers(quintic),
+        lambda: cli.report_from_config(TABLES["table1"].rows[0][1]),
+    ):
+        calls.clear()
+        run()
+        assert calls == ["c2_numbers", "c2 pairings"]
 
 
 @st.composite
