@@ -3,7 +3,9 @@
 A bundle is a direct sum of line bundles, given by one first Chern class
 per summand.  A :class:`VirtualPair` holds two bundles of equal rank and
 the two Chern-class sequences every downstream formula consumes, computed
-by ``chow.divide_by_roots`` on first read.  No term map is read here.
+by ``chow.divide_by_roots`` on first read.  No term map is read here, and
+P(F) needs no bundle: ``chow.proj_bundle`` reads only the parts ``c_i`` of
+``c(F dual)``, as ``c(T) = pi^* c(T_base) sum_i c_i (1 + xi)^(r - i)``.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ class BundleSpec:
         if not any(self.ambient.coefficients(ell)):
             return self
         return BundleSpec(self.ambient, tuple(r + ell for r in self.roots))
-
-    def pullback_to(self, space: AmbientSpace) -> "BundleSpec":
-        """Pull the bundle up to a projective bundle over its ambient space."""
-        if space.base is not self.ambient:
-            raise ValueError("target space is not a bundle over this ambient")
-        return BundleSpec(space, tuple(space.pullback(r) for r in self.roots))
 
     def __repr__(self):
         return f"split rank-{self.rank} bundle on {self.ambient!r}"

@@ -1,19 +1,21 @@
 """Exact truncated graded-ring models of the ambient Chow rings.
 
 A ring is presented by degree-one generators with one reduction rule per
-generator: a hyperplane class truncates (``h^(d+1) = 0``) while the extra
-generator of a projective bundle reduces through its defining relation,
-or truncates too when that relation is zero.  Every generator starts in
-normal form, its cap at least 1: :func:`block_space` refuses a P^0 factor
-and :func:`proj_bundle` a fiber of rank below 2.  Products are normalized
-eagerly, so every class is a coefficient map on normal-form monomials and
-equality is coefficient equality.  Coefficients are exact integers
-throughout; floating point never appears.
+generator: a hyperplane class truncates (``h^(d+1) = 0``) while the fiber
+class ``xi`` of a projective bundle P(F), F of rank r, reduces through its
+relation ``sum_i c_i xi^(r - i) = 0``, ``c_i = c_i(F dual)``, or truncates
+too when that is zero.  Its ``c(T)``, ``pi^* c(T_base) sum_i c_i
+(1 + xi)^(r - i)`` less that relation, is built with no product on the
+bundle.  Every generator starts in normal form, its cap at least 1:
+:func:`block_space` refuses a P^0 factor and :func:`proj_bundle` a fiber
+of rank below 2.  Products are normalized eagerly, so every class is a
+coefficient map on normal-form monomials and equality is coefficient
+equality.  Coefficients are exact integers throughout; floating point
+never appears.
 
 A bundle caches the normal form of each monomial whose fiber exponent left
-the normal form.  Only the pure fiber powers ``xi^(r+m)`` read the
-relation; any other entry is a smaller entry shifted by one base monomial,
-so it costs as many terms as the entry it comes from.
+it.  Only a pure fiber power ``xi^(r+m)`` reads the relation; any other
+entry is a smaller one shifted by a base monomial, with as many terms.
 
 A monomial is stored as one packed ``int`` with a fixed-width exponent
 field per generator, the first generator in the lowest bits.  A field has
@@ -551,12 +553,8 @@ class AmbientSpace:
             raise ValueError("pushforward is defined on projective bundles only")
         if x.ambient is not self:
             raise ValueError("class does not live on this space")
-        shift = self._shifts[-1]
-        top = self.caps[-1]
-        return _make(
-            self.base,
-            {e - (top << shift): c for e, c in x.terms.items() if e >> shift == top},
-        )
+        top = self.caps[-1] << self._shifts[-1]  # xi^(r-1), in the highest field
+        return _make(self.base, {e - top: c for e, c in x.terms.items() if e >= top})
 
     @property
     def tangent_chern(self) -> ChowClass:
@@ -673,11 +671,13 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
     """Bundle of rank-one quotients of ``fiber``, a bundle on ``base``.
 
     Adjoins a generator ``xi`` (the first Chern class of the tautological
-    quotient line bundle) with the relation ``sum_i c_i(fiber dual) *
-    xi^(r - i) = 0``, for a rank r of at least 2, so that ``xi`` is in
-    normal form.  With this convention pushing forward ``xi^(r-1+m)``
-    yields the m-th coefficient of ``1 / c(fiber dual)``.  The relative
-    tangent class is ``c`` of ``fiber dual`` pulled back and twisted by ``xi``.
+    quotient line bundle) with the relation ``sum_i c_i xi^(r - i) = 0``,
+    ``c_i = c_i(fiber dual)``, for a rank r of at least 2, so that ``xi`` is
+    in normal form; pushing forward ``xi^(r-1+m)`` then yields the m-th
+    coefficient of ``1 / c(fiber dual)``.  ``c(T)`` reads the same parts:
+    ``pi^* c(T_base) sum_i c_i (1 + xi)^(r - i)`` (Fulton, Intersection
+    Theory, B.5.8) less the relation is ``sum_(j < r) xi^j sum_(i < r - j)
+    C(r - i, j) c(T_base) c_i``: r products on the base, none on the new ring.
 
     The base must not itself be a projective bundle: the new space would
     drop the base's relation, and ``pullback`` would not be multiplicative.
@@ -692,14 +692,18 @@ def proj_bundle(base: AmbientSpace, fiber) -> AmbientSpace:
     space = AmbientSpace(
         base.gens + ("xi",), base.caps + (rank - 1,), base, base.divided + (False,)
     )
-    dual = fiber.dual()
-    parts = dual.total_chern().parts(rank)
+    parts = fiber.dual().total_chern().parts(rank)
     shift = space._shifts[-1]
     space._set_relation({
         e + ((rank - i) << shift): -c
         for i in range(1, rank + 1)
         for e, c in parts[i].terms.items()
     })
-    relative = dual.pullback_to(space).twist(space.fiber_class()).total_chern()
-    space._tangent = space.pullback(base.tangent_chern) * relative
+    tangent: dict[int, int] = {}
+    for i in range(rank):  # c(T_base) c_i at each xi^j, weight C(r - i, j)
+        for e, c in (parts[i] * base.tangent_chern).terms.items():
+            for j in range(rank - i):
+                code = e + (j << shift)
+                tangent[code] = tangent.get(code, 0) + comb(rank - i, j) * c
+    space._tangent = _finish(space, tangent)
     return space

@@ -233,14 +233,14 @@ def test_total_chern_against_naive_product(case):
 
 
 def test_derived_bundles_keep_degree_one_roots_on_their_space():
-    # dual, twist and pullback_to build their roots from classes, not from
-    # degree rows: each must still be a degree-one class on the bundle's own
-    # space, the class of its row of coefficients
+    # dual, twist and a pullback of the roots build them from classes, not
+    # from degree rows: each must still be a degree-one class on the bundle's
+    # own space, the class of its row of coefficients
     base = product_of_projective_spaces([1, 2])
     B = BundleSpec.sum_of_line_bundles(base, [[1, -1], [0, 0], [2, 1]])
     space = proj_bundle(base, B)
     ell = base.degree_one([1, -2])
-    pulled = B.pullback_to(space)
+    pulled = BundleSpec(space, tuple(space.pullback(r) for r in B.roots))
     derived = [
         (B.dual(), base),
         (B.twist(ell), base),

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcalc.bundles import BundleSpec
 from detcalc.chow import (
@@ -75,6 +77,46 @@ def test_closed_form_tangent_class_against_ring_products(dims):
         euler *= d + 1
     assert space.integrate(space.tangent_chern) == euler
 
+
+
+@st.composite
+def bundle_cases(draw):
+    """A base, P^1..P^6, a product of distinct factors or a block ring, and
+    the degree rows, one per generator of the base, of a fiber of rank 2..5
+    whose rows may repeat, be zero or be negative."""
+    kind = draw(st.sampled_from(["projective", "product", "blocks"]))
+    if kind == "projective":
+        space = projective_space(draw(st.integers(1, 6)))
+    elif kind == "product":
+        space = product_of_projective_spaces(
+            draw(st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+        )
+    else:
+        columns = draw(st.lists(st.integers(0, 1), min_size=2, max_size=5))
+        space = block_space([1] * len(columns), columns)[0]
+    width = len(space.caps)
+    row = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=3)) + [[0] * width]
+    rank = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=rank, max_size=rank))
+    return space, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle_cases())
+def test_bundle_tangent_class_against_ring_products(case):
+    # proj_bundle builds c(T) from the parts of c(F dual) with no product on
+    # the bundle ring; the ring's products give pi^* c(T_B) prod (1 + xi + y)
+    # over the roots y of F dual
+    base, rows = case
+    fiber = BundleSpec.sum_of_line_bundles(base, rows)
+    bundle = proj_bundle(base, fiber)
+    assert bundle._reduced == {}
+    xi = bundle.fiber_class()
+    expected = bundle.pullback(base.tangent_chern)
+    for y in fiber.dual().roots:
+        expected = expected * (1 + xi + bundle.pullback(y))
+    assert bundle.tangent_chern == expected
 
 def degree_one_cases():
     """A product, a block ring, P(F) with a relation, and P(F) of a trivial F."""

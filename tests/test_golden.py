@@ -9,7 +9,11 @@ a (P^1)^12 with two column types, whose outputs were recorded on the
 2^12-monomial ring before reports ran on the block ring, and a fivefold
 on P^5 off the Calabi-Yau condition (E = O^2, F = O(2)^2), whose outputs
 were recorded before its report compared the singular gap with the
-shortcut.  ``p4_non_cy_refused.json`` has no golden file: it is the
+shortcut, and a rank-5 fourfold on (P^1)^4 off the Calabi-Yau condition
+whose factors are all distinct, so that P(F) carries a 15-term relation
+over the monomial ring (two divided normal roots, three trivial summands
+of E), recorded before ``proj_bundle`` built its c(T) from c(F dual)
+alone.  ``p4_non_cy_refused.json`` has no golden file: it is the
 polarized fourfold off the Calabi-Yau condition that the installed entry
 point must refuse with exit 3 in CI.
 The cases also run one after another in one process, to show that a call
@@ -39,6 +43,8 @@ CASES = {
     "report-p1-12-mixed-json": ["report", str(GOLDEN / "p1_12_mixed.json"), "--json"],
     "report-p5-non-cy": ["report", str(GOLDEN / "p5_non_cy.json")],
     "report-p5-non-cy-json": ["report", str(GOLDEN / "p5_non_cy.json"), "--json"],
+    "report-p1-4-relation": ["report", str(GOLDEN / "p1_4_relation.json")],
+    "report-p1-4-relation-json": ["report", str(GOLDEN / "p1_4_relation.json"), "--json"],
 }
 
 

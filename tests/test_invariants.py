@@ -411,7 +411,8 @@ def test_flipped_bundle_convention_is_detected(p4):
 
     wrong_space = proj_bundle(p4, inst.pair.F.dual())
     xi = wrong_space.fiber_class()
-    twisted = inst.pair.E.dual().pullback_to(wrong_space).twist(xi)
+    roots = (xi - wrong_space.pullback(e) for e in inst.pair.E.roots)
+    twisted = BundleSpec(wrong_space, tuple(roots))
     locus = twisted.total_chern().parts()[inst.pair.rank]
     h = wrong_space.pullback(p4.generator(0))
     wrong = [
@@ -970,7 +971,7 @@ def assert_untwisted_resolution_agrees(inst, report):
     pair, hyper = inst.pair, inst.polarization
     bundle = proj_bundle(inst.ambient, pair.F)
     xi = bundle.fiber_class()
-    roots = pair.E.dual().pullback_to(bundle).twist(xi).roots
+    roots = [xi - bundle.pullback(e) for e in pair.E.roots]
     locus = prod(roots, start=bundle.one())
     tangent = chow.divide_by_roots(bundle.tangent_chern.parts(d - 1), roots)
     assert bundle.integrate(tangent[d - 1] * locus) == report.euler_resolution
