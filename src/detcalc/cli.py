@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from copy import copy
 from typing import Callable, NamedTuple
 
 from .invariants import ConsistencyError, GuardError, Instance, InvariantReport
@@ -167,32 +168,23 @@ def _pairing_label(k: int, dim: int) -> str:
     return ".".join(bits)
 
 
+_DOC_KEYS = {
+    "ih_milnor": "ih_milnor_number",
+    "c2_against_polarization": "c2.H",
+    "c2_against_tautological": "c2.L",
+}
+
+
 def report_to_dict(config: dict, report: InvariantReport) -> dict:
-    """The report document: the config under ``instance`` and every field
-    of the report that is set.  Both ``report`` outputs print it."""
-    doc = {
-        "instance": config,
-        "dim": report.dim,
-        "rank": report.rank,
-        "calabi_yau": report.calabi_yau,
-        "ih_milnor_number": report.ih_milnor,
-        "euler_smooth": report.euler_smooth,
-        "euler_ih": report.euler_ih,
-        "euler_resolution": report.euler_resolution,
-        "warnings": list(report.warnings),
-    }
-    if report.singular_degree is not None:
-        doc["singular_degree"] = report.singular_degree
-    if report.odp_count is not None:
-        doc["odp_count"] = report.odp_count
-    if report.intersection_numbers is not None:
-        doc["intersection_numbers"] = {
-            _pairing_label(k, report.dim): value
-            for k, value in enumerate(report.intersection_numbers)
-        }
-    if report.c2_against_polarization is not None:
-        doc["c2.H"] = report.c2_against_polarization
-        doc["c2.L"] = report.c2_against_tautological
+    """The report document that both ``report`` outputs print: the config
+    under ``instance`` and a copy of every field of the report that is set,
+    under its own name or its ``_DOC_KEYS`` name, ``intersection_numbers`` by label."""
+    doc = {"instance": config}
+    for name, value in vars(report).items():
+        if name == "intersection_numbers" and value is not None:  # one per k < dim
+            value = {_pairing_label(k, len(value)): v for k, v in enumerate(value)}
+        if value is not None:
+            doc[_DOC_KEYS.get(name, name)] = copy(value)
     return doc
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from detcalc.cli import (
     main,
     parse_config,
     report_from_config,
+    report_to_dict,
 )
 from detcalc.invariants import GuardError
 from tables import instance
@@ -360,6 +362,23 @@ def test_report_json_for_quartic(tmp_path, capsys):
     assert out["ih_milnor_number"] == 32
     assert out["euler_smooth"] == -56
     assert out["euler_resolution"] == -24
+
+
+def test_a_new_report_field_reaches_the_json_document():
+    """A field added to the report is in the document under its own name
+    when set, and absent when unset, with no change to the CLI."""
+    config = parse_config(QUINTIC_DOC)
+    report = report_from_config(config)
+    extended = dataclasses.make_dataclass(
+        "ExtendedReport",
+        [("euler_singular", "int | None", None)],
+        bases=(InvariantReport,),
+    )
+    fields = dataclasses.asdict(report)
+    doc = report_to_dict(config, extended(**fields, euler_singular=46))
+    assert doc == {**report_to_dict(config, report), "euler_singular": 46}
+    unset = report_to_dict(config, extended(**fields))
+    assert unset == report_to_dict(config, report)
 
 
 def test_report_is_deterministic(tmp_path, capsys):

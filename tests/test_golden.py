@@ -13,9 +13,12 @@ shortcut, and a rank-5 fourfold on (P^1)^4 off the Calabi-Yau condition
 whose factors are all distinct, so that P(F) carries a 15-term relation
 over the monomial ring (two divided normal roots, three trivial summands
 of E), recorded before ``proj_bundle`` built its c(T) from c(F dual)
-alone.  ``p4_non_cy_refused.json`` has no golden file: it is the
-polarized fourfold off the Calabi-Yau condition that the installed entry
-point must refuse with exit 3 in CI.
+alone, and Table 2's first quartic on P^4 (E = O^2, F = O(1) + O(3),
+9 nodes), unpolarized, so its document has no intersection numbers and
+no c2 pairings, recorded before ``report --json`` read its keys off the
+report's fields.  ``p4_non_cy_refused.json`` has no golden file: it is
+the polarized fourfold off the Calabi-Yau condition that the installed
+entry point must refuse with exit 3 in CI.
 The cases also run one after another in one process, to show that a call
 leaves nothing behind that changes the next one.
 """
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from detcalc.cli import main
+from detcalc.cli import _DOC_KEYS, load_config, main, report_from_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +48,8 @@ CASES = {
     "report-p5-non-cy-json": ["report", str(GOLDEN / "p5_non_cy.json"), "--json"],
     "report-p1-4-relation": ["report", str(GOLDEN / "p1_4_relation.json")],
     "report-p1-4-relation-json": ["report", str(GOLDEN / "p1_4_relation.json"), "--json"],
+    "report-p4-quartic": ["report", str(GOLDEN / "p4_quartic.json")],
+    "report-p4-quartic-json": ["report", str(GOLDEN / "p4_quartic.json"), "--json"],
 }
 
 
@@ -53,6 +58,27 @@ def test_cli_output_matches_golden_file(case, capsys):
     code = main(CASES[case])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+
+
+REPORT_CONFIGS = sorted(
+    {Path(argv[1]).name for argv in CASES.values() if argv[0] == "report"}
+)
+
+
+@pytest.mark.parametrize("name", REPORT_CONFIGS)
+def test_document_keys_name_the_set_report_fields(name, capsys):
+    """Every key of a golden report document but ``instance`` is a set field
+    of the report, under its own name or its ``_DOC_KEYS`` name, and every
+    key but ``intersection_numbers`` holds that field's value."""
+    config = str(GOLDEN / name)
+    assert main(["report", config, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = report_from_config(load_config(config))
+    fields = {_DOC_KEYS.get(field, field): field for field in vars(report)}
+    set_keys = {k for k, field in fields.items() if getattr(report, field) is not None}
+    assert set(doc) == {"instance"} | set_keys
+    for key in set_keys - {"intersection_numbers"}:
+        assert doc[key] == getattr(report, fields[key]), key
 
 
 def test_cases_repeat_in_one_process(capsys):
