@@ -629,28 +629,10 @@ def product_of_projective_spaces(dims) -> AmbientSpace:
     return block_space(dims, range(len(dims)))[0]
 
 
-def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
-    """The ring of the classes of a product of projective spaces that are
-    symmetric in each block, the P^1 factors of equal ``columns`` (any
-    hashable per factor), and the first factor of each of its generators.
-    Every product ring is built here, ``product_of_projective_spaces`` too.
-
-    A block of ``n >= 2`` factors is one divided generator ``e`` with basis
-    ``e_k``, the sum of the products of k distinct hyperplane classes:
-    ``e_k e_l = C(k+l, k) e_(k+l)``, ``e_n`` integrates to 1, and ``c(T)``
-    has ``2^k`` on ``e_k``.  A symmetric class restricts to it by its
-    coefficient on one monomial of each ``e_k``, with the same integrals.
-    Other factors stay hyperplane classes ``h<i>`` (``h`` on one factor)."""
-    dims, columns, caps, firsts, index = tuple(dims), list(columns), [], [], {}
-    if len(columns) != len(dims):
-        raise ValueError(f"expected {len(dims)} columns, got {len(columns)}")
-    for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError(f"dimensions must be integers, got {d!r}")
-    if not dims:
-        raise ValueError("at least one factor is required")
-    if any(d < 1 for d in dims):
-        raise ValueError("dimensions must be at least 1: a factor P^0 is refused")
+def _blocks(dims, columns) -> tuple[list[int], list[int]]:
+    """The block rule: the caps of the generators of the factors ``dims``, the
+    P^1 factors of equal ``columns`` sharing one, and the first factor of each."""
+    caps, firsts, index = [], [], {}
     for i, (d, column) in enumerate(zip(dims, columns)):
         if d == 1 and column in index:
             caps[index[column]] += 1
@@ -659,6 +641,33 @@ def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
             index[column] = len(caps)
         caps.append(d)
         firsts.append(i)
+    return caps, firsts
+
+
+def block_space(dims, columns) -> tuple[AmbientSpace, list[int]]:
+    """The ring of the classes of a product of projective spaces that are
+    symmetric in each block, the P^1 factors of equal ``columns`` (any
+    hashable per factor; :func:`_blocks`), and the first factor of each of
+    its generators.
+    Every product ring is built here, ``product_of_projective_spaces`` too.
+
+    A block of ``n >= 2`` factors is one divided generator ``e`` with basis
+    ``e_k``, the sum of the products of k distinct hyperplane classes:
+    ``e_k e_l = C(k+l, k) e_(k+l)``, ``e_n`` integrates to 1, and ``c(T)``
+    has ``2^k`` on ``e_k``.  A symmetric class restricts to it by its
+    coefficient on one monomial of each ``e_k``, with the same integrals.
+    Other factors stay hyperplane classes ``h<i>`` (``h`` on one factor)."""
+    dims, columns = tuple(dims), list(columns)
+    if len(columns) != len(dims):
+        raise ValueError(f"expected {len(dims)} columns, got {len(columns)}")
+    for d in dims:
+        if _scalar(d) is None:
+            raise TypeError(f"dimensions must be integers, got {d!r}")
+    if not dims:
+        raise ValueError("at least one factor is required")
+    if any(d < 1 for d in dims):
+        raise ValueError("dimensions must be at least 1: a factor P^0 is refused")
+    caps, firsts = _blocks(dims, columns)
     divided = tuple(dims[i] == 1 and c > 1 for i, c in zip(firsts, caps))
     if len(dims) == 1:
         gens = ("h",)

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .bundles import BundleSpec, VirtualPair, first_read
 from .chow import AmbientSpace, ChowClass, _pair, _pair3, block_space, divide_by_roots
-from .chow import _scalar, proj_bundle, sum_of_products
+from .chow import _blocks, _scalar, proj_bundle, sum_of_products
 from .schur import hook_pairing, hook_sum
 
 
@@ -103,9 +103,10 @@ class Instance:
 
     Built by hand, it reads the degree row of each root and of the
     polarization once, where ``AmbientSpace.coefficients`` refuses a class not
-    of degree one on ``ambient``; when the rows repeat a P^1 column it keeps
-    the ``ambient``, ``pair`` and ``polarization`` that :meth:`from_rows`
-    builds from them in place of the caller's, whose pair then divides none.
+    of degree one on ``ambient``; when the block rule, ``chow._blocks``, gives
+    a plain product fewer generators by those rows' columns, it keeps the
+    ``ambient``, ``pair`` and ``polarization`` that :meth:`from_rows` builds
+    from them in place of the caller's, whose pair then divides none.
     """
 
     def __init__(
@@ -122,8 +123,9 @@ class Instance:
         polar = None if polarization is None else ambient.coefficients(polarization)
         _check_ample(polar)
         E, F = ([ambient.coefficients(x) for x in B.roots] for B in (pair.E, pair.F))
-        if _block_rows(ambient, E, F, polar):
-            vars(self).update(vars(Instance.from_rows(ambient.caps, E, F, polar)))
+        rows, caps = [*E, *F] + ([polar] if polar is not None else []), ambient.caps
+        if not any(ambient.divided) and len(_blocks(caps, zip(*rows))[1]) < len(caps):
+            vars(self).update(vars(Instance.from_rows(caps, E, F, polar)))
 
     def _adopt(self, ambient, pair, polarization) -> "Instance":
         """Take the inputs after the guards that every instance passes."""
@@ -169,13 +171,13 @@ class Instance:
     def from_rows(cls, dims, E, F, polarization=None) -> "Instance":
         """The instance on the P^d over ``dims`` of integer degree rows, one
         entry per factor: a row per summand of E and F, one for the
-        polarization.  It runs on the block ring of the factors' columns
-        (``chow.block_space``); no rows, E and F of different lengths, a row
-        of the wrong width, a factor P^0 or a polarization that is not ample
-        raises ``ValueError``, naming the caller's factor, and a non-``int``
-        entry ``TypeError``, before that ring is built.  Built from the rows,
-        the instance skips the checks of a hand-built one, which read each
-        class's degrees back."""
+        polarization.  It runs on the block ring of the factors' columns,
+        grouped by ``chow._blocks`` (``chow.block_space``); no rows, E and F of
+        different lengths, a row of the wrong width, a factor P^0 or a
+        polarization that is not ample raises ``ValueError``, naming the
+        caller's factor, and a non-``int`` entry ``TypeError``, before that
+        ring is built.  Built from the rows, the instance skips the checks of a
+        hand-built one, which read each class's degrees back."""
         if not E or not F:
             raise ValueError("E and F must each have at least one row")
         if len(E) != len(F):
@@ -210,18 +212,6 @@ def _check_ample(degrees) -> None:
         if a < 1:
             msg = f"polarization is not ample: degree below 1 on factor {i + 1}"
             raise ValueError(msg)
-
-
-def _block_rows(space: AmbientSpace, E, F, polar) -> bool:
-    """True when ``space`` is a plain product (not a block ring) and the
-    degree rows of a hand-built instance's inputs repeat a P^1 column, so
-    that the constructor restricts the instance to the block ring.  A column
-    test over the rows the constructor read: no class is read here."""
-    if any(space.divided) or space.caps.count(1) < 2:
-        return False
-    columns = zip(*E, *F, *([polar] if polar is not None else []))
-    lines = [column for column, cap in zip(columns, space.caps) if cap == 1]
-    return len(set(lines)) < len(lines)
 
 
 # -- scalar invariants -----------------------------------------------------

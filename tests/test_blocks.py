@@ -2,9 +2,10 @@
 monomial ring.
 
 An instance whose roots and polarization are constant on a block of P^1
-factors is built on the block ring.  With the block test patched off
-(``invariants._block_rows`` returning None) the same hand-built instance
-stays on the 2^n-monomial ring, and every report field must be equal; so
+factors is built on the block ring.  With the block rule patched off where
+the constructor reads it (``invariants._blocks`` giving every factor its
+own generator) the same hand-built instance stays on the 2^n-monomial
+ring, and every report field must be equal; so
 must the reports of ``Instance.from_rows`` and of the command line's path,
 which build the block ring straight from the rows' columns.
 """
@@ -62,9 +63,11 @@ def config(dims, rows_e, rows_f, polarization):
 
 
 def monomial_report(dims, rows_e, rows_f, polarization):
-    """The report on the 2^n-monomial ring: the block test patched off."""
+    """The report on the 2^n-monomial ring: the block rule patched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_block_rows", lambda space, E, F, polar: None)
+        patch.setattr(
+            invariants, "_blocks", lambda dims, columns: (dims, range(len(dims)))
+        )
         inst = library_instance(dims, rows_e, rows_f, polarization)
         assert not any(inst.ambient.divided)
         return asdict(build_report(inst, allow_non_cy_c2=True))

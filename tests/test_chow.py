@@ -2,11 +2,14 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcalc import chow
 from detcalc.bundles import BundleSpec
 from detcalc.chow import (
     ChowClass,
@@ -117,6 +120,81 @@ def test_bundle_tangent_class_against_ring_products(case):
     for y in fiber.dual().roots:
         expected = expected * (1 + xi + bundle.pullback(y))
     assert bundle.tangent_chern == expected
+
+
+def _times(a, b, scale, out):
+    """Add ``scale a b`` into ``out``, polynomials in c_1, c_2, ... that map
+    the sorted indices of each monomial to its coefficient."""
+    for m, x in a.items():
+        for n, y in b.items():
+            key = tuple(sorted(m + n))
+            out[key] = out.get(key, 0) + scale * x * y
+
+
+@cache
+def todd(d):
+    """The degree-d Todd polynomial in c_1..c_d, ``exp(sum_k g_k p_k)``: the
+    ``g_k`` are the coefficients of ``log q`` for ``q = x / (1 - e^-x)``, and
+    the power sums ``p_k`` of the Chern roots come from Newton's identities,
+    ``p_k = sum_(i<k) (-1)^(i-1) c_i p_(k-i) + (-1)^(k-1) k c_k``.  The
+    logarithm and the exponential both read ``k f_k = sum_(j<=k) j g_j
+    f_(k-j)`` for ``f = exp(sum_j g_j x^j)``."""
+    q = series_inv([Fraction((-1) ** k, factorial(k + 1)) for k in range(d + 1)], d)
+    g, p, td = [0], [{}], [{(): Fraction(1)}]
+    for k in range(1, d + 1):
+        g.append(q[k] - sum(Fraction(j, k) * g[j] * q[k - j] for j in range(1, k)))
+        p.append({(k,): (-1) ** (k - 1) * k})
+        for i in range(1, k):
+            _times({(i,): 1}, p[k - i], (-1) ** (i - 1), p[k])
+        td.append({})
+        for j in range(1, k + 1):
+            _times(p[j], td[k - j], Fraction(j, k) * g[j], td[k])
+    return td[d]
+
+
+def todd_integral(space):
+    """``integrate(td(T))``: the Fraction coefficients of :func:`todd` times
+    the ``int`` integrals of products of parts of ``c(T)``."""
+    c = space.tangent_chern.parts()
+    return sum(
+        coeff * space.integrate(prod((c[i] for i in m), start=space.one()))
+        for m, coeff in todd(space.dim).items()
+    )
+
+
+def test_todd_class_integrates_to_one():
+    # chi(O) = 1 (Hirzebruch-Riemann-Roch) on P^2..P^6 and P^8, six products,
+    # three block rings and P(F) with a relation over P^4, P^2 x P^2,
+    # P^1 x P^1 x P^2 and a block ring: a check of c(T) that reads none of
+    # the formulas that build it
+    products = [[1, 1], [1, 2], [2, 2], [1] * 4, [1, 3], [2, 3]]
+    blocks = [
+        block_space(dims, columns)[0]
+        for dims, columns in [([1] * 4, [0] * 4), ([1] * 5, [0] * 5),
+                              ([1, 1, 1, 1, 2], [0, 0, 1, 1, 2])]
+    ]
+    fibers = [
+        (projective_space(4), [[0], [1], [2]]),
+        (product_of_projective_spaces([2, 2]), [[0, 1], [1, 1]]),
+        (product_of_projective_spaces([1, 1, 2]), [[1, 0, 1], [0, 1, 2]]),
+        (blocks[0], [[1], [2]]),
+    ]
+    spaces = [
+        *map(projective_space, [2, 3, 4, 5, 6, 8]),
+        *map(product_of_projective_spaces, products),
+        *blocks,
+        *(proj_bundle(b, BundleSpec.sum_of_line_bundles(b, r)) for b, r in fibers),
+    ]
+    assert [todd_integral(space) for space in spaces] == [1] * 19
+
+
+def test_todd_integral_fails_on_a_wrong_tangent_binomial(monkeypatch):
+    # c(T) is cached per space, so both spaces are built inside the patch
+    monkeypatch.setattr(chow, "comb", lambda n, k: comb(n, k) + (k == 2))
+    p4 = projective_space(4)
+    bundle = proj_bundle(p4, BundleSpec.sum_of_line_bundles(p4, [[0], [1], [2]]))
+    assert todd_integral(p4) != 1 and todd_integral(bundle) != 1
+
 
 def degree_one_cases():
     """A product, a block ring, P(F) with a relation, and P(F) of a trivial F."""
