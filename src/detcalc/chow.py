@@ -267,8 +267,8 @@ class ChowClass:
 
 
 def _pair(x: ChowClass, y: ChowClass) -> int:
-    """``integrate(x * y)`` on a space with no relation, without the product:
-    a base, or a bundle whose relation is zero.
+    """``integrate(x * y)`` on every space.  On a base, or a bundle whose
+    relation is zero, the product is not formed; with a relation it is.
 
     There every product of normal-form monomials either truncates or stays
     in normal form, so only the pairs ``m * (top / m)`` reach the top
@@ -279,8 +279,8 @@ def _pair(x: ChowClass, y: ChowClass) -> int:
     space = x.ambient
     if y.ambient is not space:
         raise ValueError("classes live on different ambient spaces")
-    if space._relation:
-        raise ValueError("the pairing kernel needs a space with no relation")
+    if space._relation:  # fiber powers reduce through it, also onto the top
+        return space.integrate(x * y)
     top, get = space._top, y.terms.get
     if space._divided:  # weight m * (top / m) by N / (F(m) F(top - m))
         fact, mask = space._fact, space._divided

@@ -29,8 +29,8 @@ integrated there, is pushed down to the ambient space and paired there
 its relation.  The resolution's Euler number: the hook sum of
 :func:`euler_numbers` against ``chi(Z)`` integrated on that bundle.  The
 direct ``chi(Z)``, ``c2`` cycle and intersection numbers all read the one
-stored ``[Z]`` of :class:`Resolution`; a relation on the bundle decides
-only whether ``chi(Z)`` is paired there or multiplied out.  The smooth
+stored ``[Z]`` of :class:`Resolution` and integrate by ``chow._pair``; a
+relation on the bundle picks only the ``chi(Z)`` integrand.  The smooth
 number and the singular gap have a second route, the shortcut of
 :func:`ih_milnor_number_small_dim`, on fourfolds and fivefolds only.  A
 report forms one Schur class, the 2x2 class of :func:`porteous_class`, on
@@ -222,13 +222,13 @@ def euler_smooth_hypersurface(space: AmbientSpace, divisor: ChowClass) -> int:
 
     Integrates ``D * c(T) / (1 + D)`` over the space, on a base or a bundle
     space alike: the parts of ``c(T)`` below the top degree are divided by
-    the one root ``D`` (:func:`divide_by_roots`), and only ``D`` times the
-    quotient's degree-``(d-1)`` part reaches the top.  A ``D`` that is not
-    of degree one on ``space`` raises ``ValueError`` (``AmbientSpace.coefficients``).
+    the one root ``D`` (:func:`divide_by_roots`), and ``chow._pair`` pairs ``D``
+    with the quotient's degree-``(d-1)`` part.  A ``D`` that is not of degree
+    one on ``space`` raises ``ValueError`` (``AmbientSpace.coefficients``).
     """
     space.coefficients(divisor)
     quotient = divide_by_roots(space.tangent_chern.parts(space.dim - 1), [divisor])
-    return space.integrate(divisor * quotient[-1])
+    return _pair(divisor, quotient[-1])
 
 
 def porteous_class(inst: Instance) -> ChowClass:
@@ -290,10 +290,10 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
 
     The resolution number is compared with ``chi(Z)``, integrated directly
     on the quotient bundle from the terms ``a_k Q_(d-1-k)`` and ``[Z] xi^k``
-    of :class:`Resolution`: with no relation there, each pair is paired;
-    with one, ``c_(d-1)(T_Z)``, their sum without ``[Z]``, is formed by
-    Horner in ``xi`` and multiplied by the stored ``[Z]`` once.  A mismatch
-    raises :class:`ConsistencyError`.
+    of :class:`Resolution`: with no relation there (``has_relation``), each
+    pair is paired; with one, ``c_(d-1)(T_Z)``, their sum without ``[Z]``,
+    is formed by Horner in ``xi`` and paired with ``[Z]``, one product where
+    the pairs would form ``d``.  A mismatch raises :class:`ConsistencyError`.
     """
     d = inst.d
     seq = inst.pair.schur_seq
@@ -321,7 +321,7 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
         integrand = res.tangent[d - 1 - len(rest)] * top
         for a, t in zip(rest, res.tangent[d - len(rest) :]):
             integrand = sum_of_products(bundle, [(1, integrand, xi), (a, t, one)])
-        direct = bundle.integrate(integrand * res.cycles[0])
+        direct = _pair(integrand, res.cycles[0])
     else:
         # [Z] xi^k has degree r + k: it meets only the part d-1-k of Q
         terms = zip(res.series, res.cycles, reversed(res.tangent))
@@ -408,7 +408,7 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     is formed once on the quotient bundle as one sum over ``k <= 2`` of
     ``a_k Q_(2-k) [Z] xi^k`` (:class:`Resolution`), with or without a
     relation there; it is pushed down and paired with the polarization, and
-    its product with the tautological class is integrated on the bundle.
+    with the tautological class it is paired on the bundle by ``_pair``.
     """
     if inst.d != 4:
         raise GuardError("c2 pairings are defined for dim M = 4 only")
@@ -439,7 +439,7 @@ def c2_numbers(inst: Instance, allow_non_cy: bool = False) -> C2Pairings:
     cycle = sum_of_products(bundle, zip(res.series, res.tangent[2::-1], res.cycles))
     direct = (
         _pair(hyper, bundle.pushforward(cycle)),
-        bundle.integrate(cycle * res.tautological),
+        _pair(res.tautological, cycle),
     )
     return C2Pairings(*_agree("c2 pairings", closed=closed, direct=direct))
 

@@ -5,7 +5,8 @@ imported from its own module.  Every public method of a public class is read
 by the package itself or by the README's library example, and every
 function and method the package defines, private ones included, is read by
 the package itself.  Term maps have one owner: no module but ``chow`` reads
-``.terms`` or the kernel's private names.  Every ``ConsistencyError`` is
+``.terms`` or the kernel's private names, and none but ``chow`` integrates
+a product ``x * y``: ``chow._pair`` does.  Every ``ConsistencyError`` is
 raised in ``invariants._agree``, the one comparison of routes.  Importing
 the command line leaves ``fractions`` unimported."""
 
@@ -82,9 +83,9 @@ def _term_map_users() -> dict[str, list[str]]:
     return found
 
 
-class _Raises(ast.NodeVisitor):
-    """``module.function`` of every place a module constructs or raises
-    ``ConsistencyError``, by the innermost enclosing definition."""
+class _Sites(ast.NodeVisitor):
+    """``module.function`` of every place in a module that a subclass records
+    with ``_add``, by the innermost enclosing definition."""
 
     def __init__(self, module):
         self.module = module
@@ -98,10 +99,27 @@ class _Raises(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
+    def _add(self):
+        self.sites.append(f"{self.module}.{self.enclosing[-1]}")
+
+    @classmethod
+    def in_package(cls, skip=()) -> list[str]:
+        sites = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.stem not in skip:
+                visitor = cls(path.stem)
+                visitor.visit(ast.parse(path.read_text()))
+                sites += visitor.sites
+        return sites
+
+
+class _Raises(_Sites):
+    """Every place a module constructs or raises ``ConsistencyError``."""
+
     def _site(self, node):
         name = getattr(node, "id", getattr(node, "attr", None))
         if name == "ConsistencyError":
-            self.sites.append(f"{self.module}.{self.enclosing[-1]}")
+            self._add()
 
     def visit_Call(self, node):
         self._site(node.func)
@@ -112,21 +130,33 @@ class _Raises(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _ProductIntegrals(_Sites):
+    """Every call ``.integrate(...)`` whose argument is a product ``x * y``."""
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", None) == "integrate" and any(
+            isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult) for a in node.args
+        ):
+            self._add()
+        self.generic_visit(node)
+
+
 def test_route_comparisons_raise_in_one_place():
     # every comparison of two routes goes through invariants._agree, and
     # nothing else raises ConsistencyError
-    sites = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Raises(path.stem)
-        visitor.visit(ast.parse(path.read_text()))
-        sites += visitor.sites
-    assert sites == ["invariants._agree"]
+    assert _Raises.in_package() == ["invariants._agree"]
 
 
 def test_only_chow_touches_term_maps():
     # a class's term map is read, filled and handed over in chow alone, so
     # the rule that keeps classes immutable is one module's business
     assert _term_map_users() == {}
+
+
+def test_only_chow_integrates_a_product():
+    # chow._pair is the one integral of a product on every space, so no
+    # other module multiplies two classes only to integrate the product
+    assert _ProductIntegrals.in_package(skip={"chow"}) == []
 
 
 def _readme_example() -> str:

@@ -356,13 +356,48 @@ def test_triple_pairing_kernel_refuses_bundles_and_foreign_classes():
             _pair3(*args)
 
 
+RELATION_CASES = [
+    "P(O + O(1)) over P^2",
+    "P(O(1)^2 + O(2)) over P^4",
+    "P(O(-1) + O + O(2)) over the (P^1)^4 block ring",
+]
+
+
+def relation_space(case):
+    """A bundle whose relation is not zero, built by ``proj_bundle`` with no
+    twist: over P^2, over P^4, or over the block ring of (P^1)^4, one
+    divided generator, with distinct rows."""
+    if case == "P(O + O(1)) over P^2":
+        base, rows = projective_space(2), [[0], [1]]
+    elif case == "P(O(1)^2 + O(2)) over P^4":
+        base, rows = projective_space(4), [[1], [1], [2]]
+    else:
+        base, rows = block_space([1] * 4, [0] * 4)[0], [[-1], [0], [2]]
+    space = proj_bundle(base, BundleSpec.sum_of_line_bundles(base, rows))
+    assert space.has_relation
+    return space
+
+
+@pytest.mark.parametrize("case", RELATION_CASES)
+def test_pairing_kernel_integrates_a_product_on_bundles_with_a_relation(case):
+    # _pair is the one integral of a product: on a bundle with a relation it
+    # forms x * y, and it satisfies the projection formula with the base
+    rng = random.Random(RELATION_CASES.index(case))
+    space = relation_space(case)
+    for _ in range(10):
+        x, y = random_class(rng, space), random_class(rng, space)
+        assert _pair(x, y) == space.integrate(x * y)
+        a = random_class(rng, space.base)
+        assert _pair(space.pullback(a), y) == _pair(a, space.pushforward(y))
+
+
 def test_pairing_kernel_refuses_bundles_and_foreign_classes():
-    # a bundle whose relation is not zero; a relation-free one is paired
+    # on a bundle whose relation is not zero the pairing is the integral of
+    # the product; classes of two spaces are refused
     p2 = projective_space(2)
     bundle = proj_bundle(p2, BundleSpec.sum_of_line_bundles(p2, [[0], [1]]))
     xi = bundle.fiber_class()
-    with pytest.raises(ValueError):
-        _pair(xi, xi)
+    assert _pair(xi, xi**2) == bundle.integrate(xi**3) != 0
     with pytest.raises(ValueError):
         _pair(p2.one(), projective_space(2).one())
 

@@ -515,6 +515,53 @@ def test_euler_numbers_pairs_each_low_weight_once(monkeypatch):
     assert counts == {"_pair": 12}
 
 
+def count_products(monkeypatch):
+    """Calls of ``ChowClass.__mul__`` by the space of the left operand, once
+    this patches it."""
+    counts = {}
+    original = chow.ChowClass.__mul__
+
+    def counted(self, other):
+        counts[self.ambient] = counts.get(self.ambient, 0) + 1
+        return original(self, other)
+
+    monkeypatch.setattr(chow.ChowClass, "__mul__", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "dims, rows_e, rows_f, products",
+    [
+        ([4], [[0]] * 2, [[2]] * 2, 0),  # Table 2's row 4
+        ([1] * 4, [[0] * 4] * 3, [[1] * 4] * 3, 0),  # the (P^1)^4 block ring
+        ([4], [[0]] * 2, [[1], [3]], 1),  # its bundle has a relation
+    ],
+    ids=["P^4 O(2)^2", "(P^1)^4 O(1)^3", "P^4 O(1)+O(3)"],
+)
+def test_c2_numbers_form_a_product_only_on_a_relation(
+    monkeypatch, dims, rows_e, rows_f, products
+):
+    # the direct c2 . L is one _pair on the bundle, which multiplies the
+    # cycle by L only where the bundle has a relation
+    inst = Instance.from_rows(dims, rows_e, rows_f, [1] * len(dims))
+    # built before counting: the pair's sequences and the resolution
+    inst.pair.schur_seq, inst.pair.chern_diff
+    bundle = inst.resolution.space
+    assert bundle.has_relation == bool(products)
+    counts = count_products(monkeypatch)
+    c2_numbers(inst, allow_non_cy=True)
+    assert counts.get(bundle, 0) == products
+
+
+def test_euler_smooth_hypersurface_forms_no_product(monkeypatch):
+    # D times the quotient's top part is paired, not multiplied out
+    p6 = projective_space(6)
+    divisor = 3 * p6.generator(0)
+    counts = count_products(monkeypatch)
+    assert euler_smooth_hypersurface(p6, divisor) == euler_series_oracle(6, 3)
+    assert counts.get(p6, 0) == 0
+
+
 def dense_instance(d):
     # E = O(0)^3, F = O(1)^3: the Schur sequence 1/(1-h)^3 has no zero entry
     return make_instance(projective_space(d), [0, 0, 0], [1, 1, 1])
