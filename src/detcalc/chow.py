@@ -31,9 +31,12 @@ divided field, whose exponent k stands for ``e_k``: there
 ``e_k e_l = C(k+l, k) e_(k+l)``, a weight the kernel, the reduction's shift
 and the pairings read off a table of factorials.
 
-Term maps belong to this module: other modules build classes through the
-ring operations, :func:`sum_of_products` and :func:`divide_by_roots`.  A
-class never changes its term map.  Each accumulator is made by the
+Term maps belong to this module, and :func:`_make` makes every class: a
+space's constructors (``zero``, ``one``, ``scalar``, ``generator``,
+``degree_one``) and the ring operations call it, and other modules build
+classes through those, :func:`sum_of_products` and :func:`divide_by_roots`.
+``+``, ``-`` and ``==`` take a class of the same space, ``*`` a class or an
+``int``.  A class never changes its term map.  Each accumulator is made by the
 function that fills it and adopted by one new class (:func:`_finish`), and
 one that starts from a class is a copy, ``dict(x.terms)``.
 """
@@ -157,35 +160,24 @@ class ChowClass:
     """A ring element: exact integer coefficients on normal-form monomials.
 
     ``terms`` maps the packed code of each monomial to its nonzero
-    coefficient; the constructor takes exponent tuples instead.
+    coefficient.  There is no constructor: a class comes from its space
+    and the ring operations, through :func:`_make`.
     """
 
     __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: "AmbientSpace", terms: dict[tuple[int, ...], int]):
-        out = {}
-        for e, c in terms.items():
-            q = _scalar(c)
-            if q is None:
-                raise TypeError(f"expected an integer coefficient, got {c!r}")
-            if q:
-                out[ambient._pack(e)] = q
-        self.ambient = ambient
-        self.terms = out
-
     def _coerce(self, other) -> "ChowClass | None":
-        if isinstance(other, ChowClass):
-            if other.ambient is not self.ambient:
-                raise ValueError("classes live on different ambient spaces")
-            return other
-        q = _scalar(other)
-        return None if q is None else self.ambient.scalar(q)
+        """``other`` when it is a class of this space, or None; a class of
+        another space raises ValueError."""
+        if not isinstance(other, ChowClass):
+            return None
+        if other.ambient is not self.ambient:
+            raise ValueError("classes live on different ambient spaces")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else _combine(self, other, 1)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _make(self.ambient, {e: -c for e, c in self.terms.items()})
@@ -193,10 +185,6 @@ class ChowClass:
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else _combine(self, other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else _combine(other, self, -1)
 
     def __mul__(self, other):
         space = self.ambient
@@ -222,12 +210,9 @@ class ChowClass:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, ChowClass):
-            return other.ambient is self.ambient and self.terms == other.terms
-        q = _scalar(other)
-        if q is None:
+        if not isinstance(other, ChowClass):
             return NotImplemented
-        return self.terms == self.ambient.scalar(q).terms
+        return other.ambient is self.ambient and self.terms == other.terms
 
     __hash__ = None
 
@@ -252,8 +237,9 @@ class ChowClass:
             return "0"
         space = self.ambient
         bits = []
-        for e in sorted(map(space._unpack, self.terms), key=lambda e: (sum(e), e)):
-            c = self.terms[space._pack(e)]
+        exps = {space._unpack(code): c for code, c in self.terms.items()}
+        for e in sorted(exps, key=lambda e: (sum(e), e)):
+            c = exps[e]
             mono = space._monomial_str(e)
             if mono == "1":
                 bits.append(str(c))
@@ -394,23 +380,13 @@ class AmbientSpace:
         self._tops = tuple(tops)
         self._over = sum(tops)
         self._trunc = self._over  # flag bits of the generators that truncate
-        self._top = self._pack(caps)
+        self._top = sum(cap << shift for cap, shift in zip(caps, self._shifts))
         self._relation: tuple[tuple[int, int], ...] = ()
         self._step = 0
         self._base_fields: tuple[int, ...] = ()  # a bundle's base field masks
         self._reduced: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- packed monomials ----------------------------------------------------
-
-    def _pack(self, exp: tuple[int, ...]) -> int:
-        if len(exp) != len(self.caps):
-            raise ValueError(f"expected {len(self.caps)} exponents, got {exp!r}")
-        code = 0
-        for e, cap, shift in zip(exp, self.caps, self._shifts):
-            if not 0 <= e <= cap:
-                raise ValueError(f"{exp!r} is not a normal-form monomial")
-            code += e << shift
-        return code
 
     def _unpack(self, code: int) -> tuple[int, ...]:
         return tuple((code >> shift) & mask for shift, mask in self._fields)

@@ -6,7 +6,8 @@ expected values they produce are computed along a genuinely different
 path.  The partition functions (:func:`partition` to :func:`partitions_of`)
 are the closed formulas, the hook length formula among them, that the
 tests hold against those enumerations.  :func:`monomials_of_degree`
-reads only a space's caps.  The class-level references
+reads only a space's caps, and :func:`from_exponents` builds a class from
+its generators.  The class-level references
 (:func:`unit_inverse`, :func:`s_from_c`, :func:`schur`,
 :func:`twisted_virtual_chern` and :func:`tableau_gap`) use only the public
 ring operations of a class, one product and one sum at a time, where the
@@ -259,11 +260,24 @@ def degrees(x) -> set[int]:
 
 
 def monomials_of_degree(space, degree: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of the normal-form monomials of one degree, as the
-    class constructor takes them; a divided exponent k stands for ``e_k``."""
+    """Exponent tuples of the normal-form monomials of one degree, as
+    :func:`from_exponents` takes them."""
     for exp in itertools.product(*(range(cap + 1) for cap in space.caps)):
         if sum(exp) == degree:
             yield exp
+
+
+def from_exponents(space, terms: dict):
+    """``sum c prod g_i^e_i`` over the exponent tuples and coefficients of
+    ``terms``, built from the generators ``g_i`` by ring products and sums.
+    On a divided field an exponent k gives ``e^k = k! e_k``."""
+    out = space.zero()
+    for exp, c in terms.items():
+        monomial = space.one()
+        for i, e in enumerate(exp):
+            monomial = monomial * space.generator(i) ** e
+        out = out + c * monomial
+    return out
 
 
 def unit_inverse(x):
@@ -271,12 +285,12 @@ def unit_inverse(x):
     ``sum_k (-n)^k`` of its part ``n`` of positive degree, which vanishes
     past the dimension, evaluated by Horner's rule with full products."""
     space = x.ambient
-    constant = x.parts(0)[0]
-    assert constant == 1
-    minus_n = constant - x
-    out = space.one()
+    one = space.one()
+    assert x.parts(0)[0] == one
+    minus_n = one - x
+    out = one
     for _ in range(space.dim):
-        out = 1 + minus_n * out
+        out = one + minus_n * out
     return out
 
 
@@ -286,7 +300,7 @@ def s_from_c(cseq):
     The transform is an involution: applying it to the result returns the
     input, truncated at the ambient dimension.
     """
-    if not cseq or cseq[0] != 1:
+    if not cseq or cseq[0] != cseq[0].ambient.one():
         raise ValueError("sequence must start with the unit class")
     space = cseq[0].ambient
     out = [space.one()]

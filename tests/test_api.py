@@ -6,7 +6,9 @@ by the package itself or by the README's library example, and every
 function and method the package defines, private ones included, is read by
 the package itself.  Term maps have one owner: no module but ``chow`` reads
 ``.terms`` or the kernel's private names, and none but ``chow`` integrates
-a product ``x * y``: ``chow._pair`` does.  Every ``ConsistencyError`` is
+a product ``x * y``: ``chow._pair`` does.  A class is made in one place,
+``chow._make``: ``ChowClass`` has no constructor, and no module calls it.
+Every ``ConsistencyError`` is
 raised in ``invariants._agree``, the one comparison of routes.  Importing
 the command line leaves ``fractions`` unimported."""
 
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 import detcalc
+from detcalc.chow import ChowClass
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "detcalc"
@@ -141,6 +144,18 @@ class _ProductIntegrals(_Sites):
         self.generic_visit(node)
 
 
+class _ClassMakers(_Sites):
+    """Every call that makes a ``ChowClass``: ``ChowClass(...)`` or
+    ``object.__new__(ChowClass)``."""
+
+    def visit_Call(self, node):
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        arguments = [getattr(a, "id", None) for a in node.args]
+        if callee == "ChowClass" or callee == "__new__" and "ChowClass" in arguments:
+            self._add()
+        self.generic_visit(node)
+
+
 def test_route_comparisons_raise_in_one_place():
     # every comparison of two routes goes through invariants._agree, and
     # nothing else raises ConsistencyError
@@ -151,6 +166,14 @@ def test_only_chow_touches_term_maps():
     # a class's term map is read, filled and handed over in chow alone, so
     # the rule that keeps classes immutable is one module's business
     assert _term_map_users() == {}
+
+
+def test_classes_are_made_in_one_place():
+    # the space's constructors and the ring operations make every class
+    # through chow._make: ChowClass takes no exponent tuples, adds no int on
+    # the right, and no module calls it
+    assert {"__init__", "__radd__", "__rsub__"} & vars(ChowClass).keys() == set()
+    assert _ClassMakers.in_package() == ["chow._make"]
 
 
 def test_only_chow_integrates_a_product():

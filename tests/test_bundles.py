@@ -5,7 +5,6 @@ import pytest
 from detcalc import bundles, chow
 from detcalc.bundles import BundleSpec, VirtualPair
 from detcalc.chow import (
-    ChowClass,
     block_space,
     divide_by_roots,
     product_of_projective_spaces,
@@ -13,6 +12,7 @@ from detcalc.chow import (
     projective_space,
 )
 from oracles import (
+    from_exponents,
     integer,
     monomials_of_degree,
     series,
@@ -30,26 +30,26 @@ def split(space, degrees):
 def naive_total_chern(space, roots, sign=1):
     """``prod (1 + sign * root)`` with the ring operators, one full product
     per root: an oracle independent of ``BundleSpec.total_chern``."""
-    out = space.one()
+    out = one = space.one()
     for root in roots:
-        out = out * (1 + sign * root)
+        out = out * (one + sign * root)
     return out
 
 
 def test_total_chern_examples():
     p4 = projective_space(4)
-    h = p4.generator(0)
-    assert split(p4, [0, 0]).total_chern() == p4.one()
-    assert split(p4, [-1, -1, -1, -2]).total_chern() == (1 - h) ** 3 * (1 - 2 * h)
-    assert split(p4, [1, 3]).total_chern() == 1 + 4 * h + 3 * h**2
+    h, one = p4.generator(0), p4.one()
+    assert split(p4, [0, 0]).total_chern() == one
+    assert split(p4, [-1, -1, -1, -2]).total_chern() == (one - h) ** 3 * (one - 2 * h)
+    assert split(p4, [1, 3]).total_chern() == one + 4 * h + 3 * h**2
 
 
 def test_dual_examples():
     p4 = projective_space(4)
-    h = p4.generator(0)
-    assert split(p4, [3]).dual().total_chern() == 1 - 3 * h
+    h, one = p4.generator(0), p4.one()
+    assert split(p4, [3]).dual().total_chern() == one - 3 * h
     B = split(p4, [-1, -1, -1, -2])
-    assert B.dual().total_chern() == (1 + h) ** 3 * (1 + 2 * h)
+    assert B.dual().total_chern() == (one + h) ** 3 * (one + 2 * h)
     assert B.dual().dual().total_chern() == B.total_chern()
 
 
@@ -83,7 +83,7 @@ def test_virtual_chern_trivial_and_degree_one():
     p4 = projective_space(4)
     B = split(p4, [1, 2])
     same = VirtualPair(B, B)
-    assert same.chern_diff[0] == 1
+    assert same.chern_diff[0] == p4.one()
     for k in range(1, 5):
         assert same.chern_diff[k].is_zero()
     pair = VirtualPair(split(p4, [0, -1]), split(p4, [1, 2]))
@@ -170,7 +170,7 @@ def random_parts(rng, space):
     for degree in range(space.dim + 1):
         for exp in monomials_of_degree(space, degree):
             terms[exp] = rng.randint(-4, 4)
-    return ChowClass(space, terms).parts()
+    return from_exponents(space, terms).parts()
 
 
 @pytest.mark.parametrize("case", ["P(P^2xP^2)", "(P^1)^5", "blocks of (P^1)^5"])
@@ -203,7 +203,7 @@ def test_divide_by_roots_round_trip(case):
         assert divided[0] is parts[0]
         quotient = sum(divided, space.zero())
         for root in roots:  # multiply back, one root at a time
-            quotient = quotient * (1 + root)
+            quotient = quotient * (space.one() + root)
         assert quotient.parts() == parts
 
 
@@ -259,7 +259,7 @@ def test_derived_bundles_keep_degree_one_roots_on_their_space():
     with pytest.raises(ValueError, match="degree one"):
         B.twist(ell * ell)
     with pytest.raises(ValueError, match="degree one"):
-        B.twist(1 + ell)
+        B.twist(base.one() + ell)
     with pytest.raises(ValueError):
         B.twist(projective_space(3).generator(0))
     with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ def test_divide_by_roots_refuses_a_foreign_class():
     # the space is checked before zero roots are dropped, so a zero class
     # from another space is refused too
     p4, p5 = projective_space(4), projective_space(5)
-    parts = (1 + p4.generator(0)).parts()
+    parts = (p4.one() + p4.generator(0)).parts()
     for roots in ([p5.zero()], [p4.zero(), p5.zero()], [p5.generator(0)]):
         with pytest.raises(ValueError, match="different ambient spaces"):
             divide_by_roots(parts, roots)
@@ -290,9 +290,9 @@ def test_trivial_summands_make_no_kernel_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(chow, "_accumulate_terms", counted(chow._accumulate_terms))
     space = product_of_projective_spaces([2, 2])
-    parts = random_parts(random.Random(22), space)
+    parts = random_parts(random.Random(22), space)  # built by ring products
+    monkeypatch.setattr(chow, "_accumulate_terms", counted(chow._accumulate_terms))
     zero = space.zero()
     quotient = divide_by_roots(parts, [zero, zero])
     assert quotient == parts and quotient is not parts

@@ -5,11 +5,12 @@ import pytest
 
 import detcalc.schur as schur_module
 from detcalc.bundles import BundleSpec, VirtualPair
-from detcalc.chow import ChowClass, product_of_projective_spaces, projective_space
+from detcalc.chow import product_of_projective_spaces, projective_space
 from detcalc.schur import hook_pairing, hook_sum
 from oracles import (
     conjugate,
     covers_above,
+    from_exponents,
     monomials_of_degree,
     partitions_of,
     s_from_c,
@@ -25,7 +26,7 @@ def random_sequence(rng, space):
             exp: rng.randint(-4, 4)
             for exp in monomials_of_degree(space, degree)
         }
-        seq.append(ChowClass(space, terms))
+        seq.append(from_exponents(space, terms))
     return seq
 
 
@@ -244,7 +245,8 @@ def test_hook_sum_makes_no_kernel_call_for_a_zero_class(monkeypatch):
     for weight in range(2, 15):
         before = len(calls)
         expected = sum(
-            comb(weight - 2, a - 1) * h[a] * e[weight - a] for a in range(1, weight)
+            (comb(weight - 2, a - 1) * h[a] * e[weight - a] for a in range(1, weight)),
+            space.zero(),
         )
         assert hook_sum(weight, h, e) == expected
         assert len(calls) - before == min(weight - 1, 3)
