@@ -32,9 +32,9 @@ direct ``chi(Z)``, ``c2`` cycle and intersection numbers all read the one
 stored ``[Z]`` of :class:`Resolution` and integrate by ``chow._pair``; a
 relation on the bundle picks only the ``chi(Z)`` integrand.  The smooth
 number and the singular gap have a second route, the shortcut of
-:func:`ih_milnor_number_small_dim`, on fourfolds and fivefolds only.  A
-report forms one Schur class, the 2x2 class of :func:`porteous_class`, on
-fourfolds and fivefolds, else none.
+:func:`ih_milnor_number_small_dim`, on fourfolds and fivefolds only: a
+weight paired with the 2x2 class of :func:`porteous_class`, the one Schur
+class a report forms.  Every integral is a ``chow._pair`` or ``_pair3``.
 """
 
 from __future__ import annotations
@@ -243,20 +243,6 @@ def porteous_class(inst: Instance) -> ChowClass:
     return sum_of_products(inst.ambient, [(1, s[2], s[2]), (-1, s[1], s[3])])
 
 
-def porteous_degree(inst: Instance) -> int:
-    """Number of points of the singular locus when it is zero-dimensional.
-
-    Only defined for fourfold ambients, where the singular locus has
-    expected codimension exactly four.
-    """
-    if inst.d != 4:
-        raise GuardError(
-            "the singular locus is a zero-cycle only when dim M = 4; "
-            "use porteous_class for the class itself"
-        )
-    return inst.ambient.integrate(porteous_class(inst))
-
-
 class EulerNumbers(NamedTuple):
     """Euler numbers of the hypersurface: a smooth one in the same class, the
     signed singular gap, and the small resolution, whose Euler number is the
@@ -332,11 +318,11 @@ def euler_numbers(inst: Instance) -> EulerNumbers:
 
 def ih_milnor_number_small_dim(inst: Instance) -> int:
     """Shortcut for the singular Euler gap: a weight ``w`` paired with the
-    class of the singular locus (Parusinski-Pragacz, J. Algebraic Geom. 4,
-    1995).  On a fourfold ``w = 2``: twice :func:`porteous_degree`; on a
-    fivefold, where Sing is a curve with ``c1(N) = 2D`` on it, ``w = 5D -
-    2 c1(T)``, which is ``3 c1(T)`` under the Calabi-Yau condition ``D =
-    c1(T)``.  Refused from dimension 6, where Sing is a surface or more.
+    class of the singular locus in one ``chow._pair`` (Parusinski-Pragacz,
+    J. Algebraic Geom. 4, 1995).  On a fourfold ``w = 2``: twice the count of
+    points; on a fivefold, where Sing is a curve with ``c1(N) = 2D`` on it,
+    ``w = 5D - 2 c1(T)``, which is ``3 c1(T)`` under the Calabi-Yau condition
+    ``D = c1(T)``.  Refused from dimension 6, where Sing is a surface or more.
     """
     if inst.d not in (4, 5):
         raise GuardError(
@@ -344,8 +330,9 @@ def ih_milnor_number_small_dim(inst: Instance) -> int:
             "use euler_numbers instead"
         )
     if inst.d == 4:
-        return 2 * porteous_degree(inst)
-    weight = 5 * inst.pair.hypersurface_class - 2 * inst.ambient.tangent_c1
+        weight = inst.ambient.scalar(2)
+    else:
+        weight = 5 * inst.pair.hypersurface_class - 2 * inst.ambient.tangent_c1
     return _pair(weight, porteous_class(inst))
 
 
@@ -515,7 +502,7 @@ def build_report(
         shortcut = ih_milnor_number_small_dim(inst)
         _agree("singular Euler gap", hooks=euler.ih_milnor, shortcut=shortcut)
     if inst.d == 4:
-        count = shortcut // 2  # twice porteous_degree: one 2x2 class per report
+        count = shortcut // 2  # 2 paired with [Sing]: one 2x2 class per report
         report.singular_degree = count
         report.odp_count = count
         report.warnings.extend(_ODP_WARNINGS)

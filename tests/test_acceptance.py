@@ -19,7 +19,6 @@ from detcalc.invariants import (
     euler_numbers,
     euler_smooth_hypersurface,
     ih_milnor_number_small_dim,
-    porteous_degree,
 )
 from detcalc.verify import run_all
 from oracles import hook_product, partitions_of, syt_count, syt_count_by_removal
@@ -63,14 +62,14 @@ def test_table1_reproduction(p4):
 
 @criterion("table-2 reproduction")
 def test_table2_reproduction(quartic_table):
-    counts = [porteous_degree(inst) for inst, _ in quartic_table]
+    counts = [build_report(inst).odp_count for inst, _ in quartic_table]
     assert counts == [9, 12, 17, 16, 20]
 
 
 @criterion("quartic invariant chain")
 def test_quartic_chain(p4):
     inst = Instance(p4, VirtualPair(split(p4, [0, 0]), split(p4, [2, 2])))
-    assert porteous_degree(inst) == 16
+    assert build_report(inst).odp_count == 16
     euler = euler_numbers(inst)
     gap = euler.ih_milnor
     assert gap == 32
@@ -142,11 +141,10 @@ def test_guards(p4):
 
     p5 = projective_space(5)
     fivefold = Instance(p5, VirtualPair(split(p5, [0, 0]), split(p5, [3, 3])))
-    try:
-        porteous_degree(fivefold)
-        raise AssertionError("the point count must refuse a non-fourfold ambient")
-    except GuardError:
-        pass
+    report = build_report(fivefold)
+    assert report.singular_degree is None and report.odp_count is None, (
+        "a fivefold report must count no singular points"
+    )
 
 
 @criterion("runtime budget")

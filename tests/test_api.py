@@ -5,12 +5,12 @@ imported from its own module.  Every public method of a public class is read
 by the package itself or by the README's library example, and every
 function and method the package defines, private ones included, is read by
 the package itself.  Term maps have one owner: no module but ``chow`` reads
-``.terms`` or the kernel's private names, and none but ``chow`` integrates
-a product ``x * y``: ``chow._pair`` does.  A class is made in one place,
-``chow._make``: ``ChowClass`` has no constructor, and no module calls it.
-Every ``ConsistencyError`` is
-raised in ``invariants._agree``, the one comparison of routes.  Importing
-the command line leaves ``fractions`` unimported."""
+``.terms`` or the kernel's private names, and none but ``chow`` calls
+``integrate``: every other integral is a ``chow._pair`` or ``_pair3``.  A
+class is made in one place, ``chow._make``: ``ChowClass`` has no
+constructor, and no module calls it.  Every ``ConsistencyError`` is raised
+in ``invariants._agree``, the one comparison of routes.  Importing the
+command line leaves ``fractions`` unimported."""
 
 import ast
 import inspect
@@ -133,13 +133,11 @@ class _Raises(_Sites):
         self.generic_visit(node)
 
 
-class _ProductIntegrals(_Sites):
-    """Every call ``.integrate(...)`` whose argument is a product ``x * y``."""
+class _Integrals(_Sites):
+    """Every call ``.integrate(...)``."""
 
     def visit_Call(self, node):
-        if getattr(node.func, "attr", None) == "integrate" and any(
-            isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult) for a in node.args
-        ):
+        if getattr(node.func, "attr", None) == "integrate":
             self._add()
         self.generic_visit(node)
 
@@ -176,10 +174,11 @@ def test_classes_are_made_in_one_place():
     assert _ClassMakers.in_package() == ["chow._make"]
 
 
-def test_only_chow_integrates_a_product():
-    # chow._pair is the one integral of a product on every space, so no
-    # other module multiplies two classes only to integrate the product
-    assert _ProductIntegrals.in_package(skip={"chow"}) == []
+def test_only_chow_integrates():
+    # chow._pair and chow._pair3 are the package's integrals on every space:
+    # no other module multiplies classes only to integrate the product, nor
+    # reads a top coefficient itself
+    assert _Integrals.in_package(skip={"chow"}) == []
 
 
 def _readme_example() -> str:

@@ -23,6 +23,8 @@ from detcalc.chow import (
     projective_space,
     sum_of_products,
 )
+from detcalc.invariants import Instance
+from detcalc.verify import _random_rows
 from oracles import (
     degrees,
     from_exponents,
@@ -195,6 +197,36 @@ def test_todd_integral_fails_on_a_wrong_tangent_binomial(monkeypatch):
     p4 = projective_space(4)
     bundle = proj_bundle(p4, BundleSpec.sum_of_line_bundles(p4, [[0], [1], [2]]))
     assert todd_integral(p4) != 1 and todd_integral(bundle) != 1
+
+
+CLI_AMBIENTS = ([4], [5], [1, 3], [2, 2], [1, 1, 2], [1, 1, 1, 1])
+
+
+def drawn_instances():
+    """Instances of the shapes ``detcalc verify`` draws: P^4 and P^5, rank 2
+    to 4, E rows in -2..1 and F rows in 0..2, half of them Calabi-Yau; then
+    the same rows at rank 2 to 5 on the benchmark's six CLI ambients."""
+    rng = random.Random(31)
+    for trial in range(20):
+        dim, calabi_yau = 4 + trial % 2, trial % 4 < 2
+        rows = _random_rows(rng, dim, rng.randint(2, 4), calabi_yau)
+        yield Instance.from_rows([dim], *rows)
+    for trial in range(24):
+        dims, rank = CLI_AMBIENTS[trial % 6], 2 + trial % 4
+        E = [[rng.randint(-2, 1) for _ in dims] for _ in range(rank)]
+        F = [[rng.randint(0, 2) for _ in dims] for _ in range(rank)]
+        yield Instance.from_rows(dims, E, F)
+
+
+def test_todd_class_integrates_to_one_on_drawn_instances():
+    # chi(O) = 1 on the base and the resolution's bundle of each instance,
+    # the rings a report builds and reads c(T) on
+    spaces = [
+        space
+        for inst in drawn_instances()
+        for space in (inst.ambient, inst.resolution.space)
+    ]
+    assert [todd_integral(space) for space in spaces] == [1] * len(spaces)
 
 
 def degree_one_cases():

@@ -31,7 +31,6 @@ from detcalc.invariants import (
     ih_milnor_number_small_dim,
     intersection_numbers,
     porteous_class,
-    porteous_degree,
 )
 import oracles
 from oracles import schur, series, series_inv, series_mul, series_pow, tableau_gap
@@ -153,11 +152,11 @@ def test_euler_smooth_on_a_bundle_space_against_the_power_sum():
 
 def test_porteous_degrees_for_quartic_table(quartic_table):
     for inst, expected in quartic_table:
-        assert porteous_degree(inst) == expected
+        assert inst.ambient.integrate(porteous_class(inst)) == expected
 
 
 def test_porteous_degree_of_quintic(quintic):
-    assert porteous_degree(quintic) == 46
+    assert quintic.ambient.integrate(porteous_class(quintic)) == 46
 
 
 def test_porteous_class_defaults_to_square_shape(quintic):
@@ -177,18 +176,19 @@ def test_porteous_class_defaults_to_square_shape(quintic):
 
 
 def test_porteous_degree_guard_outside_fourfolds():
+    # off a fourfold Sing is no set of points: a report counts none, and the
+    # class itself is still available, its own degree-4 part
     p5 = projective_space(5)
     inst = make_instance(p5, [0, 0], [2, 2], polarized=False)
-    with pytest.raises(GuardError):
-        porteous_degree(inst)
-    # the class itself is still available: its own degree-4 part
+    report = build_report(inst)
+    assert report.singular_degree is None and report.odp_count is None
     singular = porteous_class(inst)
     assert singular.parts()[4] == singular
 
 
 def test_porteous_degree_vanishes_for_equal_bundles(p4):
     inst = make_instance(p4, [1, 1], [1, 1], polarized=False)
-    assert porteous_degree(inst) == 0
+    assert inst.ambient.integrate(porteous_class(inst)) == 0
 
 
 # -- the singular Euler gap ----------------------------------------------------
@@ -203,14 +203,15 @@ def test_milnor_number_of_quintic(quintic):
     gap = euler_numbers(quintic).ih_milnor
     assert gap == 92
     assert ih_milnor_number_small_dim(quintic) == 92
-    assert gap == 2 * porteous_degree(quintic)
+    assert gap == 2 * quintic.ambient.integrate(porteous_class(quintic))
 
 
 def test_fourfold_milnor_number_is_twice_the_degree(p4):
     rng = random.Random(21)
     for _ in range(10):
         inst = random_instance(rng, p4, polarized=False)
-        assert euler_numbers(inst).ih_milnor == 2 * porteous_degree(inst)
+        gap = euler_numbers(inst).ih_milnor
+        assert gap == 2 * inst.ambient.integrate(porteous_class(inst))
 
 
 def test_shortcut_refused_in_higher_dimension():
@@ -571,14 +572,13 @@ def count_calls(monkeypatch, names):
 
 def test_build_report_evaluates_each_invariant_once(monkeypatch, quintic):
     # the shortcut forms the 2x2 class once on every fourfold and fivefold,
-    # on a fourfold through porteous_degree, and the c2 pairings read none
-    names = ("euler_numbers", "porteous_class", "porteous_degree")
+    # and the c2 pairings read none
+    names = ("euler_numbers", "porteous_class")
     counts = count_calls(monkeypatch, names)
     for inst in (quintic, calabi_yau_fivefold(), non_calabi_yau_fivefold()):
         counts.update(dict.fromkeys(names, 0))
         build_report(inst)
-        once_on_fourfolds = {"porteous_degree": int(inst.d == 4)}
-        assert counts == {**dict.fromkeys(names, 1), **once_on_fourfolds}
+        assert counts == dict.fromkeys(names, 1)
 
 
 def test_c2_numbers_forms_no_singular_class(monkeypatch, quintic):
@@ -1049,7 +1049,8 @@ def test_odp_count_of_an_explicit_cubic_determinant(E, F, nodes):
     count, non_a1, boundary = oracles.determinantal_singularities(E, F, 4, 0)
     assert non_a1 == 0 and boundary is not None
     inst = Instance.from_rows([4], [[e] for e in E], [[f] for f in F])
-    assert count == build_report(inst).odp_count == porteous_degree(inst) == nodes
+    count_by_class = inst.ambient.integrate(porteous_class(inst))
+    assert count == build_report(inst).odp_count == count_by_class == nodes
 
 
 TWIST_CASES = {  # ambient dims, E rows, F rows
